@@ -33,6 +33,22 @@ func TestBadFormat(t *testing.T) {
 	}
 }
 
+// TestBadScale: scales outside (0, 1] fail before any table prints,
+// including NaN, which every ordered comparison lets through. (-scale 0
+// selects the default scale.)
+func TestBadScale(t *testing.T) {
+	for _, scale := range []string{"NaN", "+Inf", "-Inf", "1.0000001"} {
+		var out, errb bytes.Buffer
+		err := run(context.Background(), []string{"-exp", "table1", "-scale", scale}, &out, &errb)
+		if err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("-scale %s: err = %v, want a scale error", scale, err)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-scale %s printed a table:\n%s", scale, out.String())
+		}
+	}
+}
+
 func TestSingleExperimentText(t *testing.T) {
 	var out, errb bytes.Buffer
 	if err := run(context.Background(), []string{"-exp", "table2", "-scale", "0.05"}, &out, &errb); err != nil {

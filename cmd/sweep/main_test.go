@@ -36,6 +36,21 @@ func TestBadValues(t *testing.T) {
 	}
 }
 
+// TestBadScale: scales outside (0, 1] fail before any table prints,
+// including NaN, which every ordered comparison lets through. (-scale 0
+// selects the default scale.)
+func TestBadScale(t *testing.T) {
+	for _, scale := range []string{"NaN", "+Inf", "-Inf", "1.0000001"} {
+		out, err := doRun(t, "-workload", "is", "-param", "streams", "-values", "1", "-scale", scale)
+		if err == nil || !strings.Contains(err.Error(), "scale") {
+			t.Errorf("-scale %s: err = %v, want a scale error", scale, err)
+		}
+		if out != "" {
+			t.Errorf("-scale %s printed a table:\n%s", scale, out)
+		}
+	}
+}
+
 func TestUnknownMetric(t *testing.T) {
 	if _, err := doRun(t, "-workload", "is", "-param", "streams",
 		"-values", "1", "-metric", "joy", "-scale", "0.05"); err == nil {

@@ -81,7 +81,7 @@ func runOnChipPrefetcher(ctx context.Context, name string, size workload.Size, s
 		}
 	}
 
-	err = tr.each(ctx, func(pa *mem.Access) {
+	err = each(ctx, tr, func(pa *mem.Access) {
 		a := *pa
 		c := l1d
 		if a.Kind == mem.IFetch {

@@ -106,26 +106,20 @@ func EqualCost(ctx context.Context, opt Options) (*tab.Table, error) {
 	return t, nil
 }
 
-// replayTimed feeds a recorded trace into a timing model, spreading
-// the instruction count across the accesses.
-func replayTimed(ctx context.Context, m *timing.Model, tr *recorded) error {
-	return replayTimedMulti(ctx, []*timing.Model{m}, tr)
-}
-
 // replayTimedMulti feeds one recorded trace into several timing
 // models from a single decode pass, spreading the instruction count
-// across the accesses exactly as replayTimed always has, so each
-// model's ledger is identical to an independent replayTimed run. The
-// decode skips the PC stream: the timing model, like core.System,
-// never reads Access.PC.
-func replayTimedMulti(ctx context.Context, models []*timing.Model, tr *recorded) error {
+// evenly across the accesses, so each model's ledger is identical to
+// a replay into that model alone. The decode skips the PC stream: the
+// timing model, like core.System, never reads Access.PC.
+func replayTimedMulti(ctx context.Context, models []*timing.Model, tr *trace.Store) error {
+	insts := tr.Instructions()
 	perAccess := uint64(0)
-	if n := uint64(tr.store.Len()); n > 0 {
-		perAccess = tr.insts / n
+	if n := uint64(tr.Len()); n > 0 {
+		perAccess = insts / n
 	}
 	done := ctx.Done()
 	buf := make([]mem.Access, trace.ReplayBatchLen)
-	it := tr.store.Iter()
+	it := tr.Iter()
 	var spent uint64
 	for n := it.NextNoPC(buf); n > 0; n = it.NextNoPC(buf) {
 		for _, m := range models {
@@ -141,11 +135,11 @@ func replayTimedMulti(ctx context.Context, models []*timing.Model, tr *recorded)
 		default:
 		}
 	}
-	if tr.insts > spent {
+	if insts > spent {
 		for _, m := range models {
-			m.AddInstructions(tr.insts - spent)
+			m.AddInstructions(insts - spent)
 		}
 	}
-	replayedRefs.Add(uint64(tr.store.Len()) * uint64(len(models)))
+	replayedRefs.Add(uint64(tr.Len()) * uint64(len(models)))
 	return nil
 }

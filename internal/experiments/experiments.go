@@ -3,9 +3,11 @@
 // carry both the measured values and, where the paper prints a number,
 // the published value for side-by-side comparison.
 //
-// Workload traces are recorded once per (benchmark, size) and replayed
-// across memory-system configurations, exactly as the paper replays
-// its Shade traces through different simulator settings.
+// Workload traces are recorded once per (benchmark, size, scale) and
+// replayed across memory-system configurations, exactly as the paper
+// replays its Shade traces through different simulator settings. The
+// recordings come from sweeprun.Record, whose process-wide cache the
+// sweeps and the optimizer share.
 package experiments
 
 import (
@@ -19,6 +21,7 @@ import (
 	"streamsim/internal/core"
 	"streamsim/internal/mem"
 	"streamsim/internal/stream"
+	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
 	"streamsim/internal/trace"
 	"streamsim/internal/workload"
@@ -102,40 +105,15 @@ func table1Size(name string) workload.Size {
 	}
 }
 
-// recorded is an in-memory trace: the reference stream (held in a
-// compact delta-encoded trace.Store rather than a []mem.Access, a
-// several-fold memory saving that also keeps replay from streaming
-// 24 bytes per reference through the host caches) and the retired
-// instruction count of one workload run.
-type recorded struct {
-	store *trace.Store
-	insts uint64
-}
-
-// newRecorded sizes the store from the per-workload reference
-// estimate so recording never regrows mid-trace.
-func newRecorded(name string, size workload.Size, scale float64) *recorded {
-	return &recorded{store: trace.NewStore(int(workload.EstimateRefs(name, size, scale)))}
-}
-
-// Access implements workload.Sink.
-func (r *recorded) Access(a mem.Access) { r.store.Append(a) }
-
-// AccessBatch implements workload.BatchSink.
-func (r *recorded) AccessBatch(accs []mem.Access) { r.store.AppendBatch(accs) }
-
-// AddInstructions implements workload.Sink.
-func (r *recorded) AddInstructions(n uint64) { r.insts += n }
-
 // each decodes the trace in batches and calls fn on every access in
 // order — the shared iteration shape for consumers that want scalar
-// visits (miss-stream derivation, the prefetcher baselines, the
-// timing replay) without paying per-access decode state. ctx is
-// polled once per batch; a cancelled walk returns ctx.Err().
-func (r *recorded) each(ctx context.Context, fn func(a *mem.Access)) error {
+// visits (miss-stream derivation, the prefetcher baselines) without
+// paying per-access decode state. ctx is polled once per batch; a
+// cancelled walk returns ctx.Err().
+func each(ctx context.Context, tr *trace.Store, fn func(a *mem.Access)) error {
 	done := ctx.Done()
 	buf := make([]mem.Access, trace.ReplayBatchLen)
-	it := r.store.Iter()
+	it := tr.Iter()
 	for n := it.Next(buf); n > 0; n = it.Next(buf) {
 		for i := 0; i < n; i++ {
 			fn(&buf[i])
@@ -146,7 +124,7 @@ func (r *recorded) each(ctx context.Context, fn func(a *mem.Access)) error {
 		default:
 		}
 	}
-	replayedRefs.Add(uint64(r.store.Len()))
+	replayedRefs.Add(uint64(tr.Len()))
 	return nil
 }
 
@@ -154,12 +132,12 @@ func (r *recorded) each(ctx context.Context, fn func(a *mem.Access)) error {
 // hot path, window-sharded across workers when the trace is long
 // enough (core.ReplayStoreWindowed; systems carrying traffic hooks
 // fall back to an exact sequential pass automatically).
-func (r *recorded) replay(ctx context.Context, sys *core.System, opt core.ShardOptions) error {
-	if err := core.ReplayStoreWindowed(ctx, sys, r.store, opt); err != nil {
+func replay(ctx context.Context, sys *core.System, tr *trace.Store, opt core.ShardOptions) error {
+	if err := core.ReplayStoreWindowed(ctx, sys, tr, opt); err != nil {
 		return err
 	}
-	sys.AddInstructions(r.insts)
-	replayedRefs.Add(uint64(r.store.Len()))
+	sys.AddInstructions(tr.Instructions())
+	replayedRefs.Add(uint64(tr.Len()))
 	return nil
 }
 
@@ -170,14 +148,14 @@ func (r *recorded) replay(ctx context.Context, sys *core.System, opt core.ShardO
 // plan depends only on the trace and opt, never on the host, so the
 // published numbers are machine-independent; short traces replay
 // exactly as the sequential engine would.
-func (r *recorded) replayMulti(ctx context.Context, systems []*core.System, opt core.ShardOptions) error {
-	if err := core.ReplayStoreMultiWindowed(ctx, systems, r.store, opt); err != nil {
+func replayMulti(ctx context.Context, systems []*core.System, tr *trace.Store, opt core.ShardOptions) error {
+	if err := core.ReplayStoreMultiWindowed(ctx, systems, tr, opt); err != nil {
 		return err
 	}
 	for _, sys := range systems {
-		sys.AddInstructions(r.insts)
+		sys.AddInstructions(tr.Instructions())
 	}
-	replayedRefs.Add(uint64(r.store.Len()) * uint64(len(systems)))
+	replayedRefs.Add(uint64(tr.Len()) * uint64(len(systems)))
 	return nil
 }
 
@@ -191,58 +169,25 @@ var replayedRefs atomic.Uint64
 // trace passes since process start.
 func ReplayedRefs() uint64 { return replayedRefs.Load() }
 
-// traceCache memoizes recorded traces per (name, size, scale) so a
-// multi-configuration experiment generates each workload once.
-var traceCache sync.Map
-
-type traceKey struct {
-	name  string
-	size  workload.Size
-	scale float64
-}
-
-// traceCacheHits counts record() calls served from the memoized
-// trace cache, process-wide (a simd /metrics gauge).
-var traceCacheHits atomic.Uint64
-
 // TraceCacheHits returns how many trace lookups were served from the
-// in-process trace cache since process start.
-func TraceCacheHits() uint64 { return traceCacheHits.Load() }
+// process-wide recording cache (sweeprun.Record) since process start,
+// counting sweep and optimizer lookups as well as experiment runs.
+func TraceCacheHits() uint64 { return sweeprun.TraceCacheStats().Hits }
 
-// record returns the (possibly cached) trace of a benchmark.
-func record(ctx context.Context, name string, size workload.Size, scale float64) (*recorded, error) {
-	key := traceKey{name, size, scale}
-	if v, ok := traceCache.Load(key); ok {
-		traceCacheHits.Add(1)
-		return v.(*recorded), nil
-	}
-	w, err := workload.New(name, size)
-	if err != nil {
-		return nil, err
-	}
-	r := newRecorded(name, size, scale)
-	if err := w.RunContext(ctx, r, scale); err != nil {
-		return nil, err
-	}
-	if err := r.store.Err(); err != nil {
-		return nil, err
-	}
-	v, loaded := traceCache.LoadOrStore(key, r)
-	if loaded {
-		traceCacheHits.Add(1)
-	}
-	return v.(*recorded), nil
+// record returns the recording of a benchmark from the process-wide
+// recording cache, which sweeps and the optimizer share.
+func record(ctx context.Context, name string, size workload.Size, scale float64) (*trace.Store, error) {
+	_, tr, err := sweeprun.Record(ctx, name, size.String(), scale)
+	return tr, err
 }
 
-// ResetTraceCache drops memoized traces (used by benchmarks that want
-// to measure generation cost). Entries are deleted in place rather
-// than by reassigning the sync.Map value, which would race with
-// concurrent Loads from in-flight experiment runs.
+// ResetTraceCache drops every cached recording and memoized miss
+// stream (used by benchmarks that want to measure generation cost).
+// Miss-stream entries are deleted in place rather than by reassigning
+// the sync.Map value, which would race with concurrent Loads from
+// in-flight experiment runs.
 func ResetTraceCache() {
-	traceCache.Range(func(k, _ any) bool {
-		traceCache.Delete(k)
-		return true
-	})
+	sweeprun.ResetTraceCache()
 	l2StreamCache.Range(func(k, _ any) bool {
 		l2StreamCache.Delete(k)
 		return true
@@ -339,7 +284,7 @@ func runConfig(ctx context.Context, name string, size workload.Size, opt Options
 	if err != nil {
 		return core.Results{}, err
 	}
-	if err := tr.replay(ctx, sys, core.ShardOptions{Shards: opt.Shards}); err != nil {
+	if err := replay(ctx, sys, tr, core.ShardOptions{Shards: opt.Shards}); err != nil {
 		return core.Results{}, err
 	}
 	return sys.Results(), nil
@@ -360,7 +305,7 @@ func runConfigs(ctx context.Context, name string, size workload.Size, opt Option
 			return nil, err
 		}
 	}
-	if err := tr.replayMulti(ctx, systems, core.ShardOptions{Shards: opt.Shards}); err != nil {
+	if err := replayMulti(ctx, systems, tr, core.ShardOptions{Shards: opt.Shards}); err != nil {
 		return nil, err
 	}
 	res := make([]core.Results, len(systems))
@@ -382,12 +327,19 @@ type l2Event struct {
 	write bool // write-back of a dirty victim
 }
 
-// l2StreamCache memoizes miss streams per (name, size, scale).
+// l2StreamCache memoizes miss streams per missKey.
 var l2StreamCache sync.Map
+
+// missKey identifies the recording a miss stream derives from.
+type missKey struct {
+	name  string
+	size  workload.Size
+	scale float64
+}
 
 // missStream derives the L1 miss traffic of a benchmark trace.
 func missStream(ctx context.Context, name string, size workload.Size, scale float64) (*l2MissStream, error) {
-	key := traceKey{name, size, scale}
+	key := missKey{name, size, scale}
 	if v, ok := l2StreamCache.Load(key); ok {
 		return v.(*l2MissStream), nil
 	}
@@ -406,7 +358,7 @@ func missStream(ctx context.Context, name string, size workload.Size, scale floa
 	}
 	geom := cfg.Geometry
 	ms := &l2MissStream{}
-	err = tr.each(ctx, func(a *mem.Access) {
+	err = each(ctx, tr, func(a *mem.Access) {
 		c := l1d
 		if a.Kind == mem.IFetch {
 			c = l1i

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"streamsim/internal/cache"
+	"streamsim/internal/sweeprun"
 	"streamsim/internal/workload"
 )
 
@@ -161,18 +162,20 @@ func TestTable4Shape(t *testing.T) {
 	}
 }
 
+// TestTraceCacheReuse: experiments and sweeprun.Record hand out the
+// same recording for one key, and different scales never share one.
 func TestTraceCacheReuse(t *testing.T) {
 	ResetTraceCache()
 	a, err := record(context.Background(), "embar", workload.SizeSmall, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := record(context.Background(), "embar", workload.SizeSmall, 0.05)
+	_, b, err := sweeprun.Record(context.Background(), "embar", "small", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Error("second record() should return the cached trace")
+		t.Error("experiments and sweeprun.Record should share one recording per key")
 	}
 	c, err := record(context.Background(), "embar", workload.SizeSmall, 0.04)
 	if err != nil {

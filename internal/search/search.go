@@ -164,7 +164,7 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("search: unknown objective metric %q (hit, eb or missrate)", s.Metric)
 	}
-	if s.Scale <= 0 || s.Scale > 1 {
+	if !(s.Scale > 0 && s.Scale <= 1) {
 		return fmt.Errorf("search: scale %v outside (0, 1]", s.Scale)
 	}
 	switch s.Strategy {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -323,6 +324,10 @@ func TestValidate(t *testing.T) {
 		{"bad metric", func(s *Spec) { s.Metric = "ipc" }, "metric"},
 		{"bad strategy", func(s *Spec) { s.Strategy = "anneal" }, "strategy"},
 		{"bad scale", func(s *Spec) { s.Scale = 2 }, "scale"},
+		{"NaN scale", func(s *Spec) { s.Scale = math.NaN() }, "scale"},
+		{"+Inf scale", func(s *Spec) { s.Scale = math.Inf(1) }, "scale"},
+		{"-Inf scale", func(s *Spec) { s.Scale = math.Inf(-1) }, "scale"},
+		{"scale just above 1", func(s *Spec) { s.Scale = math.Nextafter(1, 2) }, "scale"},
 		{"empty space", func(s *Spec) { s.Space = nil }, "dimension"},
 		{"unknown param", func(s *Spec) { s.Space[0].Param = "warp" }, "unknown parameter"},
 		{"duplicate param", func(s *Spec) { s.Space[1].Param = "streams" }, "two dimensions"},

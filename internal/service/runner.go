@@ -65,7 +65,7 @@ func validateRequest(req api.SubmitRequest) error {
 		if _, err := experiments.Lookup(req.Experiment); err != nil {
 			return fmt.Errorf("unknown experiment %q", req.Experiment)
 		}
-		if req.Scale <= 0 || req.Scale > 1 {
+		if !(req.Scale > 0 && req.Scale <= 1) {
 			return fmt.Errorf("scale must be in (0, 1], got %g", req.Scale)
 		}
 		return nil

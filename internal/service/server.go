@@ -21,6 +21,7 @@ import (
 	"streamsim/internal/experiments"
 	"streamsim/internal/search"
 	"streamsim/internal/service/api"
+	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
 )
 
@@ -122,7 +123,10 @@ func (s *Server) initMetrics() {
 	gauge("jobs_cancelled", func() any { _, _, _, _, c, _ := s.store.stats(); return c })
 	gauge("memo_hits", func() any { _, _, _, _, _, h := s.store.stats(); return h })
 	gauge("workers", func() any { return s.cfg.Workers })
-	gauge("trace_cache_hits", func() any { return experiments.TraceCacheHits() })
+	gauge("trace_cache_hits", func() any { return sweeprun.TraceCacheStats().Hits })
+	gauge("trace_cache_bytes", func() any { return sweeprun.TraceCacheStats().Bytes })
+	gauge("trace_cache_entries", func() any { return sweeprun.TraceCacheStats().Entries })
+	gauge("trace_cache_evictions_total", func() any { return sweeprun.TraceCacheStats().Evictions })
 	gauge("refs_replayed_total", func() any { return experiments.ReplayedRefs() })
 	gauge("replay_fanout_width", func() any { return core.LastFanOutWidth() })
 	gauge("replay_window_shards", func() any { return core.LastWindowShards() })

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -113,6 +114,20 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if calls.Load() != 0 {
 		t.Errorf("runner ran for invalid requests")
+	}
+}
+
+// TestValidateRequestScale: an experiment's scale must lie in (0, 1];
+// NaN and the infinities fail every comparison and must not slip
+// through. (normalize turns an omitted scale into 1 before this check.)
+func TestValidateRequestScale(t *testing.T) {
+	for _, scale := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Nextafter(1, 2)} {
+		if err := validateRequest(api.SubmitRequest{Experiment: "table1", Scale: scale}); err == nil {
+			t.Errorf("scale %v accepted", scale)
+		}
+	}
+	if err := validateRequest(api.SubmitRequest{Experiment: "table1", Scale: 1}); err != nil {
+		t.Errorf("scale 1 rejected: %v", err)
 	}
 }
 
@@ -451,7 +466,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, key := range []string{
 		"jobs_queued", "jobs_running", "jobs_done", "jobs_failed", "jobs_cancelled",
-		"memo_hits", "workers", "trace_cache_hits", "refs_replayed_total",
+		"memo_hits", "workers", "trace_cache_hits", "trace_cache_bytes",
+		"trace_cache_entries", "trace_cache_evictions_total", "refs_replayed_total",
 		"refs_per_sec", "replay_fanout_width", "replay_window_shards", "uptime_seconds",
 	} {
 		if _, ok := m[key]; !ok {

@@ -1,0 +1,220 @@
+package sweeprun
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"math"
+	"sync"
+	"testing"
+
+	"streamsim/internal/trace"
+	"streamsim/internal/workload"
+)
+
+// encoded serializes a store's full event order through the trace
+// file codec, so two recordings compare byte for byte.
+func encoded(t *testing.T, st *trace.Store) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	if err := st.ReplayContext(context.Background(), w); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// recorder returns the cache key of a small embar recording and the
+// function that records it under a given context.
+func recorder(t *testing.T, scale float64) (traceKey, func(context.Context) (*trace.Store, error)) {
+	t.Helper()
+	w, err := BuildWorkload("embar", "small")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traceKey{"embar", workload.SizeSmall, scale}, func(ctx context.Context) (*trace.Store, error) {
+		return recordTrace(ctx, w, workload.SizeSmall, scale)
+	}
+}
+
+func TestRecordOneStorePerKey(t *testing.T) {
+	ResetTraceCache()
+	hits0 := TraceCacheStats().Hits
+	const callers = 8
+	stores := make([]*trace.Store, callers)
+	var wg sync.WaitGroup
+	for i := range stores {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, st, err := Record(context.Background(), "embar", "small", 0.02)
+			if err != nil {
+				t.Error(err)
+			}
+			stores[i] = st
+		}()
+	}
+	wg.Wait()
+	for i, st := range stores {
+		if st == nil || st != stores[0] {
+			t.Fatalf("caller %d got store %p, caller 0 got %p", i, st, stores[0])
+		}
+	}
+	if hits := TraceCacheStats().Hits - hits0; hits != callers-1 {
+		t.Errorf("%d of %d callers got a cached store, want %d", hits, callers, callers-1)
+	}
+	if got := TraceCacheStats().Entries; got != 1 {
+		t.Errorf("cache holds %d entries, want 1", got)
+	}
+}
+
+// TestTraceCacheCancelledRecording: a caller cancelled mid-recording
+// leaves no entry and does not disturb a concurrent caller of the same
+// key, which records under its own context and gets a complete
+// recording. A lookup on an ended context reports it, even on a hit.
+func TestTraceCacheCancelledRecording(t *testing.T) {
+	key, record := recorder(t, 0.02)
+	fresh, err := record(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newTraceCache(traceCacheBudget)
+	started := make(chan struct{})
+	cctx, cancel := context.WithCancel(context.Background())
+	cancelled := make(chan error, 1)
+	go func() {
+		st, err := c.get(cctx, key, func() (*trace.Store, error) {
+			close(started)
+			<-cctx.Done()
+			return record(cctx)
+		})
+		if st != nil {
+			t.Errorf("cancelled caller got store %p", st)
+		}
+		cancelled <- err
+	}()
+	<-started
+
+	st, err := c.get(context.Background(), key, func() (*trace.Store, error) { return record(context.Background()) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if err := <-cancelled; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled caller got %v, want context.Canceled", err)
+	}
+	if !bytes.Equal(encoded(t, st), encoded(t, fresh)) {
+		t.Error("the concurrent caller's recording differs from a fresh one")
+	}
+	c.mu.Lock()
+	n, el := len(c.entries), c.entries[key]
+	c.mu.Unlock()
+	if n != 1 || el == nil || el.Value.(*traceEntry).store != st {
+		t.Errorf("cache holds %d entries, want only the completed recording", n)
+	}
+	if _, err := c.get(cctx, key, func() (*trace.Store, error) { return record(cctx) }); !errors.Is(err, context.Canceled) {
+		t.Errorf("hit on a cancelled context = %v, want context.Canceled", err)
+	}
+}
+
+// TestTraceCacheEvictsLeastRecentlyUsed: past the budget the least
+// recently used recording is dropped, and recording it again gives
+// the same bytes.
+func TestTraceCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	keyA, recA := recorder(t, 0.02)
+	keyB, recB := recorder(t, 0.03)
+	keyC, recC := recorder(t, 0.04)
+	c := newTraceCache(traceCacheBudget)
+	get := func(key traceKey, rec func(context.Context) (*trace.Store, error)) *trace.Store {
+		t.Helper()
+		st, err := c.get(context.Background(), key, func() (*trace.Store, error) { return rec(context.Background()) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	a, b := get(keyA, recA), get(keyB, recB)
+	stC, err := recC(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	c.budget = int64(a.Footprint()+b.Footprint()+stC.Footprint()) - 1
+	c.mu.Unlock()
+
+	get(keyA, recA) // A is now more recent than B
+	get(keyC, recC)
+	if n := c.evictions.Load(); n != 1 {
+		t.Fatalf("%d evictions, want 1", n)
+	}
+	c.mu.Lock()
+	hasA, hasB := c.entries[keyA] != nil, c.entries[keyB] != nil
+	c.mu.Unlock()
+	if !hasA || hasB {
+		t.Fatalf("after eviction A cached %v, B cached %v; want only B evicted", hasA, hasB)
+	}
+	if got, want := c.bytes.Load(), int64(a.Footprint()+stC.Footprint()); got != want {
+		t.Errorf("resident bytes %d, want %d", got, want)
+	}
+	b2 := get(keyB, recB)
+	if b2 == b {
+		t.Fatal("an evicted recording was served from the cache")
+	}
+	if !bytes.Equal(encoded(t, b2), encoded(t, b)) {
+		t.Error("re-recording an evicted input changed its bytes")
+	}
+}
+
+// TestTraceCacheBudgetCoversNamedInputs: the preallocations Record
+// makes for every named input at scale 1 fit the budget together.
+func TestTraceCacheBudgetCoversNamedInputs(t *testing.T) {
+	const n = 1 << 10
+	perRef := int64(trace.NewStore(n).Footprint() / n)
+	var total int64
+	inputs := 0
+	for _, name := range workload.Names() {
+		for _, size := range []workload.Size{workload.SizeSmall, workload.SizeLarge} {
+			if _, err := workload.New(name, size); err != nil {
+				continue // only the Table 4 benchmarks have a large input
+			}
+			inputs++
+			total += int64(workload.EstimateRefs(name, size, 1)) * perRef
+		}
+	}
+	if inputs != 20 {
+		t.Errorf("%d named inputs, want 20 (15 small, 5 large)", inputs)
+	}
+	if total > traceCacheBudget {
+		t.Errorf("named inputs preallocate %d MB, over the %d MB budget", total>>20, traceCacheBudget>>20)
+	}
+	t.Logf("%d named inputs preallocate %d MiB of the %d MiB budget", inputs, total>>20, traceCacheBudget>>20)
+}
+
+// TestScaleOutOfRange: NaN, infinities, zero and values just above one
+// are rejected by Record and by Spec.Validate, where zero instead
+// selects the default scale.
+func TestScaleOutOfRange(t *testing.T) {
+	cases := []struct {
+		scale  float64
+		specOK bool
+	}{
+		{math.NaN(), false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{0, true},
+		{math.Nextafter(1, 2), false},
+	}
+	for _, tc := range cases {
+		if _, _, err := Record(context.Background(), "mgrid", "small", tc.scale); err == nil {
+			t.Errorf("Record accepted scale %v", tc.scale)
+		}
+		s := baseSpec("hit", 1)
+		s.Scale = tc.scale
+		if err := s.Validate(); (err == nil) != tc.specOK {
+			t.Errorf("Validate(scale %v) = %v, want ok=%v", tc.scale, err, tc.specOK)
+		}
+	}
+}

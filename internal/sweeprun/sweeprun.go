@@ -86,7 +86,7 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("sweeprun: unknown metric %q (hit, eb, missrate or cpi)", s.Metric)
 	}
-	if s.Scale <= 0 || s.Scale > 1 {
+	if !(s.Scale > 0 && s.Scale <= 1) {
 		return fmt.Errorf("sweeprun: scale %v outside (0, 1]", s.Scale)
 	}
 	if s.Parallel < 0 {
@@ -187,11 +187,11 @@ func ParamNames() string {
 }
 
 // Run executes the sweep and returns the result table plus the raw
-// metric values (one per spec value, for plotting). The workload is
-// generated exactly once, into a compact trace store; every sweep
-// point replays that recording, up to Spec.Parallel points at a time.
-// Cancelling ctx aborts recording and every in-flight replay within
-// one batch boundary.
+// metric values (one per spec value, for plotting). The workload's
+// recording comes from Record, so it is generated at most once per
+// process; every sweep point replays it, up to Spec.Parallel points at
+// a time. Cancelling ctx aborts recording and every in-flight replay
+// within one batch boundary.
 //
 //simlint:deterministic
 func Run(ctx context.Context, s Spec) (*tab.Table, []float64, error) {
@@ -317,31 +317,6 @@ func runPointsFanOut(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.C
 		}
 	}
 	return nil
-}
-
-// Record builds the named workload and records it once into a compact
-// trace store at the given scale. The store keeps the full event order
-// (accesses and positioned instruction counts), so a CPI replay
-// charges cycles in exactly the sequence a live run would. Shared by
-// the sweep engine and the internal/search optimizer: both replay one
-// recording through many configurations.
-func Record(ctx context.Context, name, sizeS string, scale float64) (*workload.Workload, *trace.Store, error) {
-	w, err := BuildWorkload(name, sizeS)
-	if err != nil {
-		return nil, nil, err
-	}
-	sz := workload.SizeSmall
-	if sizeS == "large" {
-		sz = workload.SizeLarge
-	}
-	tr := trace.NewStore(int(workload.EstimateRefs(w.Name, sz, scale)))
-	if err := w.RunContext(ctx, tr, scale); err != nil {
-		return nil, nil, err
-	}
-	if err := tr.Err(); err != nil {
-		return nil, nil, err
-	}
-	return w, tr, nil
 }
 
 // BuildWorkload resolves a benchmark name or a custom:<mix> spec.

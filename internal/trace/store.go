@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"streamsim/internal/mem"
 )
@@ -293,6 +294,17 @@ func (s *Store) Len() int { return s.n }
 // Bytes returns the resident encoded size, for logging and tests.
 func (s *Store) Bytes() int {
 	return len(s.addr) + len(s.pc) + (len(s.sizes)+len(s.insts))*16
+}
+
+// Footprint returns the bytes the store holds allocated: the capacity
+// of its encoded streams, side lists and window index. A store
+// preallocated by NewStore reaches most of it before its first append,
+// so it is what a cache of stores must budget, not Bytes.
+func (s *Store) Footprint() int {
+	return cap(s.addr) + cap(s.pc) +
+		cap(s.sizes)*int(unsafe.Sizeof(sizeException{})) +
+		cap(s.insts)*int(unsafe.Sizeof(instEvent{})) +
+		cap(s.marks)*int(unsafe.Sizeof(windowMark{}))
 }
 
 // Err reports the first deferred append error.

@@ -30,6 +30,24 @@ func decodeFixture(n int) *Store {
 	return s
 }
 
+// BenchmarkStoreAppend times the encoder, the cost every first
+// recording of an input pays: the decode fixture's accesses re-encoded
+// into a store preallocated as recording preallocates one.
+func BenchmarkStoreAppend(b *testing.B) {
+	src := decodeFixture(1 << 18)
+	accs := make([]mem.Access, src.Len())
+	it := src.Iter()
+	for n := 0; n < len(accs); {
+		n += it.Next(accs[n:])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewStore(len(accs))
+		s.AppendBatch(accs)
+	}
+	b.ReportMetric(float64(len(accs))*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+}
+
 func BenchmarkStoreDecode(b *testing.B) {
 	s := decodeFixture(1 << 18)
 	buf := make([]mem.Access, ReplayBatchLen)

@@ -97,7 +97,7 @@ func (w *Workload) Run(sink Sink, scale float64) error {
 // hot path. On cancellation the sink has received a prefix of the
 // trace and the returned error is ctx.Err().
 func (w *Workload) RunContext(ctx context.Context, sink Sink, scale float64) (err error) {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("workload %s: scale %v outside (0, 1]", w.Name, scale)
 	}
 	m := newMachine(sink, w.Name)

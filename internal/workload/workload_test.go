@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"streamsim/internal/mem"
@@ -97,7 +98,7 @@ func TestScaleValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []float64{0, -1, 1.5} {
+	for _, bad := range []float64{0, -1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1), math.Nextafter(1, 2)} {
 		if err := w.Run(&countSink{}, bad); err == nil {
 			t.Errorf("scale %v should be rejected", bad)
 		}
