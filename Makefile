@@ -113,8 +113,16 @@ sweep-smoke:
 # prefix scores — and again at any -parallel width, while its stderr
 # replay-cost line reports at least a 2x refs saving and a nonzero
 # eval-memo hit count.
+#
+# The mixed-front legs run a space of four L1 front classes (assoc ×
+# victim) with two stream sides each, so every generation replays
+# front-class leaders and followers together: halving must print the
+# same bytes at -parallel 1 and 3 (which regroup the classes), and the
+# checkpointed run must match -scratch (followers resume from their own
+# checkpoints).
 OPTIMIZE_SMOKE_ARGS = -optimize -workload mgrid -space 'streams=1,2,4,8' -budget 16 -seed 3 -scale 0.1
 OPTIMIZE_INCR_ARGS = -optimize -workload applu -space 'streams=1,2,3,4,5,6,8,12,16' -budget 24 -seed 3 -scale 0.05
+OPTIMIZE_FRONT_ARGS = -optimize -workload mgrid -space 'assoc=1,4;victim=0,4;streams=2,8' -budget 16 -seed 3 -scale 0.1
 optimize-smoke:
 	$(GO) run ./cmd/sweep $(OPTIMIZE_SMOKE_ARGS) -strategy grid > optimize-grid.out
 	$(GO) run ./cmd/sweep $(OPTIMIZE_SMOKE_ARGS) -strategy halving -parallel 1 > optimize-halving.out
@@ -129,8 +137,14 @@ optimize-smoke:
 	$(GO) run ./cmd/sweep $(OPTIMIZE_INCR_ARGS) -parallel 0 > optimize-incr-par.out 2> /dev/null
 	cmp optimize-incr.out optimize-incr-par.out
 	awk '/^refs:/ { if (2*$$3 <= $$5 && $$NF+0 > 0) ok=1 } END { exit !ok }' optimize-incr.err
+	$(GO) run ./cmd/sweep $(OPTIMIZE_FRONT_ARGS) -parallel 1 > optimize-front.out 2> /dev/null
+	$(GO) run ./cmd/sweep $(OPTIMIZE_FRONT_ARGS) -parallel 3 > optimize-front-par.out 2> /dev/null
+	cmp optimize-front.out optimize-front-par.out
+	$(GO) run ./cmd/sweep $(OPTIMIZE_FRONT_ARGS) -parallel 1 -scratch > optimize-front-scratch.out 2> /dev/null
+	cmp optimize-front.out optimize-front-scratch.out
 	rm -f optimize-grid.out optimize-halving.out optimize-again.out optimize-grid.winner optimize-halving.winner \
-		optimize-incr.out optimize-incr.err optimize-scratch.out optimize-incr-par.out
+		optimize-incr.out optimize-incr.err optimize-scratch.out optimize-incr-par.out \
+		optimize-front.out optimize-front-par.out optimize-front-scratch.out
 
 # serve runs the simd job-service daemon (SIGINT/SIGTERM drain
 # gracefully; see cmd/simd and internal/service).

@@ -458,11 +458,12 @@ func BenchmarkTraceReplayScalar(b *testing.B) {
 }
 
 // benchReplayMulti measures the multi-config fan-out engine: one
-// decode pass drives nSys systems (sequential mode, the shape the
-// experiments use — the win being measured is decode elimination, not
-// goroutines). refs/s is aggregate: trace length × nSys per op.
+// decode pass drives nSys systems (the exact sequential replay,
+// Shards: 1 — the win being measured is decode elimination and the
+// shared-front tap, not goroutines). refs/s is aggregate: trace length
+// × nSys per op.
 //
-//simlint:hotpath streamsim/internal/core.ReplayStoreMultiMode
+//simlint:hotpath streamsim/internal/core.ReplayStoreMultiWindowed
 func benchReplayMulti(b *testing.B, nSys int) {
 	store, _ := replayFixture(b)
 	refs := store.Len()
@@ -477,7 +478,7 @@ func benchReplayMulti(b *testing.B, nSys int) {
 			}
 			systems[j] = sys
 		}
-		if err := core.ReplayStoreMultiMode(ctx, systems, store, core.FanOutSequential); err != nil {
+		if err := core.ReplayStoreMultiWindowed(ctx, systems, store, core.ShardOptions{Shards: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

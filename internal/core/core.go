@@ -158,11 +158,13 @@ type System struct {
 	out          Outcome // scratch for AccessOutcome
 
 	// tap, when non-nil, records every backend event missVia generates
-	// (L1 miss fills and write-backs) as packed words. The multi-config
-	// replay engine enables it on one leader system when every system
-	// in a fan-out shares the same L1 front end: the followers then
-	// replay only the tapped events through their stream-side state
-	// instead of re-simulating an identical L1 (see applyTap).
+	// (the L1 miss fills that reach the streams and the write-backs to
+	// memory) as packed words. The multi-config replay engine arms it on
+	// the leader of each front class with followers — systems sharing
+	// the leader's geometry, L1s and victim buffer size (frontPlan) —
+	// and the followers replay only the tapped events through their
+	// stream-side state instead of re-simulating an identical front
+	// (see applyTap).
 	tap []uint64
 }
 
@@ -575,12 +577,12 @@ func (s *System) invalidateStreams(blk mem.Addr) {
 	}
 }
 
-// tapEvent records one backend event for a multi-config fan-out
-// leader. Outlined from missVia so the //simlint:hotpath closure stays
-// free of allocating constructs: the append runs only when a fan-out
-// replay armed the tap (s.tap != nil), never on the single-system
-// steady state, and the leader preallocates the buffer to the batch
-// length so growth is the rare case even then.
+// tapEvent records one backend event for a front-class leader.
+// Outlined from missVia so the //simlint:hotpath closure stays free of
+// allocating constructs: the append runs only when a fan-out replay
+// armed the tap (s.tap != nil), never on the single-system steady
+// state, and planFronts preallocates the buffer for the worst batch,
+// so it never grows even then.
 //
 //simlint:coldpath
 func (s *System) tapEvent(ev uint64) {
@@ -589,12 +591,15 @@ func (s *System) tapEvent(ev uint64) {
 
 // applyTap replays a leader system's tapped backend events (see
 // System.tap) through this system's stream-side state: write-backs
-// invalidate streams and fill misses run the victim-less routing tail
-// of missVia. The caller guarantees this system's L1 front end is
-// configured identically to the leader's and has no victim cache, so
-// every L1 decision the leader made holds here verbatim; the L1
-// statistics themselves are copied once at the end of the replay
-// (adoptFrontStats) instead of being re-simulated.
+// invalidate streams and fill misses run the routing tail of missVia
+// that follows the victim-buffer probe. The caller guarantees this
+// system's front end — geometry, L1s and victim buffer — is configured
+// identically to the leader's and entered the replay in the same
+// state, so every front decision the leader made holds here verbatim:
+// victim hits never reach the tap, and victim write-backs arrive as
+// write-back events. The front's own counters are taken from the
+// leader when the replay ends (adoptFront) instead of being
+// re-simulated.
 //
 //simlint:hotpath
 //simlint:borrowed events
@@ -629,28 +634,31 @@ func (s *System) applyTap(events []uint64) {
 	}
 }
 
-// adoptFrontStats copies the shared-front L1 statistics from the
-// leader of a fan-out replay onto this follower, whose own L1 state
-// was never exercised (applyTap fed it backend events only). Identical
-// configuration and an identical reference stream make the leader's
-// L1 counters exactly what this system's would have been.
-func (s *System) adoptFrontStats(leader *System) {
-	s.l1i.SetStats(leader.l1i.Stats())
-	s.l1d.SetStats(leader.l1d.Stats())
-}
-
-// adoptFront copies the leader's whole L1 front end — architectural
-// state and statistics — onto this follower. The prefix replay engine
-// uses it instead of adoptFrontStats so every system it returns is
-// individually checkpointable: a follower's own L1 was never exercised
-// (applyTap fed it backend events only), and a checkpoint that froze
-// that pristine front could not resume as a leader or solo system. The
-// clone is exactly the L1 a solo replay would have left, because the
-// shared front guarantees identical configuration over an identical
-// reference stream.
-func (s *System) adoptFront(leader *System) {
-	s.l1i = leader.l1i.Clone()
-	s.l1d = leader.l1d.Clone()
+// adoptFront hands a follower the front its leader simulated for both
+// of them (see frontPlan). The leader's L1 and victim counters are
+// exactly what this system's own would have counted, and so is its
+// Bandwidth.VictimFills: the victim buffer sits wholly in front of the
+// tap. With state set the follower also takes deep copies of the
+// leader's L1s and victim buffers, because its own were never
+// exercised (applyTap fed it backend events only): a system that
+// outlives the replay can then be checkpointed, replayed solo or lead
+// a later fan-out. The clones are exactly the front a solo replay
+// would have left.
+func (s *System) adoptFront(leader *System, state bool) {
+	if state {
+		s.l1i, s.l1d = leader.l1i.Clone(), leader.l1d.Clone()
+		if leader.victimI != nil {
+			s.victimI, s.victimD = leader.victimI.Clone(), leader.victimD.Clone()
+		}
+	} else {
+		s.l1i.SetStats(leader.l1i.Stats())
+		s.l1d.SetStats(leader.l1d.Stats())
+		if leader.victimI != nil {
+			s.victimI.SetStats(leader.victimI.Stats())
+			s.victimD.SetStats(leader.victimD.Stats())
+		}
+	}
+	s.bw.VictimFills = leader.bw.VictimFills
 }
 
 // allocatePolicy implements the paper's allocation pipeline: no filter

@@ -4,18 +4,20 @@
 // batch loop here polls the context once per ReplayBatchLen references,
 // so an in-flight run stops within one batch boundary.
 //
-// The multi-config entry points below decode each trace batch exactly
-// once and fan the shared decoded slice out to N independent systems —
-// the paper's whole evaluation is "one recorded reference stream, many
-// memory-system configurations", so per-config decode is pure waste.
+// The multi-config engines (full, window-sharded and prefix replay)
+// decode each trace batch exactly once and fan the shared decoded slice
+// out to N systems — the paper's whole evaluation is "one recorded
+// reference stream, many memory-system configurations", so per-config
+// decode is pure waste. They all run on one front plan and one range
+// loop, below: systems that share an L1 front end simulate it once.
 package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
+	"streamsim/internal/cache"
+	"streamsim/internal/mem"
 	"streamsim/internal/trace"
 )
 
@@ -44,153 +46,109 @@ func ReplayStore(ctx context.Context, sys *System, st *trace.Store) error {
 	return nil
 }
 
-// FanOut selects how ReplayStoreMultiMode distributes one decoded
-// batch across the systems.
-type FanOut int
-
-const (
-	// FanOutAuto picks the split from GOMAXPROCS and the trace shape:
-	// a long trace on a multi-core host goes to FanOutWindowed (the
-	// trace itself shards across the cores, warmup-approximate; see
-	// ReplayStoreMultiWindowed), a short one to FanOutSharded when
-	// there are systems to spread (GOMAXPROCS > 1 and more than one
-	// system), else FanOutSequential.
-	FanOutAuto FanOut = iota
-	// FanOutSequential drives every system from one goroutine, batch by
-	// batch: the 512-reference decoded slice stays hot in L1 while all N
-	// systems consume it. This is the right mode when the caller already
-	// saturates the host's cores (experiments run benchmarks in
-	// parallel) or the host has one core.
-	FanOutSequential
-	// FanOutSharded splits the systems into contiguous shards, one per
-	// goroutine (up to GOMAXPROCS), with a single producer decoding each
-	// batch once into a refcounted buffer that every shard consumes.
-	// Simulator states are fully independent, so shards never
-	// synchronize except on batch hand-off.
-	FanOutSharded
-	// FanOutWindowed shards the trace itself: workers simulate disjoint
-	// runs of sample windows against forked state and the per-chunk
-	// statistics merge back (ReplayStoreMultiWindowed with default
-	// options). Unlike the other modes it is warmup-approximate, not
-	// byte-exact, and it falls back to FanOutSequential on traces too
-	// short to split.
-	FanOutWindowed
-)
-
 // lastFanOut records the width of the most recent multi-config
 // fan-out, for the service /metrics gauge.
 var lastFanOut atomic.Int64
 
 // LastFanOutWidth reports how many systems the most recent
-// ReplayStoreMulti call drove from one decode.
+// ReplayStoreMultiWindowed call drove from one decode.
 func LastFanOutWidth() int { return int(lastFanOut.Load()) }
 
-// ReplayStoreMulti replays one recorded trace through every system,
-// decoding each batch exactly once, with the fan-out mode chosen by
-// FanOutAuto. Each system observes exactly the access stream
-// ReplayStore would deliver, so per-system statistics are
-// byte-identical to N independent replays. On cancellation every
-// system has consumed a prefix of the trace and ctx.Err() is returned.
-func ReplayStoreMulti(ctx context.Context, systems []*System, st *trace.Store) error {
-	return ReplayStoreMultiMode(ctx, systems, st, FanOutAuto)
+// frontKey is everything an L1 front end's evolution depends on besides
+// the reference stream: the geometry, both L1 configurations (seeds
+// included) and the victim buffer size. Every L1 miss fills the cache
+// whether a stream or memory supplies the block, and the victim buffer
+// is filled only by L1 evictions and probed only on L1 misses, so
+// systems with equal keys make identical front decisions however their
+// stream sides differ.
+type frontKey struct {
+	geom     mem.Geometry
+	l1i, l1d cache.Config
+	victim   int
 }
 
-// ReplayStoreMultiMode is ReplayStoreMulti with an explicit fan-out
-// mode.
-func ReplayStoreMultiMode(ctx context.Context, systems []*System, st *trace.Store, mode FanOut) error {
-	if mode == FanOutAuto {
-		mode = FanOutSequential
-		if runtime.GOMAXPROCS(0) > 1 {
-			mode = FanOutSharded
-			if planShards(st.WindowCount(), 0) > 1 {
-				mode = FanOutWindowed
-			}
-		}
-	}
-	if mode == FanOutWindowed {
-		lastFanOut.Store(int64(len(systems)))
-		return ReplayStoreMultiWindowed(ctx, systems, st, ShardOptions{})
-	}
-	switch len(systems) {
-	case 0:
-		return nil
-	case 1:
-		lastFanOut.Store(1)
-		return ReplayStore(ctx, systems[0], st)
-	}
-	lastFanOut.Store(int64(len(systems)))
-	if mode == FanOutSequential {
-		return replayMultiSequential(ctx, systems, st)
-	}
-	return replayMultiSharded(ctx, systems, st)
+// frontClass is the systems of one fan-out that share a front key. The
+// leader simulates the front and taps the backend events it generates
+// (System.tap); the followers replay only those events (applyTap).
+type frontClass struct {
+	leader    *System
+	followers []*System
 }
 
-// sharedFront reports whether every system presents an identical L1
-// front end — same geometry, same L1I and L1D configuration, no victim
-// cache. L1 contents evolve identically across such systems no matter
-// how the stream side is configured (every L1 miss fills the cache
-// whether a stream or memory supplied the block), so one leader can
-// simulate the front once and the rest need only the miss and
-// write-back events.
-func sharedFront(systems []*System) bool {
-	lead := systems[0].cfg
-	if lead.VictimEntries != 0 {
-		return false
-	}
-	for _, sys := range systems[1:] {
-		cfg := sys.cfg
-		if cfg.Geometry != lead.Geometry || cfg.L1I != lead.L1I ||
-			cfg.L1D != lead.L1D || cfg.VictimEntries != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// replayMultiSequential decodes each batch once and walks the systems
-// over the shared slice of packed words. AccessPacked never mutates
-// its argument, so the decoded buffer is reused as-is by every system.
+// frontPlan partitions one replay call's systems into front classes.
+// It is built once per call (planFronts) and closed on every exit
+// (settle).
 //
-// When the systems share their L1 front end, only systems[0] simulates
-// it: the leader taps the backend events each batch generates (L1 miss
-// fills and write-backs) and the followers replay just those through
-// their own stream-side state (System.applyTap), adopting the leader's
-// L1 statistics at the end. The L1 probe — the dominant cost of a
-// reference — then runs once per batch instead of once per system.
-func replayMultiSequential(ctx context.Context, systems []*System, st *trace.Store) error {
-	done := ctx.Done()
-	buf := make([]uint64, trace.ReplayBatchLen)
-	it := st.Iter()
-	if sharedFront(systems) {
-		leader, followers := systems[0], systems[1:]
-		leader.tap = make([]uint64, 0, trace.ReplayBatchLen)
-		defer func() {
-			// Followers adopt the shared-front statistics on every
-			// exit, so a cancelled replay still leaves each system
-			// describing the same consumed prefix.
-			for _, sys := range followers {
-				sys.adoptFrontStats(leader)
-			}
-			leader.tap = nil
-		}()
-		for n := it.NextPacked(buf); n > 0; n = it.NextPacked(buf) {
-			leader.tap = leader.tap[:0]
-			leader.AccessPacked(buf[:n])
-			for _, sys := range followers {
-				sys.applyTap(leader.tap)
-			}
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
+// Precondition: systems with the same front key enter the call with
+// identical front state — L1 and victim contents, replacement RNGs and
+// their counters. Fresh systems, forks of one entry state and systems
+// restored from checkpoints taken at the same window all meet it.
+type frontPlan []frontClass
+
+// planFronts groups systems by front key in order of first appearance;
+// each class's first member leads. A leader with followers gets a tap
+// buffer sized for the worst batch (a write-back and a fill per
+// reference), so the tap never grows mid-replay.
+func planFronts(systems []*System) frontPlan {
+	p := make(frontPlan, 0, len(systems))
+	keys := make([]frontKey, 0, len(systems))
+next:
+	for _, sys := range systems {
+		k := frontKey{sys.geom, sys.cfg.L1I, sys.cfg.L1D, sys.cfg.VictimEntries}
+		for i := range keys {
+			if keys[i] == k {
+				p[i].followers = append(p[i].followers, sys)
+				continue next
 			}
 		}
-		return nil
+		keys = append(keys, k)
+		p = append(p, frontClass{leader: sys})
 	}
-	for n := it.NextPacked(buf); n > 0; n = it.NextPacked(buf) {
-		for _, sys := range systems {
-			sys.AccessPacked(buf[:n])
+	for _, c := range p {
+		if len(c.followers) > 0 {
+			c.leader.tap = make([]uint64, 0, 2*trace.ReplayBatchLen)
 		}
+	}
+	return p
+}
+
+// step presents one decoded batch to every class: the leader simulates
+// it, then each follower replays the leader's tapped events. A leader
+// without followers has a nil tap and records nothing.
+//
+//simlint:hotpath
+//simlint:borrowed words
+func (p frontPlan) step(words []uint64) {
+	for i := range p {
+		c := &p[i]
+		lead := c.leader
+		lead.tap = lead.tap[:0]
+		lead.AccessPacked(words)
+		for _, f := range c.followers {
+			f.applyTap(lead.tap)
+		}
+	}
+}
+
+// replay decodes refs references from it, steps the plan over each
+// batch and polls ctx between batches. On cancellation every system
+// has consumed the same prefix and ctx.Err() is returned.
+//
+//simlint:hotpath
+//simlint:borrowed buf
+func (p frontPlan) replay(ctx context.Context, it *trace.StoreIter, refs int, buf []uint64) error {
+	done := ctx.Done()
+	for refs > 0 {
+		b := buf
+		if refs < len(b) {
+			b = b[:refs]
+		}
+		n := it.NextPacked(b)
+		if n == 0 {
+			return nil
+		}
+		p.step(b[:n])
+		refs -= n
 		select {
 		case <-done:
 			return ctx.Err()
@@ -200,112 +158,29 @@ func replayMultiSequential(ctx context.Context, systems []*System, st *trace.Sto
 	return nil
 }
 
-// shardBatch is one decoded batch in flight between the producer and
-// the shard workers. refs counts the workers that have not consumed it
-// yet; the last one returns the buffer to the free list.
-type shardBatch struct {
-	buf  []uint64
-	n    int
-	refs atomic.Int32
+// replayWindows replays sample windows [from, to) of st through the
+// plan, seeking the decoder to from's boundary in O(1). The seek stays
+// outside the //simlint:hotpath loop because a store without an
+// append-time window index builds one on its first seek.
+func (p frontPlan) replayWindows(ctx context.Context, st *trace.Store, from, to int, buf []uint64) error {
+	refs := st.PrefixLen(to) - st.PrefixLen(from)
+	if refs <= 0 {
+		return nil
+	}
+	it := st.IterAtWindow(from)
+	return p.replay(ctx, &it, refs, buf)
 }
 
-// replayMultiSharded runs one decoding producer and up to GOMAXPROCS
-// shard workers, each owning a contiguous slice of the systems.
-// Decoded batches are broadcast by pointer through per-worker buffered
-// channels and recycled through a free list once every shard has
-// consumed them, so the steady state allocates nothing.
-func replayMultiSharded(ctx context.Context, systems []*System, st *trace.Store) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(systems) {
-		workers = len(systems)
-	}
-	// Enough buffers that the producer can decode ahead of the slowest
-	// shard without blocking the fast ones.
-	nBufs := workers + 2
-	free := make(chan *shardBatch, nBufs)
-	for i := 0; i < nBufs; i++ {
-		free <- &shardBatch{buf: make([]uint64, trace.ReplayBatchLen)}
-	}
-	// Channel capacity nBufs means a send can only block when the
-	// receiving worker has stopped; the producer guards that case by
-	// selecting on ctx.
-	chans := make([]chan *shardBatch, workers)
-	for i := range chans {
-		chans[i] = make(chan *shardBatch, nBufs)
-	}
-	done := ctx.Done()
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		// Contiguous shard: systems[lo:hi), remainder spread over the
-		// first shards.
-		lo := w * len(systems) / workers
-		hi := (w + 1) * len(systems) / workers
-		wg.Add(1)
-		go func(w int, shard []*System, ch chan *shardBatch) {
-			defer wg.Done()
-			for {
-				select {
-				case b, ok := <-ch:
-					if !ok {
-						return
-					}
-					// Abort before simulating another batch, not merely
-					// when the queue runs dry: a cancelled replay must
-					// stop within one batch even with batches in flight.
-					if err := ctx.Err(); err != nil {
-						errs[w] = err
-						return
-					}
-					for _, sys := range shard {
-						sys.AccessPacked(b.buf[:b.n])
-					}
-					if b.refs.Add(-1) == 0 {
-						free <- b
-					}
-				case <-done:
-					errs[w] = ctx.Err()
-					return
-				}
-			}
-		}(w, systems[lo:hi], chans[w])
-	}
-	it := st.Iter()
-	var prodErr error
-produce:
-	for {
-		var b *shardBatch
-		select {
-		case b = <-free:
-		case <-done:
-			prodErr = ctx.Err()
-			break produce
-		}
-		b.n = it.NextPacked(b.buf)
-		if b.n == 0 {
-			break
-		}
-		b.refs.Store(int32(workers))
-		for _, ch := range chans {
-			select {
-			case ch <- b:
-			case <-done:
-				prodErr = ctx.Err()
-				break produce
-			}
+// settle closes a replay call on every exit: the taps are disarmed and
+// each follower adopts its leader's front (System.adoptFront) — the
+// whole front state when keep is set, because the follower outlives
+// the call, or only its counters for chunk forks that are merged and
+// dropped.
+func (p frontPlan) settle(keep bool) {
+	for _, c := range p {
+		c.leader.tap = nil
+		for _, f := range c.followers {
+			f.adoptFront(c.leader, keep)
 		}
 	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	if prodErr != nil {
-		return prodErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -2,10 +2,12 @@ package core_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
+	"streamsim/internal/cache"
 	"streamsim/internal/core"
 	"streamsim/internal/mem"
 	"streamsim/internal/stream"
@@ -42,10 +44,33 @@ func multiConfigs() []core.Config {
 	return []core.Config{bare, plain(2), plain(8), filtered, strided}
 }
 
+// fixtures memoizes what the equivalence tests share: several of them
+// sweep all fifteen workloads against the same independent oracle, so
+// each input is recorded, and each (input, config) reference replayed,
+// once per package run — which keeps the package inside the test
+// timeout under -race. Stores are read-only once recorded and results
+// are values, so sharing them cannot couple one test to another.
+var fixtures struct {
+	sync.Mutex
+	traces map[string]*trace.Store
+	solo   map[soloKey]core.Results
+}
+
+type soloKey struct {
+	st  *trace.Store
+	cfg string
+}
+
 // recordTrace runs a workload at a small scale straight into a
-// trace.Store (the Store is a workload.Sink).
+// trace.Store (the Store is a workload.Sink), once per (name, scale).
 func recordTrace(t testing.TB, name string, scale float64) *trace.Store {
 	t.Helper()
+	key := fmt.Sprintf("%s@%g", name, scale)
+	fixtures.Lock()
+	defer fixtures.Unlock()
+	if st, ok := fixtures.traces[key]; ok {
+		return st
+	}
 	w, err := workload.New(name, workload.SizeSmall)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +82,40 @@ func recordTrace(t testing.TB, name string, scale float64) *trace.Store {
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
 	}
+	if fixtures.traces == nil {
+		fixtures.traces = map[string]*trace.Store{}
+	}
+	fixtures.traces[key] = st
 	return st
+}
+
+// replayEach returns each config's results from a solo ReplayStore of
+// st — the independent oracle — replaying each (store, config) pair
+// once per package run.
+func replayEach(t *testing.T, cfgs []core.Config, st *trace.Store) []core.Results {
+	t.Helper()
+	want := make([]core.Results, len(cfgs))
+	for i, cfg := range cfgs {
+		key := soloKey{st, fmt.Sprintf("%+v", cfg)}
+		fixtures.Lock()
+		r, ok := fixtures.solo[key]
+		fixtures.Unlock()
+		if !ok {
+			sys := newSystems(t, cfgs[i:i+1])[0]
+			if err := core.ReplayStore(context.Background(), sys, st); err != nil {
+				t.Fatal(err)
+			}
+			r = sys.Results()
+			fixtures.Lock()
+			if fixtures.solo == nil {
+				fixtures.solo = map[soloKey]core.Results{}
+			}
+			fixtures.solo[key] = r
+			fixtures.Unlock()
+		}
+		want[i] = r
+	}
+	return want
 }
 
 func newSystems(t testing.TB, cfgs []core.Config) []*core.System {
@@ -73,10 +131,50 @@ func newSystems(t testing.TB, cfgs []core.Config) []*core.System {
 	return systems
 }
 
-// TestReplayStoreMultiMatchesIndependent pins the fan-out engine's
-// contract: for every workload and a mixed config set, both fan-out
-// modes produce per-system results identical to N independent
-// ReplayStore runs.
+// mixedFrontConfigs is the front-class fixture: L1 associativity
+// {1, 4} × victim buffer {0, 4} entries gives four front classes, and
+// two stream sides per front give each class a leader with no streams
+// and a follower with two plain streams. The direct-mapped fronts use
+// LRU replacement, so the stamped path of AccessPacked runs beside the
+// paper's deferred-hit random replacement. Class members are
+// interleaved, not adjacent, so the plan must group by key rather than
+// by position.
+func mixedFrontConfigs() []core.Config {
+	var cfgs []core.Config
+	for _, streams := range []int{0, 2} {
+		for _, assoc := range []uint{1, 4} {
+			for _, victim := range []int{0, 4} {
+				cfg := core.DefaultConfig()
+				cfg.L1I.Assoc, cfg.L1D.Assoc = assoc, assoc
+				if assoc == 1 {
+					cfg.L1I.Replacement, cfg.L1D.Replacement = cache.LRU, cache.LRU
+				}
+				cfg.VictimEntries = victim
+				cfg.Streams = stream.Config{Streams: streams, Depth: 2}
+				cfg.UnitFilterEntries = 0
+				cfg.Stride = core.NoStrideDetection
+				cfgs = append(cfgs, cfg)
+			}
+		}
+	}
+	return cfgs
+}
+
+// checkResults compares each system's results with want.
+func checkResults(t *testing.T, what string, systems []*core.System, want []core.Results) {
+	t.Helper()
+	for i, sys := range systems {
+		if got := sys.Results(); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("%s: config %d results diverge:\ngot  %+v\nwant %+v", what, i, got, want[i])
+		}
+	}
+}
+
+// TestReplayStoreMultiMatchesIndependent pins the exact fan-out's
+// contract on one shared front: for every workload, a Shards: 1
+// replay of the mixed stream-side config set produces per-system
+// results identical to N independent ReplayStore runs, with one leader
+// and four followers.
 func TestReplayStoreMultiMatchesIndependent(t *testing.T) {
 	const scale = 0.05
 	ctx := context.Background()
@@ -84,74 +182,129 @@ func TestReplayStoreMultiMatchesIndependent(t *testing.T) {
 	for _, name := range workload.Names() {
 		t.Run(name, func(t *testing.T) {
 			st := recordTrace(t, name, scale)
-
-			want := make([]core.Results, len(cfgs))
-			for i, sys := range newSystems(t, cfgs) {
-				if err := core.ReplayStore(ctx, sys, st); err != nil {
-					t.Fatal(err)
-				}
-				want[i] = sys.Results()
+			want := replayEach(t, cfgs, st)
+			systems := newSystems(t, cfgs)
+			if err := core.ReplayStoreMultiWindowed(ctx, systems, st, core.ShardOptions{Shards: 1}); err != nil {
+				t.Fatal(err)
 			}
-
-			for _, mode := range []struct {
-				name string
-				mode core.FanOut
-			}{
-				{"sequential", core.FanOutSequential},
-				{"sharded", core.FanOutSharded},
-			} {
-				systems := newSystems(t, cfgs)
-				if err := core.ReplayStoreMultiMode(ctx, systems, st, mode.mode); err != nil {
-					t.Fatal(err)
-				}
-				if got := core.LastFanOutWidth(); got != len(systems) {
-					t.Errorf("%s: LastFanOutWidth = %d, want %d", mode.name, got, len(systems))
-				}
-				for i, sys := range systems {
-					if got := sys.Results(); !reflect.DeepEqual(got, want[i]) {
-						t.Errorf("%s: config %d results diverge from independent replay:\ngot  %+v\nwant %+v",
-							mode.name, i, got, want[i])
-					}
-				}
+			if got := core.LastFanOutWidth(); got != len(systems) {
+				t.Errorf("LastFanOutWidth = %d, want %d", got, len(systems))
 			}
+			checkResults(t, "Shards: 1", systems, want)
 		})
 	}
 }
 
-// TestReplayStoreMultiMixedFront pins the fan-out fallback: when the
-// systems do NOT share an L1 front end (different L1 geometry, or a
-// victim cache), the engine must replay every system in full and still
-// match independent runs. multiConfigs shares one front, so this set
-// deliberately breaks it three ways: a direct-mapped L1D, a victim
-// cache, and the shared baseline alongside them.
+// TestReplayStoreMultiMixedFront pins front classes: when the systems
+// split into several fronts, each with a leader and followers, every
+// engine path matches its solo oracle on every workload —
+//
+//   - Shards: 1 and ShardExact match independent ReplayStore runs;
+//   - Shards: 4 matches each config's solo ReplayStoreWindowed under
+//     the same chunk plan;
+//   - a prefix to K/2, checkpointed and restored, then resumed to K
+//     matches the full replay, both as the restored group and for each
+//     system alone — so a follower's checkpoint carries a front of its
+//     own.
 func TestReplayStoreMultiMixedFront(t *testing.T) {
+	const scale = 0.05
 	ctx := context.Background()
-	direct := core.DefaultConfig()
-	direct.L1D.Assoc = 1
-	direct.L1D.Replacement = 0 // LRU — stamped, exercises the non-deferred batch path too
-	victim := core.DefaultConfig()
-	victim.VictimEntries = 4
-	cfgs := []core.Config{core.DefaultConfig(), direct, victim}
-	for _, name := range []string{"mgrid", "cgm"} {
+	cfgs := mixedFrontConfigs()
+	for _, name := range workload.Names() {
 		t.Run(name, func(t *testing.T) {
-			st := recordTrace(t, name, 0.05)
-			want := make([]core.Results, len(cfgs))
-			for i, sys := range newSystems(t, cfgs) {
-				if err := core.ReplayStore(ctx, sys, st); err != nil {
-					t.Fatal(err)
-				}
-				want[i] = sys.Results()
-			}
-			for _, mode := range []core.FanOut{core.FanOutSequential, core.FanOutSharded} {
+			st := recordTrace(t, name, scale)
+			want := replayEach(t, cfgs, st)
+			for _, opt := range []core.ShardOptions{{Shards: 1}, {Mode: core.ShardExact}} {
 				systems := newSystems(t, cfgs)
-				if err := core.ReplayStoreMultiMode(ctx, systems, st, mode); err != nil {
+				if err := core.ReplayStoreMultiWindowed(ctx, systems, st, opt); err != nil {
 					t.Fatal(err)
 				}
-				for i, sys := range systems {
-					if got := sys.Results(); !reflect.DeepEqual(got, want[i]) {
-						t.Errorf("mode %v: config %d results diverge from independent replay:\ngot  %+v\nwant %+v",
-							mode, i, got, want[i])
-					}
+				checkResults(t, fmt.Sprintf("%+v", opt), systems, want)
+			}
+
+			sharded := core.ShardOptions{Shards: 4}
+			solo := make([]core.Results, len(cfgs))
+			for i, sys := range newSystems(t, cfgs) {
+				if err := core.ReplayStoreWindowed(ctx, sys, st, sharded); err != nil {
+					t.Fatal(err)
+				}
+				solo[i] = sys.Results()
+			}
+			systems := newSystems(t, cfgs)
+			if err := core.ReplayStoreMultiWindowed(ctx, systems, st, sharded); err != nil {
+				t.Fatal(err)
+			}
+			checkResults(t, "Shards: 4 vs solo", systems, solo)
+
+			K := st.WindowCount()
+			F := max(K/2, 1)
+			systems = newSystems(t, cfgs)
+			if err := core.ReplayStoreMultiPrefix(ctx, systems, st, F); err != nil {
+				t.Fatal(err)
+			}
+			cks := make([]*core.Checkpoint, len(systems))
+			for i, sys := range systems {
+				cks[i] = sys.Checkpoint()
+			}
+			restored := make([]*core.System, len(cks))
+			for i, ck := range cks {
+				restored[i] = ck.Restore()
+			}
+			if err := core.ReplayStoreMultiPrefixFrom(ctx, restored, st, F, K); err != nil {
+				t.Fatal(err)
+			}
+			checkResults(t, "restored group", restored, want)
+			for i, ck := range cks {
+				restored[i] = ck.Restore()
+				if err := core.ReplayStoreMultiPrefixFrom(ctx, restored[i:i+1], st, F, K); err != nil {
+					t.Fatal(err)
+				}
+			}
+			checkResults(t, "restored alone", restored, want)
+		})
+	}
+}
+
+// TestFollowerKeepsFrontState pins the exit rule on every full fan-out
+// path: a follower leaves the call with its leader's front state, not
+// the pristine L1 it entered with, so a later replay through it alone
+// continues exactly like a solo system that ran both traces.
+func TestFollowerKeepsFrontState(t *testing.T) {
+	ctx := context.Background()
+	first := recordTrace(t, "mgrid", 0.05)
+	if first.WindowCount() < 2 {
+		t.Fatalf("first trace too short to shard: %d windows", first.WindowCount())
+	}
+	second := recordTrace(t, "cgm", 0.05)
+	cfgs := []core.Config{core.DefaultConfig(), core.DefaultConfig()}
+	for _, tc := range []struct {
+		name string
+		opt  core.ShardOptions
+	}{
+		{"sequential", core.ShardOptions{Shards: 1}},
+		{"exact", core.ShardOptions{Mode: core.ShardExact}},
+		{"sharded", core.ShardOptions{Shards: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			solo := newSystems(t, cfgs[:1])[0]
+			if err := core.ReplayStoreWindowed(ctx, solo, first, tc.opt); err != nil {
+				t.Fatal(err)
+			}
+			if err := core.ReplayStore(ctx, solo, second); err != nil {
+				t.Fatal(err)
+			}
+			want := solo.Results()
+			systems := newSystems(t, cfgs)
+			if err := core.ReplayStoreMultiWindowed(ctx, systems, first, tc.opt); err != nil {
+				t.Fatal(err)
+			}
+			for i, sys := range systems {
+				if err := core.ReplayStore(ctx, sys, second); err != nil {
+					t.Fatal(err)
+				}
+				if got := sys.Results(); !reflect.DeepEqual(got, want) {
+					t.Errorf("system %d diverges from a solo system after the second trace:\ngot  %+v\nwant %+v",
+						i, got, want)
 				}
 			}
 		})
@@ -171,7 +324,7 @@ func syntheticStore(nRefs int) *trace.Store {
 }
 
 // TestReplayStoreMultiCancel checks that a cancelled context aborts
-// the fan-out promptly in both modes: the call returns ctx.Err() and
+// the fan-out promptly on every path: the call returns ctx.Err() and
 // no system consumes more than one extra batch after the cancel. The
 // pre-cancelled variant bounds the damage exactly; the mid-flight
 // variant (cancel from another goroutine) is the shape the simd
@@ -182,17 +335,18 @@ func TestReplayStoreMultiCancel(t *testing.T) {
 
 	for _, mode := range []struct {
 		name string
-		mode core.FanOut
+		opt  core.ShardOptions
 	}{
-		{"sequential", core.FanOutSequential},
-		{"sharded", core.FanOutSharded},
+		{"sequential", core.ShardOptions{Shards: 1}},
+		{"exact", core.ShardOptions{Mode: core.ShardExact}},
+		{"sharded", core.ShardOptions{Shards: 2}},
 	} {
 		t.Run(mode.name+"/pre-cancelled", func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			systems := newSystems(t, cfgs)
-			if err := core.ReplayStoreMultiMode(ctx, systems, st, mode.mode); err != context.Canceled {
-				t.Fatalf("ReplayStoreMultiMode = %v, want context.Canceled", err)
+			if err := core.ReplayStoreMultiWindowed(ctx, systems, st, mode.opt); err != context.Canceled {
+				t.Fatalf("ReplayStoreMultiWindowed = %v, want context.Canceled", err)
 			}
 			for i, sys := range systems {
 				r := sys.Results()
@@ -210,7 +364,7 @@ func TestReplayStoreMultiCancel(t *testing.T) {
 			errc := make(chan error, 1)
 			go func() {
 				defer wg.Done()
-				errc <- core.ReplayStoreMultiMode(ctx, systems, st, mode.mode)
+				errc <- core.ReplayStoreMultiWindowed(ctx, systems, st, mode.opt)
 			}()
 			cancel()
 			wg.Wait()
@@ -218,22 +372,23 @@ func TestReplayStoreMultiCancel(t *testing.T) {
 			// either outcome is legal, but a cancelled run must report
 			// context.Canceled, never a partial-success nil.
 			if err := <-errc; err != nil && err != context.Canceled {
-				t.Fatalf("ReplayStoreMultiMode = %v, want nil or context.Canceled", err)
+				t.Fatalf("ReplayStoreMultiWindowed = %v, want nil or context.Canceled", err)
 			}
 		})
 	}
 }
 
 // TestReplayStoreMultiDegenerate covers the zero- and one-system
-// shapes, which take dedicated paths.
+// shapes.
 func TestReplayStoreMultiDegenerate(t *testing.T) {
 	ctx := context.Background()
 	st := syntheticStore(3 * trace.ReplayBatchLen)
-	if err := core.ReplayStoreMulti(ctx, nil, st); err != nil {
+	exact := core.ShardOptions{Shards: 1}
+	if err := core.ReplayStoreMultiWindowed(ctx, nil, st, exact); err != nil {
 		t.Fatalf("empty system set: %v", err)
 	}
 	one := newSystems(t, multiConfigs()[:1])
-	if err := core.ReplayStoreMulti(ctx, one, st); err != nil {
+	if err := core.ReplayStoreMultiWindowed(ctx, one, st, exact); err != nil {
 		t.Fatal(err)
 	}
 	if got := core.LastFanOutWidth(); got != 1 {
@@ -241,5 +396,24 @@ func TestReplayStoreMultiDegenerate(t *testing.T) {
 	}
 	if consumed := one[0].Results().L1D.Accesses; consumed != uint64(st.Len()) {
 		t.Errorf("single-system replay consumed %d refs, want %d", consumed, st.Len())
+	}
+}
+
+// TestLastFanOutWidthEveryPath pins the replay_fanout_width gauge on
+// every windowed path: a three-system replay that follows a
+// one-system one must read three whether it runs sequential, ShardExact
+// or sharded.
+func TestLastFanOutWidthEveryPath(t *testing.T) {
+	ctx := context.Background()
+	st := syntheticStore(4 * trace.WindowRefs)
+	for _, opt := range []core.ShardOptions{{Shards: 1}, {Mode: core.ShardExact}, {Shards: 2}} {
+		for _, n := range []int{1, 3} {
+			if err := core.ReplayStoreMultiWindowed(ctx, newSystems(t, multiConfigs()[:n]), st, opt); err != nil {
+				t.Fatal(err)
+			}
+			if got := core.LastFanOutWidth(); got != n {
+				t.Errorf("%+v: LastFanOutWidth after a %d-system replay = %d", opt, n, got)
+			}
+		}
 	}
 }

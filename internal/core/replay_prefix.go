@@ -2,7 +2,7 @@
 // generation of candidate systems on only the first few sample windows
 // of a recorded trace. Successive halving (internal/search) scores
 // cheap early rungs this way — one decode pass feeds every candidate,
-// with the shared-front tap when the configurations allow it — and
+// and candidates sharing an L1 front simulate it once — and
 // extends survivors onto progressively longer prefixes. The From
 // variant resumes a previous prefix replay at a window boundary via the
 // store's O(1) seek index, so with checkpointed candidates each rung
@@ -40,9 +40,10 @@ func ReplayStoreMultiPrefix(ctx context.Context, systems []*System, st *trace.St
 // byte-for-byte the suffix a from-scratch prefix replay would deliver:
 // extending systems restored from a Checkpoint taken at fromWindow
 // produces scores identical to replaying [0, toWindow) from scratch.
-// On every exit each returned system is individually resumable — in a
-// shared-front fan-out the followers adopt the leader's L1 state
-// before returning (see System.adoptFront).
+// Systems sharing a front key must meet frontPlan's precondition. On
+// every exit each returned system is individually resumable: followers
+// take their leader's front state before returning (see
+// System.adoptFront).
 //
 //simlint:deterministic
 func ReplayStoreMultiPrefixFrom(ctx context.Context, systems []*System, st *trace.Store, fromWindow, toWindow int) error {
@@ -58,58 +59,12 @@ func ReplayStoreMultiPrefixFrom(ctx context.Context, systems []*System, st *trac
 	if fromWindow > toWindow {
 		fromWindow = toWindow
 	}
-	refs := st.PrefixLen(toWindow) - st.PrefixLen(fromWindow)
-	if refs == 0 {
+	if fromWindow == toWindow {
 		return nil
 	}
-	done := ctx.Done()
-	buf := make([]uint64, trace.ReplayBatchLen)
-	it := st.IterAtWindow(fromWindow)
-	var leader *System
-	var followers []*System
-	if len(systems) > 1 && sharedFront(systems) {
-		leader, followers = systems[0], systems[1:]
-		leader.tap = make([]uint64, 0, trace.ReplayBatchLen)
-		defer func() {
-			// Followers adopt the shared front on every exit — state as
-			// well as statistics — so a cancelled replay still leaves each
-			// system describing the same consumed prefix, and any system
-			// can be checkpointed and later resume as a leader (or solo)
-			// with a correct L1 of its own.
-			for _, sys := range followers {
-				sys.adoptFront(leader)
-			}
-			leader.tap = nil
-		}()
-	}
-	for refs > 0 {
-		b := buf
-		if refs < len(b) {
-			b = b[:refs]
-		}
-		n := it.NextPacked(b)
-		if n == 0 {
-			return nil
-		}
-		if leader != nil {
-			leader.tap = leader.tap[:0]
-			leader.AccessPacked(b[:n])
-			for _, sys := range followers {
-				sys.applyTap(leader.tap)
-			}
-		} else {
-			for _, sys := range systems {
-				sys.AccessPacked(b[:n])
-			}
-		}
-		refs -= n
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-		}
-	}
-	return nil
+	p := planFronts(systems)
+	defer p.settle(true)
+	return p.replayWindows(ctx, st, fromWindow, toWindow, make([]uint64, trace.ReplayBatchLen))
 }
 
 // FullReplayResumable reports whether a zero-option full-trace replay

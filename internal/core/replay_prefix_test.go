@@ -14,8 +14,8 @@ import (
 // on: a generation of candidates evaluated together on the first w
 // windows produces per-system results identical to each candidate
 // replayed alone over the same prefix — regardless of how candidates
-// are grouped, and through both the shared-front tap (multiConfigs)
-// and the mixed-front full replay.
+// are grouped, and through both a shared front (multiConfigs: one
+// leader, four followers) and two fronts of one system each.
 //
 //simlint:deterministic streamsim/internal/core.ReplayStoreMultiPrefix
 func TestReplayStoreMultiPrefixMatchesIndependent(t *testing.T) {

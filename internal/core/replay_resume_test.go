@@ -37,13 +37,7 @@ func TestCheckpointResumeMatchesScratch(t *testing.T) {
 			}
 
 			// Scratch reference: one uninterrupted full replay per config.
-			want := make([]core.Results, len(cfgs))
-			for i, sys := range newSystems(t, cfgs) {
-				if err := core.ReplayStoreMultiPrefix(ctx, []*core.System{sys}, st, 0); err != nil {
-					t.Fatal(err)
-				}
-				want[i] = sys.Results()
-			}
+			want := replayEach(t, cfgs, st)
 
 			// Prefix to F as a generation, checkpoint every system.
 			systems := newSystems(t, cfgs)

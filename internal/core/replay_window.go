@@ -133,10 +133,11 @@ func ReplayStoreWindowed(ctx context.Context, sys *System, st *trace.Store, opt 
 // ReplayStoreMultiWindowed replays one recorded trace through every
 // system, sharding the trace itself across workers by sample windows
 // (each worker still drives all the systems, decoding every batch
-// once, with the shared-front tap when the configurations allow it).
-// Chunk statistics merge deterministically: counters are additive over
-// the window partition, the merge order cannot change a sum, and the
-// chunk plan depends only on the trace — so a completed replay yields
+// once, with one front simulation per front class; see frontPlan for
+// the precondition systems sharing a front key must meet). Chunk
+// statistics merge deterministically: counters are additive over the
+// window partition, the merge order cannot change a sum, and the chunk
+// plan depends only on the trace — so a completed replay yields
 // identical statistics at any worker count, including one. Relative to
 // an exact sequential replay the statistics differ only by each
 // chunk's residual state error, bounded by the warmup windows;
@@ -149,14 +150,11 @@ func ReplayStoreMultiWindowed(ctx context.Context, systems []*System, st *trace.
 	if len(systems) == 0 {
 		return nil
 	}
-	if opt.Mode == ShardExact {
-		lastWindowShards.Store(1)
-		return replayWindowedExact(ctx, systems, st)
-	}
+	lastFanOut.Store(int64(len(systems)))
 	shards := planShards(st.WindowCount(), opt.Shards)
-	if shards < 2 || hooked(systems) {
+	if opt.Mode == ShardExact || shards < 2 || hooked(systems) {
 		lastWindowShards.Store(1)
-		return ReplayStoreMultiMode(ctx, systems, st, FanOutSequential)
+		return replayExact(ctx, systems, st, opt.Mode == ShardExact)
 	}
 	lastWindowShards.Store(int64(shards))
 	warm := opt.WarmupWindows
@@ -173,37 +171,22 @@ func ReplayStoreMultiWindowed(ctx context.Context, systems []*System, st *trace.
 	return replayWindowedChunks(ctx, systems, st, shards, warm, workers)
 }
 
-// replayWindowedExact is the serial oracle: every window decoded from
-// a fresh index seek into the same batch loop the sequential engine
-// uses. Identical results prove the index checkpoints, the O(1) seeks
-// and the window-bounded decode all agree with a straight pass.
-func replayWindowedExact(ctx context.Context, systems []*System, st *trace.Store) error {
-	done := ctx.Done()
+// replayExact is the exact sequential replay of the whole trace. With
+// seekEach it is the ShardExact oracle: every window is decoded from a
+// fresh index seek, and identical results prove the index checkpoints,
+// the O(1) seeks and the window-bounded decode all agree with a
+// straight pass.
+func replayExact(ctx context.Context, systems []*System, st *trace.Store, seekEach bool) error {
+	p := planFronts(systems)
+	defer p.settle(true)
 	buf := make([]uint64, trace.ReplayBatchLen)
-	var leader *System
-	var followers []*System
-	if len(systems) > 1 && sharedFront(systems) {
-		leader, followers = systems[0], systems[1:]
-		leader.tap = make([]uint64, 0, trace.ReplayBatchLen)
-		defer func() {
-			for _, sys := range followers {
-				sys.adoptFrontStats(leader)
-			}
-			leader.tap = nil
-		}()
+	K := st.WindowCount()
+	if !seekEach {
+		return p.replayWindows(ctx, st, 0, K, buf)
 	}
-	for w, count := 0, st.WindowCount(); w < count; w++ {
-		it := st.IterAtWindow(w)
-		refs := st.WindowLen(w)
-		if leader != nil {
-			replayWindowRunTap(leader, followers, &it, refs, buf)
-		} else {
-			replayWindowRun(systems, &it, refs, buf)
-		}
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
+	for w := 0; w < K; w++ {
+		if err := p.replayWindows(ctx, st, w, w+1, buf); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -247,7 +230,8 @@ func replayWindowedChunks(ctx context.Context, systems []*System, st *trace.Stor
 				if wstart < 0 {
 					wstart = 0
 				}
-				css, err := runChunk(runCtx, protos, st, wstart, start, end, buf)
+				final := c == shards-1
+				css, err := runChunk(runCtx, protos, st, wstart, start, end, final, buf)
 				if err != nil {
 					errs[c] = err
 					cancel()
@@ -257,7 +241,7 @@ func replayWindowedChunks(ctx context.Context, systems []*System, st *trace.Stor
 				for i, cs := range css {
 					systems[i].Merge(cs)
 				}
-				if c == shards-1 {
+				if final {
 					finals = css
 				}
 				mu.Unlock()
@@ -290,93 +274,25 @@ func replayWindowedChunks(ctx context.Context, systems []*System, st *trace.Stor
 
 // runChunk forks the prototype systems and replays windows
 // [wstart, end), resetting the forks' statistics when the warmup
-// prefix [wstart, start) ends so only [start, end) is counted. The
-// iterator seeks once and decodes straight through the chunk; ctx is
-// polled once per window.
-func runChunk(ctx context.Context, protos []*System, st *trace.Store, wstart, start, end int, buf []uint64) ([]*System, error) {
+// prefix [wstart, start) ends so only [start, end) is counted. final
+// marks the chunk whose forks the callers adopt (adoptState): only
+// there do followers need their leader's front state, not just its
+// counters.
+func runChunk(ctx context.Context, protos []*System, st *trace.Store, wstart, start, end int, final bool, buf []uint64) ([]*System, error) {
 	css := make([]*System, len(protos))
 	for i, p := range protos {
 		css[i] = p.Fork()
 	}
-	var leader *System
-	var followers []*System
-	if len(css) > 1 && sharedFront(css) {
-		leader, followers = css[0], css[1:]
-		leader.tap = make([]uint64, 0, trace.ReplayBatchLen)
-		defer func() {
-			for _, sys := range followers {
-				sys.adoptFrontStats(leader)
-			}
-			leader.tap = nil
-		}()
+	p := planFronts(css)
+	defer p.settle(final)
+	if err := p.replayWindows(ctx, st, wstart, start, buf); err != nil {
+		return nil, err
 	}
-	done := ctx.Done()
-	it := st.IterAtWindow(wstart)
-	for w := wstart; w < end; w++ {
-		if w == start && w > wstart {
-			for _, cs := range css {
-				cs.ResetStats()
-			}
-		}
-		select {
-		case <-done:
-			return nil, ctx.Err()
-		default:
-		}
-		refs := st.WindowLen(w)
-		if leader != nil {
-			replayWindowRunTap(leader, followers, &it, refs, buf)
-		} else {
-			replayWindowRun(css, &it, refs, buf)
-		}
+	for _, cs := range css {
+		cs.ResetStats()
+	}
+	if err := p.replayWindows(ctx, st, start, end, buf); err != nil {
+		return nil, err
 	}
 	return css, nil
-}
-
-// replayWindowRun decodes exactly refs references from it and drives
-// every system over each shared batch. The decoded batch is borrowed
-// by the systems for the duration of the call only.
-//
-//simlint:hotpath
-//simlint:borrowed buf
-func replayWindowRun(systems []*System, it *trace.StoreIter, refs int, buf []uint64) {
-	for refs > 0 {
-		b := buf
-		if refs < len(b) {
-			b = b[:refs]
-		}
-		n := it.NextPacked(b)
-		if n == 0 {
-			return
-		}
-		for _, sys := range systems {
-			sys.AccessPacked(b[:n])
-		}
-		refs -= n
-	}
-}
-
-// replayWindowRunTap is replayWindowRun for a shared-front group: the
-// leader simulates the L1 once per batch and the followers replay only
-// its tapped backend events.
-//
-//simlint:hotpath
-//simlint:borrowed buf
-func replayWindowRunTap(leader *System, followers []*System, it *trace.StoreIter, refs int, buf []uint64) {
-	for refs > 0 {
-		b := buf
-		if refs < len(b) {
-			b = b[:refs]
-		}
-		n := it.NextPacked(b)
-		if n == 0 {
-			return
-		}
-		leader.tap = leader.tap[:0]
-		leader.AccessPacked(b[:n])
-		for _, sys := range followers {
-			sys.applyTap(leader.tap)
-		}
-		refs -= n
-	}
 }

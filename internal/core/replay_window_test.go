@@ -35,14 +35,7 @@ func TestReplayWindowedExactMatchesSequential(t *testing.T) {
 	for _, name := range workload.Names() {
 		t.Run(name, func(t *testing.T) {
 			st := recordTrace(t, name, scale)
-
-			want := make([]core.Results, len(cfgs))
-			for i, sys := range newSystems(t, cfgs) {
-				if err := core.ReplayStore(ctx, sys, st); err != nil {
-					t.Fatal(err)
-				}
-				want[i] = sys.Results()
-			}
+			want := replayEach(t, cfgs, st)
 
 			systems := newSystems(t, cfgs)
 			opt := core.ShardOptions{Mode: core.ShardExact}
@@ -270,9 +263,9 @@ func TestReplayWindowedCancel(t *testing.T) {
 	})
 }
 
-// TestReplayWindowedAutoRouting checks FanOutAuto's trace-shape test:
-// a long trace on a multi-core host routes ReplayStoreMulti through
-// the windowed engine, and the degenerate shapes still complete.
+// TestReplayWindowedAutoRouting checks the windowed engine's routing
+// at the edges: an empty system set is a no-op, and a forced two-shard
+// plan splits a trace the auto plan would replay sequentially.
 func TestReplayWindowedAutoRouting(t *testing.T) {
 	ctx := context.Background()
 	st := syntheticStore(4 * trace.WindowRefs)

@@ -244,9 +244,10 @@ func (ev *evaluator) evaluate(ctx context.Context, pool []candidate, windows int
 			go func(g int, js []job) {
 				defer wg.Done()
 				// Within a group, candidates resuming from the same window
-				// replay together (one decode pass, shared-front tap); in
-				// practice a rung's survivors all resume from the previous
-				// rung's boundary, so this is one run per group.
+				// replay together (one decode pass, one front simulation
+				// per front class); in practice a rung's survivors all
+				// resume from the previous rung's boundary, so this is one
+				// run per group.
 				for len(js) > 0 {
 					run := 1
 					for run < len(js) && js[run].from == js[0].from {

@@ -24,41 +24,60 @@ func tinySpec() Spec {
 	}
 }
 
+// mixedFrontSpec is tinySpec over a space whose candidates fall into
+// four L1 front classes (assoc × victim), each with two stream sides,
+// so every generation replays front-class leaders and followers
+// together, and -parallel widths regroup the classes.
+func mixedFrontSpec() Spec {
+	s := tinySpec()
+	s.Space = []Dim{
+		{Param: "assoc", Values: []int{1, 4}},
+		{Param: "victim", Values: []int{0, 4}},
+		{Param: "streams", Values: []int{2, 8}},
+	}
+	return s
+}
+
 // TestRunDeterministicAcrossParallel is the acceptance gate for the
 // optimizer's reproducibility: for a fixed seed the result is
 // byte-identical across repeated runs and across -parallel widths, for
-// both the grid oracle and seeded halving.
+// both the grid oracle and seeded halving, on the stream-side space
+// and on the mixed-front one.
 //
 //simlint:deterministic streamsim/internal/search.Run
 func TestRunDeterministicAcrossParallel(t *testing.T) {
 	ctx := context.Background()
-	for _, strategy := range []string{"grid", "halving"} {
-		t.Run(strategy, func(t *testing.T) {
-			var want []byte
-			for _, parallel := range []int{1, 2, 4} {
-				s := tinySpec()
-				s.Strategy = strategy
-				s.Parallel = parallel
-				r, err := Run(ctx, s)
-				if err != nil {
-					t.Fatal(err)
+	check := func(t *testing.T, spec func() Spec) {
+		for _, strategy := range []string{"grid", "halving"} {
+			t.Run(strategy, func(t *testing.T) {
+				var want []byte
+				for _, parallel := range []int{1, 2, 4} {
+					s := spec()
+					s.Strategy = strategy
+					s.Parallel = parallel
+					r, err := Run(ctx, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					// Parallelism is an execution knob, not part of the answer.
+					r.Spec.Parallel = 0
+					got, err := json.Marshal(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want == nil {
+						want = got
+						continue
+					}
+					if string(got) != string(want) {
+						t.Errorf("parallel=%d result diverges:\ngot  %s\nwant %s", parallel, got, want)
+					}
 				}
-				// Parallelism is an execution knob, not part of the answer.
-				r.Spec.Parallel = 0
-				got, err := json.Marshal(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want = got
-					continue
-				}
-				if string(got) != string(want) {
-					t.Errorf("parallel=%d result diverges:\ngot  %s\nwant %s", parallel, got, want)
-				}
-			}
-		})
+			})
+		}
 	}
+	check(t, tinySpec)
+	t.Run("mixed-front", func(t *testing.T) { check(t, mixedFrontSpec) })
 }
 
 // TestScratchMatchesIncremental is the checkpoint layer's equivalence
@@ -67,61 +86,66 @@ func TestRunDeterministicAcrossParallel(t *testing.T) {
 // Spec.Scratch run decides — same winner, front, peak, eval count and
 // per-eval scores — while halving actually replays fewer references
 // and serves the floored repeated rungs from the eval memo. Only the
-// replay-cost accounting fields may differ.
+// replay-cost accounting fields may differ. The mixed-front input
+// checkpoints front-class followers and resumes them in new groups.
 func TestScratchMatchesIncremental(t *testing.T) {
 	ctx := context.Background()
-	for _, strategy := range []string{"halving", "pareto", "grid"} {
-		t.Run(strategy, func(t *testing.T) {
-			run := func(scratch bool) *Result {
-				s := tinySpec()
-				// applu's small input is an 8-window trace, so halving's
-				// rung schedule hits the minRungWindows floor: repeated
-				// window counts exercise the eval memo, not just the
-				// checkpoint resume.
-				s.Workload = "applu"
-				s.Strategy = strategy
-				s.Scratch = scratch
-				r, err := Run(ctx, s)
-				if err != nil {
-					t.Fatal(err)
+	check := func(t *testing.T, spec func() Spec) {
+		for _, strategy := range []string{"halving", "pareto", "grid"} {
+			t.Run(strategy, func(t *testing.T) {
+				run := func(scratch bool) *Result {
+					s := spec()
+					// applu's small input is an 8-window trace, so halving's
+					// rung schedule hits the minRungWindows floor: repeated
+					// window counts exercise the eval memo, not just the
+					// checkpoint resume.
+					s.Workload = "applu"
+					s.Strategy = strategy
+					s.Scratch = scratch
+					r, err := Run(ctx, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return r
 				}
-				return r
-			}
-			scratch := run(true)
-			incr := run(false)
-			if scratch.RefsSimulated != scratch.RefsScratch {
-				t.Errorf("scratch run claims a saving: simulated %d of %d",
-					scratch.RefsSimulated, scratch.RefsScratch)
-			}
-			if incr.RefsScratch != scratch.RefsScratch {
-				t.Errorf("scratch-equivalent work diverges: %d vs %d",
-					incr.RefsScratch, scratch.RefsScratch)
-			}
-			if strategy == "halving" {
-				if incr.RefsSimulated >= scratch.RefsSimulated {
-					t.Errorf("incremental halving replayed %d refs, scratch %d — no saving",
-						incr.RefsSimulated, scratch.RefsSimulated)
+				scratch := run(true)
+				incr := run(false)
+				if scratch.RefsSimulated != scratch.RefsScratch {
+					t.Errorf("scratch run claims a saving: simulated %d of %d",
+						scratch.RefsSimulated, scratch.RefsScratch)
 				}
-				if incr.CacheHits == 0 {
-					t.Error("incremental halving served no evaluation from the memo")
+				if incr.RefsScratch != scratch.RefsScratch {
+					t.Errorf("scratch-equivalent work diverges: %d vs %d",
+						incr.RefsScratch, scratch.RefsScratch)
 				}
-			}
-			// Decisions must be byte-identical; only the cost accounting
-			// may differ between the two modes.
-			norm := func(r *Result) string {
-				r.Spec.Scratch = false
-				r.RefsSimulated, r.RefsScratch, r.CacheHits = 0, 0, 0
-				b, err := json.Marshal(r)
-				if err != nil {
-					t.Fatal(err)
+				if strategy == "halving" {
+					if incr.RefsSimulated >= scratch.RefsSimulated {
+						t.Errorf("incremental halving replayed %d refs, scratch %d — no saving",
+							incr.RefsSimulated, scratch.RefsSimulated)
+					}
+					if incr.CacheHits == 0 {
+						t.Error("incremental halving served no evaluation from the memo")
+					}
 				}
-				return string(b)
-			}
-			if got, want := norm(incr), norm(scratch); got != want {
-				t.Errorf("incremental result diverges from scratch:\ngot  %s\nwant %s", got, want)
-			}
-		})
+				// Decisions must be byte-identical; only the cost accounting
+				// may differ between the two modes.
+				norm := func(r *Result) string {
+					r.Spec.Scratch = false
+					r.RefsSimulated, r.RefsScratch, r.CacheHits = 0, 0, 0
+					b, err := json.Marshal(r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return string(b)
+				}
+				if got, want := norm(incr), norm(scratch); got != want {
+					t.Errorf("incremental result diverges from scratch:\ngot  %s\nwant %s", got, want)
+				}
+			})
+		}
 	}
+	check(t, tinySpec)
+	t.Run("mixed-front", func(t *testing.T) { check(t, mixedFrontSpec) })
 }
 
 // TestHalvingMatchesGridWinner checks the optimize-smoke property at
