@@ -24,10 +24,10 @@ lint-baseline:
 
 # lint-fixtures runs the analyzers' own test suites: the analysistest
 # fixtures under internal/analysis/*/testdata (flagged and allowed code
-# for every rule, including statecov's dropped-field and mergesound's
-# clobbered-counter snapshot fixtures), the driver and call-graph unit
-# tests, and the static-vs-runtime set matches at the repo root
-# (hot-path vs alloc gates, deterministic roots vs equivalence gates).
+# for every rule, including statecov's dropped-field snapshot
+# fixtures), the driver and call-graph unit tests, and the
+# static-vs-runtime set matches at the repo root (hot-path vs alloc
+# gates, deterministic roots vs equivalence gates).
 lint-fixtures:
 	$(GO) test ./internal/analysis/... ./cmd/simlint
 	$(GO) test -run 'TestHotpathStaticMatchesAllocGates|TestDetflowStaticMatchesEquivalenceGates' .
@@ -58,7 +58,7 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Hot-path benchmark regexp shared by the bench-* gates below.
-BENCH_HOT = SystemThroughput$$|SystemThroughputBatch$$|TraceReplay$$|TraceReplayScalar$$|ReplayMulti2$$|ReplayMulti8$$|ReplayIntra2$$|ReplayIntra8$$|Fig3Sharded$$|HalvingScratch$$|HalvingIncremental$$
+BENCH_HOT = SystemThroughput$$|SystemThroughputBatch$$|TraceReplay$$|TraceReplayScalar$$|ReplayMulti2$$|ReplayMulti8$$|ReplayIntra2$$|ReplayIntra8$$|Fig3Sharded$$|HalvingScratch$$|HalvingIncremental$$|Fork$$|Merge$$|CheckpointRestore$$
 
 # bench-smoke is the CI gate: one iteration per hot-path benchmark,
 # checked against the committed baseline (BENCH_after.json) by

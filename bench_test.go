@@ -587,6 +587,61 @@ func BenchmarkHalvingScratch(b *testing.B) { benchHalving(b, true) }
 // checkpointed incremental-replay layer on.
 func BenchmarkHalvingIncremental(b *testing.B) { benchHalving(b, false) }
 
+// warmSystem is a DefaultConfig system that has replayed the mgrid
+// replay fixture: caches, stream buffers and filter histories full and
+// every counter nonzero — the state the window-sharded engine forks
+// and merges and the optimizer checkpoints.
+func warmSystem(b *testing.B) *core.System {
+	b.Helper()
+	store, _ := replayFixture(b)
+	sys, err := core.New(core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := core.ReplayStore(context.Background(), sys, store); err != nil {
+		b.Fatal(err)
+	}
+	return sys
+}
+
+// snapshotSink keeps the snapshot benchmarks' results live.
+var snapshotSink *core.System
+
+// BenchmarkFork measures System.Fork, the deep copy of architectural
+// state each window-sharded chunk starts from.
+func BenchmarkFork(b *testing.B) {
+	sys := warmSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = sys.Fork()
+	}
+}
+
+// BenchmarkMerge measures System.Merge, which folds one chunk's
+// counters into its caller once per chunk and system.
+func BenchmarkMerge(b *testing.B) {
+	sys := warmSystem(b)
+	chunk := sys.Checkpoint().Restore()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sys.Merge(chunk)
+	}
+}
+
+// BenchmarkCheckpointRestore measures the round trip a halving rung
+// pays per surviving candidate: snapshot a warm system, then
+// materialize a live system from the snapshot.
+func BenchmarkCheckpointRestore(b *testing.B) {
+	sys := warmSystem(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snapshotSink = sys.Checkpoint().Restore()
+	}
+}
+
 // BenchmarkTraceDecode isolates the decode half of BenchmarkTraceReplay:
 // the PC-skipping batch decode of the same recorded trace, with no
 // simulator attached. The difference between this and TraceReplay is

@@ -6,8 +6,6 @@
 //
 //	seededrand  deterministic, config-seeded randomness
 //	pow2size    power-of-two block/cache/czone geometry
-//	maporder    no map-iteration order in simulation hot paths (warn;
-//	            subsumed by detflow's flow-aware rule)
 //	ledgerpost  bandwidth ledger and traffic hook in lockstep
 //	errdiscard  no dropped trace/config errors
 //	hotpath     //simlint:hotpath functions transitively allocation-free
@@ -16,11 +14,10 @@
 //	borrowck    //simlint:borrowed parameters not retained past the call
 //	detflow     //simlint:deterministic roots transitively deterministic
 //	statecov    //simlint:statefull handlers cover every //simlint:state field
-//	mergesound  merge-class handlers combine counters additively, never overwrite
 //	directives  every //simlint:* comment parses, resolves and attaches
 //
 // The call-graph-aware passes (hotpath, ctxflow, lockdisc, borrowck,
-// detflow, statecov, mergesound) share one set of module facts
+// detflow, statecov) share one set of module facts
 // (internal/analysis/callgraph) built per run over every loaded
 // package.
 //
@@ -35,9 +32,8 @@
 // lint-baseline`) waives its recorded findings by (file, analyzer,
 // message), letting a new analyzer land strict without blocking on
 // pre-existing findings; entries carry no line numbers, so unrelated
-// edits do not invalidate them. The exit status is 0 when clean (or
-// when only warn-severity findings remain), 1 when error-severity
-// findings were reported, 2 on usage or load errors. `make lint` and
+// edits do not invalidate them. The exit status is 0 when clean, 1
+// when findings were reported, 2 on usage or load errors. `make lint` and
 // CI run it over the whole repository with the committed baseline.
 package main
 
@@ -60,8 +56,6 @@ import (
 	"streamsim/internal/analysis/hotpath"
 	"streamsim/internal/analysis/ledgerpost"
 	"streamsim/internal/analysis/lockdisc"
-	"streamsim/internal/analysis/maporder"
-	"streamsim/internal/analysis/mergesound"
 	"streamsim/internal/analysis/pow2size"
 	"streamsim/internal/analysis/seededrand"
 	"streamsim/internal/analysis/statecov"
@@ -71,7 +65,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	seededrand.Analyzer,
 	pow2size.Analyzer,
-	maporder.Analyzer,
 	ledgerpost.Analyzer,
 	errdiscard.Analyzer,
 	hotpath.Analyzer,
@@ -80,7 +73,6 @@ var analyzers = []*analysis.Analyzer{
 	borrowck.Analyzer,
 	detflow.Analyzer,
 	statecov.Analyzer,
-	mergesound.Analyzer,
 	directives.Analyzer,
 }
 
@@ -96,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("only", "", "comma-separated analyzer names to run (default all)")
 	runAlias := fs.String("run", "", "alias for -only (kept for compatibility)")
 	skip := fs.String("skip", "", "comma-separated analyzer names to skip")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (file/line/col/analyzer/severity/message)")
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (file/line/col/analyzer/message)")
 	baseline := fs.String("baseline", "", "waive findings recorded in this baseline file")
 	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit")
 	if err := fs.Parse(args); err != nil {
@@ -152,29 +144,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	} else {
 		for _, r := range records {
-			// Warn-tier findings carry a "warning:" marker so the CI
-			// problem matcher annotates them at the right severity;
-			// error-tier lines keep the bare format.
-			sev := ""
-			if r.Severity == analysis.SeverityWarn {
-				sev = "warning: "
-			}
-			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s%s\n", r.File, r.Line, r.Col, r.Analyzer, sev, r.Message)
+			fmt.Fprintf(stdout, "%s:%d:%d: [%s] %s\n", r.File, r.Line, r.Col, r.Analyzer, r.Message)
 		}
 	}
-	errs, warns := 0, 0
-	for _, r := range records {
-		if r.Severity == analysis.SeverityWarn {
-			warns++
-		} else {
-			errs++
-		}
-	}
-	if warns > 0 {
-		fmt.Fprintf(stderr, "simlint: %d warning(s)\n", warns)
-	}
-	if errs > 0 {
-		fmt.Fprintf(stderr, "simlint: %d finding(s)\n", errs)
+	if len(records) > 0 {
+		fmt.Fprintf(stderr, "simlint: %d finding(s)\n", len(records))
 		return 1
 	}
 	return 0
@@ -187,7 +161,6 @@ type record struct {
 	Line     int    `json:"line"`
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
-	Severity string `json:"severity"`
 	Message  string `json:"message"`
 }
 
@@ -208,7 +181,6 @@ func toRecords(findings []analysis.Finding, baseDir string) []record {
 			Line:     pos.Line,
 			Col:      pos.Column,
 			Analyzer: f.Analyzer.Name,
-			Severity: f.Analyzer.EffectiveSeverity(),
 			Message:  f.Diag.Message,
 		})
 	}

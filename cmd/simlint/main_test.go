@@ -16,11 +16,11 @@ func TestSelectAnalyzers(t *testing.T) {
 	if err != nil || len(all) != len(analyzers) {
 		t.Fatalf("selectAnalyzers(\"\", \"\") = %d analyzers, err %v; want %d", len(all), err, len(analyzers))
 	}
-	two, err := selectAnalyzers("seededrand, maporder", "")
+	two, err := selectAnalyzers("seededrand, detflow", "")
 	if err != nil {
 		t.Fatalf("selectAnalyzers: %v", err)
 	}
-	if len(two) != 2 || two[0].Name != "seededrand" || two[1].Name != "maporder" {
+	if len(two) != 2 || two[0].Name != "seededrand" || two[1].Name != "detflow" {
 		t.Fatalf("selectAnalyzers picked %v", two)
 	}
 	skipped, err := selectAnalyzers("", "hotpath, ctxflow")
@@ -79,8 +79,7 @@ func TestJSONOutput(t *testing.T) {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
 	}
 	if len(got) != 1 || got[0].File != "sim.go" || got[0].Line != 1 ||
-		got[0].Analyzer != analyzers[0].Name || got[0].Message != "boom" ||
-		got[0].Severity != analyzers[0].EffectiveSeverity() {
+		got[0].Analyzer != analyzers[0].Name || got[0].Message != "boom" {
 		t.Fatalf("decoded %+v", got)
 	}
 	buf.Reset()
@@ -134,8 +133,8 @@ func TestRecordOrderingAndDedup(t *testing.T) {
 // waived.
 func TestBaselineRoundTrip(t *testing.T) {
 	records := []record{
-		{File: "a.go", Line: 3, Col: 1, Analyzer: "maporder", Severity: "warn", Message: "m1"},
-		{File: "a.go", Line: 9, Col: 1, Analyzer: "detflow", Severity: "error", Message: "m2"},
+		{File: "a.go", Line: 3, Col: 1, Analyzer: "seededrand", Message: "m1"},
+		{File: "a.go", Line: 9, Col: 1, Analyzer: "detflow", Message: "m2"},
 	}
 	path := t.TempDir() + "/baseline.json"
 	if err := saveBaseline(path, records); err != nil {
@@ -146,26 +145,12 @@ func TestBaselineRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	moved := []record{
-		{File: "a.go", Line: 30, Col: 7, Analyzer: "maporder", Severity: "warn", Message: "m1"}, // moved: still waived
-		{File: "a.go", Line: 9, Col: 1, Analyzer: "detflow", Severity: "error", Message: "m3"},  // new message: kept
+		{File: "a.go", Line: 30, Col: 7, Analyzer: "seededrand", Message: "m1"}, // moved: still waived
+		{File: "a.go", Line: 9, Col: 1, Analyzer: "detflow", Message: "m3"},     // new message: kept
 	}
 	got := filterBaseline(moved, waived)
 	if len(got) != 1 || got[0].Message != "m3" {
 		t.Fatalf("filterBaseline kept %+v, want only m3", got)
-	}
-}
-
-// TestSeverityTiers pins the tier assignment: maporder is the one
-// warn-tier analyzer (detflow subsumes it), everything else errors.
-func TestSeverityTiers(t *testing.T) {
-	for _, a := range analyzers {
-		want := analysis.SeverityError
-		if a.Name == "maporder" {
-			want = analysis.SeverityWarn
-		}
-		if got := a.EffectiveSeverity(); got != want {
-			t.Errorf("%s severity = %q, want %q", a.Name, got, want)
-		}
 	}
 }
 

@@ -50,25 +50,6 @@ type Analyzer struct {
 	// comparable, so memoization is by key). Required when Facts is
 	// set.
 	FactsKey string
-	// Severity classifies the analyzer's findings for drivers: ""
-	// and "error" fail the run, "warn" reports without failing — the
-	// tier a rule lands at while a stricter analyzer subsumes it.
-	Severity string
-}
-
-// Severities.
-const (
-	SeverityError = "error"
-	SeverityWarn  = "warn"
-)
-
-// EffectiveSeverity resolves the default: an unset Severity is an
-// error.
-func (a *Analyzer) EffectiveSeverity() string {
-	if a.Severity == "" {
-		return SeverityError
-	}
-	return a.Severity
 }
 
 // AppliesTo reports whether the driver should run the analyzer on the

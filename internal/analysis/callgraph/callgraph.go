@@ -84,10 +84,9 @@ type Func struct {
 	// reported by the directives analyzer.
 	Borrowed []int
 	// StatefullClass records //simlint:statefull <class>: the function
-	// is a snapshot handler (fork, clone, merge, adopt, reset, restore
-	// or checkpoint) that statecov holds to full coverage of its state
-	// struct and mergesound holds to the class's overwrite rules.
-	// Empty when the function carries no statefull directive.
+	// is a snapshot handler (fork, clone, checkpoint or restore) that
+	// statecov holds to full coverage of its state struct. Empty when
+	// the function carries no statefull directive.
 	StatefullClass string
 	// StateUses records which //simlint:state struct fields the body
 	// reads or writes: state-struct key -> field name set. The "*"

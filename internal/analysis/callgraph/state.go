@@ -1,27 +1,24 @@
-// State-struct facts for the statecov and mergesound analyzers.
+// State-struct facts for the statecov analyzer.
 //
 // A struct whose type declaration carries //simlint:state is a
 // simulation-state struct: the fork/checkpoint machinery must account
 // for every one of its fields, or sharded and resumed replays silently
 // diverge from the sequential oracle. The facts here record each such
-// struct's ordered field set, its kind, and its per-field exemptions,
-// plus — per function — which state-struct fields the body reads or
-// writes, so the analyzers can close over static callees.
+// struct's ordered field set and its per-field exemptions, plus — per
+// function — which state-struct fields the body reads or writes, so
+// the analyzer can close over static callees.
 //
 // Directive grammar (validated by the directives analyzer):
 //
-//	//simlint:state [counters]
-//	    on a struct type. The optional "counters" kind marks a pure
-//	    statistics struct: every field is a counter, so the stats
-//	    classes (merge, adopt, reset) must cover all of them, not just
-//	    the state-typed ones.
+//	//simlint:state
+//	    on a struct type, with no arguments.
 //	//simlint:statederived <field> [class ...]
 //	    on the same struct: the field is recomputable (or deliberately
 //	    untouched) and exempt from coverage — in the named handler
 //	    classes, or in every class when none are named.
 //	//simlint:statefull <class>
-//	    on a handler function. The class scopes both the coverage
-//	    requirement (statecov) and the overwrite rules (mergesound).
+//	    on a handler function: a deep copy (fork, clone, checkpoint or
+//	    restore) that must cover every field of its state struct.
 package callgraph
 
 import (
@@ -33,39 +30,13 @@ import (
 )
 
 // StatefullClasses is the closed set of //simlint:statefull classes.
+// All four are deep copies; the class only scopes statederived
+// exemptions.
 var StatefullClasses = map[string]bool{
 	"fork":       true,
 	"clone":      true,
-	"merge":      true,
-	"adopt":      true,
-	"reset":      true,
-	"restore":    true,
 	"checkpoint": true,
-}
-
-// FullClass reports whether a statefull class has deep-copy semantics:
-// the handler must cover every field of its state struct, architectural
-// and statistical alike. The remaining classes (merge, adopt, reset)
-// move statistics only, so they must cover just the state-typed fields
-// — and, for a counters-kind struct, all fields.
-func FullClass(class string) bool {
-	switch class {
-	case "fork", "clone", "checkpoint", "restore":
-		return true
-	}
-	return false
-}
-
-// OverwriteClass reports whether a statefull class may legally
-// overwrite counters wholesale (SetStats, plain assignment): the
-// adopt/restore/reset group. The merge class must combine additively;
-// mergesound enforces the split.
-func OverwriteClass(class string) bool {
-	switch class {
-	case "adopt", "restore", "reset":
-		return true
-	}
-	return false
+	"restore":    true,
 }
 
 // StateField is one field of a state struct, in declaration order.
@@ -82,8 +53,6 @@ type StateStruct struct {
 	Obj *types.TypeName
 	Pkg *analysis.Package
 	Pos token.Pos
-	// Counters marks the "//simlint:state counters" kind.
-	Counters bool
 	// Fields lists every field (exported or not) in declaration order.
 	Fields []StateField
 	// Derived maps a field name to the classes its
@@ -140,9 +109,8 @@ func (g *Graph) StateOf(t types.Type) *StateStruct {
 }
 
 // ValueStateOf resolves t to a registered state struct only when t is
-// the struct itself, not a pointer to it: the embedded-by-value case
-// the merge class expands through (a merge that covers such a field
-// must combine every nested counter).
+// the struct itself, not a pointer to it (the type of a composite
+// literal that builds one).
 func (g *Graph) ValueStateOf(t types.Type) *StateStruct {
 	if _, ok := t.(*types.Pointer); ok {
 		return nil
@@ -200,14 +168,13 @@ func registerStateType(g *Graph, pkg *analysis.Package, ts *ast.TypeSpec, doc *a
 	if doc == nil {
 		return
 	}
-	isState, counters := false, false
+	isState := false
 	derived := map[string][]string{}
 	for _, c := range doc.List {
 		verb, args := SplitDirective(c.Text)
 		switch verb {
 		case "state":
 			isState = true
-			counters = len(args) > 0 && args[0] == "counters"
 		case "statederived":
 			if len(args) > 0 {
 				derived[args[0]] = args[1:]
@@ -226,12 +193,11 @@ func registerStateType(g *Graph, pkg *analysis.Package, ts *ast.TypeSpec, doc *a
 		return
 	}
 	ss := &StateStruct{
-		Key:      StateKey(obj),
-		Obj:      obj,
-		Pkg:      pkg,
-		Pos:      ts.Name.Pos(),
-		Counters: counters,
-		Derived:  derived,
+		Key:     StateKey(obj),
+		Obj:     obj,
+		Pkg:     pkg,
+		Pos:     ts.Name.Pos(),
+		Derived: derived,
 	}
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
@@ -253,11 +219,6 @@ func registerStateType(g *Graph, pkg *analysis.Package, ts *ast.TypeSpec, doc *a
 //     reset-to-zero idiom, and a new field cannot be forgotten by it;
 //   - a pointer dereference *p of a *T covers everything: the `n := *c`
 //     clone idiom copies each field by construction.
-//
-// A whole-field assignment (c.stats = s) covers only the field itself,
-// not the nested struct's fields: whether the right-hand side accounts
-// for every nested counter is decided by what computed it, which the
-// closure walk reaches through the call graph.
 func scanStateUses(g *Graph, fn *Func) {
 	info := fn.Pkg.TypesInfo
 	use := func(key, field string) {

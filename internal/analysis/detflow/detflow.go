@@ -9,9 +9,9 @@
 //
 // What counts as nondeterministic is the callgraph package's Nondet
 // scan: map ranges with unstable iteration order (the collect-then-
-// sort idiom is recognized and allowed, subsuming and deepening the
-// syntactic maporder rule), wall-clock reads, draws from the process
-// global random source, and environment or filesystem reads.
+// sort idiom is recognized and allowed), wall-clock reads, draws from
+// the process global random source, and environment or filesystem
+// reads.
 //
 // The transitive closure follows static call edges and stops at:
 //

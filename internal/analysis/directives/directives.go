@@ -20,8 +20,8 @@
 //   - borrowed must sit in a function declaration's doc comment and
 //     every argument must name that function's receiver or one of its
 //     parameters;
-//   - state must sit in a struct type declaration's doc comment, with
-//     no argument other than the optional "counters" kind;
+//   - state must sit in a struct type declaration's doc comment and
+//     take no arguments;
 //   - statefull must sit in a function declaration's doc comment with
 //     exactly one known handler class;
 //   - statederived must accompany a //simlint:state directive on the
@@ -46,9 +46,8 @@ import (
 // suppress. cmd/simlint asserts this list matches its suite, so a
 // renamed analyzer cannot silently orphan its suppressions.
 var KnownAnalyzers = []string{
-	"seededrand", "pow2size", "maporder", "ledgerpost", "errdiscard",
-	"hotpath", "ctxflow", "lockdisc", "borrowck", "detflow", "directives",
-	"statecov", "mergesound",
+	"seededrand", "pow2size", "ledgerpost", "errdiscard", "hotpath",
+	"ctxflow", "lockdisc", "borrowck", "detflow", "directives", "statecov",
 }
 
 // funcVerbs are the verbs that mark a function declaration.
@@ -169,7 +168,7 @@ func checkIgnore(pass *analysis.Pass, c *ast.Comment, args []string, known map[s
 }
 
 // checkState validates a state-struct marker: attached to a struct
-// type declaration, with at most the "counters" kind argument.
+// type declaration, without arguments.
 func checkState(pass *analysis.Pass, c *ast.Comment, args []string, ts *ast.TypeSpec) {
 	if ts == nil {
 		pass.Reportf(c.Pos(), "//simlint:state is not attached to a type declaration; the annotation is dead")
@@ -179,8 +178,8 @@ func checkState(pass *analysis.Pass, c *ast.Comment, args []string, ts *ast.Type
 		pass.Reportf(c.Pos(), "//simlint:state must annotate a struct type; %s is not a struct", ts.Name.Name)
 		return
 	}
-	if len(args) > 1 || (len(args) == 1 && args[0] != "counters") {
-		pass.Reportf(c.Pos(), "//simlint:state takes no argument other than the \"counters\" kind")
+	if len(args) > 0 {
+		pass.Reportf(c.Pos(), "//simlint:state takes no arguments")
 	}
 }
 
@@ -192,7 +191,7 @@ func checkStatefull(pass *analysis.Pass, c *ast.Comment, args []string, fd *ast.
 		return
 	}
 	if len(args) != 1 {
-		pass.Reportf(c.Pos(), "//simlint:statefull needs exactly one class argument (fork, clone, merge, adopt, reset, restore or checkpoint)")
+		pass.Reportf(c.Pos(), "//simlint:statefull needs exactly one class argument (fork, clone, checkpoint or restore)")
 		return
 	}
 	if !callgraph.StatefullClasses[args[0]] {

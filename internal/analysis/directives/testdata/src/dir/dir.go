@@ -43,24 +43,24 @@ func orphans() {
 }
 
 func suppressions() {
-	//simlint:ignore maporder,detflow
+	//simlint:ignore seededrand,detflow
 	_ = 0
-	//simlint:ignore maporder, detflow // want `//simlint:ignore list must be one comma-separated token without spaces \(the suppression matcher reads only the first token\)`
+	//simlint:ignore seededrand, detflow // want `//simlint:ignore list must be one comma-separated token without spaces \(the suppression matcher reads only the first token\)`
 	_ = 1
 	//simlint:ignore nosuchpass // want `//simlint:ignore names unknown analyzer "nosuchpass"`
 	_ = 2
 	//simlint:ignore // want `//simlint:ignore names no analyzers; say which findings are waived`
 	_ = 3
-	//simlint:ignore statecov,mergesound
+	//simlint:ignore statecov,hotpath
 	_ = 4
 }
 
-// Ledger is a well-formed counters struct with a class-scoped and a
+// Ledger is a well-formed state struct with a class-scoped and a
 // global exemption.
 //
-//simlint:state counters
+//simlint:state
 //simlint:statederived Total
-//simlint:statederived Spill merge adopt
+//simlint:statederived Spill fork clone
 type Ledger struct {
 	Hits  uint64
 	Total uint64
@@ -75,19 +75,19 @@ type Engine struct {
 	ticks uint64
 }
 
-// GoodMerge carries a known class.
+// GoodFork carries a known class.
 //
-//simlint:statefull merge
-func (e *Engine) GoodMerge(o *Engine) { e.ticks += o.ticks }
+//simlint:statefull fork
+func (e *Engine) GoodFork() *Engine { return &Engine{ticks: e.ticks} }
 
 // Fahrenheit is annotated state but is no struct.
 //
 //simlint:state // want `//simlint:state must annotate a struct type; Fahrenheit is not a struct`
 type Fahrenheit float64
 
-// Sized passes an argument other than the counters kind.
+// Sized passes an argument; state takes none, not even a kind.
 //
-//simlint:state sized // want `//simlint:state takes no argument other than the "counters" kind`
+//simlint:state counters // want `//simlint:state takes no arguments`
 type Sized struct{ n int }
 
 // Loose rides on a struct that never declares itself state.
@@ -104,17 +104,17 @@ type Loose struct{ n int }
 //simlint:statederived // want `//simlint:statederived names no field; say which field is exempt`
 type Misfield struct{ n int }
 
-// ClassyLess forgets its class, ClassyWrong misspells it.
+// ClassyLess forgets its class, ClassyWrong names one that does not exist.
 //
-//simlint:statefull // want `//simlint:statefull needs exactly one class argument \(fork, clone, merge, adopt, reset, restore or checkpoint\)`
+//simlint:statefull // want `//simlint:statefull needs exactly one class argument \(fork, clone, checkpoint or restore\)`
 func ClassyLess() {}
 
-//simlint:statefull mangle // want `//simlint:statefull names unknown class "mangle"`
+//simlint:statefull merge // want `//simlint:statefull names unknown class "merge"`
 func ClassyWrong() {}
 
 func stateOrphans() {
 	//simlint:state // want `//simlint:state is not attached to a type declaration; the annotation is dead`
-	//simlint:statefull merge // want `//simlint:statefull is not attached to a function declaration; the annotation is dead`
+	//simlint:statefull fork // want `//simlint:statefull is not attached to a function declaration; the annotation is dead`
 	//simlint:statederived n // want `//simlint:statederived is not attached to a type declaration; the annotation is dead`
 	_ = 0
 }

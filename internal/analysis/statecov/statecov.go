@@ -1,27 +1,19 @@
 // Package statecov enforces snapshot completeness at compile time: a
 // handler whose doc comment carries //simlint:statefull <class> must
-// read or write every required field of its //simlint:state struct,
-// transitively through static callees. The runtime equivalence tests
-// catch a forgotten field only on the configs they happen to exercise;
-// this analyzer names the field the moment the handler stops covering
-// it — adding a field to System without teaching Fork/Merge/Checkpoint
-// about it becomes a build failure, not a silent divergence between
-// sharded and sequential replay.
+// read or write every field of its //simlint:state struct, transitively
+// through static callees. The runtime equivalence tests catch a
+// forgotten field only on the configs they happen to exercise; this
+// analyzer names the field the moment the handler stops covering it —
+// adding a field to System without teaching Fork/Checkpoint about it
+// becomes a build failure, not a silent divergence between sharded and
+// sequential replay.
 //
-// Which fields are required depends on the handler class:
-//
-//   - fork, clone, checkpoint, restore (the deep-copy classes): every
-//     field of the subject struct. A snapshot that drops a field
-//     resumes from the wrong state.
-//   - adopt, reset: only fields that are themselves //simlint:state
-//     structs (statistics ledgers, component pointers) — or every
-//     field when the subject is a counters-kind struct. These classes
-//     move statistics, not architectural state.
-//   - merge: the adopt/reset set, plus recursive expansion through
-//     value-embedded state structs: a merge that combines a nested
-//     counter block must combine every counter in it. Pointer-typed
-//     components are not expanded — their own AddStats is a merge
-//     root in its own right, so completeness holds by induction.
+// Every handler class (fork, clone, checkpoint, restore) is a deep
+// copy, so every field of the subject struct is required: a snapshot
+// that drops a field resumes from the wrong state. Statistics need no
+// class of their own — they are one plain value per system that a
+// deep copy carries like any other field, and whose merge is a
+// leaf-wise sum over uint64 counts (core.System.Merge).
 //
 // //simlint:statederived <field> [class ...] on the struct exempts a
 // field that is recomputed on read or deliberately owned elsewhere.
@@ -29,8 +21,8 @@
 // Coverage facts come from the shared call graph (see
 // callgraph.Func.StateUses for what counts as a use); the closure
 // walks every static callee, so a handler may delegate per-component
-// work (c.l1i.AddStats(...)) and still get credit for the fields the
-// delegate touches.
+// work (n.bind()) and still get credit for the fields the delegate
+// touches.
 package statecov
 
 import (
@@ -43,7 +35,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:            "statecov",
-	Doc:             "//simlint:statefull handlers must cover every required field of their //simlint:state struct",
+	Doc:             "//simlint:statefull handlers must cover every field of their //simlint:state struct",
 	PackagePrefixes: []string{"streamsim/internal"},
 	Facts:           callgraph.Facts,
 	FactsKey:        callgraph.FactsKey,
@@ -83,37 +75,35 @@ func checkHandler(pass *analysis.Pass, g *callgraph.Graph, fn *callgraph.Func) {
 			fn.Short(), class)
 		return
 	}
-	uses := closureUses(fn)
-	var missing []string
-	visited := map[string]bool{subject.Key: true}
-	checkStruct(g, subject, class, subject.Short(), uses, visited, &missing)
-	for _, path := range missing {
+	covered := closureUses(fn, subject.Key)
+	if covered["*"] {
+		// A whole-value use (*p copy, empty literal) covers every
+		// field at once.
+		return
+	}
+	for _, f := range subject.Fields {
+		if covered[f.Name] || subject.DerivedFor(f.Name, class) {
+			continue
+		}
 		pass.Reportf(fn.Decl.Name.Pos(),
-			"%s is //simlint:statefull %s but never reads or writes %s, not even through its static callees; handle the field or exempt it with //simlint:statederived",
-			fn.Short(), class, path)
+			"%s is //simlint:statefull %s but never reads or writes %s.%s, not even through its static callees; handle the field or exempt it with //simlint:statederived",
+			fn.Short(), class, subject.Short(), f.Name)
 	}
 }
 
-// closureUses unions StateUses over everything statically reachable
-// from root. Unlike hotpath, the walk does not stop at other statefull
-// handlers: delegation (Fork calling Clone, Merge calling AddStats) is
-// exactly how coverage is earned.
-func closureUses(root *callgraph.Func) map[string]map[string]bool {
-	uses := map[string]map[string]bool{}
+// closureUses unions the StateUses of state struct key over everything
+// statically reachable from root. Unlike hotpath, the walk does not
+// stop at other statefull handlers: delegation (snapshotSystem calling
+// Fork) is exactly how coverage is earned.
+func closureUses(root *callgraph.Func, key string) map[string]bool {
+	uses := map[string]bool{}
 	seen := map[*callgraph.Func]bool{root: true}
 	queue := []*callgraph.Func{root}
 	for len(queue) > 0 {
 		fn := queue[0]
 		queue = queue[1:]
-		for key, fields := range fn.StateUses {
-			dst := uses[key]
-			if dst == nil {
-				dst = map[string]bool{}
-				uses[key] = dst
-			}
-			for f := range fields {
-				dst[f] = true
-			}
+		for f := range fn.StateUses[key] {
+			uses[f] = true
 		}
 		for _, call := range fn.Calls {
 			if !seen[call.Callee] {
@@ -123,50 +113,4 @@ func closureUses(root *callgraph.Func) map[string]map[string]bool {
 		}
 	}
 	return uses
-}
-
-// checkStruct appends the dotted path of every required-but-uncovered
-// field of ss to missing, in declaration order. visited guards against
-// recursive value embeddings (impossible in valid Go, cheap to guard).
-func checkStruct(g *callgraph.Graph, ss *callgraph.StateStruct, class, prefix string, uses map[string]map[string]bool, visited map[string]bool, missing *[]string) {
-	covered := uses[ss.Key]
-	if covered["*"] {
-		// A whole-value use (*p copy, empty literal) covers every
-		// field and the entire nested subtree at once.
-		return
-	}
-	for _, f := range ss.Fields {
-		if ss.DerivedFor(f.Name, class) {
-			continue
-		}
-		if !requiredField(g, ss, class, f) {
-			continue
-		}
-		path := prefix + "." + f.Name
-		if !covered[f.Name] {
-			*missing = append(*missing, path)
-			continue
-		}
-		// Merge must account for every counter inside a value-embedded
-		// state struct, not just touch the field that holds it.
-		if class == "merge" {
-			if ns := g.ValueStateOf(f.Type); ns != nil && !visited[ns.Key] {
-				visited[ns.Key] = true
-				checkStruct(g, ns, class, path, uses, visited, missing)
-			}
-		}
-	}
-}
-
-// requiredField decides whether class must cover field f of ss: the
-// deep-copy classes need everything, the statistics classes need the
-// state-typed fields — all fields when ss itself is a counters struct.
-func requiredField(g *callgraph.Graph, ss *callgraph.StateStruct, class string, f callgraph.StateField) bool {
-	if callgraph.FullClass(class) {
-		return true
-	}
-	if ss.Counters {
-		return true
-	}
-	return g.StateOf(f.Type) != nil
 }

@@ -1,45 +1,39 @@
 // Package stc exercises the statecov analyzer: //simlint:statefull
-// handlers must cover every required field of their //simlint:state
-// struct, transitively through static callees, with class-dependent
-// required sets and //simlint:statederived exemptions.
+// handlers must cover every field of their //simlint:state struct,
+// transitively through static callees, with //simlint:statederived
+// exemptions.
 package stc
 
 import "stcdep"
 
-// Bandwidth is a counter block embedded by value in System.
-//
-//simlint:state counters
-type Bandwidth struct {
+// Counters is a plain statistics value held by System. It needs no
+// directive: a deep copy carries it like any other field.
+type Counters struct {
 	Fetches uint64
 	Fills   uint64
 }
 
 // System mirrors the simulator's top-level state: config, a pointer
-// component, an embedded counter block, architectural scalars, and a
-// derived scratch field no snapshot needs to carry.
+// component, a counters value, architectural scalars, and a derived
+// scratch field no snapshot needs to carry.
 //
 //simlint:state
 //simlint:statederived scratch
 type System struct {
 	cfg     int
 	comp    *Comp
-	bw      Bandwidth
+	ctr     Counters
 	ticks   uint64
 	scratch []uint64
 }
 
-// Comp mirrors a cache-like component with tags and a stats ledger.
+// Comp mirrors a cache-like component with tags and a pointer to the
+// counter it counts into.
 //
 //simlint:state
 type Comp struct {
 	tags  []uint64
-	stats CompStats
-}
-
-//simlint:state counters
-type CompStats struct {
-	Hits   uint64
-	Misses uint64
+	stats *uint64
 }
 
 // Checkpoint wraps a snapshotted System.
@@ -49,23 +43,24 @@ type Checkpoint struct {
 	sys *System
 }
 
-// ---- deep-copy classes: every field required ----
+// bind points the component at the system's counters.
+func (s *System) bind() { s.comp.stats = &s.ctr.Fetches }
 
 // Fork covers everything: cfg/comp in the literal, ticks explicitly,
-// bw through ResetStats's empty literal, scratch exempt.
+// ctr through bind, scratch exempt.
 //
 //simlint:statefull fork
 func (s *System) Fork() *System {
 	n := &System{cfg: s.cfg, comp: s.comp.Clone()}
 	n.ticks = 0
-	n.ResetStats()
+	n.bind()
 	return n
 }
 
-// ForkDrops forgets the embedded counter block.
+// ForkDrops never binds, so nothing it reaches decides the counters.
 //
 //simlint:statefull fork
-func (s *System) ForkDrops() *System { // want `\(\*stc\.System\)\.ForkDrops is //simlint:statefull fork but never reads or writes stc\.System\.bw, not even through its static callees; handle the field or exempt it with //simlint:statederived`
+func (s *System) ForkDrops() *System { // want `\(\*stc\.System\)\.ForkDrops is //simlint:statefull fork but never reads or writes stc\.System\.ctr, not even through its static callees; handle the field or exempt it with //simlint:statederived`
 	n := &System{cfg: s.cfg, comp: s.comp.Clone()}
 	n.ticks = 0
 	return n
@@ -76,20 +71,22 @@ func (s *System) ForkDrops() *System { // want `\(\*stc\.System\)\.ForkDrops is 
 //simlint:statefull clone
 func (c *Comp) Clone() *Comp {
 	n := *c
+	st := *c.stats
+	n.stats = &st
 	n.tags = append([]uint64(nil), c.tags...)
 	return &n
 }
 
 // CloneDrops rebuilds through a partial composite literal: the listed
-// field is covered, the missing one is a silent zero.
+// field is covered, the missing one is a silent nil.
 //
 //simlint:statefull clone
 func (c *Comp) CloneDrops() *Comp { // want `\(\*stc\.Comp\)\.CloneDrops is //simlint:statefull clone but never reads or writes stc\.Comp\.stats, not even through its static callees`
 	return &Comp{tags: append([]uint64(nil), c.tags...)}
 }
 
-// Snapshot covers System through its Fork/Merge delegates plus the
-// explicit scalar copies, and Checkpoint through the literal.
+// Snapshot covers System through its Fork delegate plus the explicit
+// copies, and Checkpoint through the literal.
 //
 //simlint:statefull checkpoint
 func (s *System) Snapshot() *Checkpoint {
@@ -98,7 +95,7 @@ func (s *System) Snapshot() *Checkpoint {
 
 func snapshot(s *System) *System {
 	n := s.Fork()
-	n.Merge(s)
+	n.ctr = s.ctr
 	n.ticks = s.ticks
 	return n
 }
@@ -111,8 +108,8 @@ func snapshot(s *System) *System {
 //simlint:statefull checkpoint
 func (s *System) SnapshotDrops() *Checkpoint { // want `\(\*stc\.System\)\.SnapshotDrops is //simlint:statefull checkpoint but never reads or writes stc\.System\.ticks, not even through its static callees`
 	n := &System{cfg: s.cfg, comp: s.comp.Clone()}
-	n.ResetStats()
-	n.Merge(s)
+	n.ctr = s.ctr
+	n.bind()
 	return &Checkpoint{sys: n}
 }
 
@@ -123,72 +120,6 @@ func (c *Checkpoint) Restore() *System {
 	return snapshot(c.sys)
 }
 
-// ---- merge class: state-typed fields plus nested value expansion ----
-
-// Merge covers the pointer component by delegation and every nested
-// bandwidth counter through the sum-literal rebuild; ticks is not a
-// state-typed field, so merge does not owe it.
-//
-//simlint:statefull merge
-func (s *System) Merge(o *System) {
-	s.comp.AddStats(o.comp.stats)
-	s.bw = Bandwidth{Fetches: s.bw.Fetches + o.bw.Fetches, Fills: s.bw.Fills + o.bw.Fills}
-}
-
-// MergePartial touches the bw field but never its Fills counter: the
-// nested expansion catches the forgotten field inside the value block.
-//
-//simlint:statefull merge
-func (s *System) MergePartial(o *System) { // want `\(\*stc\.System\)\.MergePartial is //simlint:statefull merge but never reads or writes stc\.System\.bw\.Fills, not even through its static callees`
-	s.comp.AddStats(o.comp.stats)
-	s.bw.Fetches += o.bw.Fetches
-}
-
-// AddStats is the component-level merge: counters subject, all fields.
-//
-//simlint:statefull merge
-func (c *Comp) AddStats(o CompStats) {
-	c.stats.Hits += o.Hits
-	c.stats.Misses += o.Misses
-}
-
-// AddStatsDrops forgets one counter of the nested block.
-//
-//simlint:statefull merge
-func (c *Comp) AddStatsDrops(o CompStats) { // want `\(\*stc\.Comp\)\.AddStatsDrops is //simlint:statefull merge but never reads or writes stc\.Comp\.stats\.Misses, not even through its static callees`
-	c.stats.Hits += o.Hits
-}
-
-// ---- adopt/reset classes: state-typed fields only ----
-
-// ResetStats owes comp and bw, not the architectural scalars.
-//
-//simlint:statefull reset
-func (s *System) ResetStats() {
-	s.bw = Bandwidth{}
-	s.comp.ResetStats()
-}
-
-//simlint:statefull reset
-func (c *Comp) ResetStats() {
-	c.stats = CompStats{}
-}
-
-// SetStats overwrites the ledger wholesale — legal in adopt class, and
-// the stats field is the only one owed.
-//
-//simlint:statefull adopt
-func (c *Comp) SetStats(st CompStats) {
-	c.stats = st
-}
-
-// ResetDrops forgets the component delegate.
-//
-//simlint:statefull reset
-func (s *System) ResetDrops() { // want `\(\*stc\.System\)\.ResetDrops is //simlint:statefull reset but never reads or writes stc\.System\.comp, not even through its static callees`
-	s.bw = Bandwidth{}
-}
-
 // ---- class-scoped statederived ----
 
 // Front's lru field is recomputable on fork but must survive a clone.
@@ -196,50 +127,43 @@ func (s *System) ResetDrops() { // want `\(\*stc\.System\)\.ResetDrops is //siml
 //simlint:state
 //simlint:statederived lru fork
 type Front struct {
-	lru   uint64
-	stats CompStats
+	lru  uint64
+	hits uint64
 }
 
 //simlint:statefull fork
 func (f *Front) ForkFront() *Front {
-	return &Front{stats: f.stats}
+	return &Front{hits: f.hits}
 }
 
 //simlint:statefull clone
 func (f *Front) CloneFront() *Front { // want `\(\*stc\.Front\)\.CloneFront is //simlint:statefull clone but never reads or writes stc\.Front\.lru, not even through its static callees`
-	return &Front{stats: f.stats}
+	return &Front{hits: f.hits}
 }
 
 // ---- cross-package closure via the sibling stcdep package ----
 
-// Meter embeds a counter block owned by another package.
+// CloneTally earns its coverage inside stcdep.Copy.
 //
-//simlint:state
-type Meter struct {
-	tally stcdep.Tally
+//simlint:statefull clone
+func CloneTally(t *stcdep.Tally) *stcdep.Tally {
+	return stcdep.Copy(t)
 }
 
-// MergeVia earns nested coverage inside stcdep.AddTo.
+// CloneTallyPartial delegates to a helper that forgets Errs: the
+// missing field is named even though the struct and the only code
+// touching it live in the sibling package.
 //
-//simlint:statefull merge
-func (m *Meter) MergeVia(o *Meter) {
-	stcdep.AddTo(&m.tally, o.tally)
-}
-
-// MergeViaPartial delegates to a helper that forgets Errs: the missing
-// field is named with its full dotted path even though the only code
-// touching it lives in the sibling package.
-//
-//simlint:statefull merge
-func (m *Meter) MergeViaPartial(o *Meter) { // want `\(\*stc\.Meter\)\.MergeViaPartial is //simlint:statefull merge but never reads or writes stc\.Meter\.tally\.Errs, not even through its static callees`
-	stcdep.AddOps(&m.tally, o.tally)
+//simlint:statefull clone
+func CloneTallyPartial(t *stcdep.Tally) *stcdep.Tally { // want `stc\.CloneTallyPartial is //simlint:statefull clone but never reads or writes stcdep\.Tally\.Errs, not even through its static callees`
+	return stcdep.CopyOps(t)
 }
 
 // ---- dead annotation ----
 
 // Rescale has no state-struct receiver or parameter to cover.
 //
-//simlint:statefull merge
-func Rescale(x, y int) int { // want `stc\.Rescale is //simlint:statefull merge but neither its receiver nor any parameter is a //simlint:state struct`
+//simlint:statefull clone
+func Rescale(x, y int) int { // want `stc\.Rescale is //simlint:statefull clone but neither its receiver nor any parameter is a //simlint:state struct`
 	return x + y
 }

@@ -3,21 +3,20 @@
 // coverage across package boundaries via the shared call-graph facts.
 package stcdep
 
-// Tally is a counter block owned by another package.
+// Tally is a state struct owned by another package.
 //
-//simlint:state counters
+//simlint:state
 type Tally struct {
 	Ops  uint64
 	Errs uint64
 }
 
-// AddTo folds o into t, covering both fields.
-func AddTo(t *Tally, o Tally) {
-	t.Ops += o.Ops
-	t.Errs += o.Errs
+// Copy clones t, covering both fields.
+func Copy(t *Tally) *Tally {
+	return &Tally{Ops: t.Ops, Errs: t.Errs}
 }
 
-// AddOps covers only Ops, leaving Errs for the caller to forget.
-func AddOps(t *Tally, o Tally) {
-	t.Ops += o.Ops
+// CopyOps covers only Ops, leaving Errs for the caller to forget.
+func CopyOps(t *Tally) *Tally {
+	return &Tally{Ops: t.Ops}
 }

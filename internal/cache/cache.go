@@ -126,13 +126,9 @@ const (
 const invalidTag = ^uint64(0)
 
 // Stats accumulates the observable behaviour of a cache. For a sampled
-// cache the counts cover only the sampled sets.
-//
-// Accesses is derived on read (Stats sums Hits and Misses), so no
-// snapshot handler owes it coverage.
-//
-//simlint:state counters
-//simlint:statederived Accesses
+// cache the counts cover only the sampled sets. Every field is an
+// event count, so Stats values add up over any split of the reference
+// stream.
 type Stats struct {
 	// Accesses is the number of sampled references presented. It is
 	// derived (Hits + Misses) when Stats is read, so the access path
@@ -217,7 +213,8 @@ type Cache struct {
 	stamped    bool   // replacement policy reads clock stamps
 	clock      uint64
 	rngState   uint64 // xorshift64* state for Random replacement
-	stats      Stats
+	stats      *Stats // where the cache counts; see CountInto
+	own        Stats  // what a cache built alone counts into
 }
 
 // New validates cfg and builds the cache.
@@ -238,6 +235,7 @@ func New(cfg Config) (*Cache, error) {
 		tags:       make([]uint64, ways),
 		meta:       make([]uint8, ways),
 	}
+	c.stats = &c.own
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
@@ -296,42 +294,27 @@ func (c *Cache) NumSets() uint { return c.numSets }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats {
-	st := c.stats
+	st := *c.stats
 	st.Accesses = st.Hits + st.Misses
 	return st
 }
 
-// ResetStats clears the counters without disturbing cache contents.
-//
-//simlint:statefull reset
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
-// AddStats accumulates another cache's counters into this one. The
-// derived Accesses field of the argument is ignored (Stats recomputes
-// it on read). The window-sharded replay engine uses it to merge the
-// per-chunk deltas its forks produce.
-//
-//simlint:statefull merge
-func (c *Cache) AddStats(s Stats) {
-	c.stats.Hits += s.Hits
-	c.stats.Misses += s.Misses
-	c.stats.ReadMisses += s.ReadMisses
-	c.stats.WriteMisses += s.WriteMisses
-	c.stats.WriteBacks += s.WriteBacks
-	c.stats.Fills += s.Fills
-	c.stats.PrefetchFills += s.PrefetchFills
-	c.stats.Unsampled += s.Unsampled
-}
+// CountInto redirects the cache's counting to *st from now on without
+// disturbing its contents; Stats then reports *st. A cache built by New
+// counts into a value of its own; a memory system points all of its
+// components into one statistics value it owns.
+func (c *Cache) CountInto(st *Stats) { c.stats = st }
 
 // Clone returns a deep copy of the cache: same configuration and
 // derived geometry, fresh backing arrays for the tag, metadata and
-// replacement-stamp state, and a copy of the statistics and the
-// replacement RNG state. The clone evolves independently of the
-// original from this point on.
+// replacement-stamp state, the replacement RNG state, and a copy of
+// the statistics in a value of the clone's own. The clone evolves and
+// counts independently of the original from this point on.
 //
 //simlint:statefull clone
 func (c *Cache) Clone() *Cache {
 	n := *c
+	n.own, n.stats = *c.stats, &n.own
 	n.tags = append([]uint64(nil), c.tags...)
 	n.meta = append([]uint8(nil), c.meta...)
 	if c.used != nil {
@@ -477,16 +460,6 @@ func (p *Prober) Probe(addr uint64) (way uint64, st ProbeStatus) {
 //
 //simlint:hotpath
 func (c *Cache) AddHits(n uint64) { c.stats.Hits += n }
-
-// SetStats overwrites the statistics wholesale. It exists for the
-// multi-config replay engine: when every system in a fan-out shares an
-// identical L1 configuration, one leader simulates the front end and
-// the followers adopt its counters instead of re-deriving them
-// reference by reference. Any other use forfeits the invariant that
-// stats describe this cache's own history.
-//
-//simlint:statefull adopt
-func (c *Cache) SetStats(s Stats) { c.stats = s }
 
 // HitAt does the bookkeeping of a tag match at the way Probe returned:
 // hit count, replacement clock and LRU stamp, write-policy effects.

@@ -248,15 +248,33 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
+// TestCountInto pins the counter redirection a memory system builds
+// on: once pointed at a value the cache counts there and only there,
+// its contents are untouched, and a clone counts into a copy of its
+// own.
+func TestCountInto(t *testing.T) {
 	c := small(t)
 	c.Read(0)
-	c.ResetStats()
+	var st Stats
+	c.CountInto(&st)
 	if s := c.Stats(); s.Accesses != 0 {
-		t.Errorf("stats not cleared: %+v", s)
+		t.Errorf("redirected counts start from the new value, got %+v", s)
 	}
 	if !c.Contains(0) {
-		t.Error("ResetStats must not disturb contents")
+		t.Error("CountInto must not disturb contents")
+	}
+	c.Read(0)
+	if st.Hits != 1 || st.Misses != 0 {
+		t.Errorf("counted into %+v, want one hit", st)
+	}
+	n := c.Clone()
+	n.Read(64)
+	c.Read(0)
+	if st.Hits != 2 || st.Misses != 0 {
+		t.Errorf("clone counted into its original's value: %+v", st)
+	}
+	if s := n.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Errorf("clone stats = %+v, want the copied hit plus its own miss", s)
 	}
 }
 
@@ -333,7 +351,7 @@ func TestFitWorkingSetAllHit(t *testing.T) {
 	for a := uint64(0); a < 4096; a += 64 {
 		c.Read(a)
 	}
-	c.ResetStats()
+	c.CountInto(new(Stats))
 	for a := uint64(4096) - 64; ; a -= 64 {
 		c.Read(a)
 		if a == 0 {

@@ -42,17 +42,14 @@ func (c *Checkpoint) Restore() *System {
 }
 
 // snapshotSystem deep-copies a system's full simulation state: Fork
-// clones the architectural state with zeroed counters, Merge adds the
-// statistics back, and the three fields outside both (the retired-
-// instruction counter, the finished flag and the scratch outcome) are
-// copied explicitly.
+// clones the architectural state onto zeroed counters, and the
+// counters value and the fields outside both (the retired-instruction
+// counter, the finished flag and the scratch outcome) are copied over.
 //
 //simlint:statefull checkpoint
 func snapshotSystem(s *System) *System {
 	n := s.Fork()
-	n.Merge(s)
-	n.instructions = s.instructions
-	n.finished = s.finished
-	n.out = s.out
+	n.ctr = s.ctr
+	n.instructions, n.finished, n.out = s.instructions, s.finished, s.out
 	return n
 }

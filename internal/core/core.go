@@ -131,14 +131,11 @@ func DefaultConfig() Config {
 
 // System is a running memory system. It is not safe for concurrent use.
 //
-// tap is exempt from snapshot coverage everywhere: it is a wiring
-// hook, and the replay engine never shards or checkpoints a
-// hook-carrying system. bw is exempt in adopt only — an adopter keeps
-// its own traffic ledger while taking the front end.
+// tap is exempt from snapshot coverage: it is a wiring hook, and the
+// replay engine never shards or checkpoints a hook-carrying system.
 //
 //simlint:state
 //simlint:statederived tap
-//simlint:statederived bw adopt
 type System struct {
 	cfg      Config
 	geom     mem.Geometry
@@ -154,7 +151,6 @@ type System struct {
 
 	instructions uint64
 	finished     bool
-	bw           Bandwidth
 	out          Outcome // scratch for AccessOutcome
 
 	// tap, when non-nil, records every backend event missVia generates
@@ -166,6 +162,8 @@ type System struct {
 	// stream-side state instead of re-simulating an identical front
 	// (see applyTap).
 	tap []uint64
+
+	ctr counters // every statistic; the components count into it (bind)
 }
 
 // Backend event words carried in System.tap, low bits first: bit 0 is
@@ -176,10 +174,54 @@ const (
 	tapIFetch    = 2 // fill events only: the miss was an ifetch
 )
 
+// counters is every statistic a System keeps, as one plain value whose
+// leaves are all uint64 event counts. Each component counts into its
+// part through a pointer (bind), and missVia and applyTap count
+// Bandwidth directly. Counts add up over any split of the reference
+// stream, so resetting is assigning the zero value, merging chunk
+// deltas is a leaf-wise sum (Merge) and adopting another system's
+// components while keeping the counts is a bind. The fields are
+// exported only so that sum can set them.
+type counters struct {
+	L1I, L1D          cache.Stats
+	VictimI, VictimD  victim.Stats
+	Streams, StreamsI stream.Stats // unified (or data) set; instruction set
+	UnitFilter        filter.UnitStrideStats
+	CzoneFilter       filter.NonUnitStrideStats
+	MinDelta          filter.MinDeltaStats
+	Bandwidth         Bandwidth
+}
+
+// bind points every component's counting at its part of s.ctr. New,
+// Fork, adoptState and adoptFront call it whenever s takes components
+// that counted elsewhere before (a component built or cloned alone
+// counts into a value of its own).
+func (s *System) bind() {
+	s.l1i.CountInto(&s.ctr.L1I)
+	s.l1d.CountInto(&s.ctr.L1D)
+	if s.victimI != nil {
+		s.victimI.CountInto(&s.ctr.VictimI)
+		s.victimD.CountInto(&s.ctr.VictimD)
+	}
+	if s.streams != nil {
+		s.streams.CountInto(&s.ctr.Streams)
+	}
+	if s.streamsI != nil {
+		s.streamsI.CountInto(&s.ctr.StreamsI)
+	}
+	if s.uf != nil {
+		s.uf.CountInto(&s.ctr.UnitFilter)
+	}
+	if s.nf != nil {
+		s.nf.CountInto(&s.ctr.CzoneFilter)
+	}
+	if s.md != nil {
+		s.md.CountInto(&s.ctr.MinDelta)
+	}
+}
+
 // Bandwidth is the block-traffic ledger. All counts are in cache
 // blocks moved between the chip and main memory.
-//
-//simlint:state counters
 type Bandwidth struct {
 	// DemandFetches counts blocks fetched over the fast path (stream
 	// misses, and every fill when streams are disabled).
@@ -260,6 +302,7 @@ func New(cfg Config) (*System, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown stride scheme %v", cfg.Stride)
 	}
+	s.bind()
 	return s, nil
 }
 
@@ -489,7 +532,7 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 		// buffer; a dirty line displaced *out* of the buffer continues
 		// to memory, bypassing and invalidating the streams.
 		if wbBlock, wb := vc.Insert(res.VictimBlock, res.EvictedDirty); wb {
-			s.bw.WriteBacks++
+			s.ctr.Bandwidth.WriteBacks++
 			s.out.WroteBack = true
 			s.noteTraffic(mem.Addr(wbBlock))
 			s.invalidateStreams(mem.Addr(wbBlock))
@@ -499,7 +542,7 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 		}
 	case res.WroteBack:
 		// No victim buffer: the dirty line goes straight to memory.
-		s.bw.WriteBacks++
+		s.ctr.Bandwidth.WriteBacks++
 		s.out.WroteBack = true
 		s.noteTraffic(mem.Addr(res.VictimBlock))
 		s.invalidateStreams(mem.Addr(res.VictimBlock))
@@ -519,7 +562,7 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 	// line back with no off-chip traffic.
 	if vc != nil {
 		if hit, dirty := vc.Probe(uint64(blk)); hit {
-			s.bw.VictimFills++
+			s.ctr.Bandwidth.VictimFills++
 			s.out.Level = LevelVictim
 			if dirty && !write {
 				c.SetDirty(uint64(addr))
@@ -539,7 +582,7 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 		set = s.streamsI
 	}
 	if set == nil {
-		s.bw.DemandFetches++
+		s.ctr.Bandwidth.DemandFetches++
 		s.out.Level = LevelMemory
 		s.noteTraffic(blk)
 		return
@@ -547,14 +590,14 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 	if pr := set.ProbeOutcome(blk); pr.Hit {
 		// Block supplied by a stream buffer; its fetch was already
 		// accounted when the prefetch was issued.
-		s.bw.StreamFills++
+		s.ctr.Bandwidth.StreamFills++
 		s.out.Level = LevelStream
 		s.out.Pending = pr.Pending
 		s.out.Prefetches += pr.Issued
 		return
 	}
 	// Stream miss: fetch over the fast path, then decide allocation.
-	s.bw.DemandFetches++
+	s.ctr.Bandwidth.DemandFetches++
 	s.out.Level = LevelMemory
 	s.noteTraffic(blk)
 	s.allocatePolicy(set, addr, blk)
@@ -607,7 +650,7 @@ func (s *System) applyTap(events []uint64) {
 	for _, ev := range events {
 		if ev&tapWriteBack != 0 {
 			blk := mem.Addr(ev >> 2)
-			s.bw.WriteBacks++
+			s.ctr.Bandwidth.WriteBacks++
 			s.noteTraffic(blk)
 			s.invalidateStreams(blk)
 			continue
@@ -620,15 +663,15 @@ func (s *System) applyTap(events []uint64) {
 			set = s.streamsI
 		}
 		if set == nil {
-			s.bw.DemandFetches++
+			s.ctr.Bandwidth.DemandFetches++
 			s.noteTraffic(blk)
 			continue
 		}
 		if pr := set.ProbeOutcome(blk); pr.Hit {
-			s.bw.StreamFills++
+			s.ctr.Bandwidth.StreamFills++
 			continue
 		}
-		s.bw.DemandFetches++
+		s.ctr.Bandwidth.DemandFetches++
 		s.noteTraffic(blk)
 		s.allocatePolicy(set, addr, blk)
 	}
@@ -643,22 +686,18 @@ func (s *System) applyTap(events []uint64) {
 // exercised (applyTap fed it backend events only): a system that
 // outlives the replay can then be checkpointed, replayed solo or lead
 // a later fan-out. The clones are exactly the front a solo replay
-// would have left.
+// would have left, and bind points them at this system's counters.
 func (s *System) adoptFront(leader *System, state bool) {
+	s.ctr.L1I, s.ctr.L1D = leader.ctr.L1I, leader.ctr.L1D
+	s.ctr.VictimI, s.ctr.VictimD = leader.ctr.VictimI, leader.ctr.VictimD
+	s.ctr.Bandwidth.VictimFills = leader.ctr.Bandwidth.VictimFills
 	if state {
 		s.l1i, s.l1d = leader.l1i.Clone(), leader.l1d.Clone()
 		if leader.victimI != nil {
 			s.victimI, s.victimD = leader.victimI.Clone(), leader.victimD.Clone()
 		}
-	} else {
-		s.l1i.SetStats(leader.l1i.Stats())
-		s.l1d.SetStats(leader.l1d.Stats())
-		if leader.victimI != nil {
-			s.victimI.SetStats(leader.victimI.Stats())
-			s.victimD.SetStats(leader.victimD.Stats())
-		}
+		s.bind()
 	}
-	s.bw.VictimFills = leader.bw.VictimFills
 }
 
 // allocatePolicy implements the paper's allocation pipeline: no filter
@@ -745,35 +784,30 @@ type Results struct {
 	Instructions uint64
 }
 
-// Results finalizes the run and returns its summary.
+// Results finalizes the run and returns its summary, read from the
+// counters value. Counters of components the configuration lacks were
+// never counted into, so they read zero.
 func (s *System) Results() Results {
 	s.Finish()
+	c := &s.ctr
 	r := Results{
-		L1I:          s.l1i.Stats(),
-		L1D:          s.l1d.Stats(),
-		Bandwidth:    s.bw,
+		L1I:          c.L1I,
+		L1D:          c.L1D,
+		Streams:      c.Streams,
+		VictimI:      c.VictimI,
+		VictimD:      c.VictimD,
+		UnitFilter:   c.UnitFilter,
+		CzoneFilter:  c.CzoneFilter,
+		MinDelta:     c.MinDelta,
+		Bandwidth:    c.Bandwidth,
 		Instructions: s.instructions,
 	}
-	if s.streams != nil {
-		r.Streams = s.streams.Stats()
-		if s.streamsI != nil {
-			r.StreamsD = r.Streams
-			r.StreamsI = s.streamsI.Stats()
-			r.Streams = r.StreamsD.Add(r.StreamsI)
-		}
-	}
-	if s.victimI != nil {
-		r.VictimI = s.victimI.Stats()
-		r.VictimD = s.victimD.Stats()
-	}
-	if s.uf != nil {
-		r.UnitFilter = s.uf.Stats()
-	}
-	if s.nf != nil {
-		r.CzoneFilter = s.nf.Stats()
-	}
-	if s.md != nil {
-		r.MinDelta = s.md.Stats()
+	// The caches derive Accesses on read (cache.Cache.Stats).
+	r.L1I.Accesses = r.L1I.Hits + r.L1I.Misses
+	r.L1D.Accesses = r.L1D.Hits + r.L1D.Misses
+	if s.streamsI != nil {
+		r.StreamsD, r.StreamsI = c.Streams, c.StreamsI
+		r.Streams = r.StreamsD.Add(r.StreamsI)
 	}
 	return r
 }

@@ -5,22 +5,27 @@
 // for the engine and DESIGN.md §10 for the exactness argument.
 package core
 
+import (
+	"fmt"
+	"reflect"
+)
+
 // Fork returns a system with a deep copy of s's architectural state —
 // cache tags and replacement stamps, stream-buffer FIFOs and
 // address generators, victim entries, filter histories, every
-// replacement clock and RNG — and all statistics counters zeroed. A
-// fork therefore accumulates pure deltas: whatever its counters read
-// later is exactly the work done since the fork. The retired-
-// instruction counter starts at zero too, and the configuration
+// replacement clock and RNG — counting into a zeroed counters value of
+// its own. A fork therefore accumulates pure deltas: whatever its
+// counters read later is exactly the work done since the fork. The
+// retired-instruction counter starts at zero too, and the configuration
 // (including any hooks) is shared with the original.
 //
 //simlint:statefull fork
 func (s *System) Fork() *System {
 	n := &System{cfg: s.cfg, geom: s.geom, l1i: s.l1i.Clone(), l1d: s.l1d.Clone()}
 	// Zero values of the composite literal, written out so the fork
-	// visibly decides the replay position and completion flag rather
-	// than inheriting whatever the literal omits.
-	n.instructions, n.finished = 0, false
+	// visibly decides the replay position, completion flag and scratch
+	// outcome rather than inheriting whatever the literal omits.
+	n.instructions, n.finished, n.out = 0, false, Outcome{}
 	if s.victimI != nil {
 		n.victimI, n.victimD = s.victimI.Clone(), s.victimD.Clone()
 	}
@@ -39,43 +44,16 @@ func (s *System) Fork() *System {
 	if s.md != nil {
 		n.md = s.md.Clone()
 	}
-	n.ResetStats()
+	n.bind()
 	return n
 }
 
-// ResetStats zeroes every statistics counter — bandwidth ledger, cache,
-// stream, victim and filter counts — while leaving the architectural
-// state, the retired-instruction counter and the finished flag
-// untouched. The window-sharded engine calls it on a fork after the
-// warmup windows so the counted windows start from clean counters on
-// warm state.
-//
-//simlint:statefull reset
-func (s *System) ResetStats() {
-	s.bw = Bandwidth{}
-	s.out = Outcome{}
-	s.l1i.ResetStats()
-	s.l1d.ResetStats()
-	if s.victimI != nil {
-		s.victimI.ResetStats()
-		s.victimD.ResetStats()
-	}
-	if s.streams != nil {
-		s.streams.ResetStats()
-	}
-	if s.streamsI != nil {
-		s.streamsI.ResetStats()
-	}
-	if s.uf != nil {
-		s.uf.ResetStats()
-	}
-	if s.nf != nil {
-		s.nf.ResetStats()
-	}
-	if s.md != nil {
-		s.md.ResetStats()
-	}
-}
+// ResetStats zeroes every statistics counter while leaving the
+// architectural state, the retired-instruction counter and the
+// finished flag untouched. The window-sharded engine calls it on a
+// fork after the warmup windows so the counted windows start from
+// clean counters on warm state.
+func (s *System) ResetStats() { s.ctr = counters{} }
 
 // Merge accumulates o's statistics counters into s. Every counter the
 // simulator maintains is additive over a partition of the reference
@@ -84,85 +62,46 @@ func (s *System) ResetStats() {
 // work. Architectural state, the instruction counter and the scratch
 // outcome are not touched; o is read-only.
 //
+// The sum is a whole-ledger consolidation, not a transfer event: every
+// block in o's ledger was posted to the traffic hook when the chunk
+// booked it (and hook-carrying systems never shard in the first
+// place), so no post accompanies it.
+//
 //simlint:deterministic
-//simlint:statefull merge
 func (s *System) Merge(o *System) {
-	// Whole-ledger consolidation, not a transfer event: every block in
-	// o's ledger was posted to the traffic hook when the chunk booked
-	// it (and hook-carrying systems never shard in the first place), so
-	// no post accompanies the sum.
-	s.bw = Bandwidth{
-		DemandFetches: s.bw.DemandFetches + o.bw.DemandFetches,
-		StreamFills:   s.bw.StreamFills + o.bw.StreamFills,
-		VictimFills:   s.bw.VictimFills + o.bw.VictimFills,
-		WriteBacks:    s.bw.WriteBacks + o.bw.WriteBacks,
-	}
-	s.l1i.AddStats(o.l1i.Stats())
-	s.l1d.AddStats(o.l1d.Stats())
-	if s.victimI != nil && o.victimI != nil {
-		s.victimI.AddStats(o.victimI.Stats())
-		s.victimD.AddStats(o.victimD.Stats())
-	}
-	if s.streams != nil && o.streams != nil {
-		s.streams.AddStats(o.streams.Stats())
-	}
-	if s.streamsI != nil && o.streamsI != nil {
-		s.streamsI.AddStats(o.streamsI.Stats())
-	}
-	if s.uf != nil && o.uf != nil {
-		s.uf.AddStats(o.uf.Stats())
-	}
-	if s.nf != nil && o.nf != nil {
-		s.nf.AddStats(o.nf.Stats())
-	}
-	if s.md != nil && o.md != nil {
-		s.md.AddStats(o.md.Stats())
+	addLeaves(reflect.ValueOf(&s.ctr).Elem(), reflect.ValueOf(&o.ctr).Elem())
+}
+
+// addLeaves adds every leaf of src into the matching leaf of dst, two
+// values of one type. A counter is additive only if it is an event
+// count, so a leaf of any kind but uint64 panics: a new statistic that
+// is not a count fails the first merge instead of merging wrongly.
+func addLeaves(dst, src reflect.Value) {
+	switch dst.Kind() {
+	case reflect.Uint64:
+		dst.SetUint(dst.Uint() + src.Uint())
+	case reflect.Struct:
+		for i := 0; i < dst.NumField(); i++ {
+			addLeaves(dst.Field(i), src.Field(i))
+		}
+	case reflect.Array:
+		for i := 0; i < dst.Len(); i++ {
+			addLeaves(dst.Index(i), src.Index(i))
+		}
+	default:
+		panic(fmt.Sprintf("core: counter leaf of type %s is not a uint64 event count", dst.Type()))
 	}
 }
 
-// adoptState swaps o's architectural state into s while keeping s's
-// accumulated statistics: after the window-sharded engine merges every
-// chunk's counter deltas into the caller's system, the final chunk's
-// fork holds the trace-end cache and stream contents, and this makes
-// the caller's system carry both. o must have been merged into s
-// already (its counters are restored over the adopted components) and
-// must not be used afterwards.
-//
-//simlint:statefull adopt
+// adoptState takes o's components — the trace-end cache, stream and
+// filter contents of the window-sharded engine's final chunk — while
+// keeping s's accumulated counters, which every chunk has been merged
+// into: the caller's system then carries both. o must not be used
+// afterwards.
 func (s *System) adoptState(o *System) {
-	li, ld := s.l1i.Stats(), s.l1d.Stats()
 	s.l1i, s.l1d = o.l1i, o.l1d
-	s.l1i.SetStats(li)
-	s.l1d.SetStats(ld)
-	if s.victimI != nil && o.victimI != nil {
-		vi, vd := s.victimI.Stats(), s.victimD.Stats()
-		s.victimI, s.victimD = o.victimI, o.victimD
-		s.victimI.SetStats(vi)
-		s.victimD.SetStats(vd)
-	}
-	if s.streams != nil && o.streams != nil {
-		st := s.streams.Stats()
-		s.streams = o.streams
-		s.streams.SetStats(st)
-	}
-	if s.streamsI != nil && o.streamsI != nil {
-		st := s.streamsI.Stats()
-		s.streamsI = o.streamsI
-		s.streamsI.SetStats(st)
-	}
-	if s.uf != nil && o.uf != nil {
-		st := s.uf.Stats()
-		s.uf = o.uf
-		s.uf.SetStats(st)
-	}
-	if s.nf != nil && o.nf != nil {
-		st := s.nf.Stats()
-		s.nf = o.nf
-		s.nf.SetStats(st)
-	}
-	if s.md != nil && o.md != nil {
-		st := s.md.Stats()
-		s.md = o.md
-		s.md.SetStats(st)
-	}
+	s.victimI, s.victimD = o.victimI, o.victimD
+	s.streams, s.streamsI = o.streams, o.streamsI
+	s.uf, s.nf, s.md = o.uf, o.nf, o.md
+	s.bind()
 }

@@ -268,7 +268,10 @@ func TestReplayStoreMultiMixedFront(t *testing.T) {
 // TestFollowerKeepsFrontState pins the exit rule on every full fan-out
 // path: a follower leaves the call with its leader's front state, not
 // the pristine L1 it entered with, so a later replay through it alone
-// continues exactly like a solo system that ran both traces.
+// continues exactly like a solo system that ran both traces. Every
+// system also leaves counting into its own counters: its checkpoint
+// restore, which counts into a fresh copy, replays the second trace to
+// the same Results.
 func TestFollowerKeepsFrontState(t *testing.T) {
 	ctx := context.Background()
 	first := recordTrace(t, "mgrid", 0.05)
@@ -299,12 +302,23 @@ func TestFollowerKeepsFrontState(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, sys := range systems {
-				if err := core.ReplayStore(ctx, sys, second); err != nil {
-					t.Fatal(err)
+				restored := sys.Checkpoint().Restore()
+				for _, s := range []*core.System{sys, restored} {
+					if err := core.ReplayStore(ctx, s, second); err != nil {
+						t.Fatal(err)
+					}
 				}
-				if got := sys.Results(); !reflect.DeepEqual(got, want) {
+				got := sys.Results()
+				if !reflect.DeepEqual(got, want) {
 					t.Errorf("system %d diverges from a solo system after the second trace:\ngot  %+v\nwant %+v",
 						i, got, want)
+				}
+				// The solo oracle takes the same engine exits, so only
+				// the restore exposes a system whose components still
+				// count into a value an exit left behind.
+				if r := restored.Results(); !reflect.DeepEqual(r, got) {
+					t.Errorf("system %d and its restored checkpoint diverge after the second trace:\ngot  %+v\nwant %+v",
+						i, r, got)
 				}
 			}
 		})

@@ -24,8 +24,6 @@ import (
 )
 
 // UnitStrideStats counts unit-stride filter behaviour.
-//
-//simlint:state counters
 type UnitStrideStats struct {
 	// Lookups is the number of stream misses presented.
 	Lookups uint64
@@ -59,7 +57,8 @@ type unitEntry struct {
 type UnitStride struct {
 	entries []unitEntry
 	clock   uint64
-	stats   UnitStrideStats
+	stats   *UnitStrideStats // where the filter counts; see CountInto
+	own     UnitStrideStats  // what a filter built alone counts into
 }
 
 // NewUnitStride builds a filter with size history entries. The paper
@@ -68,42 +67,29 @@ func NewUnitStride(size int) (*UnitStride, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("filter: unit-stride filter needs >= 1 entry, got %d", size)
 	}
-	return &UnitStride{entries: make([]unitEntry, size)}, nil
+	f := &UnitStride{entries: make([]unitEntry, size)}
+	f.stats = &f.own
+	return f, nil
 }
 
 // Size returns the number of history entries.
 func (f *UnitStride) Size() int { return len(f.entries) }
 
 // Stats returns a copy of the accumulated statistics.
-func (f *UnitStride) Stats() UnitStrideStats { return f.stats }
+func (f *UnitStride) Stats() UnitStrideStats { return *f.stats }
 
-// ResetStats clears the counters without disturbing the history.
-//
-//simlint:statefull reset
-func (f *UnitStride) ResetStats() { f.stats = UnitStrideStats{} }
+// CountInto redirects counting to *st from now on without disturbing
+// the history (see cache.Cache.CountInto).
+func (f *UnitStride) CountInto(st *UnitStrideStats) { f.stats = st }
 
-// SetStats overwrites the statistics wholesale; the window-sharded
-// replay engine restores accumulated counters onto adopted state.
-//
-//simlint:statefull adopt
-func (f *UnitStride) SetStats(s UnitStrideStats) { f.stats = s }
-
-// AddStats accumulates another filter's counters into this one.
-//
-//simlint:statefull merge
-func (f *UnitStride) AddStats(s UnitStrideStats) {
-	f.stats.Lookups += s.Lookups
-	f.stats.Hits += s.Hits
-	f.stats.Inserts += s.Inserts
-	f.stats.Evictions += s.Evictions
-}
-
-// Clone returns a deep copy of the filter; the clone evolves
-// independently of the original.
+// Clone returns a deep copy of the filter, counting into a copy of the
+// statistics of its own; the clone evolves independently of the
+// original.
 //
 //simlint:statefull clone
 func (f *UnitStride) Clone() *UnitStride {
 	n := *f
+	n.own, n.stats = *f.stats, &n.own
 	n.entries = append([]unitEntry(nil), f.entries...)
 	return &n
 }
@@ -189,8 +175,6 @@ type nonUnitEntry struct {
 }
 
 // NonUnitStrideStats counts non-unit-stride filter behaviour.
-//
-//simlint:state counters
 type NonUnitStrideStats struct {
 	// Observations is the number of references presented.
 	Observations uint64
@@ -211,7 +195,8 @@ type NonUnitStride struct {
 	entries   []nonUnitEntry
 	czoneBits uint
 	clock     uint64
-	stats     NonUnitStrideStats
+	stats     *NonUnitStrideStats // where the detector counts; see CountInto
+	own       NonUnitStrideStats  // what a detector built alone counts into
 }
 
 // Czone size limits: the paper sweeps 10-26 bits of word address
@@ -232,7 +217,9 @@ func NewNonUnitStride(size int, czoneBits uint) (*NonUnitStride, error) {
 		return nil, fmt.Errorf("filter: czone size %d bits outside [%d, %d]",
 			czoneBits, MinCzoneBits, MaxCzoneBits)
 	}
-	return &NonUnitStride{entries: make([]nonUnitEntry, size), czoneBits: czoneBits}, nil
+	f := &NonUnitStride{entries: make([]nonUnitEntry, size), czoneBits: czoneBits}
+	f.stats = &f.own
+	return f, nil
 }
 
 // Size returns the number of partition entries.
@@ -257,36 +244,20 @@ func (f *NonUnitStride) SetCzoneBits(bits uint) error {
 }
 
 // Stats returns a copy of the accumulated statistics.
-func (f *NonUnitStride) Stats() NonUnitStrideStats { return f.stats }
+func (f *NonUnitStride) Stats() NonUnitStrideStats { return *f.stats }
 
-// ResetStats clears the counters without disturbing the partitions.
-//
-//simlint:statefull reset
-func (f *NonUnitStride) ResetStats() { f.stats = NonUnitStrideStats{} }
+// CountInto redirects counting to *st from now on without disturbing
+// the partitions (see cache.Cache.CountInto).
+func (f *NonUnitStride) CountInto(st *NonUnitStrideStats) { f.stats = st }
 
-// SetStats overwrites the statistics wholesale; the window-sharded
-// replay engine restores accumulated counters onto adopted state.
-//
-//simlint:statefull adopt
-func (f *NonUnitStride) SetStats(s NonUnitStrideStats) { f.stats = s }
-
-// AddStats accumulates another detector's counters into this one.
-//
-//simlint:statefull merge
-func (f *NonUnitStride) AddStats(s NonUnitStrideStats) {
-	f.stats.Observations += s.Observations
-	f.stats.Allocations += s.Allocations
-	f.stats.Inserts += s.Inserts
-	f.stats.Evictions += s.Evictions
-	f.stats.StrideChanges += s.StrideChanges
-}
-
-// Clone returns a deep copy of the detector; the clone evolves
-// independently of the original.
+// Clone returns a deep copy of the detector, counting into a copy of
+// the statistics of its own; the clone evolves independently of the
+// original.
 //
 //simlint:statefull clone
 func (f *NonUnitStride) Clone() *NonUnitStride {
 	n := *f
+	n.own, n.stats = *f.stats, &n.own
 	n.entries = append([]nonUnitEntry(nil), f.entries...)
 	return &n
 }
@@ -378,8 +349,6 @@ func (f *NonUnitStride) Reset() {
 }
 
 // MinDeltaStats counts minimum-delta scheme behaviour.
-//
-//simlint:state counters
 type MinDeltaStats struct {
 	// Observations is the number of references presented.
 	Observations uint64
@@ -399,7 +368,8 @@ type MinDelta struct {
 	valid    []bool
 	next     int
 	maxDelta int64
-	stats    MinDeltaStats
+	stats    *MinDeltaStats // where the scheme counts; see CountInto
+	own      MinDeltaStats  // what a scheme built alone counts into
 }
 
 // NewMinDelta builds the scheme with size history entries. maxDelta
@@ -412,41 +382,30 @@ func NewMinDelta(size int, maxDelta int64) (*MinDelta, error) {
 	if maxDelta < 0 {
 		return nil, fmt.Errorf("filter: negative maxDelta %d", maxDelta)
 	}
-	return &MinDelta{
+	f := &MinDelta{
 		history:  make([]mem.Addr, size),
 		valid:    make([]bool, size),
 		maxDelta: maxDelta,
-	}, nil
+	}
+	f.stats = &f.own
+	return f, nil
 }
 
 // Stats returns a copy of the accumulated statistics.
-func (f *MinDelta) Stats() MinDeltaStats { return f.stats }
+func (f *MinDelta) Stats() MinDeltaStats { return *f.stats }
 
-// ResetStats clears the counters without disturbing the history.
-//
-//simlint:statefull reset
-func (f *MinDelta) ResetStats() { f.stats = MinDeltaStats{} }
+// CountInto redirects counting to *st from now on without disturbing
+// the history (see cache.Cache.CountInto).
+func (f *MinDelta) CountInto(st *MinDeltaStats) { f.stats = st }
 
-// SetStats overwrites the statistics wholesale; the window-sharded
-// replay engine restores accumulated counters onto adopted state.
-//
-//simlint:statefull adopt
-func (f *MinDelta) SetStats(s MinDeltaStats) { f.stats = s }
-
-// AddStats accumulates another scheme's counters into this one.
-//
-//simlint:statefull merge
-func (f *MinDelta) AddStats(s MinDeltaStats) {
-	f.stats.Observations += s.Observations
-	f.stats.Allocations += s.Allocations
-}
-
-// Clone returns a deep copy of the scheme; the clone evolves
-// independently of the original.
+// Clone returns a deep copy of the scheme, counting into a copy of the
+// statistics of its own; the clone evolves independently of the
+// original.
 //
 //simlint:statefull clone
 func (f *MinDelta) Clone() *MinDelta {
 	n := *f
+	n.own, n.stats = *f.stats, &n.own
 	n.history = append([]mem.Addr(nil), f.history...)
 	n.valid = append([]bool(nil), f.valid...)
 	return &n

@@ -99,8 +99,6 @@ type rptEntry struct {
 }
 
 // RPTStats counts table behaviour.
-//
-//simlint:state counters
 type RPTStats struct {
 	// Observations is the number of data references seen.
 	Observations uint64
@@ -119,8 +117,6 @@ type RPTStats struct {
 // Unlike the stream buffers, the RPT observes *every* data reference
 // (it lives on-chip next to the load/store unit), so the harness calls
 // Observe unconditionally.
-//
-//simlint:state
 type RPT struct {
 	entries []rptEntry
 	assoc   int
@@ -157,38 +153,6 @@ func (r *RPT) Name() string {
 
 // Stats returns a copy of the table statistics.
 func (r *RPT) Stats() RPTStats { return r.stats }
-
-// ResetStats clears the counters without disturbing table contents.
-//
-//simlint:statefull reset
-func (r *RPT) ResetStats() { r.stats = RPTStats{} }
-
-// SetStats overwrites the statistics wholesale; the replay engine
-// restores accumulated counters onto adopted state with it.
-//
-//simlint:statefull adopt
-func (r *RPT) SetStats(s RPTStats) { r.stats = s }
-
-// AddStats accumulates another table's counters into this one (the
-// window-sharded replay engine merges per-chunk deltas this way).
-//
-//simlint:statefull merge
-func (r *RPT) AddStats(s RPTStats) {
-	r.stats.Observations += s.Observations
-	r.stats.Predictions += s.Predictions
-	r.stats.Evictions += s.Evictions
-}
-
-// Clone returns a deep copy of the table — every entry's automaton
-// state, the reference clock and the statistics. The clone evolves
-// independently of the original.
-//
-//simlint:statefull clone
-func (r *RPT) Clone() *RPT {
-	n := *r
-	n.entries = append([]rptEntry(nil), r.entries...)
-	return &n
-}
 
 // set returns the ways of pc's set.
 func (r *RPT) set(pc mem.Addr) []rptEntry {

@@ -192,68 +192,3 @@ func TestRPTZeroStrideNoPrefetch(t *testing.T) {
 		}
 	}
 }
-
-// trainRPT feeds n strided references at the given PC so the entry
-// reaches steady state.
-func trainRPT(r *RPT, pc mem.Addr, n int) {
-	for i := 0; i < n; i++ {
-		r.Observe(mem.Access{PC: pc, Addr: mem.Addr(1<<20 + i*4096), Kind: mem.Read})
-	}
-}
-
-func TestRPTStatsRoundTrip(t *testing.T) {
-	r := newRPT(t)
-	trainRPT(r, 0x400, 8)
-	got := r.Stats()
-	if got.Observations != 8 || got.Predictions == 0 {
-		t.Fatalf("training left Stats = %+v, want 8 observations and predictions > 0", got)
-	}
-
-	// Reset clears counters without touching the table: the trained
-	// entry must keep predicting immediately.
-	r.ResetStats()
-	if r.Stats() != (RPTStats{}) {
-		t.Errorf("ResetStats left %+v", r.Stats())
-	}
-	if _, ok := r.Observe(mem.Access{PC: 0x400, Addr: mem.Addr(1<<20 + 8*4096), Kind: mem.Read}); !ok {
-		t.Error("ResetStats disturbed the automaton: steady entry stopped predicting")
-	}
-
-	// Adopt-then-merge round-trip: SetStats overwrites wholesale,
-	// AddStats combines additively.
-	r.SetStats(RPTStats{Observations: 100, Predictions: 10, Evictions: 1})
-	r.AddStats(RPTStats{Observations: 11, Predictions: 2, Evictions: 3})
-	want := RPTStats{Observations: 111, Predictions: 12, Evictions: 4}
-	if r.Stats() != want {
-		t.Errorf("SetStats+AddStats = %+v, want %+v", r.Stats(), want)
-	}
-}
-
-func TestRPTCloneIndependent(t *testing.T) {
-	r := newRPT(t)
-	trainRPT(r, 0x400, 4)
-	snap := r.Stats()
-
-	c := r.Clone()
-	if c.Stats() != snap {
-		t.Fatalf("clone stats %+v, want %+v", c.Stats(), snap)
-	}
-
-	// The clone carries the automaton: the trained entry predicts the
-	// same next block on both tables.
-	next := mem.Access{PC: 0x400, Addr: mem.Addr(1<<20 + 4*4096), Kind: mem.Read}
-	rb, rok := r.Observe(next)
-	cb, cok := c.Observe(next)
-	if rok != cok || rb != cb {
-		t.Fatalf("clone diverges on the very next observation: (%d,%v) vs (%d,%v)", rb, rok, cb, cok)
-	}
-
-	// Evolving the clone must not leak into the original.
-	trainRPT(c, 0x500, 16)
-	if r.Stats() == c.Stats() {
-		t.Error("original's stats moved with the clone's")
-	}
-	if _, ok := r.Observe(mem.Access{PC: 0x500, Addr: 1 << 24, Kind: mem.Read}); ok {
-		t.Error("original predicts from an entry only the clone trained")
-	}
-}

@@ -1,14 +1,7 @@
-// Package stats provides the derived metrics the paper reports: stream
-// hit rates, the extra-bandwidth (EB) measure of Section 5/6 in both
-// its empirical and closed forms, and small histogram utilities used by
-// the experiment harness.
+// Package stats provides the derived metrics the paper reports: ratios
+// and percentages of event counts, and the extra-bandwidth (EB) measure
+// of Section 5/6 in both its empirical and closed forms.
 package stats
-
-import (
-	"fmt"
-	"math"
-	"sort"
-)
 
 // Ratio returns num/den as a float, or 0 when den is 0.
 func Ratio(num, den uint64) float64 {
@@ -49,125 +42,4 @@ func EBWithFilterClosedForm(depth int, filterHits, cacheMisses uint64) float64 {
 		return 0
 	}
 	return 100 * float64(uint64(depth)*filterHits) / float64(cacheMisses)
-}
-
-// Histogram is a fixed-bucket histogram keyed by upper bounds. The
-// final bucket is unbounded.
-//
-//simlint:state counters
-type Histogram struct {
-	bounds []uint64 // ascending upper bounds (inclusive); last bucket open
-	counts []uint64
-	total  uint64
-}
-
-// NewHistogram builds a histogram with len(bounds)+1 buckets. Bounds
-// must be strictly ascending.
-func NewHistogram(bounds ...uint64) (*Histogram, error) {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return nil, fmt.Errorf("stats: histogram bounds not ascending at %d", i)
-		}
-	}
-	return &Histogram{
-		bounds: append([]uint64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}, nil
-}
-
-// Add records value with the given weight.
-func (h *Histogram) Add(value, weight uint64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return value <= h.bounds[i] })
-	h.counts[i] += weight
-	h.total += weight
-}
-
-// Merge accumulates another histogram's weights into this one. The two
-// must have identical bucket bounds — a merge across shapes would
-// silently misattribute weight.
-//
-//simlint:statefull merge
-func (h *Histogram) Merge(o *Histogram) error {
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("stats: merging histograms with %d and %d bounds", len(h.bounds), len(o.bounds))
-	}
-	for i, b := range h.bounds {
-		if o.bounds[i] != b {
-			return fmt.Errorf("stats: merging histograms with different bounds at %d", i)
-		}
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	return nil
-}
-
-// Clone returns an independent deep copy of the histogram.
-//
-//simlint:statefull clone
-func (h *Histogram) Clone() *Histogram {
-	n := *h
-	n.bounds = append([]uint64(nil), h.bounds...)
-	n.counts = append([]uint64(nil), h.counts...)
-	return &n
-}
-
-// Counts returns a copy of the bucket weights.
-func (h *Histogram) Counts() []uint64 {
-	return append([]uint64(nil), h.counts...)
-}
-
-// Total returns the sum of all weights.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Shares returns each bucket's fraction of the total in percent.
-func (h *Histogram) Shares() []float64 {
-	out := make([]float64, len(h.counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.counts {
-		out[i] = 100 * float64(c) / float64(h.total)
-	}
-	return out
-}
-
-// Labels renders bucket labels like "0-5", "6-10", ">10".
-func (h *Histogram) Labels() []string {
-	out := make([]string, len(h.counts))
-	lo := uint64(0)
-	for i, b := range h.bounds {
-		out[i] = fmt.Sprintf("%d-%d", lo, b)
-		lo = b + 1
-	}
-	out[len(out)-1] = fmt.Sprintf(">%d", h.bounds[len(h.bounds)-1])
-	return out
-}
-
-// Mean accumulates a running mean without storing samples.
-//
-//simlint:state counters
-type Mean struct {
-	n   uint64
-	sum float64
-}
-
-// Add records one sample.
-func (m *Mean) Add(v float64) { m.n++; m.sum += v }
-
-// Merge folds another accumulator's samples into this one.
-//
-//simlint:statefull merge
-func (m *Mean) Merge(o *Mean) { m.n += o.n; m.sum += o.sum }
-
-// N returns the sample count.
-func (m *Mean) N() uint64 { return m.n }
-
-// Value returns the mean, or NaN with no samples.
-func (m *Mean) Value() float64 {
-	if m.n == 0 {
-		return math.NaN()
-	}
-	return m.sum / float64(m.n)
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -55,173 +54,5 @@ func TestFilterReducesClosedFormEB(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(5, 5); err == nil {
-		t.Error("non-ascending bounds should be rejected")
-	}
-	if _, err := NewHistogram(10, 5); err == nil {
-		t.Error("descending bounds should be rejected")
-	}
-	if _, err := NewHistogram(5, 10, 15); err != nil {
-		t.Errorf("valid bounds rejected: %v", err)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	h, err := NewHistogram(5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Add(0, 1)  // bucket 0
-	h.Add(5, 1)  // bucket 0 (inclusive bound)
-	h.Add(6, 2)  // bucket 1
-	h.Add(11, 4) // bucket 2 (open)
-	counts := h.Counts()
-	want := []uint64{2, 2, 4}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Errorf("bucket %d = %d, want %d", i, counts[i], want[i])
-		}
-	}
-	if h.Total() != 8 {
-		t.Errorf("Total = %d, want 8", h.Total())
-	}
-	shares := h.Shares()
-	if shares[2] != 50 {
-		t.Errorf("share of open bucket = %v, want 50", shares[2])
-	}
-}
-
-func TestHistogramLabels(t *testing.T) {
-	h, _ := NewHistogram(5, 10)
-	labels := h.Labels()
-	want := []string{"0-5", "6-10", ">10"}
-	for i := range want {
-		if labels[i] != want[i] {
-			t.Errorf("label %d = %q, want %q", i, labels[i], want[i])
-		}
-	}
-}
-
-func TestHistogramEmptyShares(t *testing.T) {
-	h, _ := NewHistogram(5)
-	for _, s := range h.Shares() {
-		if s != 0 {
-			t.Error("empty histogram shares should be zero")
-		}
-	}
-}
-
-func TestMean(t *testing.T) {
-	var m Mean
-	if !math.IsNaN(m.Value()) {
-		t.Error("empty mean should be NaN")
-	}
-	m.Add(2)
-	m.Add(4)
-	if m.Value() != 3 {
-		t.Errorf("mean = %v, want 3", m.Value())
-	}
-	if m.N() != 2 {
-		t.Errorf("N = %d, want 2", m.N())
-	}
-}
-
-// Property: histogram total always equals the sum of bucket counts.
-func TestHistogramConservation(t *testing.T) {
-	f := func(values []uint16) bool {
-		h, err := NewHistogram(10, 100, 1000)
-		if err != nil {
-			return false
-		}
-		for _, v := range values {
-			h.Add(uint64(v), 1)
-		}
-		var sum uint64
-		for _, c := range h.Counts() {
-			sum += c
-		}
-		return sum == h.Total() && h.Total() == uint64(len(values))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, _ := NewHistogram(10, 100)
-	b, _ := NewHistogram(10, 100)
-	a.Add(5, 2)
-	a.Add(50, 3)
-	b.Add(5, 1)
-	b.Add(500, 4)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{3, 3, 4}
-	got := a.Counts()
-	for i, w := range want {
-		if got[i] != w {
-			t.Errorf("bucket %d = %d, want %d", i, got[i], w)
-		}
-	}
-	if a.Total() != 10 {
-		t.Errorf("Total = %d, want 10", a.Total())
-	}
-	// The source is untouched.
-	if b.Total() != 5 {
-		t.Errorf("merge mutated its argument: Total = %d, want 5", b.Total())
-	}
-}
-
-func TestHistogramMergeShapeMismatch(t *testing.T) {
-	a, _ := NewHistogram(10, 100)
-	short, _ := NewHistogram(10)
-	if err := a.Merge(short); err == nil {
-		t.Error("merging histograms with different bucket counts should fail")
-	}
-	skewed, _ := NewHistogram(10, 200)
-	if err := a.Merge(skewed); err == nil {
-		t.Error("merging histograms with different bounds should fail")
-	}
-	// A failed merge must not have partially applied.
-	if a.Total() != 0 {
-		t.Errorf("failed merge left Total = %d, want 0", a.Total())
-	}
-}
-
-func TestHistogramCloneIndependent(t *testing.T) {
-	h, _ := NewHistogram(10, 100)
-	h.Add(5, 1)
-	c := h.Clone()
-	c.Add(50, 7)
-	if h.Total() != 1 {
-		t.Errorf("clone's Add leaked into original: Total = %d, want 1", h.Total())
-	}
-	if c.Total() != 8 {
-		t.Errorf("clone Total = %d, want 8", c.Total())
-	}
-	if got := h.Counts(); got[1] != 0 {
-		t.Errorf("clone's Add leaked into original bucket: %v", got)
-	}
-}
-
-func TestMeanMerge(t *testing.T) {
-	var a, b Mean
-	a.Add(1)
-	a.Add(3)
-	b.Add(5)
-	a.Merge(&b)
-	if a.N() != 3 {
-		t.Errorf("N = %d, want 3", a.N())
-	}
-	if got := a.Value(); got != 3 {
-		t.Errorf("Value = %v, want 3", got)
-	}
-	if b.N() != 1 {
-		t.Errorf("merge mutated its argument: N = %d, want 1", b.N())
 	}
 }

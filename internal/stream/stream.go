@@ -202,8 +202,6 @@ func (b *Buffer) invalidate(blk mem.Addr) int {
 // length of the stream (number of hits served between allocation and
 // reallocation) they belonged to, in buckets 1-5, 6-10, 11-15, 16-20
 // and >20.
-//
-//simlint:state counters
 type LengthDist struct {
 	// Buckets holds hits attributed per bucket.
 	Buckets [5]uint64
@@ -266,8 +264,6 @@ func BucketLabels() [5]string {
 }
 
 // Stats accumulates the observable behaviour of a stream set.
-//
-//simlint:state counters
 type Stats struct {
 	// Probes is the number of on-chip misses presented to the set.
 	Probes uint64
@@ -293,8 +289,6 @@ type Stats struct {
 
 // Add returns the element-wise sum of two Stats (used to merge
 // partitioned instruction and data stream sets).
-//
-//simlint:statefull merge
 func (s Stats) Add(o Stats) Stats {
 	s.Probes += o.Probes
 	s.Hits += o.Hits
@@ -337,7 +331,8 @@ type Set struct {
 	latency uint64
 	realloc Realloc
 	clock   uint64
-	stats   Stats
+	stats   *Stats // where the set counts; see CountInto
+	own     Stats  // what a set built alone counts into
 }
 
 // headUnknown is the heads[] sentinel: no cached head tag. Real block
@@ -399,6 +394,7 @@ func NewSet(geom mem.Geometry, cfg Config) (*Set, error) {
 		return nil, fmt.Errorf("stream: need at least one stream, got %d", cfg.Streams)
 	}
 	s := &Set{geom: geom, latency: cfg.Latency, realloc: cfg.Realloc}
+	s.stats = &s.own
 	for i := 0; i < cfg.Streams; i++ {
 		b, err := NewBuffer(geom, cfg.Depth)
 		if err != nil {
@@ -415,25 +411,11 @@ func NewSet(geom mem.Geometry, cfg Config) (*Set, error) {
 func (s *Set) Streams() int { return len(s.bufs) }
 
 // Stats returns a copy of the accumulated statistics.
-func (s *Set) Stats() Stats { return s.stats }
+func (s *Set) Stats() Stats { return *s.stats }
 
-// ResetStats clears counters without disturbing stream contents.
-//
-//simlint:statefull reset
-func (s *Set) ResetStats() { s.stats = Stats{} }
-
-// AddStats accumulates another set's counters into this one (the
-// window-sharded replay engine merges per-chunk deltas this way).
-//
-//simlint:statefull merge
-func (s *Set) AddStats(o Stats) { s.stats = s.stats.Add(o) }
-
-// SetStats overwrites the statistics wholesale; the window-sharded
-// replay engine restores a caller's accumulated counters onto an
-// adopted final-chunk state with it.
-//
-//simlint:statefull adopt
-func (s *Set) SetStats(o Stats) { s.stats = o }
+// CountInto redirects counting to *st from now on without disturbing
+// stream contents (see cache.Cache.CountInto).
+func (s *Set) CountInto(st *Stats) { s.stats = st }
 
 // clone returns a deep copy of one buffer: same geometry and policy,
 // fresh FIFO storage, identical allocation state and clocks.
@@ -447,13 +429,15 @@ func (b *Buffer) clone() *Buffer {
 
 // Clone returns a deep copy of the set — every buffer's FIFO and
 // address-generation state, the cached head tags, the reference clock
-// and the statistics. The clone evolves independently of the original.
-// The OnPrefetch hook, if any, is shared with the original: callers
-// that clone for concurrent replay must not configure one.
+// and a copy of the statistics it counts into. The clone evolves and
+// counts independently of the original. The OnPrefetch hook, if any,
+// is shared with the original: callers that clone for concurrent
+// replay must not configure one.
 //
 //simlint:statefull clone
 func (s *Set) Clone() *Set {
 	n := *s
+	n.own, n.stats = *s.stats, &n.own
 	n.bufs = make([]*Buffer, len(s.bufs))
 	for i, b := range s.bufs {
 		n.bufs[i] = b.clone()

@@ -26,8 +26,6 @@ type entry struct {
 }
 
 // Stats counts victim cache behaviour.
-//
-//simlint:state counters
 type Stats struct {
 	// Probes is the number of L1 misses presented.
 	Probes uint64
@@ -55,7 +53,8 @@ func (s Stats) HitRate() float64 {
 type Cache struct {
 	entries []entry
 	clock   uint64
-	stats   Stats
+	stats   *Stats // where the buffer counts; see CountInto
+	own     Stats  // what a buffer built alone counts into
 }
 
 // New builds a victim cache with n entries.
@@ -63,42 +62,29 @@ func New(n int) (*Cache, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("victim: need at least one entry, got %d", n)
 	}
-	return &Cache{entries: make([]entry, n)}, nil
+	c := &Cache{entries: make([]entry, n)}
+	c.stats = &c.own
+	return c, nil
 }
 
 // Size returns the number of entries.
 func (c *Cache) Size() int { return len(c.entries) }
 
 // Stats returns a copy of the accumulated statistics.
-func (c *Cache) Stats() Stats { return c.stats }
+func (c *Cache) Stats() Stats { return *c.stats }
 
-// ResetStats clears the counters without disturbing the entries.
-//
-//simlint:statefull reset
-func (c *Cache) ResetStats() { c.stats = Stats{} }
+// CountInto redirects counting to *st from now on without disturbing
+// the entries (see cache.Cache.CountInto).
+func (c *Cache) CountInto(st *Stats) { c.stats = st }
 
-// SetStats overwrites the statistics wholesale; the window-sharded
-// replay engine restores accumulated counters onto adopted state.
-//
-//simlint:statefull adopt
-func (c *Cache) SetStats(s Stats) { c.stats = s }
-
-// AddStats accumulates another victim cache's counters into this one.
-//
-//simlint:statefull merge
-func (c *Cache) AddStats(s Stats) {
-	c.stats.Probes += s.Probes
-	c.stats.Hits += s.Hits
-	c.stats.Inserts += s.Inserts
-	c.stats.WriteBacks += s.WriteBacks
-}
-
-// Clone returns a deep copy of the victim cache; the clone evolves
-// independently of the original.
+// Clone returns a deep copy of the victim cache, counting into a copy
+// of the statistics of its own; the clone evolves independently of
+// the original.
 //
 //simlint:statefull clone
 func (c *Cache) Clone() *Cache {
 	n := *c
+	n.own, n.stats = *c.stats, &n.own
 	n.entries = append([]entry(nil), c.entries...)
 	return &n
 }

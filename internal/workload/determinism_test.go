@@ -5,7 +5,7 @@ package workload_test
 // inputs have to produce byte-identical statistics — any divergence
 // means hidden global state (an unseeded rand source, map-iteration
 // order leaking into results, wall-clock coupling) crept into a hot
-// path. The simlint analyzers (seededrand, maporder) enforce the same
+// path. The simlint analyzers (seededrand, detflow) enforce the same
 // property statically; this test enforces it end to end.
 
 import (
