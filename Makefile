@@ -82,8 +82,9 @@ bench-update:
 # one worker and on every core; the two tables must be byte-identical
 # (the chunk plan is a function of the trace alone, so worker width
 # changes wall-clock time only). Closeness of the sharded statistics
-# to the exact sequential ones is pinned separately by the ShardExact
-# oracle and the bounded-divergence test in internal/core.
+# to the exact sequential ones is pinned separately by the
+# window-by-window oracle and the bounded-divergence test in
+# internal/core.
 replay-smoke:
 	GOMAXPROCS=1 $(GO) run ./cmd/paperexp -exp fig3 -scale 0.1 -shards 8 > replay-1worker.out
 	$(GO) run ./cmd/paperexp -exp fig3 -scale 0.1 -shards 8 > replay-nworker.out

@@ -6,7 +6,6 @@
 //
 //	seededrand  deterministic, config-seeded randomness
 //	pow2size    power-of-two block/cache/czone geometry
-//	ledgerpost  bandwidth ledger and traffic hook in lockstep
 //	errdiscard  no dropped trace/config errors
 //	hotpath     //simlint:hotpath functions transitively allocation-free
 //	ctxflow     received contexts flow onward; no stray Background/TODO
@@ -20,6 +19,11 @@
 // detflow, statecov) share one set of module facts
 // (internal/analysis/callgraph) built per run over every loaded
 // package.
+//
+// Some invariants need no pass because they hold by construction: the
+// bandwidth ledger and the memory-traffic hook move in lockstep
+// because core counts each off-chip block in the one function that
+// posts it (System.writeBack, System.fetch), on every replay path.
 //
 // Usage:
 //
@@ -54,7 +58,6 @@ import (
 	"streamsim/internal/analysis/directives"
 	"streamsim/internal/analysis/errdiscard"
 	"streamsim/internal/analysis/hotpath"
-	"streamsim/internal/analysis/ledgerpost"
 	"streamsim/internal/analysis/lockdisc"
 	"streamsim/internal/analysis/pow2size"
 	"streamsim/internal/analysis/seededrand"
@@ -65,7 +68,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	seededrand.Analyzer,
 	pow2size.Analyzer,
-	ledgerpost.Analyzer,
 	errdiscard.Analyzer,
 	hotpath.Analyzer,
 	ctxflow.Analyzer,

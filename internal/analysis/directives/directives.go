@@ -46,8 +46,8 @@ import (
 // suppress. cmd/simlint asserts this list matches its suite, so a
 // renamed analyzer cannot silently orphan its suppressions.
 var KnownAnalyzers = []string{
-	"seededrand", "pow2size", "ledgerpost", "errdiscard", "hotpath",
-	"ctxflow", "lockdisc", "borrowck", "detflow", "directives", "statecov",
+	"seededrand", "pow2size", "errdiscard", "hotpath", "ctxflow",
+	"lockdisc", "borrowck", "detflow", "directives", "statecov",
 }
 
 // funcVerbs are the verbs that mark a function declaration.

@@ -153,14 +153,14 @@ type System struct {
 	finished     bool
 	out          Outcome // scratch for AccessOutcome
 
-	// tap, when non-nil, records every backend event missVia generates
-	// (the L1 miss fills that reach the streams and the write-backs to
-	// memory) as packed words. The multi-config replay engine arms it on
-	// the leader of each front class with followers — systems sharing
-	// the leader's geometry, L1s and victim buffer size (frontPlan) —
-	// and the followers replay only the tapped events through their
-	// stream-side state instead of re-simulating an identical front
-	// (see applyTap).
+	// tap, when non-nil, records every backend event as a packed word:
+	// the write-backs to memory (writeBack) and the L1 miss fills that
+	// get past the victim buffer (fill). The multi-config replay engine
+	// arms it on the leader of each front class with followers —
+	// systems sharing the leader's geometry, L1s and victim buffer size
+	// (frontPlan) — and the followers replay only the tapped events
+	// through their own backend instead of re-simulating an identical
+	// front (see applyTap).
 	tap []uint64
 
 	ctr counters // every statistic; the components count into it (bind)
@@ -176,12 +176,13 @@ const (
 
 // counters is every statistic a System keeps, as one plain value whose
 // leaves are all uint64 event counts. Each component counts into its
-// part through a pointer (bind), and missVia and applyTap count
-// Bandwidth directly. Counts add up over any split of the reference
-// stream, so resetting is assigning the zero value, merging chunk
-// deltas is a leaf-wise sum (Merge) and adopting another system's
-// components while keeping the counts is a bind. The fields are
-// exported only so that sum can set them.
+// part through a pointer (bind), and the backend (writeBack, fill,
+// fetch) and missVia's victim probe count Bandwidth directly. Counts
+// add up over any split of the reference stream, so resetting is
+// assigning the zero value, merging chunk deltas is a leaf-wise sum
+// (Merge) and adopting another system's components while keeping the
+// counts is a bind. The fields are exported only so that sum can set
+// them.
 type counters struct {
 	L1I, L1D          cache.Stats
 	VictimI, VictimD  victim.Stats
@@ -507,11 +508,14 @@ const IFetchKind = mem.IFetch
 
 // missVia continues a reference that did not hit in the on-chip cache
 // c (st is the probe status Access observed): the victim buffer →
-// streams → memory flow. It accounts s.out incrementally as it goes:
-// every step that issues prefetches or writes back records it here, so
-// AccessOutcome needs no before/after stats diffing. The event fields
-// of s.out are only valid when the caller (AccessOutcome) cleared
-// them first; Level is written on every path.
+// streams → memory flow. It routes the displaced line and probes the
+// victim buffer; everything past that probe is the backend (writeBack,
+// fill), which followers replay from a leader's tap. It accounts s.out
+// incrementally as it goes: every step that issues prefetches or
+// writes back records it there, so AccessOutcome needs no before/after
+// stats diffing. The event fields of s.out are only valid when the
+// caller (AccessOutcome) cleared them first; Level is written on every
+// path.
 //
 //simlint:hotpath
 func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st cache.ProbeStatus) {
@@ -530,25 +534,13 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 	case res.Evicted && vc != nil:
 		// The evicted line (clean or dirty) moves into the victim
 		// buffer; a dirty line displaced *out* of the buffer continues
-		// to memory, bypassing and invalidating the streams.
+		// to memory.
 		if wbBlock, wb := vc.Insert(res.VictimBlock, res.EvictedDirty); wb {
-			s.ctr.Bandwidth.WriteBacks++
-			s.out.WroteBack = true
-			s.noteTraffic(mem.Addr(wbBlock))
-			s.invalidateStreams(mem.Addr(wbBlock))
-			if s.tap != nil {
-				s.tapEvent(wbBlock<<2 | tapWriteBack)
-			}
+			s.writeBack(mem.Addr(wbBlock))
 		}
 	case res.WroteBack:
 		// No victim buffer: the dirty line goes straight to memory.
-		s.ctr.Bandwidth.WriteBacks++
-		s.out.WroteBack = true
-		s.noteTraffic(mem.Addr(res.VictimBlock))
-		s.invalidateStreams(mem.Addr(res.VictimBlock))
-		if s.tap != nil {
-			s.tapEvent(res.VictimBlock<<2 | tapWriteBack)
-		}
+		s.writeBack(mem.Addr(res.VictimBlock))
 	}
 	if !res.Filled {
 		// No-write-allocate store miss: the store itself goes to
@@ -557,11 +549,10 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 		s.out.Level = LevelNone
 		return
 	}
-	blk := s.geom.BlockAddr(addr)
 	// The victim buffer is closer than the streams: a hit swaps the
 	// line back with no off-chip traffic.
 	if vc != nil {
-		if hit, dirty := vc.Probe(uint64(blk)); hit {
+		if hit, dirty := vc.Probe(uint64(s.geom.BlockAddr(addr))); hit {
 			s.ctr.Bandwidth.VictimFills++
 			s.out.Level = LevelVictim
 			if dirty && !write {
@@ -570,6 +561,36 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 			return
 		}
 	}
+	s.fill(addr, ifetch)
+}
+
+// writeBack sends a dirty block to memory, bypassing the streams and
+// invalidating any stale stream copy of it. Solo systems, leaders and
+// followers all write back here, so the ledger count and the traffic
+// post cannot drift apart on any path.
+//
+//simlint:hotpath
+func (s *System) writeBack(blk mem.Addr) {
+	if s.tap != nil {
+		s.tapEvent(uint64(blk)<<2 | tapWriteBack)
+	}
+	s.ctr.Bandwidth.WriteBacks++
+	s.out.WroteBack = true
+	s.noteTraffic(blk)
+	if s.streams != nil {
+		s.streams.InvalidateBlock(blk)
+	}
+	if s.streamsI != nil {
+		s.streamsI.InvalidateBlock(blk)
+	}
+}
+
+// fill supplies the block of an L1 miss that got past the victim
+// buffer: a stream hit delivers it on chip, anything else is fetched
+// over the fast path and handed to the allocation policy.
+//
+//simlint:hotpath
+func (s *System) fill(addr mem.Addr, ifetch bool) {
 	if s.tap != nil {
 		ev := uint64(addr) << 2
 		if ifetch {
@@ -577,14 +598,14 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 		}
 		s.tapEvent(ev)
 	}
+	blk := s.geom.BlockAddr(addr)
 	set := s.streams
 	if ifetch && s.streamsI != nil {
 		set = s.streamsI
 	}
 	if set == nil {
-		s.ctr.Bandwidth.DemandFetches++
 		s.out.Level = LevelMemory
-		s.noteTraffic(blk)
+		s.fetch(blk)
 		return
 	}
 	if pr := set.ProbeOutcome(blk); pr.Hit {
@@ -597,10 +618,18 @@ func (s *System) missVia(c *cache.Cache, addr mem.Addr, write, ifetch bool, st c
 		return
 	}
 	// Stream miss: fetch over the fast path, then decide allocation.
-	s.ctr.Bandwidth.DemandFetches++
 	s.out.Level = LevelMemory
-	s.noteTraffic(blk)
+	s.fetch(blk)
 	s.allocatePolicy(set, addr, blk)
+}
+
+// fetch moves one block over the fast path from memory: the only
+// place a demand fetch is counted, next to its traffic post.
+//
+//simlint:hotpath
+func (s *System) fetch(blk mem.Addr) {
+	s.ctr.Bandwidth.DemandFetches++
+	s.noteTraffic(blk)
 }
 
 // noteTraffic reports a demand-side block transfer to the hook.
@@ -610,22 +639,12 @@ func (s *System) noteTraffic(blk mem.Addr) {
 	}
 }
 
-// invalidateStreams clears a written-back block from every stream set.
-func (s *System) invalidateStreams(blk mem.Addr) {
-	if s.streams != nil {
-		s.streams.InvalidateBlock(blk)
-	}
-	if s.streamsI != nil {
-		s.streamsI.InvalidateBlock(blk)
-	}
-}
-
 // tapEvent records one backend event for a front-class leader.
-// Outlined from missVia so the //simlint:hotpath closure stays free of
-// allocating constructs: the append runs only when a fan-out replay
-// armed the tap (s.tap != nil), never on the single-system steady
-// state, and planFronts preallocates the buffer for the worst batch,
-// so it never grows even then.
+// Outlined from the backend so the //simlint:hotpath closure stays
+// free of allocating constructs: the append runs only when a fan-out
+// replay armed the tap (s.tap != nil), never on the single-system
+// steady state, and planFronts preallocates the buffer for the worst
+// batch, so it never grows even then.
 //
 //simlint:coldpath
 func (s *System) tapEvent(ev uint64) {
@@ -633,10 +652,9 @@ func (s *System) tapEvent(ev uint64) {
 }
 
 // applyTap replays a leader system's tapped backend events (see
-// System.tap) through this system's stream-side state: write-backs
-// invalidate streams and fill misses run the routing tail of missVia
-// that follows the victim-buffer probe. The caller guarantees this
-// system's front end — geometry, L1s and victim buffer — is configured
+// System.tap) through this system's own backend: the very writeBack
+// and fill a solo system runs. The caller guarantees this system's
+// front end — geometry, L1s and victim buffer — is configured
 // identically to the leader's and entered the replay in the same
 // state, so every front decision the leader made holds here verbatim:
 // victim hits never reach the tap, and victim write-backs arrive as
@@ -649,31 +667,10 @@ func (s *System) tapEvent(ev uint64) {
 func (s *System) applyTap(events []uint64) {
 	for _, ev := range events {
 		if ev&tapWriteBack != 0 {
-			blk := mem.Addr(ev >> 2)
-			s.ctr.Bandwidth.WriteBacks++
-			s.noteTraffic(blk)
-			s.invalidateStreams(blk)
-			continue
+			s.writeBack(mem.Addr(ev >> 2))
+		} else {
+			s.fill(mem.Addr(ev>>2), ev&tapIFetch != 0)
 		}
-		addr := mem.Addr(ev >> 2)
-		ifetch := ev&tapIFetch != 0
-		blk := s.geom.BlockAddr(addr)
-		set := s.streams
-		if ifetch && s.streamsI != nil {
-			set = s.streamsI
-		}
-		if set == nil {
-			s.ctr.Bandwidth.DemandFetches++
-			s.noteTraffic(blk)
-			continue
-		}
-		if pr := set.ProbeOutcome(blk); pr.Hit {
-			s.ctr.Bandwidth.StreamFills++
-			continue
-		}
-		s.ctr.Bandwidth.DemandFetches++
-		s.noteTraffic(blk)
-		s.allocatePolicy(set, addr, blk)
 	}
 }
 

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"streamsim/internal/mem"
+	"streamsim/internal/trace"
+	"streamsim/internal/workload"
 )
 
 func TestLevelString(t *testing.T) {
@@ -89,19 +92,69 @@ func TestAccessOutcomePending(t *testing.T) {
 	}
 }
 
+// TestTrafficHooksSeeAllBlocks checks the ledger/traffic lockstep on
+// every backend path at run time. For each hardware shape, every
+// system of a three-system fan-out — a leader that simulates the
+// shared L1 front and two followers that replay its tapped backend
+// events — must post one block to the traffic hook for each demand
+// fetch and each write-back its ledger counts, and one to the prefetch
+// hook for each prefetch issued. The hooks keep the replay on its exact sequential
+// path, and the trace's writes and instruction fetches exercise
+// write-backs and both L1s.
 func TestTrafficHooksSeeAllBlocks(t *testing.T) {
-	cfg := tinyConfig(2)
-	var demand, prefetch int
-	cfg.OnMemoryTraffic = func(mem.Addr) { demand++ }
-	cfg.Streams.OnPrefetch = func(mem.Addr) { prefetch++ }
-	s := mustNew(t, cfg)
-	sweep(s, 1<<20, 200)
-	r := s.Results()
-	if uint64(demand) != r.Bandwidth.DemandFetches+r.Bandwidth.WriteBacks {
-		t.Errorf("demand hook saw %d, ledger has %d fetches + %d write-backs",
-			demand, r.Bandwidth.DemandFetches, r.Bandwidth.WriteBacks)
+	w, err := workload.New("appbt", workload.SizeSmall)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if uint64(prefetch) != r.Streams.PrefetchesIssued {
-		t.Errorf("prefetch hook saw %d, ledger has %d", prefetch, r.Streams.PrefetchesIssued)
+	st := trace.NewStore(0)
+	if err := w.Run(st, 0.02); err != nil {
+		t.Fatal(err)
+	}
+	victim := tinyConfig(2)
+	victim.VictimEntries = 4
+	parted := tinyConfig(2)
+	parted.PartitionedStreams = true
+	filtered := tinyConfig(2)
+	filtered.UnitFilterEntries = 16
+	filtered.Stride = CzoneScheme
+	filtered.StrideFilterEntries = 16
+	filtered.CzoneBits = 16
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"streams", tinyConfig(2)},
+		{"victim", victim},
+		{"no-streams", tinyConfig(0)},
+		{"partitioned", parted},
+		{"filtered", filtered},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var demand, prefetch [3]uint64
+			systems := make([]*System, len(demand))
+			for i := range systems {
+				cfg := tc.cfg
+				cfg.OnMemoryTraffic = func(mem.Addr) { demand[i]++ }
+				cfg.Streams.OnPrefetch = func(mem.Addr) { prefetch[i]++ }
+				systems[i] = mustNew(t, cfg)
+			}
+			if err := ReplayStoreMultiWindowed(context.Background(), systems, st, ShardOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			for i, s := range systems {
+				r := s.Results()
+				if r.Bandwidth.WriteBacks == 0 || r.L1I.Misses == 0 {
+					t.Errorf("system %d: %d write-backs, %d L1I misses; the trace must exercise both",
+						i, r.Bandwidth.WriteBacks, r.L1I.Misses)
+				}
+				if ledger := r.Bandwidth.DemandFetches + r.Bandwidth.WriteBacks; demand[i] != ledger {
+					t.Errorf("system %d: traffic hook saw %d blocks, ledger has %d (%d fetches + %d write-backs)",
+						i, demand[i], ledger, r.Bandwidth.DemandFetches, r.Bandwidth.WriteBacks)
+				}
+				if prefetch[i] != r.Streams.PrefetchesIssued {
+					t.Errorf("system %d: prefetch hook saw %d, ledger has %d", i, prefetch[i], r.Streams.PrefetchesIssued)
+				}
+			}
+		})
 	}
 }

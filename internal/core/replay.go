@@ -159,9 +159,8 @@ func (p frontPlan) replay(ctx context.Context, it *trace.StoreIter, refs int, bu
 }
 
 // replayWindows replays sample windows [from, to) of st through the
-// plan, seeking the decoder to from's boundary in O(1). The seek stays
-// outside the //simlint:hotpath loop because a store without an
-// append-time window index builds one on its first seek.
+// plan, seeking the decoder to from's boundary in O(1) from the store's
+// append-time window index.
 func (p frontPlan) replayWindows(ctx context.Context, st *trace.Store, from, to int, buf []uint64) error {
 	refs := st.PrefixLen(to) - st.PrefixLen(from)
 	if refs <= 0 {

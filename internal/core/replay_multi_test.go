@@ -199,7 +199,8 @@ func TestReplayStoreMultiMatchesIndependent(t *testing.T) {
 // split into several fronts, each with a leader and followers, every
 // engine path matches its solo oracle on every workload —
 //
-//   - Shards: 1 and ShardExact match independent ReplayStore runs;
+//   - Shards: 1 and the window-by-window oracle match independent
+//     ReplayStore runs;
 //   - Shards: 4 matches each config's solo ReplayStoreWindowed under
 //     the same chunk plan;
 //   - a prefix to K/2, checkpointed and restored, then resumed to K
@@ -214,13 +215,16 @@ func TestReplayStoreMultiMixedFront(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			st := recordTrace(t, name, scale)
 			want := replayEach(t, cfgs, st)
-			for _, opt := range []core.ShardOptions{{Shards: 1}, {Mode: core.ShardExact}} {
-				systems := newSystems(t, cfgs)
-				if err := core.ReplayStoreMultiWindowed(ctx, systems, st, opt); err != nil {
-					t.Fatal(err)
-				}
-				checkResults(t, fmt.Sprintf("%+v", opt), systems, want)
+			systems := newSystems(t, cfgs)
+			if err := core.ReplayStoreMultiWindowed(ctx, systems, st, core.ShardOptions{Shards: 1}); err != nil {
+				t.Fatal(err)
 			}
+			checkResults(t, "Shards: 1", systems, want)
+			systems = newSystems(t, cfgs)
+			if err := replayWindowByWindow(ctx, systems, st); err != nil {
+				t.Fatal(err)
+			}
+			checkResults(t, "window by window", systems, want)
 
 			sharded := core.ShardOptions{Shards: 4}
 			solo := make([]core.Results, len(cfgs))
@@ -230,7 +234,7 @@ func TestReplayStoreMultiMixedFront(t *testing.T) {
 				}
 				solo[i] = sys.Results()
 			}
-			systems := newSystems(t, cfgs)
+			systems = newSystems(t, cfgs)
 			if err := core.ReplayStoreMultiWindowed(ctx, systems, st, sharded); err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +243,7 @@ func TestReplayStoreMultiMixedFront(t *testing.T) {
 			K := st.WindowCount()
 			F := max(K/2, 1)
 			systems = newSystems(t, cfgs)
-			if err := core.ReplayStoreMultiPrefix(ctx, systems, st, F); err != nil {
+			if err := core.ReplayStoreMultiPrefixFrom(ctx, systems, st, 0, F); err != nil {
 				t.Fatal(err)
 			}
 			cks := make([]*core.Checkpoint, len(systems))
@@ -281,24 +285,24 @@ func TestFollowerKeepsFrontState(t *testing.T) {
 	second := recordTrace(t, "cgm", 0.05)
 	cfgs := []core.Config{core.DefaultConfig(), core.DefaultConfig()}
 	for _, tc := range []struct {
-		name string
-		opt  core.ShardOptions
+		name   string
+		replay func(context.Context, []*core.System, *trace.Store) error
 	}{
-		{"sequential", core.ShardOptions{Shards: 1}},
-		{"exact", core.ShardOptions{Mode: core.ShardExact}},
-		{"sharded", core.ShardOptions{Shards: 2}},
+		{"sequential", windowed(core.ShardOptions{Shards: 1})},
+		{"exact", replayWindowByWindow},
+		{"sharded", windowed(core.ShardOptions{Shards: 2})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			solo := newSystems(t, cfgs[:1])[0]
-			if err := core.ReplayStoreWindowed(ctx, solo, first, tc.opt); err != nil {
+			solo := newSystems(t, cfgs[:1])
+			if err := tc.replay(ctx, solo, first); err != nil {
 				t.Fatal(err)
 			}
-			if err := core.ReplayStore(ctx, solo, second); err != nil {
+			if err := core.ReplayStore(ctx, solo[0], second); err != nil {
 				t.Fatal(err)
 			}
-			want := solo.Results()
+			want := solo[0].Results()
 			systems := newSystems(t, cfgs)
-			if err := core.ReplayStoreMultiWindowed(ctx, systems, first, tc.opt); err != nil {
+			if err := tc.replay(ctx, systems, first); err != nil {
 				t.Fatal(err)
 			}
 			for i, sys := range systems {
@@ -348,19 +352,19 @@ func TestReplayStoreMultiCancel(t *testing.T) {
 	cfgs := multiConfigs()
 
 	for _, mode := range []struct {
-		name string
-		opt  core.ShardOptions
+		name   string
+		replay func(context.Context, []*core.System, *trace.Store) error
 	}{
-		{"sequential", core.ShardOptions{Shards: 1}},
-		{"exact", core.ShardOptions{Mode: core.ShardExact}},
-		{"sharded", core.ShardOptions{Shards: 2}},
+		{"sequential", windowed(core.ShardOptions{Shards: 1})},
+		{"exact", replayWindowByWindow},
+		{"sharded", windowed(core.ShardOptions{Shards: 2})},
 	} {
 		t.Run(mode.name+"/pre-cancelled", func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			systems := newSystems(t, cfgs)
-			if err := core.ReplayStoreMultiWindowed(ctx, systems, st, mode.opt); err != context.Canceled {
-				t.Fatalf("ReplayStoreMultiWindowed = %v, want context.Canceled", err)
+			if err := mode.replay(ctx, systems, st); err != context.Canceled {
+				t.Fatalf("replay = %v, want context.Canceled", err)
 			}
 			for i, sys := range systems {
 				r := sys.Results()
@@ -378,7 +382,7 @@ func TestReplayStoreMultiCancel(t *testing.T) {
 			errc := make(chan error, 1)
 			go func() {
 				defer wg.Done()
-				errc <- core.ReplayStoreMultiWindowed(ctx, systems, st, mode.opt)
+				errc <- mode.replay(ctx, systems, st)
 			}()
 			cancel()
 			wg.Wait()
@@ -386,7 +390,7 @@ func TestReplayStoreMultiCancel(t *testing.T) {
 			// either outcome is legal, but a cancelled run must report
 			// context.Canceled, never a partial-success nil.
 			if err := <-errc; err != nil && err != context.Canceled {
-				t.Fatalf("ReplayStoreMultiWindowed = %v, want nil or context.Canceled", err)
+				t.Fatalf("replay = %v, want nil or context.Canceled", err)
 			}
 		})
 	}
@@ -415,12 +419,12 @@ func TestReplayStoreMultiDegenerate(t *testing.T) {
 
 // TestLastFanOutWidthEveryPath pins the replay_fanout_width gauge on
 // every windowed path: a three-system replay that follows a
-// one-system one must read three whether it runs sequential, ShardExact
-// or sharded.
+// one-system one must read three whether it runs sequential or
+// sharded.
 func TestLastFanOutWidthEveryPath(t *testing.T) {
 	ctx := context.Background()
 	st := syntheticStore(4 * trace.WindowRefs)
-	for _, opt := range []core.ShardOptions{{Shards: 1}, {Mode: core.ShardExact}, {Shards: 2}} {
+	for _, opt := range []core.ShardOptions{{Shards: 1}, {Shards: 2}} {
 		for _, n := range []int{1, 3} {
 			if err := core.ReplayStoreMultiWindowed(ctx, newSystems(t, multiConfigs()[:n]), st, opt); err != nil {
 				t.Fatal(err)

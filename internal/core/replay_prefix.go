@@ -2,12 +2,11 @@
 // generation of candidate systems on only the first few sample windows
 // of a recorded trace. Successive halving (internal/search) scores
 // cheap early rungs this way — one decode pass feeds every candidate,
-// and candidates sharing an L1 front simulate it once — and
-// extends survivors onto progressively longer prefixes. The From
-// variant resumes a previous prefix replay at a window boundary via the
-// store's O(1) seek index, so with checkpointed candidates each rung
-// replays only the windows the previous rung has not seen (DESIGN.md
-// §12).
+// and candidates sharing an L1 front simulate it once — and extends
+// survivors onto progressively longer prefixes. A replay may start at
+// any window boundary via the store's O(1) seek index, so with
+// checkpointed candidates each rung replays only the windows the
+// previous rung has not seen (DESIGN.md §12).
 package core
 
 import (
@@ -16,34 +15,25 @@ import (
 	"streamsim/internal/trace"
 )
 
-// ReplayStoreMultiPrefix replays the first windows sample windows of a
-// recorded trace through every system, decoding each batch exactly
-// once. windows <= 0 or >= the trace's window count replays the whole
-// trace. The replay is sequential and exact: each system observes
-// precisely the access stream a solo ReplayStore over the same prefix
-// would deliver, on any host, so prefix scores are machine-independent
-// and identical no matter how candidates are grouped into generations.
-// On cancellation every system has consumed a prefix of the prefix and
-// ctx.Err() is returned.
-//
-//simlint:deterministic
-func ReplayStoreMultiPrefix(ctx context.Context, systems []*System, st *trace.Store, windows int) error {
-	return ReplayStoreMultiPrefixFrom(ctx, systems, st, 0, windows)
-}
-
 // ReplayStoreMultiPrefixFrom replays the sample windows [fromWindow,
-// toWindow) of a recorded trace through every system, seeking the
-// decoder to fromWindow's boundary in O(1) via the store's window
-// index. toWindow <= 0 or beyond the window count means the end of the
-// trace; fromWindow is clamped to [0, toWindow]. The decoder's ring
-// predictors are part of the seek state, so the delivered stream is
-// byte-for-byte the suffix a from-scratch prefix replay would deliver:
-// extending systems restored from a Checkpoint taken at fromWindow
-// produces scores identical to replaying [0, toWindow) from scratch.
-// Systems sharing a front key must meet frontPlan's precondition. On
-// every exit each returned system is individually resumable: followers
-// take their leader's front state before returning (see
-// System.adoptFront).
+// toWindow) of a recorded trace through every system, decoding each
+// batch exactly once and seeking the decoder to fromWindow's boundary
+// in O(1) via the store's window index. toWindow <= 0 or beyond the
+// window count means the end of the trace; fromWindow is clamped to
+// [0, toWindow]. The replay is sequential and exact: from window 0
+// each system observes precisely the access stream a solo ReplayStore
+// over the same prefix would deliver, on any host, so prefix scores
+// are machine-independent and identical no matter how candidates are
+// grouped into generations. The decoder's ring predictors are part of
+// the seek state, so a later start delivers byte-for-byte the suffix a
+// from-scratch replay would: extending systems restored from a
+// Checkpoint taken at fromWindow produces scores identical to
+// replaying [0, toWindow) from scratch. Systems sharing a front key
+// must meet frontPlan's precondition. On every exit each returned
+// system is individually resumable: followers take their leader's
+// front state before returning (see System.adoptFront). On
+// cancellation every system has consumed the same prefix and ctx.Err()
+// is returned.
 //
 //simlint:deterministic
 func ReplayStoreMultiPrefixFrom(ctx context.Context, systems []*System, st *trace.Store, fromWindow, toWindow int) error {

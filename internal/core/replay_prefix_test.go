@@ -17,7 +17,7 @@ import (
 // are grouped, and through both a shared front (multiConfigs: one
 // leader, four followers) and two fronts of one system each.
 //
-//simlint:deterministic streamsim/internal/core.ReplayStoreMultiPrefix
+//simlint:deterministic streamsim/internal/core.ReplayStoreMultiPrefixFrom
 func TestReplayStoreMultiPrefixMatchesIndependent(t *testing.T) {
 	ctx := context.Background()
 	cfgs := multiConfigs()
@@ -37,13 +37,13 @@ func TestReplayStoreMultiPrefixMatchesIndependent(t *testing.T) {
 				want := make([]core.Results, len(tc.cfgs))
 				for i, sys := range newSystems(t, tc.cfgs) {
 					one := []*core.System{sys}
-					if err := core.ReplayStoreMultiPrefix(ctx, one, st, windows); err != nil {
+					if err := core.ReplayStoreMultiPrefixFrom(ctx, one, st, 0, windows); err != nil {
 						t.Fatal(err)
 					}
 					want[i] = sys.Results()
 				}
 				systems := newSystems(t, tc.cfgs)
-				if err := core.ReplayStoreMultiPrefix(ctx, systems, st, windows); err != nil {
+				if err := core.ReplayStoreMultiPrefixFrom(ctx, systems, st, 0, windows); err != nil {
 					t.Fatal(err)
 				}
 				for i, sys := range systems {
@@ -58,7 +58,7 @@ func TestReplayStoreMultiPrefixMatchesIndependent(t *testing.T) {
 }
 
 // TestReplayStoreMultiPrefixFullMatchesReplayStore checks the
-// whole-trace degenerate cases: windows <= 0 and windows beyond the
+// whole-trace degenerate cases: an end window <= 0 and one beyond the
 // window count both replay the full trace byte-identically to
 // ReplayStore, and the counted prefix references add up to exactly the
 // windows' lengths.
@@ -79,7 +79,7 @@ func TestReplayStoreMultiPrefixFullMatchesReplayStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := core.ReplayStoreMultiPrefix(ctx, []*core.System{sys}, st, windows); err != nil {
+		if err := core.ReplayStoreMultiPrefixFrom(ctx, []*core.System{sys}, st, 0, windows); err != nil {
 			t.Fatal(err)
 		}
 		if got := sys.Results(); !reflect.DeepEqual(got, want) {
@@ -93,13 +93,10 @@ func TestReplayStoreMultiPrefixFullMatchesReplayStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := core.ReplayStoreMultiPrefix(ctx, []*core.System{sys}, st, w); err != nil {
+	if err := core.ReplayStoreMultiPrefixFrom(ctx, []*core.System{sys}, st, 0, w); err != nil {
 		t.Fatal(err)
 	}
-	wantRefs := uint64(0)
-	for i := 0; i < w; i++ {
-		wantRefs += uint64(st.WindowLen(i))
-	}
+	wantRefs := uint64(min(w*trace.WindowRefs, st.Len()))
 	r := sys.Results()
 	if got := r.L1I.Accesses + r.L1D.Accesses; got != wantRefs {
 		t.Errorf("prefix of %d windows consumed %d refs, want %d", w, got, wantRefs)
@@ -113,8 +110,8 @@ func TestReplayStoreMultiPrefixCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	systems := newSystems(t, multiConfigs())
-	if err := core.ReplayStoreMultiPrefix(ctx, systems, st, 0); err != context.Canceled {
-		t.Fatalf("ReplayStoreMultiPrefix = %v, want context.Canceled", err)
+	if err := core.ReplayStoreMultiPrefixFrom(ctx, systems, st, 0, 0); err != context.Canceled {
+		t.Fatalf("ReplayStoreMultiPrefixFrom = %v, want context.Canceled", err)
 	}
 	for i, sys := range systems {
 		r := sys.Results()

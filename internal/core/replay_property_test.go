@@ -123,7 +123,7 @@ func TestCheckpointResumeRandomConfigs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("config %d (%s): %v", i, describeConfig(cfg), err)
 		}
-		if err := core.ReplayStoreMultiPrefix(ctx, []*core.System{sys}, st, F); err != nil {
+		if err := core.ReplayStoreMultiPrefixFrom(ctx, []*core.System{sys}, st, 0, F); err != nil {
 			t.Fatalf("config %d (%s): prefix replay: %v", i, describeConfig(cfg), err)
 		}
 		restored := sys.Checkpoint().Restore()

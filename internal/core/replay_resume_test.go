@@ -41,7 +41,7 @@ func TestCheckpointResumeMatchesScratch(t *testing.T) {
 
 			// Prefix to F as a generation, checkpoint every system.
 			systems := newSystems(t, cfgs)
-			if err := core.ReplayStoreMultiPrefix(ctx, systems, st, F); err != nil {
+			if err := core.ReplayStoreMultiPrefixFrom(ctx, systems, st, 0, F); err != nil {
 				t.Fatal(err)
 			}
 			cks := make([]*core.Checkpoint, len(systems))

@@ -12,10 +12,7 @@
 // over a partition of the reference stream, so the per-chunk deltas
 // merge back exactly (System.Merge); the only divergence from a
 // sequential replay is the residual cache state at each chunk's first
-// counted window, bounded by the warmup. ShardExact trades the
-// parallelism away to prove the decode half: it replays every window
-// serially from a fresh seek and must be byte-identical to a plain
-// sequential replay.
+// counted window, bounded by the warmup.
 //
 // The chunk plan is a function of the trace alone (window count and
 // the requested shard count) — never of GOMAXPROCS — so results are
@@ -31,39 +28,13 @@ import (
 	"streamsim/internal/trace"
 )
 
-// ShardMode selects how the window-sharded engine trades exactness for
-// parallelism.
-type ShardMode int
-
-const (
-	// ShardAuto runs warmup-approximate parallel chunks when the trace
-	// has enough windows, falling back to an exact sequential replay
-	// otherwise (small traces, forced single shard, or traffic hooks
-	// that cannot be shared across goroutines).
-	ShardAuto ShardMode = iota
-	// ShardExact replays window by window from fresh index seeks, on
-	// one goroutine. Results are byte-identical to a sequential replay;
-	// it exists as the oracle that proves every index checkpoint.
-	ShardExact
-)
-
-// ShardOptions tunes the window-sharded engine. The zero value picks
-// everything automatically.
+// ShardOptions tunes the window-sharded engine. The zero value derives
+// the chunk plan from the trace.
 type ShardOptions struct {
-	// Mode selects approximate-parallel (ShardAuto) or the exact
-	// serial oracle (ShardExact).
-	Mode ShardMode
 	// Shards forces the chunk count: 0 derives it from the trace's
 	// window count, 1 disables sharding (exact sequential replay).
 	// The chunk plan never depends on the host's core count.
 	Shards int
-	// Workers caps the goroutines consuming chunks; 0 means
-	// GOMAXPROCS. Affects wall-clock time only, never results.
-	Workers int
-	// WarmupWindows is how many windows each chunk replays to heat its
-	// forked state before counting: 0 means DefaultWarmupWindows,
-	// negative means none.
-	WarmupWindows int
 }
 
 // DefaultWarmupWindows is the per-chunk warmup: enough references
@@ -72,10 +43,10 @@ type ShardOptions struct {
 const DefaultWarmupWindows = 4
 
 // Auto chunk-plan shape: chunks carry at least minChunkWindows counted
-// windows each (keeping the warmup overhead near warm/minChunkWindows)
-// and the plan tops out at maxAutoChunks, far above any host's core
-// count, so the split saturates wide machines without fragmenting the
-// trace.
+// windows each (keeping the warmup overhead near
+// DefaultWarmupWindows/minChunkWindows) and the plan tops out at
+// maxAutoChunks, far above any host's core count, so the split
+// saturates wide machines without fragmenting the trace.
 const (
 	minChunkWindows = 32
 	maxAutoChunks   = 32
@@ -138,12 +109,12 @@ func ReplayStoreWindowed(ctx context.Context, sys *System, st *trace.Store, opt 
 // statistics merge deterministically: counters are additive over the
 // window partition, the merge order cannot change a sum, and the chunk
 // plan depends only on the trace — so a completed replay yields
-// identical statistics at any worker count, including one. Relative to
-// an exact sequential replay the statistics differ only by each
-// chunk's residual state error, bounded by the warmup windows;
-// ShardExact, small traces, Shards: 1 and hook-carrying systems all
-// take the exact path instead. On cancellation the systems are left
-// mid-merge and only the error is meaningful.
+// identical statistics at any worker count, including one; chunks run
+// on GOMAXPROCS workers. Relative to an exact sequential replay the
+// statistics differ only by each chunk's residual state error, bounded
+// by the warmup windows; small traces, Shards: 1 and hook-carrying
+// systems all take an exact sequential path instead. On cancellation
+// the systems are left mid-merge and only the error is meaningful.
 //
 //simlint:deterministic
 func ReplayStoreMultiWindowed(ctx context.Context, systems []*System, st *trace.Store, opt ShardOptions) error {
@@ -152,56 +123,26 @@ func ReplayStoreMultiWindowed(ctx context.Context, systems []*System, st *trace.
 	}
 	lastFanOut.Store(int64(len(systems)))
 	shards := planShards(st.WindowCount(), opt.Shards)
-	if opt.Mode == ShardExact || shards < 2 || hooked(systems) {
+	if shards < 2 || hooked(systems) {
 		lastWindowShards.Store(1)
-		return replayExact(ctx, systems, st, opt.Mode == ShardExact)
+		return ReplayStoreMultiPrefixFrom(ctx, systems, st, 0, st.WindowCount())
 	}
 	lastWindowShards.Store(int64(shards))
-	warm := opt.WarmupWindows
-	switch {
-	case warm == 0:
-		warm = DefaultWarmupWindows
-	case warm < 0:
-		warm = 0
-	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return replayWindowedChunks(ctx, systems, st, shards, warm, workers)
+	return replayWindowedChunks(ctx, systems, st, shards)
 }
 
-// replayExact is the exact sequential replay of the whole trace. With
-// seekEach it is the ShardExact oracle: every window is decoded from a
-// fresh index seek, and identical results prove the index checkpoints,
-// the O(1) seeks and the window-bounded decode all agree with a
-// straight pass.
-func replayExact(ctx context.Context, systems []*System, st *trace.Store, seekEach bool) error {
-	p := planFronts(systems)
-	defer p.settle(true)
-	buf := make([]uint64, trace.ReplayBatchLen)
-	K := st.WindowCount()
-	if !seekEach {
-		return p.replayWindows(ctx, st, 0, K, buf)
-	}
-	for w := 0; w < K; w++ {
-		if err := p.replayWindows(ctx, st, w, w+1, buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayWindowedChunks fans the chunk plan out over a worker pool.
-// Every chunk forks the callers' pristine entry state (the protos,
-// forked once up front so chunk 0 and chunk N see the same starting
-// point), simulates its windows, and merges its counter deltas into
-// the callers' systems under the merge lock as soon as it completes —
-// freeing the fork's memory early. The final chunk's forks are kept
-// aside: they hold the trace-end architectural state, which the
-// callers adopt after the last merge so a later Results() describes a
-// system that "finished" the trace.
-func replayWindowedChunks(ctx context.Context, systems []*System, st *trace.Store, shards, warm, workers int) error {
+// replayWindowedChunks fans the chunk plan out over a pool of up to
+// GOMAXPROCS workers. Every chunk forks the callers' pristine entry
+// state (the protos, forked once up front so chunk 0 and chunk N see
+// the same starting point), warms the forks on up to
+// DefaultWarmupWindows preceding windows, simulates its own windows,
+// and merges its counter deltas into the callers' systems under the
+// merge lock as soon as it completes — freeing the fork's memory
+// early. The final chunk's forks are kept aside: they hold the
+// trace-end architectural state, which the callers adopt after the
+// last merge so a later Results() describes a system that "finished"
+// the trace.
+func replayWindowedChunks(ctx context.Context, systems []*System, st *trace.Store, shards int) error {
 	K := st.WindowCount()
 	protos := make([]*System, len(systems))
 	for i, sys := range systems {
@@ -209,9 +150,7 @@ func replayWindowedChunks(ctx context.Context, systems []*System, st *trace.Stor
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if workers > shards {
-		workers = shards
-	}
+	workers := min(runtime.GOMAXPROCS(0), shards)
 	var (
 		mu     sync.Mutex
 		finals []*System
@@ -226,10 +165,7 @@ func replayWindowedChunks(ctx context.Context, systems []*System, st *trace.Stor
 			buf := make([]uint64, trace.ReplayBatchLen)
 			for c := range idx {
 				start, end := c*K/shards, (c+1)*K/shards
-				wstart := start - warm
-				if wstart < 0 {
-					wstart = 0
-				}
+				wstart := max(start-DefaultWarmupWindows, 0)
 				final := c == shards-1
 				css, err := runChunk(runCtx, protos, st, wstart, start, end, final, buf)
 				if err != nil {

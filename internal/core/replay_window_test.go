@@ -1,10 +1,10 @@
 package core_test
 
 // The window-sharded engine's byte-identical equivalence gates: the
-// ShardExact oracle below proves every index checkpoint against plain
-// sequential replays, and the worker-width test proves the parallel
-// mode's results are a function of the chunk plan alone. These are the
-// dynamic halves of the static determinism annotations:
+// window-by-window oracle below proves every index checkpoint against
+// plain sequential replays, and the worker-width test proves the
+// parallel mode's results are a function of the chunk plan alone.
+// These are the dynamic halves of the static determinism annotations:
 //
 //simlint:deterministic streamsim/internal/core.ReplayStoreMultiWindowed
 //simlint:deterministic (*streamsim/internal/core.System).Merge
@@ -13,6 +13,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -22,12 +23,34 @@ import (
 	"streamsim/internal/workload"
 )
 
-// TestReplayWindowedExactMatchesSequential pins the ShardExact oracle:
-// for every workload and the mixed config set, replaying window by
-// window from fresh index seeks is byte-identical to N independent
-// sequential replays. A passing run proves every window checkpoint in
-// every recorded trace — the seek state, the window lengths and the
-// bounded decode all agree with a straight pass.
+// replayWindowByWindow is the window-by-window oracle: it replays
+// every window of st serially, each from a fresh index seek, and stops
+// at the first error. Results byte-identical to a straight sequential
+// replay prove the index checkpoints, the O(1) seeks and the
+// window-bounded decode all agree with a straight pass.
+func replayWindowByWindow(ctx context.Context, systems []*core.System, st *trace.Store) error {
+	for w := 0; w < st.WindowCount(); w++ {
+		if err := core.ReplayStoreMultiPrefixFrom(ctx, systems, st, w, w+1); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// windowed adapts the windowed engine at fixed options to the oracle's
+// signature, so a test can range over every replay path.
+func windowed(opt core.ShardOptions) func(context.Context, []*core.System, *trace.Store) error {
+	return func(ctx context.Context, systems []*core.System, st *trace.Store) error {
+		return core.ReplayStoreMultiWindowed(ctx, systems, st, opt)
+	}
+}
+
+// TestReplayWindowedExactMatchesSequential pins the window-by-window
+// oracle: for every workload and the mixed config set, replaying
+// window by window from fresh index seeks is byte-identical to N
+// independent sequential replays. A passing run proves every window
+// checkpoint in every recorded trace — the seek state, the window
+// lengths and the bounded decode all agree with a straight pass.
 func TestReplayWindowedExactMatchesSequential(t *testing.T) {
 	const scale = 0.05
 	ctx := context.Background()
@@ -38,29 +61,17 @@ func TestReplayWindowedExactMatchesSequential(t *testing.T) {
 			want := replayEach(t, cfgs, st)
 
 			systems := newSystems(t, cfgs)
-			opt := core.ShardOptions{Mode: core.ShardExact}
-			if err := core.ReplayStoreMultiWindowed(ctx, systems, st, opt); err != nil {
+			if err := replayWindowByWindow(ctx, systems, st); err != nil {
 				t.Fatal(err)
 			}
-			if got := core.LastWindowShards(); got != 1 {
-				t.Errorf("LastWindowShards after exact replay = %d, want 1", got)
-			}
-			for i, sys := range systems {
-				if got := sys.Results(); !reflect.DeepEqual(got, want[i]) {
-					t.Errorf("config %d: ShardExact results diverge from sequential\ngot  %+v\nwant %+v",
-						i, got, want[i])
-				}
-			}
+			checkResults(t, "window by window", systems, want)
 
-			// The single-system entry point takes the same oracle path.
+			// A system alone takes the same oracle path.
 			one := newSystems(t, cfgs[:1])
-			if err := core.ReplayStoreWindowed(ctx, one[0], st, opt); err != nil {
+			if err := replayWindowByWindow(ctx, one, st); err != nil {
 				t.Fatal(err)
 			}
-			if got := one[0].Results(); !reflect.DeepEqual(got, want[0]) {
-				t.Errorf("single-system ShardExact results diverge from sequential\ngot  %+v\nwant %+v",
-					got, want[0])
-			}
+			checkResults(t, "single system, window by window", one, want)
 		})
 	}
 }
@@ -139,7 +150,8 @@ func TestReplayWindowedFallbacksAreExact(t *testing.T) {
 // TestReplayWindowedWorkerWidthInvariant pins the engine's central
 // determinism claim: the chunk plan depends only on the trace and the
 // options, so a sharded replay produces byte-identical results at any
-// worker count — one goroutine or many.
+// worker count — one goroutine or many. The engine runs GOMAXPROCS
+// workers, so the test sets it and restores it.
 func TestReplayWindowedWorkerWidthInvariant(t *testing.T) {
 	ctx := context.Background()
 	cfgs := multiConfigs()
@@ -148,10 +160,11 @@ func TestReplayWindowedWorkerWidthInvariant(t *testing.T) {
 		t.Fatalf("trace too short to shard: %d windows", st.WindowCount())
 	}
 	opt := core.ShardOptions{Shards: 4}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	var want []core.Results
 	for _, workers := range []int{1, 2, 8} {
-		opt.Workers = workers
+		runtime.GOMAXPROCS(workers)
 		systems := newSystems(t, cfgs)
 		if err := core.ReplayStoreMultiWindowed(ctx, systems, st, opt); err != nil {
 			t.Fatal(err)
@@ -256,9 +269,8 @@ func TestReplayWindowedCancel(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		systems := newSystems(t, cfgs)
-		err := core.ReplayStoreMultiWindowed(ctx, systems, st, core.ShardOptions{Mode: core.ShardExact})
-		if err != context.Canceled {
-			t.Fatalf("exact mode = %v, want context.Canceled", err)
+		if err := replayWindowByWindow(ctx, systems, st); err != context.Canceled {
+			t.Fatalf("window-by-window oracle = %v, want context.Canceled", err)
 		}
 	})
 }

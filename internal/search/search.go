@@ -9,8 +9,8 @@
 // Three strategies share one batched evaluator:
 //
 //   - halving: successive halving — score a generation of candidates
-//     on a few sample windows (core.ReplayStoreMultiPrefix decodes the
-//     prefix once for the whole generation), keep the top half, and
+//     on a few sample windows (core.ReplayStoreMultiPrefixFrom decodes
+//     the prefix once for the whole generation), keep the top half, and
 //     re-evaluate survivors on progressively longer prefixes until the
 //     finalists run the full trace;
 //   - pareto: Pareto-front exploration over (metric, cost) — evaluate

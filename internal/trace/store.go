@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 	"unsafe"
 
 	"streamsim/internal/mem"
@@ -54,11 +53,7 @@ type Store struct {
 
 	// marks[w] is the decoder state at the first access of window w+1,
 	// snapshotted by Append as the trace is encoded (see windowMark).
-	// scanMarks and scanOnce serve stores that lack append-time marks:
-	// one sequential decode rebuilds the same index, memoized.
-	marks     []windowMark
-	scanMarks []windowMark
-	scanOnce  sync.Once
+	marks []windowMark
 }
 
 // WindowRefs is the number of stored references per window of the seek
@@ -322,21 +317,11 @@ func (s *Store) WindowCount() int {
 	return (s.n + WindowRefs - 1) / WindowRefs
 }
 
-// WindowLen returns the number of accesses in window w.
-func (s *Store) WindowLen(w int) int {
-	start := w * WindowRefs
-	if rest := s.n - start; rest < WindowRefs {
-		return rest
-	}
-	return WindowRefs
-}
-
-// PrefixLen returns the number of accesses in the first w windows —
-// the cumulative sum of WindowLen over [0, w) — clamped to the store's
-// length for w at or beyond the window count. Every window except the
-// last holds exactly WindowRefs accesses, so the sum is closed-form;
-// the prefix and resume replay engines use it instead of a per-call
-// summation loop.
+// PrefixLen returns the number of accesses in the first w windows,
+// clamped to the store's length for w at or beyond the window count.
+// Every window except the last holds exactly WindowRefs accesses, so
+// the sum is closed-form; the prefix and resume replay engines use it
+// instead of a per-call summation loop.
 func (s *Store) PrefixLen(w int) int {
 	if w <= 0 {
 		return 0
@@ -347,29 +332,15 @@ func (s *Store) PrefixLen(w int) int {
 	return w * WindowRefs
 }
 
-// WindowOffsets returns, for each window, the byte offset into the
-// address stream at which its records begin. Offsets come from the
-// append-time index; a store without one (or with a stale one) pays a
-// single sequential decode scan, memoized for the store's lifetime.
-// Like the iterators, it must only be called on a quiescent store.
-func (s *Store) WindowOffsets() []int {
-	marks := s.windowMarks()
-	offs := make([]int, s.WindowCount())
-	for w := 1; w < len(offs); w++ {
-		offs[w] = marks[w-1].pos
-	}
-	return offs
-}
-
 // IterAtWindow returns an iterator positioned at the first access of
-// window w in [0, WindowCount()). The seek is O(1) when the store
-// carries its append-time index. An iterator obtained here decodes
-// identically to one that consumed the preceding windows itself.
+// window w in [0, WindowCount()), in O(1) from the append-time index.
+// An iterator obtained here decodes identically to one that consumed
+// the preceding windows itself.
 func (s *Store) IterAtWindow(w int) StoreIter {
 	if w == 0 {
 		return s.Iter()
 	}
-	m := &s.windowMarks()[w-1]
+	m := &s.marks[w-1]
 	return StoreIter{
 		s:       s,
 		i:       w * WindowRefs,
@@ -379,45 +350,6 @@ func (s *Store) IterAtWindow(w int) StoreIter {
 		rings:   m.rings,
 		lastPC:  m.lastPC,
 	}
-}
-
-// windowMarks returns the seek index, preferring the marks Append
-// recorded and falling back to one memoized scan of the trace.
-func (s *Store) windowMarks() []windowMark {
-	if full := s.n / WindowRefs; len(s.marks) >= full {
-		return s.marks
-	}
-	s.scanOnce.Do(func() { s.scanMarks = s.buildWindowIndex() })
-	return s.scanMarks
-}
-
-// buildWindowIndex reconstructs the window seek index by decoding the
-// trace once, snapshotting the iterator state at every window
-// boundary. It produces exactly the marks Append would have recorded:
-// the iterator replicates the encoder's ring updates step for step.
-func (s *Store) buildWindowIndex() []windowMark {
-	marks := make([]windowMark, 0, s.n/WindowRefs)
-	buf := make([]mem.Access, ReplayBatchLen)
-	it := s.Iter()
-	for target := WindowRefs; target <= s.n; target += WindowRefs {
-		for it.i < target {
-			b := buf
-			if rest := target - it.i; rest < len(b) {
-				b = b[:rest]
-			}
-			if it.Next(b) == 0 {
-				break
-			}
-		}
-		marks = append(marks, windowMark{
-			pos:     it.pos,
-			pcPos:   it.pcPos,
-			excNext: it.excNext,
-			rings:   it.rings,
-			lastPC:  it.lastPC,
-		})
-	}
-	return marks
 }
 
 // StoreIter decodes a Store back into mem.Access values in batches.

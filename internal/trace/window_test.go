@@ -21,10 +21,11 @@ func decodeAll(it StoreIter, n int) []mem.Access {
 }
 
 // TestStoreWindowIndexSeeks checks the append-time seek index against
-// a straight sequential decode: every IterAtWindow(w) must yield
-// exactly the accesses of window w, the offsets must be the byte
-// positions a sequential decode passes through, and the window lengths
-// must partition the store.
+// a straight sequential decode: Append must record one mark per full
+// window, each mark's offset must be the byte position a sequential
+// decode passes at that window boundary, and every IterAtWindow(w)
+// must start there and yield exactly the accesses a sequential decode
+// delivers from there.
 func TestStoreWindowIndexSeeks(t *testing.T) {
 	const n = 3*WindowRefs + 1234
 	accs := randomAccesses(n)
@@ -40,24 +41,19 @@ func TestStoreWindowIndexSeeks(t *testing.T) {
 	if got := s.WindowCount(); got != wantWindows {
 		t.Fatalf("WindowCount = %d, want %d", got, wantWindows)
 	}
-	total := 0
-	for w := 0; w < wantWindows; w++ {
-		total += s.WindowLen(w)
+	if len(s.marks) != n/WindowRefs {
+		t.Fatalf("append recorded %d marks, want %d", len(s.marks), n/WindowRefs)
 	}
-	if total != n {
-		t.Errorf("window lengths sum to %d, want %d", total, n)
+	offs := make([]int, wantWindows)
+	for w := 1; w < wantWindows; w++ {
+		offs[w] = s.marks[w-1].pos
 	}
-
-	offs := s.WindowOffsets()
-	if len(offs) != wantWindows {
-		t.Fatalf("WindowOffsets len = %d, want %d", len(offs), wantWindows)
-	}
-	if offs[0] != 0 {
-		t.Errorf("offs[0] = %d, want 0", offs[0])
-	}
+	walk := s.Iter()
+	win := make([]mem.Access, WindowRefs)
 	for w := 1; w < len(offs); w++ {
-		if offs[w] <= offs[w-1] {
-			t.Errorf("offs[%d] = %d not past offs[%d] = %d", w, offs[w], w-1, offs[w-1])
+		walk.Next(win)
+		if offs[w] != walk.pos {
+			t.Errorf("window %d: mark at byte %d, sequential decode at %d", w, offs[w], walk.pos)
 		}
 	}
 
@@ -93,7 +89,7 @@ func TestStorePrefixLen(t *testing.T) {
 			t.Errorf("PrefixLen(%d) = %d, want %d", w, got, sum)
 		}
 		if w < K {
-			sum += s.WindowLen(w)
+			sum += min(WindowRefs, n-w*WindowRefs)
 		}
 	}
 	for _, w := range []int{-1, -WindowRefs} {
@@ -105,62 +101,6 @@ func TestStorePrefixLen(t *testing.T) {
 		if got := s.PrefixLen(w); got != n {
 			t.Errorf("PrefixLen(%d) = %d, want the full length %d", w, got, n)
 		}
-	}
-}
-
-// TestStoreIterAtWindowScanFallbackResumes exercises the resume path
-// the checkpointed replay engine depends on when a store carries no
-// append-time seek index (an index-less store forces windowMarks onto
-// the memoized one-pass scan): a mid-trace IterAtWindow must deliver
-// exactly the sequential suffix, and repeated seeks must reuse the
-// scanned index rather than rebuild it.
-func TestStoreIterAtWindowScanFallbackResumes(t *testing.T) {
-	const n = 5*WindowRefs + 321
-	accs := randomAccesses(n)
-	s := NewStore(n)
-	for _, a := range accs {
-		s.Append(a)
-	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	s.marks = nil // discard the append-time index: v1-style store
-
-	seq := decodeAll(s.Iter(), n)
-	for _, w := range []int{1, 2, s.WindowCount() / 2, s.WindowCount() - 1} {
-		got := decodeAll(s.IterAtWindow(w), n-w*WindowRefs)
-		if !reflect.DeepEqual(got, seq[w*WindowRefs:]) {
-			t.Fatalf("window %d: scan-fallback seeked decode diverges from sequential decode", w)
-		}
-	}
-
-	first := s.windowMarks()
-	second := s.windowMarks()
-	if len(first) == 0 || &first[0] != &second[0] {
-		t.Fatal("repeated windowMarks() calls did not reuse the memoized scan index")
-	}
-}
-
-// TestStoreWindowScanFallbackMatchesAppend pins the memoized scan
-// against the append-time marks: a store whose index is discarded must
-// rebuild byte-for-byte identical seek state from one decode pass.
-func TestStoreWindowScanFallbackMatchesAppend(t *testing.T) {
-	const n = 4*WindowRefs + 77
-	s := NewStore(n)
-	for _, a := range randomAccesses(n) {
-		s.Append(a)
-	}
-	if err := s.Err(); err != nil {
-		t.Fatal(err)
-	}
-	want := s.marks
-	if len(want) != n/WindowRefs {
-		t.Fatalf("append recorded %d marks, want %d", len(want), n/WindowRefs)
-	}
-	s.marks = nil
-	got := s.windowMarks()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("scan-rebuilt window marks differ from append-time marks")
 	}
 }
 
