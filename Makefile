@@ -77,17 +77,20 @@ bench-check:
 bench-update:
 	$(GO) run ./cmd/benchrun -bench '$(BENCH_HOT)' -benchtime 2s -count 5 -baseline BENCH_after.json -update
 
-# replay-smoke exercises the window-sharded replay engine end to end:
-# the same fig3 regeneration runs at a forced eight-way chunk plan on
-# one worker and on every core; the two tables must be byte-identical
-# (the chunk plan is a function of the trace alone, so worker width
-# changes wall-clock time only). Closeness of the sharded statistics
-# to the exact sequential ones is pinned separately by the
+# replay-smoke checks the whole paper pass for worker-width
+# invariance: every artefact runs at a forced eight-way chunk plan on
+# one worker and on every core, and the two outputs must be
+# byte-identical. Each artefact computes its benchmark rows
+# concurrently and places them by index, and the chunk plan is a
+# function of the trace alone, so worker width changes wall-clock time
+# only; a row appended from a worker, or a model or prefetcher shared
+# across benchmarks, shows up here as a diff. Closeness of the sharded
+# statistics to the exact sequential ones is pinned separately by the
 # window-by-window oracle and the bounded-divergence test in
 # internal/core.
 replay-smoke:
-	GOMAXPROCS=1 $(GO) run ./cmd/paperexp -exp fig3 -scale 0.1 -shards 8 > replay-1worker.out
-	$(GO) run ./cmd/paperexp -exp fig3 -scale 0.1 -shards 8 > replay-nworker.out
+	GOMAXPROCS=1 $(GO) run ./cmd/paperexp -exp all -scale 0.1 -shards 8 > replay-1worker.out
+	$(GO) run ./cmd/paperexp -exp all -scale 0.1 -shards 8 > replay-nworker.out
 	cmp replay-1worker.out replay-nworker.out
 	rm -f replay-1worker.out replay-nworker.out
 

@@ -1,8 +1,8 @@
 // Package bench is the paper's benchmark harness: one testing.B
-// benchmark per evaluation table and figure (regenerating the artefact
-// at a reduced trace scale and reporting its headline metric), the
-// ablation benches DESIGN.md calls out, and microbenchmarks of the
-// simulator's hot paths.
+// benchmark per evaluation table, figure and extension (regenerating
+// the artefact at a reduced trace scale), the ablation benches
+// DESIGN.md calls out, and microbenchmarks of the simulator's hot
+// paths.
 //
 // Run everything with:
 //
@@ -74,6 +74,25 @@ func BenchmarkFig9(b *testing.B) { runExperiment(b, "fig9") }
 
 // BenchmarkTable4 regenerates Table 4 (streams vs secondary cache).
 func BenchmarkTable4(b *testing.B) { runExperiment(b, "table4") }
+
+// BenchmarkExtCPI regenerates the effective-CPI extension (three
+// timing models per benchmark).
+func BenchmarkExtCPI(b *testing.B) { runExperiment(b, "extcpi") }
+
+// BenchmarkExtBase regenerates the OBL and RPT prefetcher baselines.
+func BenchmarkExtBase(b *testing.B) { runExperiment(b, "extbase") }
+
+// BenchmarkExtCost regenerates the equal-cost L2-node vs stream-node
+// comparison.
+func BenchmarkExtCost(b *testing.B) { runExperiment(b, "extcost") }
+
+// BenchmarkExtScale regenerates the shared-memory scalability
+// extension.
+func BenchmarkExtScale(b *testing.B) { runExperiment(b, "extscale") }
+
+// BenchmarkExtBank regenerates the interleaved-memory bank behaviour
+// extension.
+func BenchmarkExtBank(b *testing.B) { runExperiment(b, "extbank") }
 
 // --- ablation benches -------------------------------------------------
 

@@ -71,6 +71,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return serve(ctx, *addr, *workers, *backlog, *drain, stdout)
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request line and headers. Without it, a client that never finishes
+// them holds a connection and a goroutine for the daemon's whole life.
+// No WriteTimeout is set: the NDJSON /v1/jobs/{id}/stream endpoint
+// stays open for as long as its job runs.
+const readHeaderTimeout = 10 * time.Second
+
+// newHTTPServer builds the HTTP server for the daemon and the
+// self-test.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
+
 // serve runs the daemon until ctx is cancelled, then drains.
 func serve(ctx context.Context, addr string, workers, backlog int, drain time.Duration, out io.Writer) error {
 	svc := service.New(service.Config{Workers: workers, Backlog: backlog})
@@ -78,7 +91,7 @@ func serve(ctx context.Context, addr string, workers, backlog int, drain time.Du
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: svc.Handler()}
+	httpSrv := newHTTPServer(svc.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(out, "simd: listening on %s\n", ln.Addr())
@@ -112,7 +125,7 @@ func runSelfTest(ctx context.Context, scale float64, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: svc.Handler()}
+	httpSrv := newHTTPServer(svc.Handler())
 	go httpSrv.Serve(ln) // Serve's error surfaces as client failures below
 	defer httpSrv.Close()
 	cl := &api.Client{Base: "http://" + ln.Addr().String()}

@@ -61,6 +61,8 @@ func bankStats(blocks []mem.Addr, banks int) (memctl.Stats, error) {
 // BankBehaviour reports per-benchmark bank-conflict rates and average
 // waits under 8- and 32-bank memories, for the full stream
 // configuration's traffic. Registered as "extbank".
+//
+//simlint:deterministic
 func BankBehaviour(ctx context.Context, opt Options) (*tab.Table, error) {
 	opt = opt.withDefaults()
 	t := &tab.Table{
@@ -76,36 +78,26 @@ func BankBehaviour(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	names := workload.Names()
-	type row struct {
-		n       int
-		s8, s32 memctl.Stats
-	}
-	rows := make([]row, len(names))
-	err := runParallel(ctx, len(names), func(i int) error {
+	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
 		name := names[i]
 		blocks, err := trafficOf(ctx, name, table1Size(name), opt.Scale, stridedStreams(16))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s8, err := bankStats(blocks, 8)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s32, err := bankStats(blocks, 32)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		rows[i] = row{n: len(blocks), s8: s8, s32: s32}
-		return nil
+		return []string{name, tab.D(uint64(len(blocks))),
+			tab.F(100 * s8.ConflictRate()), tab.F(s8.AvgWait()),
+			tab.F(100 * s32.ConflictRate()), tab.F(s32.AvgWait())}, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for i, name := range names {
-		r := rows[i]
-		t.AddRow(name, tab.D(uint64(r.n)),
-			tab.F(100*r.s8.ConflictRate()), tab.F(r.s8.AvgWait()),
-			tab.F(100*r.s32.ConflictRate()), tab.F(r.s32.AvgWait()))
 	}
 	return t, nil
 }

@@ -129,6 +129,8 @@ func runOnChipPrefetcher(ctx context.Context, name string, size workload.Size, s
 
 // Baselines compares tagged OBL and the Baer-Chen RPT against the
 // paper's filtered stream buffers. Registered as "extbase".
+//
+//simlint:deterministic
 func Baselines(ctx context.Context, opt Options) (*tab.Table, error) {
 	opt = opt.withDefaults()
 	t := &tab.Table{
@@ -143,7 +145,9 @@ func Baselines(ctx context.Context, opt Options) (*tab.Table, error) {
 			"(requires processor modification, the paper's argument for streams)",
 		},
 	}
-	for _, name := range workload.Names() {
+	names := workload.Names()
+	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+		name := names[i]
 		size := table1Size(name)
 		sres, err := runConfig(ctx, name, size, opt, stridedStreams(16))
 		if err != nil {
@@ -165,10 +169,13 @@ func Baselines(ctx context.Context, opt Options) (*tab.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name,
+		return []string{name,
 			tab.F(sres.StreamHitRate()), tab.F(sres.ExtraBandwidth()),
 			tab.F(oblRes.Coverage), tab.F(oblRes.Extra),
-			tab.F(rptRes.Coverage), tab.F(rptRes.Extra))
+			tab.F(rptRes.Coverage), tab.F(rptRes.Extra)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -23,6 +23,8 @@ const costClockMHz = 100
 // EqualCost compares, per benchmark, a conventional node (1 MB L2,
 // baseline bandwidth) against an equal-cost stream node whose L2
 // savings were spent on memory bandwidth. Registered as "extcost".
+//
+//simlint:deterministic
 func EqualCost(ctx context.Context, opt Options) (*tab.Table, error) {
 	opt = opt.withDefaults()
 	prices := cost.DefaultPrices()
@@ -57,13 +59,12 @@ func EqualCost(ctx context.Context, opt Options) (*tab.Table, error) {
 	}
 
 	names := workload.Names()
-	cells := make([][2]float64, len(names))
-	err = runParallel(ctx, len(names), func(i int) error {
+	err = addRows(ctx, t, len(names), func(i int) ([]string, error) {
 		name := names[i]
 		size := table1Size(name)
 		tr, err := record(ctx, name, size, opt.Scale)
 		if err != nil {
-			return err
+			return nil, err
 		}
 
 		latL2 := timing.DefaultLatencies()
@@ -74,34 +75,30 @@ func EqualCost(ctx context.Context, opt Options) (*tab.Table, error) {
 		}
 		ml2, err := timing.NewWithL2(noStreams(), l2cfg, latL2)
 		if err != nil {
-			return err
+			return nil, err
 		}
 
 		latS := timing.DefaultLatencies()
 		latS.BusBlock = streamBus
 		ms, err := timing.New(stridedStreams(16), latS)
 		if err != nil {
-			return err
+			return nil, err
 		}
 
 		// Both nodes replay from one decode of the trace.
 		if err := replayTimedMulti(ctx, []*timing.Model{ml2, ms}, tr); err != nil {
-			return err
+			return nil, err
 		}
 
-		cells[i] = [2]float64{ml2.Stats().CPI(), ms.Stats().CPI()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range names {
-		l2CPI, sCPI := cells[i][0], cells[i][1]
+		l2CPI, sCPI := ml2.Stats().CPI(), ms.Stats().CPI()
 		speedup := 0.0
 		if sCPI > 0 {
 			speedup = l2CPI / sCPI
 		}
-		t.AddRow(name, tab.F2(l2CPI), tab.F2(sCPI), tab.F2(speedup))
+		return []string{name, tab.F2(l2CPI), tab.F2(sCPI), tab.F2(speedup)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -18,6 +18,8 @@ import (
 // systems: bare L1 + memory, L1 + unfiltered streams, and the paper's
 // full filtered configuration. It is an extension — no paper artefact
 // corresponds to it — registered as "extcpi".
+//
+//simlint:deterministic
 func CPI(ctx context.Context, opt Options) (*tab.Table, error) {
 	opt = opt.withDefaults()
 	t := &tab.Table{
@@ -31,16 +33,17 @@ func CPI(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	lat := timing.DefaultLatencies()
-	for _, name := range workload.Names() {
-		size := table1Size(name)
-		tr, err := record(ctx, name, size, opt.Scale)
+	names := workload.Names()
+	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+		name := names[i]
+		tr, err := record(ctx, name, table1Size(name), opt.Scale)
 		if err != nil {
 			return nil, err
 		}
 		// All three memory systems replay from one decode of the trace.
 		models := make([]*timing.Model, 3)
-		for i, cfg := range []core.Config{noStreams(), plainStreams(10), stridedStreams(16)} {
-			if models[i], err = timing.New(cfg, lat); err != nil {
+		for j, cfg := range []core.Config{noStreams(), plainStreams(10), stridedStreams(16)} {
+			if models[j], err = timing.New(cfg, lat); err != nil {
 				return nil, err
 			}
 		}
@@ -56,9 +59,12 @@ func CPI(ctx context.Context, opt Options) (*tab.Table, error) {
 		if full.Cycles > 0 {
 			busPct = 100 * float64(full.BusWaitCycles) / float64(full.Cycles)
 		}
-		t.AddRow(name,
+		return []string{name,
 			tab.F2(bare.CPI()), tab.F2(plain.CPI()), tab.F2(full.CPI()),
-			tab.F2(speedup), tab.F(busPct))
+			tab.F2(speedup), tab.F(busPct)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -36,38 +36,32 @@ func Figure3(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	names := workload.Names()
-	nc := len(figure3StreamCounts)
-	cells := make([]float64, len(names)*nc)
-	err := runParallel(ctx, len(names), func(i int) error {
+	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
 		name := names[i]
-		cfgs := make([]core.Config, nc)
+		cfgs := make([]core.Config, len(figure3StreamCounts))
 		for j, streams := range figure3StreamCounts {
 			cfgs[j] = plainStreams(streams)
 		}
 		res, err := runConfigs(ctx, name, table1Size(name), opt, cfgs)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for j, r := range res {
-			cells[i*nc+j] = r.StreamHitRate()
+		row := []string{name}
+		for _, r := range res {
+			row = append(row, tab.F(r.StreamHitRate()))
 		}
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for bi, name := range names {
-		row := []string{name}
-		for si := 0; si < nc; si++ {
-			row = append(row, tab.F(cells[bi*nc+si]))
-		}
-		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
 
 // Figure5 regenerates the filter study: hit rate and extra bandwidth
 // with and without the 16-entry unit-stride filter at ten streams.
+//
+//simlint:deterministic
 func Figure5(ctx context.Context, opt Options) (*tab.Table, error) {
 	opt = opt.withDefaults()
 	t := &tab.Table{
@@ -78,26 +72,14 @@ func Figure5(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	names := workload.Names()
-	type pair struct{ plain, filt [2]float64 } // hit, EB
-	cells := make([]pair, len(names))
-	err := runParallel(ctx, len(names), func(i int) error {
+	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
 		name := names[i]
 		res, err := runConfigs(ctx, name, table1Size(name), opt,
 			[]core.Config{plainStreams(10), filteredStreams()})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		plain, filt := res[0], res[1]
-		cells[i] = pair{
-			plain: [2]float64{plain.StreamHitRate(), plain.ExtraBandwidth()},
-			filt:  [2]float64{filt.StreamHitRate(), filt.ExtraBandwidth()},
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range names {
 		refHit, refEB := "-", "-"
 		if ref, ok := paperFig5[name]; ok {
 			if ref.HitPlain > 0 {
@@ -107,11 +89,13 @@ func Figure5(ctx context.Context, opt Options) (*tab.Table, error) {
 				refEB = fmt.Sprintf("%.0f->%.0f", ref.EBPlain, ref.EBFiltered)
 			}
 		}
-		c := cells[i]
-		t.AddRow(name,
-			tab.F(c.plain[0]), tab.F(c.filt[0]),
-			tab.F(c.plain[1]), tab.F(c.filt[1]),
-			refHit, refEB)
+		return []string{name,
+			tab.F(plain.StreamHitRate()), tab.F(filt.StreamHitRate()),
+			tab.F(plain.ExtraBandwidth()), tab.F(filt.ExtraBandwidth()),
+			refHit, refEB}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -119,6 +103,8 @@ func Figure5(ctx context.Context, opt Options) (*tab.Table, error) {
 // Figure8 regenerates the non-unit-stride study: unit-stride-only
 // streams versus the czone constant-stride scheme (both behind the
 // unit-stride filter, 10 streams, 16-entry filters, czone 16 bits).
+//
+//simlint:deterministic
 func Figure8(ctx context.Context, opt Options) (*tab.Table, error) {
 	opt = opt.withDefaults()
 	t := &tab.Table{
@@ -132,26 +118,21 @@ func Figure8(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	names := workload.Names()
-	cells := make([][2]float64, len(names))
-	err := runParallel(ctx, len(names), func(i int) error {
+	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
 		name := names[i]
 		res, err := runConfigs(ctx, name, table1Size(name), opt,
 			[]core.Config{filteredStreams(), stridedStreams(16)})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cells[i] = [2]float64{res[0].StreamHitRate(), res[1].StreamHitRate()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range names {
 		pu, ps := "-", "-"
 		if ref, ok := paperFig8[name]; ok {
 			pu, ps = tab.F(ref.Unit), tab.F(ref.Strided)
 		}
-		t.AddRow(name, tab.F(cells[i][0]), tab.F(cells[i][1]), pu, ps)
+		return []string{name, tab.F(res[0].StreamHitRate()), tab.F(res[1].StreamHitRate()), pu, ps}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -181,32 +162,24 @@ func Figure9(ctx context.Context, opt Options) (*tab.Table, error) {
 			"prefer large czones (paper: optimal czone is a little over twice the stride)",
 		},
 	}
-	nc := len(figure9CzoneBits)
-	cells := make([]float64, len(figure9Benchmarks)*nc)
-	err := runParallel(ctx, len(figure9Benchmarks), func(i int) error {
+	err := addRows(ctx, t, len(figure9Benchmarks), func(i int) ([]string, error) {
 		name := figure9Benchmarks[i]
-		cfgs := make([]core.Config, nc)
+		cfgs := make([]core.Config, len(figure9CzoneBits))
 		for j, bits := range figure9CzoneBits {
 			cfgs[j] = stridedStreams(bits)
 		}
 		res, err := runConfigs(ctx, name, table1Size(name), opt, cfgs)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for j, r := range res {
-			cells[i*nc+j] = r.StreamHitRate()
+		row := []string{name}
+		for _, r := range res {
+			row = append(row, tab.F(r.StreamHitRate()))
 		}
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for bi, name := range figure9Benchmarks {
-		row := []string{name}
-		for si := 0; si < nc; si++ {
-			row = append(row, tab.F(cells[bi*nc+si]))
-		}
-		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }

@@ -52,36 +52,25 @@ func Scalability(ctx context.Context, opt Options) (*tab.Table, error) {
 	lat := timing.DefaultLatencies()
 	lat.BusBlock = 0 // per-node latency only; the shared capacity is the analysis
 	names := workload.Names()
-	cells := make([][2]float64, len(names))
-	err := runParallel(ctx, len(names), func(i int) error {
+	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
 		name := names[i]
-		size := table1Size(name)
-		tr, err := record(ctx, name, size, opt.Scale)
+		tr, err := record(ctx, name, table1Size(name), opt.Scale)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		unfiltered, err := timing.New(plainStreams(10), lat)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		filtered, err := timing.New(stridedStreams(16), lat)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		models := []*timing.Model{unfiltered, filtered}
-		if err := replayTimedMulti(ctx, models, tr); err != nil {
-			return err
+		if err := replayTimedMulti(ctx, []*timing.Model{unfiltered, filtered}, tr); err != nil {
+			return nil, err
 		}
-		for j, m := range models {
-			cells[i][j] = trafficRate(m.Stats(), m.Results().MemoryTraffic())
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, name := range names {
-		un, fi := cells[i][0], cells[i][1]
+		un := trafficRate(unfiltered.Stats(), unfiltered.Results().MemoryTraffic())
+		fi := trafficRate(filtered.Stats(), filtered.Results().MemoryTraffic())
 		pu, pf := 0.0, 0.0
 		if un > 0 {
 			pu = sharedMemoryBlocksPerKilocycle / un
@@ -93,8 +82,11 @@ func Scalability(ctx context.Context, opt Options) (*tab.Table, error) {
 		if pu > 0 {
 			gain = pf / pu
 		}
-		t.AddRow(name, tab.F(un), tab.F(fi),
-			tab.F(pu), tab.F(pf), tab.F2(gain))
+		return []string{name, tab.F(un), tab.F(fi),
+			tab.F(pu), tab.F(pf), tab.F2(gain)}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }

@@ -13,6 +13,8 @@ import (
 // Table1 regenerates benchmark characteristics: data-set size, primary
 // data-cache miss rate and misses per instruction, on the paper's bare
 // 64K+64K 4-way L1 system.
+//
+//simlint:deterministic
 func Table1(ctx context.Context, opt Options) (*tab.Table, error) {
 	opt = opt.withDefaults()
 	t := &tab.Table{
@@ -27,7 +29,9 @@ func Table1(ctx context.Context, opt Options) (*tab.Table, error) {
 			"per-benchmark character (which programs stress the memory system) are preserved",
 		},
 	}
-	for _, name := range workload.Names() {
+	names := workload.Names()
+	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+		name := names[i]
 		size := table1Size(name)
 		w, err := workload.New(name, size)
 		if err != nil {
@@ -38,36 +42,48 @@ func Table1(ctx context.Context, opt Options) (*tab.Table, error) {
 			return nil, err
 		}
 		ref := paperTable1[name]
-		t.AddRow(
+		return []string{
 			name, w.Suite,
 			fmt.Sprintf("%.1f", float64(w.DataBytes)/(1<<20)), tab.F(ref.DataMB),
 			tab.F2(r.DataMissRate()), tab.F2(ref.MissPct),
 			tab.F2(r.MPI()), tab.F2(ref.MPIPct),
-		)
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
 // Table2 regenerates the extra bandwidth consumed by ordinary
 // (unfiltered) streams at ten streams.
+//
+//simlint:deterministic
 func Table2(ctx context.Context, opt Options) (*tab.Table, error) {
 	opt = opt.withDefaults()
 	t := &tab.Table{
 		Title:   "Table 2: extra bandwidth of ordinary streams (10 streams, no filter)",
 		Columns: []string{"benchmark", "EB %", "paper EB %", "hit %"},
 	}
-	for _, name := range workload.Names() {
+	names := workload.Names()
+	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+		name := names[i]
 		r, err := runConfig(ctx, name, table1Size(name), opt, plainStreams(10))
 		if err != nil {
 			return nil, err
 		}
-		t.AddRow(name, tab.F(r.ExtraBandwidth()), tab.F(paperTable2[name]),
-			tab.F(r.StreamHitRate()))
+		return []string{name, tab.F(r.ExtraBandwidth()), tab.F(paperTable2[name]),
+			tab.F(r.StreamHitRate())}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
 // Table3 regenerates the stream length distribution at ten streams.
+//
+//simlint:deterministic
 func Table3(ctx context.Context, opt Options) (*tab.Table, error) {
 	opt = opt.withDefaults()
 	t := &tab.Table{
@@ -77,16 +93,21 @@ func Table3(ctx context.Context, opt Options) (*tab.Table, error) {
 			"paper 1-5", "paper >20",
 		},
 	}
-	for _, name := range workload.Names() {
+	names := workload.Names()
+	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+		name := names[i]
 		r, err := runConfig(ctx, name, table1Size(name), opt, plainStreams(10))
 		if err != nil {
 			return nil, err
 		}
 		p := r.Streams.Lengths.Percent()
 		ref := paperTable3[name]
-		t.AddRow(name,
+		return []string{name,
 			tab.F(p[0]), tab.F(p[1]), tab.F(p[2]), tab.F(p[3]), tab.F(p[4]),
-			tab.F(ref[0]), tab.F(ref[4]))
+			tab.F(ref[0]), tab.F(ref[4])}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return t, nil
 }
@@ -166,38 +187,26 @@ func Table4(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	sizes := []workload.Size{workload.SizeSmall, workload.SizeLarge}
-	type cell struct {
-		hit float64
-		l2  string
-	}
-	cells := make([]cell, len(paperTable4)*len(sizes))
-	err := runParallel(ctx, len(cells), func(i int) error {
+	err := addRows(ctx, t, len(paperTable4)*len(sizes), func(i int) ([]string, error) {
 		ref := paperTable4[i/len(sizes)]
 		sz := sizes[i%len(sizes)]
 		r, err := runConfig(ctx, ref.Name, sz, opt, stridedStreams(16))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		hit := r.StreamHitRate()
 		l2, _, err := minL2ForHitRate(ctx, ref.Name, sz, opt.Scale, hit)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		cells[i] = cell{hit: hit, l2: l2}
-		return nil
+		input, paperHit, paperL2 := ref.SmallInput, ref.SmallHit, ref.SmallL2
+		if sz == workload.SizeLarge {
+			input, paperHit, paperL2 = ref.LargeInput, ref.LargeHit, ref.LargeL2
+		}
+		return []string{ref.Name, input, tab.F(hit), tab.F(paperHit), l2, paperL2}, nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	for ri, ref := range paperTable4 {
-		for si, sz := range sizes {
-			c := cells[ri*len(sizes)+si]
-			input, paperHit, paperL2 := ref.SmallInput, ref.SmallHit, ref.SmallL2
-			if sz == workload.SizeLarge {
-				input, paperHit, paperL2 = ref.LargeInput, ref.LargeHit, ref.LargeL2
-			}
-			t.AddRow(ref.Name, input, tab.F(c.hit), tab.F(paperHit), c.l2, paperL2)
-		}
 	}
 	return t, nil
 }

@@ -34,10 +34,11 @@ type Options struct {
 	Scale float64
 	// Shards forces the window-shard count of the hit-rate replays
 	// (core.ShardOptions.Shards): 0 derives the chunk plan from each
-	// trace's window count, 1 forces exact sequential replays. The
-	// timing experiments (extscale, extcpi) ignore it — cycle
-	// accounting is order-dependent, so they always replay
-	// sequentially.
+	// trace's window count, 1 forces exact sequential replays. Every
+	// order-dependent pass ignores it and replays sequentially: the
+	// timing models of extcpi, extscale and extcost (cycle accounting),
+	// extbank's traffic-hooked replays and extbase's on-chip
+	// prefetcher walks.
 	Shards int
 	// Streams overrides nothing; experiments fix their own memory
 	// system configurations per the paper.
@@ -194,46 +195,44 @@ func ResetTraceCache() {
 	})
 }
 
-// runParallel executes fn(0..n-1) across up to GOMAXPROCS workers and
-// returns the first error. Each simulation run builds its own System,
-// so runs are independent; only the memoized trace caches are shared
-// (they are concurrency-safe). A cancelled ctx stops the dispatch of
-// further indices; indices already running observe ctx themselves
-// through the replay loops.
-func runParallel(ctx context.Context, n int, fn func(i int) error) error {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
+// addRows computes rows 0..n-1 of t across up to GOMAXPROCS workers
+// and appends them in index order, so the table is the same at any
+// worker count. It is how every artefact visits its benchmarks: each
+// row builds its own systems and models, and rows share only the
+// recording cache and the miss-stream memo, which are safe for
+// concurrent use. Workers stop taking rows once ctx is cancelled (rows
+// already running observe ctx through the replay loops). The
+// lowest-index error is returned, else ctx.Err(); on error t is left
+// as it was.
+func addRows(ctx context.Context, t *tab.Table, n int, row func(i int) ([]string, error)) error {
+	rows := make([][]string, n)
 	errs := make([]error, n)
-	for w := 0; w < workers; w++ {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				errs[i] = fn(i)
+			for ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				rows[i], errs[i] = row(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		if ctx.Err() != nil {
-			break
-		}
-		idx <- i
-	}
-	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
-	return ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	t.Rows = append(t.Rows, rows...)
+	return nil
 }
 
 // Memory-system configuration builders, named after the paper's setups.

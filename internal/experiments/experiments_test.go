@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"streamsim/internal/cache"
 	"streamsim/internal/sweeprun"
+	"streamsim/internal/tab"
 	"streamsim/internal/workload"
 )
 
@@ -248,38 +251,116 @@ func TestL2SizeName(t *testing.T) {
 	}
 }
 
-func TestRunParallelCoversAllIndices(t *testing.T) {
-	var mu sync.Mutex
-	seen := map[int]bool{}
-	err := runParallel(context.Background(), 37, func(i int) error {
-		mu.Lock()
-		seen[i] = true
-		mu.Unlock()
-		return nil
+// withWorkers runs the test at n workers, so the fan-out tests below
+// exercise concurrency even on a one-core host.
+func withWorkers(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// TestAddRowsInIndexOrder: every index runs once and rows land in
+// index order even though row 0 finishes last.
+func TestAddRowsInIndexOrder(t *testing.T) {
+	withWorkers(t, 4)
+	const n = 37
+	var ran [n]atomic.Int32
+	var others sync.WaitGroup
+	others.Add(n - 1)
+	tb := &tab.Table{Rows: [][]string{{"header"}}}
+	err := addRows(context.Background(), tb, n, func(i int) ([]string, error) {
+		ran[i].Add(1)
+		if i == 0 {
+			others.Wait()
+		} else {
+			others.Done()
+		}
+		return []string{fmt.Sprint(i)}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 37 {
-		t.Errorf("ran %d indices, want 37", len(seen))
-	}
-}
-
-func TestRunParallelPropagatesError(t *testing.T) {
-	boom := errors.New("boom")
-	err := runParallel(context.Background(), 10, func(i int) error {
-		if i == 7 {
-			return boom
+	for i := range ran {
+		if c := ran[i].Load(); c != 1 {
+			t.Errorf("index %d ran %d times, want 1", i, c)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Errorf("err = %v, want boom", err)
+	}
+	if len(tb.Rows) != n+1 || tb.Rows[0][0] != "header" {
+		t.Fatalf("rows = %v, want the existing row then %d new ones", tb.Rows, n)
+	}
+	for i, row := range tb.Rows[1:] {
+		if row[0] != fmt.Sprint(i) {
+			t.Fatalf("row %d = %v, want %d", i, row, i)
+		}
 	}
 }
 
-func TestRunParallelZero(t *testing.T) {
-	if err := runParallel(context.Background(), 0, func(int) error { return errors.New("never") }); err != nil {
-		t.Errorf("zero tasks should succeed, got %v", err)
+// TestAddRowsLowestIndexError: when several rows fail, the error of
+// the lowest index wins, even when a higher index failed first, and
+// the table is left as it was.
+func TestAddRowsLowestIndexError(t *testing.T) {
+	withWorkers(t, 4)
+	low, high := errors.New("row 3"), errors.New("row 7")
+	highDone := make(chan struct{})
+	tb := &tab.Table{}
+	err := addRows(context.Background(), tb, 10, func(i int) ([]string, error) {
+		switch i {
+		case 3:
+			<-highDone
+			return nil, low
+		case 7:
+			close(highDone)
+			return nil, high
+		}
+		return []string{"ok"}, nil
+	})
+	if !errors.Is(err, low) {
+		t.Errorf("err = %v, want %v", err, low)
+	}
+	if len(tb.Rows) != 0 {
+		t.Errorf("failed fan-out appended %d rows", len(tb.Rows))
+	}
+}
+
+// TestAddRowsStopsDispatchOnCancel: once ctx is cancelled no worker
+// takes another row. Row 0 cancels; every other row blocks until the
+// cancellation, so each worker starts at most one row.
+func TestAddRowsStopsDispatchOnCancel(t *testing.T) {
+	withWorkers(t, 4)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var started atomic.Int32
+	err := addRows(ctx, &tab.Table{}, 1000, func(i int) ([]string, error) {
+		started.Add(1)
+		if i == 0 {
+			cancel()
+			return []string{"0"}, nil
+		}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if s := started.Load(); s > 4 {
+		t.Errorf("%d rows started, want at most one per worker (4)", s)
+	}
+
+	started.Store(0)
+	err = addRows(ctx, &tab.Table{}, 10, func(int) ([]string, error) {
+		started.Add(1)
+		return nil, nil
+	})
+	if !errors.Is(err, context.Canceled) || started.Load() != 0 {
+		t.Errorf("pre-cancelled fan-out: err %v, %d rows started; want context.Canceled and none", err, started.Load())
+	}
+}
+
+func TestAddRowsZero(t *testing.T) {
+	tb := &tab.Table{}
+	if err := addRows(context.Background(), tb, 0, func(int) ([]string, error) { return nil, errors.New("never") }); err != nil {
+		t.Errorf("zero rows should succeed, got %v", err)
+	}
+	if len(tb.Rows) != 0 {
+		t.Errorf("zero rows appended %d", len(tb.Rows))
 	}
 }

@@ -22,10 +22,19 @@ const goldenScale = 0.05
 // experiment runner.
 //
 //simlint:deterministic streamsim/internal/service.runRequest
+//simlint:deterministic streamsim/internal/experiments.Table1
 //simlint:deterministic streamsim/internal/experiments.Figure3
+//simlint:deterministic streamsim/internal/experiments.Table2
+//simlint:deterministic streamsim/internal/experiments.Figure5
+//simlint:deterministic streamsim/internal/experiments.Table3
+//simlint:deterministic streamsim/internal/experiments.Figure8
 //simlint:deterministic streamsim/internal/experiments.Figure9
 //simlint:deterministic streamsim/internal/experiments.Table4
+//simlint:deterministic streamsim/internal/experiments.CPI
+//simlint:deterministic streamsim/internal/experiments.Baselines
+//simlint:deterministic streamsim/internal/experiments.EqualCost
 //simlint:deterministic streamsim/internal/experiments.Scalability
+//simlint:deterministic streamsim/internal/experiments.BankBehaviour
 func TestGoldenEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden equivalence runs every experiment; skipped in -short")
