@@ -24,8 +24,7 @@ lint-baseline:
 
 # lint-fixtures runs the analyzers' own test suites: the analysistest
 # fixtures under internal/analysis/*/testdata (flagged and allowed code
-# for every rule, including statecov's dropped-field snapshot
-# fixtures), the driver and call-graph unit tests, and the
+# for every rule), the driver and call-graph unit tests, and the
 # static-vs-runtime set matches at the repo root (hot-path vs alloc
 # gates, deterministic roots vs equivalence gates).
 lint-fixtures:
@@ -61,12 +60,15 @@ bench:
 BENCH_HOT = SystemThroughput$$|SystemThroughputBatch$$|TraceReplay$$|TraceReplayScalar$$|ReplayMulti2$$|ReplayMulti8$$|ReplayIntra2$$|ReplayIntra8$$|Fig3Sharded$$|HalvingScratch$$|HalvingIncremental$$|Fork$$|Merge$$|CheckpointRestore$$
 
 # bench-smoke is the CI gate: one iteration per hot-path benchmark,
-# checked against the committed baseline (BENCH_after.json) by
-# cmd/benchrun. Allocation regressions fail on any machine; timing
-# regressions >20% fail only where the sample is long enough to trust
-# and the CPU matches the baseline's (see cmd/benchrun docs).
+# three samples each, checked against the committed baseline
+# (BENCH_after.json) by cmd/benchrun. Allocation regressions fail on
+# any machine; timing regressions >20% fail only where the sample is
+# long enough to trust and the CPU matches the baseline's (see
+# cmd/benchrun docs). benchrun keeps each benchmark's lowest allocs/op
+# across the samples: a real per-op allocation shows in every one,
+# while a stray runtime allocation in a one-iteration sample does not.
 bench-smoke:
-	$(GO) run ./cmd/benchrun -bench '$(BENCH_HOT)' -benchtime 1x -baseline BENCH_after.json
+	$(GO) run ./cmd/benchrun -bench '$(BENCH_HOT)' -benchtime 1x -count 3 -baseline BENCH_after.json
 
 # bench-check is the same gate with real timings, for same-machine use
 # before sending a performance-sensitive change.

@@ -72,16 +72,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 }
 
 // readHeaderTimeout bounds how long a client may take to send its
-// request line and headers. Without it, a client that never finishes
-// them holds a connection and a goroutine for the daemon's whole life.
-// No WriteTimeout is set: the NDJSON /v1/jobs/{id}/stream endpoint
-// stays open for as long as its job runs.
-const readHeaderTimeout = 10 * time.Second
+// request line and headers, and idleTimeout how long a keep-alive
+// connection may wait for its next request. Without them, a client
+// that never finishes its headers, or never sends another request,
+// holds a connection and a goroutine for the daemon's whole life. No
+// WriteTimeout is set: the NDJSON /v1/jobs/{id}/stream endpoint stays
+// open for as long as its job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // newHTTPServer builds the HTTP server for the daemon and the
 // self-test.
 func newHTTPServer(h http.Handler) *http.Server {
-	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 // serve runs the daemon until ctx is cancelled, then drains.

@@ -12,18 +12,21 @@
 //	lockdisc    mutex discipline in the service and sweep layers
 //	borrowck    //simlint:borrowed parameters not retained past the call
 //	detflow     //simlint:deterministic roots transitively deterministic
-//	statecov    //simlint:statefull handlers cover every //simlint:state field
 //	directives  every //simlint:* comment parses, resolves and attaches
 //
 // The call-graph-aware passes (hotpath, ctxflow, lockdisc, borrowck,
-// detflow, statecov) share one set of module facts
+// detflow) share one set of module facts
 // (internal/analysis/callgraph) built per run over every loaded
 // package.
 //
 // Some invariants need no pass because they hold by construction: the
 // bandwidth ledger and the memory-traffic hook move in lockstep
 // because core counts each off-chip block in the one function that
-// posts it (System.writeBack, System.fetch), on every replay path.
+// posts it (System.writeBack, System.fetch), on every replay path; and
+// every snapshot copy (Fork, Checkpoint, Restore and the component
+// Clones) starts from a value copy of its struct, so it carries each
+// field by default, and one reflect test in internal/core walks the
+// copies for shared references.
 //
 // Usage:
 //
@@ -61,7 +64,6 @@ import (
 	"streamsim/internal/analysis/lockdisc"
 	"streamsim/internal/analysis/pow2size"
 	"streamsim/internal/analysis/seededrand"
-	"streamsim/internal/analysis/statecov"
 )
 
 // analyzers is the full suite, in reporting order.
@@ -74,7 +76,6 @@ var analyzers = []*analysis.Analyzer{
 	lockdisc.Analyzer,
 	borrowck.Analyzer,
 	detflow.Analyzer,
-	statecov.Analyzer,
 	directives.Analyzer,
 }
 

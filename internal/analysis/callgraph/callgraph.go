@@ -51,10 +51,6 @@ type Graph struct {
 	// Decls maps each declaration back to its node, for per-package
 	// passes iterating their own files.
 	Decls map[*ast.FuncDecl]*Func
-	// States maps state-struct keys (StateKey form, "pkgpath.Name") to
-	// the field-set facts of every //simlint:state struct in the loaded
-	// packages (see state.go).
-	States map[string]*StateStruct
 }
 
 // Func is one module function or method whose source was loaded.
@@ -83,17 +79,6 @@ type Func struct {
 	// not retain. Names that fail to resolve are dropped here and
 	// reported by the directives analyzer.
 	Borrowed []int
-	// StatefullClass records //simlint:statefull <class>: the function
-	// is a snapshot handler (fork, clone, checkpoint or restore) that
-	// statecov holds to full coverage of its state struct. Empty when
-	// the function carries no statefull directive.
-	StatefullClass string
-	// StateUses records which //simlint:state struct fields the body
-	// reads or writes: state-struct key -> field name set. The "*"
-	// entry marks a whole-value use (a *p clone copy or an empty
-	// composite literal), which covers every field at once. Nil when
-	// the body touches no state struct.
-	StateUses map[string]map[string]bool
 
 	// CtxParams are the function's context.Context parameters.
 	CtxParams []*types.Var
@@ -137,9 +122,8 @@ type Alloc struct {
 // through any pass's Fset.
 func Build(pkgs []*analysis.Package) *Graph {
 	g := &Graph{
-		Funcs:  map[string]*Func{},
-		Decls:  map[*ast.FuncDecl]*Func{},
-		States: map[string]*StateStruct{},
+		Funcs: map[string]*Func{},
+		Decls: map[*ast.FuncDecl]*Func{},
 	}
 	// First pass: one node per declaration, so edge resolution in the
 	// second pass can look callees up whatever order packages load in.
@@ -173,14 +157,9 @@ func Build(pkgs []*analysis.Package) *Graph {
 			}
 		}
 	}
-	// State-struct facts must exist before the body scans: scanStateUses
-	// records only fields of registered state structs, whichever package
-	// declares them.
-	scanStateTypes(g, pkgs)
 	for _, fn := range g.Decls {
 		scanBody(g, fn)
 		scanNondets(fn)
-		scanStateUses(g, fn)
 	}
 	return g
 }
@@ -206,10 +185,6 @@ func applyDirectives(fn *Func, doc *ast.CommentGroup) {
 			fn.Deterministic = true
 		case "configload":
 			fn.ConfigLoad = true
-		case "statefull":
-			if len(args) > 0 {
-				fn.StatefullClass = args[0]
-			}
 		case "borrowed":
 			for _, name := range args {
 				if i, ok := ParamIndex(fn, name); ok {

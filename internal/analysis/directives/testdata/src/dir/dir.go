@@ -51,70 +51,12 @@ func suppressions() {
 	_ = 2
 	//simlint:ignore // want `//simlint:ignore names no analyzers; say which findings are waived`
 	_ = 3
-	//simlint:ignore statecov,hotpath
+	//simlint:ignore statecov,hotpath // want `//simlint:ignore names unknown analyzer "statecov"`
 	_ = 4
 }
 
-// Ledger is a well-formed state struct with a class-scoped and a
-// global exemption.
+// Ledger carries a marker of the retired snapshot-coverage analyzer,
+// which no longer parses as a verb.
 //
-//simlint:state
-//simlint:statederived Total
-//simlint:statederived Spill fork clone
-type Ledger struct {
-	Hits  uint64
-	Total uint64
-	Spill uint64
-}
-
-// Engine is a well-formed plain state struct.
-//
-//simlint:state
-type Engine struct {
-	Ledger
-	ticks uint64
-}
-
-// GoodFork carries a known class.
-//
-//simlint:statefull fork
-func (e *Engine) GoodFork() *Engine { return &Engine{ticks: e.ticks} }
-
-// Fahrenheit is annotated state but is no struct.
-//
-//simlint:state // want `//simlint:state must annotate a struct type; Fahrenheit is not a struct`
-type Fahrenheit float64
-
-// Sized passes an argument; state takes none, not even a kind.
-//
-//simlint:state counters // want `//simlint:state takes no arguments`
-type Sized struct{ n int }
-
-// Loose rides on a struct that never declares itself state.
-//
-//simlint:statederived n // want `//simlint:statederived on Loose is orphaned: the type carries no //simlint:state directive`
-type Loose struct{ n int }
-
-// Misfield names a field the struct does not have; Misclass restricts
-// to an unknown class; Unnamed forgets the field.
-//
-//simlint:state
-//simlint:statederived gone // want `//simlint:statederived names "gone", which is not a field of Misfield`
-//simlint:statederived n mangle // want `//simlint:statederived names unknown class "mangle"`
-//simlint:statederived // want `//simlint:statederived names no field; say which field is exempt`
-type Misfield struct{ n int }
-
-// ClassyLess forgets its class, ClassyWrong names one that does not exist.
-//
-//simlint:statefull // want `//simlint:statefull needs exactly one class argument \(fork, clone, checkpoint or restore\)`
-func ClassyLess() {}
-
-//simlint:statefull merge // want `//simlint:statefull names unknown class "merge"`
-func ClassyWrong() {}
-
-func stateOrphans() {
-	//simlint:state // want `//simlint:state is not attached to a type declaration; the annotation is dead`
-	//simlint:statefull fork // want `//simlint:statefull is not attached to a function declaration; the annotation is dead`
-	//simlint:statederived n // want `//simlint:statederived is not attached to a type declaration; the annotation is dead`
-	_ = 0
-}
+//simlint:state // want `unknown simlint directive "state"`
+type Ledger struct{ n int }

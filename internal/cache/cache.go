@@ -195,15 +195,12 @@ type Result struct {
 // Way i of set s lives at flat index s<<assocShift | i in each of the
 // state arrays; the access path does one address computation instead of
 // chasing a per-set slice header (the per-reference simulator hot path).
-//
-//simlint:state
 type Cache struct {
 	cfg        Config
 	tags       []uint64
 	meta       []uint8  // flagValid | flagDirty per way
 	used       []uint64 // LRU stamps, written only under LRU
 	filled     []uint64 // FIFO stamps, written only under FIFO
-	numSets    uint
 	blockShift uint
 	tagShift   uint // log2(numSets), precomputed off the access path
 	assocShift uint // log2(Assoc)
@@ -226,7 +223,6 @@ func New(cfg Config) (*Cache, error) {
 	ways := numSets * cfg.Assoc
 	c := &Cache{
 		cfg:        cfg,
-		numSets:    numSets,
 		blockShift: log2(cfg.BlockBytes),
 		tagShift:   log2(numSets),
 		assocShift: log2(cfg.Assoc),
@@ -289,9 +285,6 @@ func log2(v uint) uint {
 // Config returns the configuration the cache was built with.
 func (c *Cache) Config() Config { return c.cfg }
 
-// NumSets returns the number of sets.
-func (c *Cache) NumSets() uint { return c.numSets }
-
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats {
 	st := *c.stats
@@ -310,8 +303,6 @@ func (c *Cache) CountInto(st *Stats) { c.stats = st }
 // replacement-stamp state, the replacement RNG state, and a copy of
 // the statistics in a value of the clone's own. The clone evolves and
 // counts independently of the original from this point on.
-//
-//simlint:statefull clone
 func (c *Cache) Clone() *Cache {
 	n := *c
 	n.own, n.stats = *c.stats, &n.own

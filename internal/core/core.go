@@ -130,12 +130,6 @@ func DefaultConfig() Config {
 }
 
 // System is a running memory system. It is not safe for concurrent use.
-//
-// tap is exempt from snapshot coverage: it is a wiring hook, and the
-// replay engine never shards or checkpoints a hook-carrying system.
-//
-//simlint:state
-//simlint:statederived tap
 type System struct {
 	cfg      Config
 	geom     mem.Geometry
@@ -194,7 +188,7 @@ type counters struct {
 }
 
 // bind points every component's counting at its part of s.ctr. New,
-// Fork, adoptState and adoptFront call it whenever s takes components
+// clone, adoptState and adoptFront call it whenever s takes components
 // that counted elsewhere before (a component built or cloned alone
 // counts into a value of its own).
 func (s *System) bind() {
@@ -236,15 +230,70 @@ type Bandwidth struct {
 	WriteBacks uint64
 }
 
+// MaxCount is the ceiling on every count that sizes an allocation: the
+// stream count and depth, the victim entries and both filters'
+// entries. It is far above the paper's hardware (ten streams of depth
+// two, sixteen-entry filters) and every configuration the experiments
+// use, and low enough that no configuration can ask for more memory
+// than the process has.
+const MaxCount = 1024
+
+// Validate checks cfg without allocating anything: every sizing count
+// lies in [0, MaxCount], the L1 block sizes agree with the geometry
+// (the paper's when unset), and each filter and stride scheme has the
+// stream buffers it allocates into. New calls it first; callers that
+// build configurations from untrusted input (the sweep and search
+// validators) call it to reject a request before anything runs.
+func (cfg Config) Validate() error {
+	for _, c := range []struct {
+		what string
+		n    int
+	}{
+		{"stream count", cfg.Streams.Streams},
+		{"stream depth", cfg.Streams.Depth},
+		{"victim cache size", cfg.VictimEntries},
+		{"unit filter size", cfg.UnitFilterEntries},
+		{"stride filter size", cfg.StrideFilterEntries},
+	} {
+		if c.n < 0 || c.n > MaxCount {
+			return fmt.Errorf("core: %s %d outside [0, %d]", c.what, c.n, MaxCount)
+		}
+	}
+	geom := cfg.Geometry
+	if geom == (mem.Geometry{}) {
+		geom = mem.DefaultGeometry()
+	}
+	if cfg.L1I.BlockBytes != geom.BlockBytes() || cfg.L1D.BlockBytes != geom.BlockBytes() {
+		return fmt.Errorf("core: L1 block sizes (%d, %d) must match geometry block size %d",
+			cfg.L1I.BlockBytes, cfg.L1D.BlockBytes, geom.BlockBytes())
+	}
+	streams := cfg.Streams.Streams > 0
+	switch {
+	case cfg.PartitionedStreams && !streams:
+		return fmt.Errorf("core: partitioned streams configured without streams")
+	case cfg.UnitFilterEntries > 0 && !streams:
+		return fmt.Errorf("core: unit-stride filter configured without streams")
+	}
+	switch cfg.Stride {
+	case NoStrideDetection:
+	case CzoneScheme, MinDeltaScheme:
+		if !streams {
+			return fmt.Errorf("core: stride detection configured without streams")
+		}
+	default:
+		return fmt.Errorf("core: unknown stride scheme %v", cfg.Stride)
+	}
+	return nil
+}
+
 // New builds a System from cfg. Geometry defaults to the paper's; the
 // L1 block sizes must agree with the geometry's block size.
 func New(cfg Config) (*System, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if cfg.Geometry == (mem.Geometry{}) {
 		cfg.Geometry = mem.DefaultGeometry()
-	}
-	if cfg.L1I.BlockBytes != cfg.Geometry.BlockBytes() || cfg.L1D.BlockBytes != cfg.Geometry.BlockBytes() {
-		return nil, fmt.Errorf("core: L1 block sizes (%d, %d) must match geometry block size %d",
-			cfg.L1I.BlockBytes, cfg.L1D.BlockBytes, cfg.Geometry.BlockBytes())
 	}
 	s := &System{cfg: cfg, geom: cfg.Geometry}
 	var err error
@@ -263,8 +312,6 @@ func New(cfg Config) (*System, error) {
 				return nil, err
 			}
 		}
-	} else if cfg.PartitionedStreams {
-		return nil, fmt.Errorf("core: partitioned streams configured without streams")
 	}
 	if cfg.VictimEntries > 0 {
 		if s.victimI, err = victim.New(cfg.VictimEntries); err != nil {
@@ -273,35 +320,21 @@ func New(cfg Config) (*System, error) {
 		if s.victimD, err = victim.New(cfg.VictimEntries); err != nil {
 			return nil, err
 		}
-	} else if cfg.VictimEntries < 0 {
-		return nil, fmt.Errorf("core: negative victim cache size %d", cfg.VictimEntries)
 	}
 	if cfg.UnitFilterEntries > 0 {
-		if s.streams == nil {
-			return nil, fmt.Errorf("core: unit-stride filter configured without streams")
-		}
 		if s.uf, err = filter.NewUnitStride(cfg.UnitFilterEntries); err != nil {
 			return nil, err
 		}
 	}
 	switch cfg.Stride {
-	case NoStrideDetection:
 	case CzoneScheme:
-		if s.streams == nil {
-			return nil, fmt.Errorf("core: stride detection configured without streams")
-		}
 		if s.nf, err = filter.NewNonUnitStride(cfg.StrideFilterEntries, cfg.CzoneBits); err != nil {
 			return nil, err
 		}
 	case MinDeltaScheme:
-		if s.streams == nil {
-			return nil, fmt.Errorf("core: stride detection configured without streams")
-		}
 		if s.md, err = filter.NewMinDelta(cfg.StrideFilterEntries, cfg.MinDeltaMax); err != nil {
 			return nil, err
 		}
-	default:
-		return nil, fmt.Errorf("core: unknown stride scheme %v", cfg.Stride)
 	}
 	s.bind()
 	return s, nil

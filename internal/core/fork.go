@@ -16,16 +16,25 @@ import (
 // replacement clock and RNG — counting into a zeroed counters value of
 // its own. A fork therefore accumulates pure deltas: whatever its
 // counters read later is exactly the work done since the fork. The
-// retired-instruction counter starts at zero too, and the configuration
-// (including any hooks) is shared with the original.
-//
-//simlint:statefull fork
+// retired-instruction counter, the finished flag and the scratch
+// outcome start from zero too, and the configuration (including any
+// hooks) is shared with the original.
 func (s *System) Fork() *System {
-	n := &System{cfg: s.cfg, geom: s.geom, l1i: s.l1i.Clone(), l1d: s.l1d.Clone()}
-	// Zero values of the composite literal, written out so the fork
-	// visibly decides the replay position, completion flag and scratch
-	// outcome rather than inheriting whatever the literal omits.
-	n.instructions, n.finished, n.out = 0, false, Outcome{}
+	n := s.clone()
+	n.ctr, n.instructions, n.finished, n.out = counters{}, 0, false, Outcome{}
+	return n
+}
+
+// clone deep-copies s: the system as one value, counters and replay
+// position included, with each component swapped for its own Clone
+// and bound to the copy's counters. Starting from the value copy
+// carries every field by construction, so a copy can go wrong only by
+// sharing a reference with its original, which TestSnapshotCopiesAreDeep
+// walks for. The configuration, hooks included, is shared; tap is nil
+// between replay calls (settle disarms it), so no copy carries one.
+func (s *System) clone() *System {
+	n := *s
+	n.l1i, n.l1d = s.l1i.Clone(), s.l1d.Clone()
 	if s.victimI != nil {
 		n.victimI, n.victimD = s.victimI.Clone(), s.victimD.Clone()
 	}
@@ -45,7 +54,7 @@ func (s *System) Fork() *System {
 		n.md = s.md.Clone()
 	}
 	n.bind()
-	return n
+	return &n
 }
 
 // ResetStats zeroes every statistics counter while leaving the

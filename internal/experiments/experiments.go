@@ -388,22 +388,12 @@ func missStream(ctx context.Context, name string, size workload.Size, scale floa
 	return v.(*l2MissStream), nil
 }
 
-// l2LocalHitRate replays a miss stream through one secondary cache
-// configuration and returns the local hit rate in percent.
-func (ms *l2MissStream) l2LocalHitRate(ctx context.Context, cfg cache.Config) (float64, error) {
-	hrs, err := ms.l2LocalHitRates(ctx, []cache.Config{cfg})
-	if err != nil {
-		return 0, err
-	}
-	return hrs[0], nil
-}
-
 // l2LocalHitRates replays a miss stream through several secondary
 // cache configurations in one pass over the events — the Table 4
 // search probes six (assoc, block) shapes per cache size, and the
 // event list only has to stream through the host's caches once for
 // all of them. Hit rates return in percent, in configuration order,
-// identical to separate l2LocalHitRate calls. ctx is polled every
+// identical to one call per configuration. ctx is polled every
 // ReplayBatchLen events.
 func (ms *l2MissStream) l2LocalHitRates(ctx context.Context, cfgs []cache.Config) ([]float64, error) {
 	caches := make([]*cache.Cache, len(cfgs))

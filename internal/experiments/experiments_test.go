@@ -213,13 +213,14 @@ func TestL2HitRateMonotonicInSize(t *testing.T) {
 	}
 	prev := -1.0
 	for _, size := range []uint{64 << 10, 512 << 10, 4 << 20} {
-		hr, err := ms.l2LocalHitRate(context.Background(), cache.Config{
+		hrs, err := ms.l2LocalHitRates(context.Background(), []cache.Config{{
 			Name: "L2", SizeBytes: size, Assoc: 4, BlockBytes: 64,
 			Replacement: cache.LRU, Write: cache.WriteBack, Alloc: cache.WriteAllocate,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
+		hr := hrs[0]
 		if hr < prev-2 { // small tolerance: LRU anomalies exist
 			t.Errorf("L2 hit rate fell with size: %.1f after %.1f", hr, prev)
 		}

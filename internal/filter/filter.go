@@ -52,8 +52,6 @@ type unitEntry struct {
 
 // UnitStride is the Section 6 filter: allocate a stream only after
 // misses to blocks i and i+1.
-//
-//simlint:state
 type UnitStride struct {
 	entries []unitEntry
 	clock   uint64
@@ -85,8 +83,6 @@ func (f *UnitStride) CountInto(st *UnitStrideStats) { f.stats = st }
 // Clone returns a deep copy of the filter, counting into a copy of the
 // statistics of its own; the clone evolves independently of the
 // original.
-//
-//simlint:statefull clone
 func (f *UnitStride) Clone() *UnitStride {
 	n := *f
 	n.own, n.stats = *f.stats, &n.own
@@ -189,8 +185,6 @@ type NonUnitStrideStats struct {
 }
 
 // NonUnitStride is the Section 7 czone-partitioned stride detector.
-//
-//simlint:state
 type NonUnitStride struct {
 	entries   []nonUnitEntry
 	czoneBits uint
@@ -253,8 +247,6 @@ func (f *NonUnitStride) CountInto(st *NonUnitStrideStats) { f.stats = st }
 // Clone returns a deep copy of the detector, counting into a copy of
 // the statistics of its own; the clone evolves independently of the
 // original.
-//
-//simlint:statefull clone
 func (f *NonUnitStride) Clone() *NonUnitStride {
 	n := *f
 	n.own, n.stats = *f.stats, &n.own
@@ -361,8 +353,6 @@ type MinDeltaStats struct {
 // and any entry becomes the stride. The paper found its performance
 // similar to the partition scheme but its hardware (N subtractions and
 // a minimum reduction per miss) less attractive.
-//
-//simlint:state
 type MinDelta struct {
 	history  []mem.Addr
 	valid    []bool
@@ -401,8 +391,6 @@ func (f *MinDelta) CountInto(st *MinDeltaStats) { f.stats = st }
 // Clone returns a deep copy of the scheme, counting into a copy of the
 // statistics of its own; the clone evolves independently of the
 // original.
-//
-//simlint:statefull clone
 func (f *MinDelta) Clone() *MinDelta {
 	n := *f
 	n.own, n.stats = *f.stats, &n.own

@@ -200,6 +200,9 @@ func (s Spec) Validate() error {
 				return fmt.Errorf("search: duplicate value %d in dimension %q", v, d.Param)
 			}
 			valSeen[v] = true
+			if _, err := sweeprun.ParamSet[d.Param].Point(v); err != nil {
+				return fmt.Errorf("search: %s=%d: %w", d.Param, v, err)
+			}
 		}
 		if grid > maxGrid/len(d.Values) {
 			return fmt.Errorf("search: space larger than %d configurations", maxGrid)

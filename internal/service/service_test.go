@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"streamsim/internal/search"
 	"streamsim/internal/service/api"
 	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
@@ -114,6 +116,56 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if calls.Load() != 0 {
 		t.Errorf("runner ran for invalid requests")
+	}
+}
+
+// TestSubmitRejectsHostileSizes: a spec whose values would size
+// hardware past core.MaxCount gets a 400 on both POST endpoints and
+// creates no job. Admitted, a depth of 1e9 asks stream.NewBuffer for a
+// 24 GB FIFO, and that out-of-memory failure is fatal to the whole
+// daemon, every other job included. The injected runner keeps any
+// spec that slipped through from simulating anything.
+func TestSubmitRejectsHostileSizes(t *testing.T) {
+	var calls atomic.Int64
+	svc, cl := newTestServer(t, Config{Workers: 1, RunJob: instantRunner(&calls)})
+	hs := httptest.NewServer(svc.Handler())
+	t.Cleanup(hs.Close)
+	ctx := context.Background()
+	sweep := func(param string, v int) api.SubmitRequest {
+		return api.SubmitRequest{Sweep: &sweeprun.Spec{Workload: "mgrid", Param: param, Values: []int{2, v}}}
+	}
+	space := search.Spec{Workload: "mgrid", Space: []search.Dim{
+		{Param: "streams", Values: []int{2, 4}},
+		{Param: "depth", Values: []int{2, 1e9}},
+	}}
+	for _, tc := range []struct {
+		name string
+		req  api.SubmitRequest
+	}{
+		{"sweep depth=1e9", sweep("depth", 1e9)},
+		{"sweep streams=2e9", sweep("streams", 2e9)},
+		{"sweep victim=1e9", sweep("victim", 1e9)},
+		{"sweep filter=1e9", sweep("filter", 1e9)},
+		{"optimize depth=1e9", api.SubmitRequest{Optimize: &space}},
+	} {
+		if _, err := cl.Submit(ctx, tc.req); err == nil || !strings.Contains(err.Error(), "400") {
+			t.Errorf("%s: submit error %v, want 400", tc.name, err)
+		}
+	}
+	if resp := postOptimize(t, hs, space); resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("optimize depth=1e9 on %s: status %d, want 400", api.OptimizePath, resp.StatusCode)
+	}
+	resp, err := cl.HTTP.Get(cl.Base + api.JobsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list []api.JobStatus
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != 0 || calls.Load() != 0 {
+		t.Errorf("hostile specs created %d jobs and ran %d, want none", len(list), calls.Load())
 	}
 }
 

@@ -28,8 +28,6 @@ type slot struct {
 
 // Buffer is a single stream buffer: a FIFO of prefetched blocks plus
 // the address-generation state (next word address and word stride).
-//
-//simlint:state
 type Buffer struct {
 	geom       mem.Geometry
 	depth      int
@@ -57,9 +55,6 @@ func NewBuffer(geom mem.Geometry, depth int) (*Buffer, error) {
 	}
 	return &Buffer{geom: geom, depth: depth, fifo: make([]slot, depth)}, nil
 }
-
-// Active reports whether the buffer currently holds a stream.
-func (b *Buffer) Active() bool { return b.active }
 
 // Stride returns the current word stride (0 when inactive).
 func (b *Buffer) Stride() int64 {
@@ -322,8 +317,6 @@ func (s Stats) HitRate() float64 {
 // chase through every buffer's FIFO; headUnknown marks buffers whose
 // head needs the slow path (empty, inactive, or dirtied by a
 // write-back invalidation).
-//
-//simlint:state
 type Set struct {
 	geom    mem.Geometry
 	bufs    []*Buffer
@@ -419,8 +412,6 @@ func (s *Set) CountInto(st *Stats) { s.stats = st }
 
 // clone returns a deep copy of one buffer: same geometry and policy,
 // fresh FIFO storage, identical allocation state and clocks.
-//
-//simlint:statefull clone
 func (b *Buffer) clone() *Buffer {
 	n := *b
 	n.fifo = append([]slot(nil), b.fifo...)
@@ -433,8 +424,6 @@ func (b *Buffer) clone() *Buffer {
 // counts independently of the original. The OnPrefetch hook, if any,
 // is shared with the original: callers that clone for concurrent
 // replay must not configure one.
-//
-//simlint:statefull clone
 func (s *Set) Clone() *Set {
 	n := *s
 	n.own, n.stats = *s.stats, &n.own

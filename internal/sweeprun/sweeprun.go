@@ -80,6 +80,9 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("sweeprun: duplicate value %d in values; each point would measure the same configuration twice", v)
 		}
 		seen[v] = true
+		if _, err := ParamSet[s.Param].Point(v); err != nil {
+			return fmt.Errorf("sweeprun: %s=%d: %w", s.Param, v, err)
+		}
 	}
 	switch s.Metric {
 	case "hit", "eb", "missrate", "cpi":
@@ -108,6 +111,19 @@ type Param struct {
 	Doc string
 	// Apply sets the parameter to v on cfg, rejecting invalid values.
 	Apply func(cfg *core.Config, v int) error
+}
+
+// Point returns the paper's baseline configuration with the parameter
+// set to v, checked by core.Config.Validate: a value the mutator
+// accepts can still size hardware past core's ceilings, and this is
+// where the sweep and search validators turn it away, before anything
+// is recorded or queued.
+func (p Param) Point(v int) (core.Config, error) {
+	cfg := core.DefaultConfig()
+	if err := p.Apply(&cfg, v); err != nil {
+		return core.Config{}, err
+	}
+	return cfg, cfg.Validate()
 }
 
 // ParamSet maps every sweepable parameter name to its mutator.
@@ -199,13 +215,10 @@ func Run(ctx context.Context, s Spec) (*tab.Table, []float64, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}
-	mutate := ParamSet[s.Param].Apply
-	// Build every configuration up front so a bad value fails before
-	// any simulation runs.
 	cfgs := make([]core.Config, len(s.Values))
 	for i, v := range s.Values {
-		cfg := core.DefaultConfig()
-		if err := mutate(&cfg, v); err != nil {
+		cfg, err := ParamSet[s.Param].Point(v)
+		if err != nil {
 			return nil, nil, err
 		}
 		cfgs[i] = cfg

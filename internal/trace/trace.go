@@ -321,14 +321,13 @@ func (t *Reader) ReplayContext(ctx context.Context, sink Sink) error {
 // off phase too, so sampled MPI stays meaningful. The paper samples
 // 10,000 on / 90,000 off.
 type TimeSampler struct {
-	sink     Sink
-	onRefs   uint64
-	offRefs  uint64
-	pos      uint64 // position within the on+off cycle
-	dropped  uint64
-	passed   uint64
-	windows  uint64
-	onWindow func(window uint64)
+	sink    Sink
+	onRefs  uint64
+	offRefs uint64
+	pos     uint64 // position within the on+off cycle
+	dropped uint64
+	passed  uint64
+	windows uint64
 }
 
 // Paper's Section 4.1 sampling parameters.
@@ -350,9 +349,6 @@ func NewTimeSampler(sink Sink, onRefs, offRefs uint64) (*TimeSampler, error) {
 func (s *TimeSampler) Access(a mem.Access) {
 	if s.pos == 0 {
 		s.windows++
-		if s.onWindow != nil {
-			s.onWindow(s.windows - 1)
-		}
 	}
 	inOn := s.pos < s.onRefs
 	s.pos++
@@ -385,8 +381,3 @@ func (s *TimeSampler) Dropped() uint64 { return s.dropped }
 // the store's WindowCount: only on-phase references reach the store,
 // so every sampler window starts exactly at a store window boundary.
 func (s *TimeSampler) Windows() uint64 { return s.windows }
-
-// SetWindowFunc registers fn to run at each window boundary, before
-// the window's first reference is presented; fn receives the zero-based
-// window number. A nil fn removes the callback.
-func (s *TimeSampler) SetWindowFunc(fn func(window uint64)) { s.onWindow = fn }

