@@ -57,7 +57,7 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Hot-path benchmark regexp shared by the bench-* gates below.
-BENCH_HOT = SystemThroughput$$|SystemThroughputBatch$$|TraceReplay$$|TraceReplayScalar$$|ReplayMulti2$$|ReplayMulti8$$|ReplayIntra2$$|ReplayIntra8$$|Fig3Sharded$$|HalvingScratch$$|HalvingIncremental$$|Fork$$|Merge$$|CheckpointRestore$$
+BENCH_HOT = SystemThroughput$$|SystemThroughputBatch$$|TraceReplay$$|TraceReplayScalar$$|ReplayMulti2$$|ReplayMulti8$$|HalvingScratch$$|HalvingIncremental$$|Fork$$|Merge$$|CheckpointRestore$$
 
 # bench-smoke is the CI gate: one iteration per hot-path benchmark,
 # three samples each, checked against the committed baseline
@@ -79,20 +79,16 @@ bench-check:
 bench-update:
 	$(GO) run ./cmd/benchrun -bench '$(BENCH_HOT)' -benchtime 2s -count 5 -baseline BENCH_after.json -update
 
-# replay-smoke checks the whole paper pass for worker-width
-# invariance: every artefact runs at a forced eight-way chunk plan on
-# one worker and on every core, and the two outputs must be
-# byte-identical. Each artefact computes its benchmark rows
-# concurrently and places them by index, and the chunk plan is a
-# function of the trace alone, so worker width changes wall-clock time
-# only; a row appended from a worker, or a model or prefetcher shared
-# across benchmarks, shows up here as a diff. Closeness of the sharded
-# statistics to the exact sequential ones is pinned separately by the
-# window-by-window oracle and the bounded-divergence test in
-# internal/core.
+# replay-smoke is the worker-width check of every artefact's row
+# fan-out: the whole paper pass runs on one worker and on every core,
+# and the two outputs must be byte-identical. Each artefact computes
+# its benchmark rows concurrently and places them by index, and every
+# row is one exact sequential replay, so worker width changes
+# wall-clock time only; a row appended from a worker, or a model or
+# prefetcher shared across benchmarks, shows up here as a diff.
 replay-smoke:
-	GOMAXPROCS=1 $(GO) run ./cmd/paperexp -exp all -scale 0.1 -shards 8 > replay-1worker.out
-	$(GO) run ./cmd/paperexp -exp all -scale 0.1 -shards 8 > replay-nworker.out
+	GOMAXPROCS=1 $(GO) run ./cmd/paperexp -exp all -scale 0.1 > replay-1worker.out
+	$(GO) run ./cmd/paperexp -exp all -scale 0.1 > replay-nworker.out
 	cmp replay-1worker.out replay-nworker.out
 	rm -f replay-1worker.out replay-nworker.out
 

@@ -476,13 +476,12 @@ func BenchmarkTraceReplayScalar(b *testing.B) {
 	b.ReportMetric(float64(len(accs))*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }
 
-// benchReplayMulti measures the multi-config fan-out engine: one
-// decode pass drives nSys systems (the exact sequential replay,
-// Shards: 1 — the win being measured is decode elimination and the
-// shared-front tap, not goroutines). refs/s is aggregate: trace length
-// × nSys per op.
+// benchReplayMulti measures the multi-config fan-out: one decode pass
+// drives nSys systems through the exact sequential replay — the win
+// being measured is decode elimination and the shared-front tap, not
+// goroutines. refs/s is aggregate: trace length × nSys per op.
 //
-//simlint:hotpath streamsim/internal/core.ReplayStoreMultiWindowed
+//simlint:hotpath streamsim/internal/core.ReplayStoreMultiPrefixFrom
 func benchReplayMulti(b *testing.B, nSys int) {
 	store, _ := replayFixture(b)
 	refs := store.Len()
@@ -497,7 +496,7 @@ func benchReplayMulti(b *testing.B, nSys int) {
 			}
 			systems[j] = sys
 		}
-		if err := core.ReplayStoreMultiWindowed(ctx, systems, store, core.ShardOptions{Shards: 1}); err != nil {
+		if err := core.ReplayStoreMultiPrefixFrom(ctx, systems, store, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -511,68 +510,6 @@ func BenchmarkReplayMulti2(b *testing.B) { benchReplayMulti(b, 2) }
 // BenchmarkReplayMulti8 fans one decode out to 8 systems — the
 // fig3/fig9 shape (a full x-axis sweep per benchmark).
 func BenchmarkReplayMulti8(b *testing.B) { benchReplayMulti(b, 8) }
-
-// benchReplayIntra measures the window-sharded engine end to end: the
-// same trace and system count as benchReplayMulti, but the trace
-// itself splits into window chunks (forced to eight so the plan — and
-// therefore the statistics — is identical on every host) consumed by
-// GOMAXPROCS workers from forked state. refs/s counts trace length ×
-// nSys, excluding the warmup replays, so the number is directly
-// comparable to ReplayMultiN: the gap is the win of intra-trace
-// parallelism on multi-core hosts, or its fork/warmup overhead on one
-// core.
-//
-//simlint:hotpath streamsim/internal/core.ReplayStoreMultiWindowed
-func benchReplayIntra(b *testing.B, nSys int) {
-	store, _ := replayFixture(b)
-	refs := store.Len()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		systems := make([]*core.System, nSys)
-		for j := range systems {
-			sys, err := core.New(core.DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
-			systems[j] = sys
-		}
-		if err := core.ReplayStoreMultiWindowed(ctx, systems, store, core.ShardOptions{Shards: 8}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(refs)*float64(nSys)*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
-}
-
-// BenchmarkReplayIntra2 window-shards a 2-system fan-out group.
-func BenchmarkReplayIntra2(b *testing.B) { benchReplayIntra(b, 2) }
-
-// BenchmarkReplayIntra8 window-shards an 8-system fan-out group — the
-// fig3 shape with the trace split across the cores as well.
-func BenchmarkReplayIntra8(b *testing.B) { benchReplayIntra(b, 8) }
-
-// BenchmarkFig3Sharded regenerates Figure 3 with forced window
-// sharding (the paperexp -shards path): its wall-clock per op is the
-// sharded fig3 latency number BENCH_*.json tracks. One untimed run
-// first warms the experiments' trace cache, so every timed op
-// measures replay alone and the single-iteration CI gate sees the
-// same regime the committed baseline averaged.
-func BenchmarkFig3Sharded(b *testing.B) {
-	e, err := experiments.Lookup("fig3")
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := experiments.Options{Scale: benchScale, Shards: 8}
-	if _, err := e.Run(context.Background(), opts); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(context.Background(), opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // benchHalving runs one full successive-halving optimization per op —
 // the optimize-smoke incremental configuration (applu's 8-window small
@@ -608,8 +545,7 @@ func BenchmarkHalvingIncremental(b *testing.B) { benchHalving(b, false) }
 
 // warmSystem is a DefaultConfig system that has replayed the mgrid
 // replay fixture: caches, stream buffers and filter histories full and
-// every counter nonzero — the state the window-sharded engine forks
-// and merges and the optimizer checkpoints.
+// every counter nonzero — the state the optimizer checkpoints.
 func warmSystem(b *testing.B) *core.System {
 	b.Helper()
 	store, _ := replayFixture(b)
@@ -627,7 +563,7 @@ func warmSystem(b *testing.B) *core.System {
 var snapshotSink *core.System
 
 // BenchmarkFork measures System.Fork, the deep copy of architectural
-// state each window-sharded chunk starts from.
+// state with zeroed counters.
 func BenchmarkFork(b *testing.B) {
 	sys := warmSystem(b)
 	b.ReportAllocs()
@@ -637,8 +573,8 @@ func BenchmarkFork(b *testing.B) {
 	}
 }
 
-// BenchmarkMerge measures System.Merge, which folds one chunk's
-// counters into its caller once per chunk and system.
+// BenchmarkMerge measures System.Merge, which folds one system's
+// counters into another's.
 func BenchmarkMerge(b *testing.B) {
 	sys := warmSystem(b)
 	chunk := sys.Checkpoint().Restore()

@@ -44,7 +44,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 	var (
 		exp    = fs.String("exp", "all", "experiment id (see -list) or 'all'")
 		scale  = fs.Float64("scale", 1.0, "workload iteration scale in (0, 1]")
-		shards = fs.Int("shards", 0, "window-shard count for hit-rate replays (0 = derive from trace, 1 = exact sequential)")
 		list   = fs.Bool("list", false, "list available experiments and exit")
 		timed  = fs.Bool("time", false, "print per-experiment wall time")
 		plotIt = fs.Bool("plot", false, "render figure experiments as ASCII charts too")
@@ -75,7 +74,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		return nil
 	}
 
-	opt := experiments.Options{Scale: *scale, Shards: *shards}
+	opt := experiments.Options{Scale: *scale}
 	var todo []experiments.Experiment
 	if *exp == "all" {
 		todo = experiments.All()

@@ -216,7 +216,7 @@ type Cache struct {
 
 // New validates cfg and builds the cache.
 func New(cfg Config) (*Cache, error) {
-	if err := validate(cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	numSets := cfg.SizeBytes / cfg.BlockBytes / cfg.Assoc
@@ -257,7 +257,10 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-func validate(cfg Config) error {
+// Validate checks cfg without allocating anything: the block size,
+// the capacity and the associativity are powers of two, and the
+// capacity holds at least one set. New calls it first.
+func (cfg Config) Validate() error {
 	pow2 := func(v uint) bool { return v != 0 && v&(v-1) == 0 }
 	switch {
 	case !pow2(cfg.BlockBytes):

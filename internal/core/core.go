@@ -173,10 +173,9 @@ const (
 // part through a pointer (bind), and the backend (writeBack, fill,
 // fetch) and missVia's victim probe count Bandwidth directly. Counts
 // add up over any split of the reference stream, so resetting is
-// assigning the zero value, merging chunk deltas is a leaf-wise sum
-// (Merge) and adopting another system's components while keeping the
-// counts is a bind. The fields are exported only so that sum can set
-// them.
+// assigning the zero value, merging deltas is a leaf-wise sum (Merge)
+// and adopting another system's components while keeping the counts
+// is a bind. The fields are exported only so that sum can set them.
 type counters struct {
 	L1I, L1D          cache.Stats
 	VictimI, VictimD  victim.Stats
@@ -188,9 +187,9 @@ type counters struct {
 }
 
 // bind points every component's counting at its part of s.ctr. New,
-// clone, adoptState and adoptFront call it whenever s takes components
-// that counted elsewhere before (a component built or cloned alone
-// counts into a value of its own).
+// clone and adoptFront call it whenever s takes components that
+// counted elsewhere before (a component built or cloned alone counts
+// into a value of its own).
 func (s *System) bind() {
 	s.l1i.CountInto(&s.ctr.L1I)
 	s.l1d.CountInto(&s.ctr.L1D)
@@ -240,10 +239,13 @@ const MaxCount = 1024
 
 // Validate checks cfg without allocating anything: every sizing count
 // lies in [0, MaxCount], the L1 block sizes agree with the geometry
-// (the paper's when unset), and each filter and stride scheme has the
-// stream buffers it allocates into. New calls it first; callers that
-// build configurations from untrusted input (the sweep and search
-// validators) call it to reject a request before anything runs.
+// (the paper's when unset), each filter and stride scheme has the
+// stream buffers it allocates into, and every component New would
+// build accepts its configuration (the components' own Validate
+// checks). New calls it first, so no component constructor can fail
+// after it; callers that build configurations from untrusted input
+// (the sweep and search validators) call it to reject a request before
+// anything runs.
 func (cfg Config) Validate() error {
 	for _, c := range []struct {
 		what string
@@ -267,15 +269,26 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("core: L1 block sizes (%d, %d) must match geometry block size %d",
 			cfg.L1I.BlockBytes, cfg.L1D.BlockBytes, geom.BlockBytes())
 	}
+	if err := cfg.L1I.Validate(); err != nil {
+		return err
+	}
+	if err := cfg.L1D.Validate(); err != nil {
+		return err
+	}
 	streams := cfg.Streams.Streams > 0
 	switch {
 	case cfg.PartitionedStreams && !streams:
 		return fmt.Errorf("core: partitioned streams configured without streams")
 	case cfg.UnitFilterEntries > 0 && !streams:
 		return fmt.Errorf("core: unit-stride filter configured without streams")
+	case streams:
+		if err := cfg.Streams.Validate(); err != nil {
+			return err
+		}
 	}
 	switch cfg.Stride {
 	case NoStrideDetection:
+		return nil
 	case CzoneScheme, MinDeltaScheme:
 		if !streams {
 			return fmt.Errorf("core: stride detection configured without streams")
@@ -283,7 +296,10 @@ func (cfg Config) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown stride scheme %v", cfg.Stride)
 	}
-	return nil
+	if cfg.Stride == CzoneScheme {
+		return filter.ValidateNonUnitStride(cfg.StrideFilterEntries, cfg.CzoneBits)
+	}
+	return filter.ValidateMinDelta(cfg.StrideFilterEntries, cfg.MinDeltaMax)
 }
 
 // New builds a System from cfg. Geometry defaults to the paper's; the
@@ -711,23 +727,21 @@ func (s *System) applyTap(events []uint64) {
 // of them (see frontPlan). The leader's L1 and victim counters are
 // exactly what this system's own would have counted, and so is its
 // Bandwidth.VictimFills: the victim buffer sits wholly in front of the
-// tap. With state set the follower also takes deep copies of the
-// leader's L1s and victim buffers, because its own were never
-// exercised (applyTap fed it backend events only): a system that
-// outlives the replay can then be checkpointed, replayed solo or lead
-// a later fan-out. The clones are exactly the front a solo replay
-// would have left, and bind points them at this system's counters.
-func (s *System) adoptFront(leader *System, state bool) {
+// tap. The follower also takes deep copies of the leader's L1s and
+// victim buffers, because its own were never exercised (applyTap fed
+// it backend events only): the system can then be checkpointed,
+// replayed solo or lead a later fan-out. The clones are exactly the
+// front a solo replay would have left, and bind points them at this
+// system's counters.
+func (s *System) adoptFront(leader *System) {
 	s.ctr.L1I, s.ctr.L1D = leader.ctr.L1I, leader.ctr.L1D
 	s.ctr.VictimI, s.ctr.VictimD = leader.ctr.VictimI, leader.ctr.VictimD
 	s.ctr.Bandwidth.VictimFills = leader.ctr.Bandwidth.VictimFills
-	if state {
-		s.l1i, s.l1d = leader.l1i.Clone(), leader.l1d.Clone()
-		if leader.victimI != nil {
-			s.victimI, s.victimD = leader.victimI.Clone(), leader.victimD.Clone()
-		}
-		s.bind()
+	s.l1i, s.l1d = leader.l1i.Clone(), leader.l1d.Clone()
+	if leader.victimI != nil {
+		s.victimI, s.victimD = leader.victimI.Clone(), leader.victimD.Clone()
 	}
+	s.bind()
 }
 
 // allocatePolicy implements the paper's allocation pipeline: no filter

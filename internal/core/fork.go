@@ -1,8 +1,7 @@
-// Fork/merge support for the window-sharded replay engine: a System
-// can be deep-copied (architectural state only, statistics zeroed) so
-// that disjoint runs of trace windows simulate concurrently, and the
-// per-chunk statistic deltas merge back additively. See replay_window.go
-// for the engine and DESIGN.md §10 for the exactness argument.
+// Fork/merge support: a System can be deep-copied (architectural
+// state only, statistics zeroed) so that a copy counts pure deltas,
+// and deltas merge back additively. Checkpoint and Restore share the
+// deep copy (clone).
 package core
 
 import (
@@ -57,13 +56,6 @@ func (s *System) clone() *System {
 	return &n
 }
 
-// ResetStats zeroes every statistics counter while leaving the
-// architectural state, the retired-instruction counter and the
-// finished flag untouched. The window-sharded engine calls it on a
-// fork after the warmup windows so the counted windows start from
-// clean counters on warm state.
-func (s *System) ResetStats() { s.ctr = counters{} }
-
 // Merge accumulates o's statistics counters into s. Every counter the
 // simulator maintains is additive over a partition of the reference
 // stream, so merging per-chunk deltas in any order reproduces the
@@ -72,9 +64,8 @@ func (s *System) ResetStats() { s.ctr = counters{} }
 // outcome are not touched; o is read-only.
 //
 // The sum is a whole-ledger consolidation, not a transfer event: every
-// block in o's ledger was posted to the traffic hook when the chunk
-// booked it (and hook-carrying systems never shard in the first
-// place), so no post accompanies it.
+// block in o's ledger was posted to the traffic hook when o booked it,
+// so no post accompanies it.
 //
 //simlint:deterministic
 func (s *System) Merge(o *System) {
@@ -100,17 +91,4 @@ func addLeaves(dst, src reflect.Value) {
 	default:
 		panic(fmt.Sprintf("core: counter leaf of type %s is not a uint64 event count", dst.Type()))
 	}
-}
-
-// adoptState takes o's components — the trace-end cache, stream and
-// filter contents of the window-sharded engine's final chunk — while
-// keeping s's accumulated counters, which every chunk has been merged
-// into: the caller's system then carries both. o must not be used
-// afterwards.
-func (s *System) adoptState(o *System) {
-	s.l1i, s.l1d = o.l1i, o.l1d
-	s.victimI, s.victimD = o.victimI, o.victimD
-	s.streams, s.streamsI = o.streams, o.streamsI
-	s.uf, s.nf, s.md = o.uf, o.nf, o.md
-	s.bind()
 }

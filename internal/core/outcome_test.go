@@ -98,9 +98,8 @@ func TestAccessOutcomePending(t *testing.T) {
 // shared L1 front and two followers that replay its tapped backend
 // events — must post one block to the traffic hook for each demand
 // fetch and each write-back its ledger counts, and one to the prefetch
-// hook for each prefetch issued. The hooks keep the replay on its exact sequential
-// path, and the trace's writes and instruction fetches exercise
-// write-backs and both L1s.
+// hook for each prefetch issued. The trace's writes and instruction
+// fetches exercise write-backs and both L1s.
 func TestTrafficHooksSeeAllBlocks(t *testing.T) {
 	w, err := workload.New("appbt", workload.SizeSmall)
 	if err != nil {
@@ -138,7 +137,7 @@ func TestTrafficHooksSeeAllBlocks(t *testing.T) {
 				cfg.Streams.OnPrefetch = func(mem.Addr) { prefetch[i]++ }
 				systems[i] = mustNew(t, cfg)
 			}
-			if err := ReplayStoreMultiWindowed(context.Background(), systems, st, ShardOptions{}); err != nil {
+			if err := ReplayStoreMultiPrefixFrom(context.Background(), systems, st, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 			for i, s := range systems {

@@ -4,12 +4,12 @@
 // batch loop here polls the context once per ReplayBatchLen references,
 // so an in-flight run stops within one batch boundary.
 //
-// The multi-config engines (full, window-sharded and prefix replay)
-// decode each trace batch exactly once and fan the shared decoded slice
-// out to N systems — the paper's whole evaluation is "one recorded
-// reference stream, many memory-system configurations", so per-config
-// decode is pure waste. They all run on one front plan and one range
-// loop, below: systems that share an L1 front end simulate it once.
+// The multi-config replay (ReplayStoreMultiPrefixFrom) decodes each
+// trace batch exactly once and fans the shared decoded slice out to N
+// systems — the paper's whole evaluation is "one recorded reference
+// stream, many memory-system configurations", so per-config decode is
+// pure waste. It runs on the front plan and range loop below: systems
+// that share an L1 front end simulate it once.
 package core
 
 import (
@@ -51,7 +51,7 @@ func ReplayStore(ctx context.Context, sys *System, st *trace.Store) error {
 var lastFanOut atomic.Int64
 
 // LastFanOutWidth reports how many systems the most recent
-// ReplayStoreMultiWindowed call drove from one decode.
+// ReplayStoreMultiPrefixFrom call drove from one decode.
 func LastFanOutWidth() int { return int(lastFanOut.Load()) }
 
 // frontKey is everything an L1 front end's evolution depends on besides
@@ -81,8 +81,8 @@ type frontClass struct {
 //
 // Precondition: systems with the same front key enter the call with
 // identical front state — L1 and victim contents, replacement RNGs and
-// their counters. Fresh systems, forks of one entry state and systems
-// restored from checkpoints taken at the same window all meet it.
+// their counters. Fresh systems and systems restored from checkpoints
+// taken at the same window both meet it.
 type frontPlan []frontClass
 
 // planFronts groups systems by front key in order of first appearance;
@@ -158,28 +158,13 @@ func (p frontPlan) replay(ctx context.Context, it *trace.StoreIter, refs int, bu
 	return nil
 }
 
-// replayWindows replays sample windows [from, to) of st through the
-// plan, seeking the decoder to from's boundary in O(1) from the store's
-// append-time window index.
-func (p frontPlan) replayWindows(ctx context.Context, st *trace.Store, from, to int, buf []uint64) error {
-	refs := st.PrefixLen(to) - st.PrefixLen(from)
-	if refs <= 0 {
-		return nil
-	}
-	it := st.IterAtWindow(from)
-	return p.replay(ctx, &it, refs, buf)
-}
-
 // settle closes a replay call on every exit: the taps are disarmed and
-// each follower adopts its leader's front (System.adoptFront) — the
-// whole front state when keep is set, because the follower outlives
-// the call, or only its counters for chunk forks that are merged and
-// dropped.
-func (p frontPlan) settle(keep bool) {
+// each follower adopts its leader's front (System.adoptFront).
+func (p frontPlan) settle() {
 	for _, c := range p {
 		c.leader.tap = nil
 		for _, f := range c.followers {
-			f.adoptFront(c.leader, keep)
+			f.adoptFront(c.leader)
 		}
 	}
 }

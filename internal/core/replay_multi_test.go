@@ -170,11 +170,16 @@ func checkResults(t *testing.T, what string, systems []*core.System, want []core
 	}
 }
 
-// TestReplayStoreMultiMatchesIndependent pins the exact fan-out's
-// contract on one shared front: for every workload, a Shards: 1
-// replay of the mixed stream-side config set produces per-system
-// results identical to N independent ReplayStore runs, with one leader
-// and four followers.
+// wholeTrace replays all of st through the systems in one call.
+func wholeTrace(ctx context.Context, systems []*core.System, st *trace.Store) error {
+	return core.ReplayStoreMultiPrefixFrom(ctx, systems, st, 0, 0)
+}
+
+// TestReplayStoreMultiMatchesIndependent pins the fan-out's contract
+// on one shared front: for every workload, a whole-trace replay of the
+// mixed stream-side config set produces per-system results identical
+// to N independent ReplayStore runs, with one leader and four
+// followers.
 func TestReplayStoreMultiMatchesIndependent(t *testing.T) {
 	const scale = 0.05
 	ctx := context.Background()
@@ -184,25 +189,22 @@ func TestReplayStoreMultiMatchesIndependent(t *testing.T) {
 			st := recordTrace(t, name, scale)
 			want := replayEach(t, cfgs, st)
 			systems := newSystems(t, cfgs)
-			if err := core.ReplayStoreMultiWindowed(ctx, systems, st, core.ShardOptions{Shards: 1}); err != nil {
+			if err := wholeTrace(ctx, systems, st); err != nil {
 				t.Fatal(err)
 			}
 			if got := core.LastFanOutWidth(); got != len(systems) {
 				t.Errorf("LastFanOutWidth = %d, want %d", got, len(systems))
 			}
-			checkResults(t, "Shards: 1", systems, want)
+			checkResults(t, "whole trace", systems, want)
 		})
 	}
 }
 
 // TestReplayStoreMultiMixedFront pins front classes: when the systems
 // split into several fronts, each with a leader and followers, every
-// engine path matches its solo oracle on every workload —
+// replay path matches independent ReplayStore runs on every workload —
 //
-//   - Shards: 1 and the window-by-window oracle match independent
-//     ReplayStore runs;
-//   - Shards: 4 matches each config's solo ReplayStoreWindowed under
-//     the same chunk plan;
+//   - the whole trace in one call, and window by window;
 //   - a prefix to K/2, checkpointed and restored, then resumed to K
 //     matches the full replay, both as the restored group and for each
 //     system alone — so a follower's checkpoint carries a front of its
@@ -216,29 +218,15 @@ func TestReplayStoreMultiMixedFront(t *testing.T) {
 			st := recordTrace(t, name, scale)
 			want := replayEach(t, cfgs, st)
 			systems := newSystems(t, cfgs)
-			if err := core.ReplayStoreMultiWindowed(ctx, systems, st, core.ShardOptions{Shards: 1}); err != nil {
+			if err := wholeTrace(ctx, systems, st); err != nil {
 				t.Fatal(err)
 			}
-			checkResults(t, "Shards: 1", systems, want)
+			checkResults(t, "whole trace", systems, want)
 			systems = newSystems(t, cfgs)
 			if err := replayWindowByWindow(ctx, systems, st); err != nil {
 				t.Fatal(err)
 			}
 			checkResults(t, "window by window", systems, want)
-
-			sharded := core.ShardOptions{Shards: 4}
-			solo := make([]core.Results, len(cfgs))
-			for i, sys := range newSystems(t, cfgs) {
-				if err := core.ReplayStoreWindowed(ctx, sys, st, sharded); err != nil {
-					t.Fatal(err)
-				}
-				solo[i] = sys.Results()
-			}
-			systems = newSystems(t, cfgs)
-			if err := core.ReplayStoreMultiWindowed(ctx, systems, st, sharded); err != nil {
-				t.Fatal(err)
-			}
-			checkResults(t, "Shards: 4 vs solo", systems, solo)
 
 			K := st.WindowCount()
 			F := max(K/2, 1)
@@ -269,8 +257,8 @@ func TestReplayStoreMultiMixedFront(t *testing.T) {
 	}
 }
 
-// TestFollowerKeepsFrontState pins the exit rule on every full fan-out
-// path: a follower leaves the call with its leader's front state, not
+// TestFollowerKeepsFrontState pins the exit rule on both whole-trace
+// paths: a follower leaves the call with its leader's front state, not
 // the pristine L1 it entered with, so a later replay through it alone
 // continues exactly like a solo system that ran both traces. Every
 // system also leaves counting into its own counters: its checkpoint
@@ -279,18 +267,14 @@ func TestReplayStoreMultiMixedFront(t *testing.T) {
 func TestFollowerKeepsFrontState(t *testing.T) {
 	ctx := context.Background()
 	first := recordTrace(t, "mgrid", 0.05)
-	if first.WindowCount() < 2 {
-		t.Fatalf("first trace too short to shard: %d windows", first.WindowCount())
-	}
 	second := recordTrace(t, "cgm", 0.05)
 	cfgs := []core.Config{core.DefaultConfig(), core.DefaultConfig()}
 	for _, tc := range []struct {
 		name   string
 		replay func(context.Context, []*core.System, *trace.Store) error
 	}{
-		{"sequential", windowed(core.ShardOptions{Shards: 1})},
+		{"sequential", wholeTrace},
 		{"exact", replayWindowByWindow},
-		{"sharded", windowed(core.ShardOptions{Shards: 2})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			solo := newSystems(t, cfgs[:1])
@@ -355,9 +339,8 @@ func TestReplayStoreMultiCancel(t *testing.T) {
 		name   string
 		replay func(context.Context, []*core.System, *trace.Store) error
 	}{
-		{"sequential", windowed(core.ShardOptions{Shards: 1})},
+		{"sequential", wholeTrace},
 		{"exact", replayWindowByWindow},
-		{"sharded", windowed(core.ShardOptions{Shards: 2})},
 	} {
 		t.Run(mode.name+"/pre-cancelled", func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -401,12 +384,11 @@ func TestReplayStoreMultiCancel(t *testing.T) {
 func TestReplayStoreMultiDegenerate(t *testing.T) {
 	ctx := context.Background()
 	st := syntheticStore(3 * trace.ReplayBatchLen)
-	exact := core.ShardOptions{Shards: 1}
-	if err := core.ReplayStoreMultiWindowed(ctx, nil, st, exact); err != nil {
+	if err := wholeTrace(ctx, nil, st); err != nil {
 		t.Fatalf("empty system set: %v", err)
 	}
 	one := newSystems(t, multiConfigs()[:1])
-	if err := core.ReplayStoreMultiWindowed(ctx, one, st, exact); err != nil {
+	if err := wholeTrace(ctx, one, st); err != nil {
 		t.Fatal(err)
 	}
 	if got := core.LastFanOutWidth(); got != 1 {
@@ -418,19 +400,18 @@ func TestReplayStoreMultiDegenerate(t *testing.T) {
 }
 
 // TestLastFanOutWidthEveryPath pins the replay_fanout_width gauge on
-// every windowed path: a three-system replay that follows a
-// one-system one must read three whether it runs sequential or
-// sharded.
+// a whole-trace replay and on a resumed one: a three-system replay
+// that follows a one-system one must read three either way.
 func TestLastFanOutWidthEveryPath(t *testing.T) {
 	ctx := context.Background()
 	st := syntheticStore(4 * trace.WindowRefs)
-	for _, opt := range []core.ShardOptions{{Shards: 1}, {Shards: 2}} {
+	for _, from := range []int{0, 2} {
 		for _, n := range []int{1, 3} {
-			if err := core.ReplayStoreMultiWindowed(ctx, newSystems(t, multiConfigs()[:n]), st, opt); err != nil {
+			if err := core.ReplayStoreMultiPrefixFrom(ctx, newSystems(t, multiConfigs()[:n]), st, from, 0); err != nil {
 				t.Fatal(err)
 			}
 			if got := core.LastFanOutWidth(); got != n {
-				t.Errorf("%+v: LastFanOutWidth after a %d-system replay = %d", opt, n, got)
+				t.Errorf("from window %d: LastFanOutWidth after a %d-system replay = %d", from, n, got)
 			}
 		}
 	}

@@ -1,12 +1,14 @@
-// Prefix replay for the config-space optimizer: evaluate a whole
-// generation of candidate systems on only the first few sample windows
-// of a recorded trace. Successive halving (internal/search) scores
-// cheap early rungs this way — one decode pass feeds every candidate,
-// and candidates sharing an L1 front simulate it once — and extends
-// survivors onto progressively longer prefixes. A replay may start at
-// any window boundary via the store's O(1) seek index, so with
-// checkpointed candidates each rung replays only the windows the
-// previous rung has not seen (DESIGN.md §12).
+// The one multi-system replay: every hit-rate experiment row, sweep
+// point and optimizer score in the module replays a recorded trace
+// through ReplayStoreMultiPrefixFrom, whole traces as the range
+// [0, end).
+// Successive halving (internal/search) also scores cheap early rungs
+// on a prefix of the sample windows — one decode pass feeds every
+// candidate, and candidates sharing an L1 front simulate it once — and
+// extends survivors onto longer prefixes and finally the whole trace.
+// A replay may start at any window boundary via the store's O(1) seek
+// index, so with checkpointed candidates each rung replays only the
+// windows the previous rung has not seen (DESIGN.md §12).
 package core
 
 import (
@@ -40,6 +42,7 @@ func ReplayStoreMultiPrefixFrom(ctx context.Context, systems []*System, st *trac
 	if len(systems) == 0 {
 		return nil
 	}
+	lastFanOut.Store(int64(len(systems)))
 	if toWindow <= 0 || toWindow > st.WindowCount() {
 		toWindow = st.WindowCount()
 	}
@@ -53,19 +56,8 @@ func ReplayStoreMultiPrefixFrom(ctx context.Context, systems []*System, st *trac
 		return nil
 	}
 	p := planFronts(systems)
-	defer p.settle(true)
-	return p.replayWindows(ctx, st, fromWindow, toWindow, make([]uint64, trace.ReplayBatchLen))
-}
-
-// FullReplayResumable reports whether a zero-option full-trace replay
-// of st over these systems is an exact sequential pass — the case when
-// ReplayStoreMultiWindowed declines to shard (trace too small for a
-// chunk plan, or hook-carrying systems). Only then may a final
-// full-trace evaluation be resumed from a prefix checkpoint via
-// ReplayStoreMultiPrefixFrom and still reproduce the windowed engine's
-// numbers byte-for-byte; on shardable traces the windowed engine's
-// warmup-bounded approximation is the score of record and callers must
-// re-run it from scratch.
-func FullReplayResumable(systems []*System, st *trace.Store) bool {
-	return planShards(st.WindowCount(), 0) < 2 || hooked(systems)
+	defer p.settle()
+	it := st.IterAtWindow(fromWindow)
+	refs := st.PrefixLen(toWindow) - st.PrefixLen(fromWindow)
+	return p.replay(ctx, &it, refs, make([]uint64, trace.ReplayBatchLen))
 }

@@ -148,20 +148,3 @@ func TestReplayStoreMultiPrefixFromCancel(t *testing.T) {
 		}
 	}
 }
-
-// TestFullReplayResumable pins the predicate the optimizer's final
-// rung uses to decide between resuming a checkpoint and re-running the
-// windowed engine from scratch: small traces (no viable chunk plan)
-// are resumable, and the threshold agrees with the windowed engine's
-// own exact-sequential fallback.
-func TestFullReplayResumable(t *testing.T) {
-	systems := newSystems(t, multiConfigs())
-	small := syntheticStore(4 * trace.WindowRefs)
-	if !core.FullReplayResumable(systems, small) {
-		t.Error("4-window trace reported not resumable; the windowed engine would replay it exactly")
-	}
-	big := syntheticStore(64 * trace.WindowRefs)
-	if core.FullReplayResumable(systems, big) {
-		t.Error("64-window trace reported resumable; the windowed engine shards it approximately")
-	}
-}

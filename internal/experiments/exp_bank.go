@@ -38,7 +38,7 @@ func trafficOf(ctx context.Context, name string, size workload.Size, scale float
 	if err != nil {
 		return nil, err
 	}
-	if err := replay(ctx, sys, tr, core.ShardOptions{}); err != nil {
+	if err := replayMulti(ctx, []*core.System{sys}, tr); err != nil {
 		return nil, err
 	}
 	return blocks, nil

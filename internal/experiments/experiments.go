@@ -32,16 +32,6 @@ type Options struct {
 	// Scale is the workload iteration scale in (0, 1]; 1 reproduces
 	// the full traces, smaller values run faster for smoke tests.
 	Scale float64
-	// Shards forces the window-shard count of the hit-rate replays
-	// (core.ShardOptions.Shards): 0 derives the chunk plan from each
-	// trace's window count, 1 forces exact sequential replays. Every
-	// order-dependent pass ignores it and replays sequentially: the
-	// timing models of extcpi, extscale and extcost (cycle accounting),
-	// extbank's traffic-hooked replays and extbase's on-chip
-	// prefetcher walks.
-	Shards int
-	// Streams overrides nothing; experiments fix their own memory
-	// system configurations per the paper.
 }
 
 // withDefaults fills unset options.
@@ -129,28 +119,12 @@ func each(ctx context.Context, tr *trace.Store, fn func(a *mem.Access)) error {
 	return nil
 }
 
-// replay feeds the trace into a memory system through the batched
-// hot path, window-sharded across workers when the trace is long
-// enough (core.ReplayStoreWindowed; systems carrying traffic hooks
-// fall back to an exact sequential pass automatically).
-func replay(ctx context.Context, sys *core.System, tr *trace.Store, opt core.ShardOptions) error {
-	if err := core.ReplayStoreWindowed(ctx, sys, tr, opt); err != nil {
-		return err
-	}
-	sys.AddInstructions(tr.Instructions())
-	replayedRefs.Add(uint64(tr.Len()))
-	return nil
-}
-
-// replayMulti feeds the trace into every system from one decode per
-// batch via the window-sharded fan-out engine: N configs share each
-// decoded 512-reference slice while it is L1-hot, and long traces
-// additionally split into window chunks across workers. The chunk
-// plan depends only on the trace and opt, never on the host, so the
-// published numbers are machine-independent; short traces replay
-// exactly as the sequential engine would.
-func replayMulti(ctx context.Context, systems []*core.System, tr *trace.Store, opt core.ShardOptions) error {
-	if err := core.ReplayStoreMultiWindowed(ctx, systems, tr, opt); err != nil {
+// replayMulti feeds the whole trace into every system from one decode
+// per batch (core.ReplayStoreMultiPrefixFrom): N configs share each
+// decoded 512-reference slice while it is L1-hot, in one exact
+// sequential pass, so the published numbers are machine-independent.
+func replayMulti(ctx context.Context, systems []*core.System, tr *trace.Store) error {
+	if err := core.ReplayStoreMultiPrefixFrom(ctx, systems, tr, 0, 0); err != nil {
 		return err
 	}
 	for _, sys := range systems {
@@ -283,7 +257,7 @@ func runConfig(ctx context.Context, name string, size workload.Size, opt Options
 	if err != nil {
 		return core.Results{}, err
 	}
-	if err := replay(ctx, sys, tr, core.ShardOptions{Shards: opt.Shards}); err != nil {
+	if err := replayMulti(ctx, []*core.System{sys}, tr); err != nil {
 		return core.Results{}, err
 	}
 	return sys.Results(), nil
@@ -304,7 +278,7 @@ func runConfigs(ctx context.Context, name string, size workload.Size, opt Option
 			return nil, err
 		}
 	}
-	if err := replayMulti(ctx, systems, tr, core.ShardOptions{Shards: opt.Shards}); err != nil {
+	if err := replayMulti(ctx, systems, tr); err != nil {
 		return nil, err
 	}
 	res := make([]core.Results, len(systems))

@@ -204,16 +204,30 @@ const (
 // the given czone size in bits of word address. The paper uses 16
 // entries and czone sizes between 10 and 26 bits.
 func NewNonUnitStride(size int, czoneBits uint) (*NonUnitStride, error) {
-	if size < 1 {
-		return nil, fmt.Errorf("filter: non-unit-stride filter needs >= 1 entry, got %d", size)
-	}
-	if czoneBits < MinCzoneBits || czoneBits > MaxCzoneBits {
-		return nil, fmt.Errorf("filter: czone size %d bits outside [%d, %d]",
-			czoneBits, MinCzoneBits, MaxCzoneBits)
+	if err := ValidateNonUnitStride(size, czoneBits); err != nil {
+		return nil, err
 	}
 	f := &NonUnitStride{entries: make([]nonUnitEntry, size), czoneBits: czoneBits}
 	f.stats = &f.own
 	return f, nil
+}
+
+// ValidateNonUnitStride checks NewNonUnitStride's arguments without
+// allocating anything: at least one entry, and a czone size within
+// [MinCzoneBits, MaxCzoneBits].
+func ValidateNonUnitStride(size int, czoneBits uint) error {
+	if size < 1 {
+		return fmt.Errorf("filter: non-unit-stride filter needs >= 1 entry, got %d", size)
+	}
+	return checkCzoneBits(czoneBits)
+}
+
+func checkCzoneBits(bits uint) error {
+	if bits < MinCzoneBits || bits > MaxCzoneBits {
+		return fmt.Errorf("filter: czone size %d bits outside [%d, %d]",
+			bits, MinCzoneBits, MaxCzoneBits)
+	}
+	return nil
 }
 
 // Size returns the number of partition entries.
@@ -226,9 +240,8 @@ func (f *NonUnitStride) CzoneBits() uint { return f.czoneBits }
 // the program store a mask in a memory-mapped location). Changing the
 // czone invalidates in-flight detections, since tags are reinterpreted.
 func (f *NonUnitStride) SetCzoneBits(bits uint) error {
-	if bits < MinCzoneBits || bits > MaxCzoneBits {
-		return fmt.Errorf("filter: czone size %d bits outside [%d, %d]",
-			bits, MinCzoneBits, MaxCzoneBits)
+	if err := checkCzoneBits(bits); err != nil {
+		return err
 	}
 	f.czoneBits = bits
 	for i := range f.entries {
@@ -366,11 +379,8 @@ type MinDelta struct {
 // bounds the accepted stride magnitude in words (0 means unbounded);
 // a bound keeps unrelated misses from producing nonsense strides.
 func NewMinDelta(size int, maxDelta int64) (*MinDelta, error) {
-	if size < 1 {
-		return nil, fmt.Errorf("filter: min-delta scheme needs >= 1 entry, got %d", size)
-	}
-	if maxDelta < 0 {
-		return nil, fmt.Errorf("filter: negative maxDelta %d", maxDelta)
+	if err := ValidateMinDelta(size, maxDelta); err != nil {
+		return nil, err
 	}
 	f := &MinDelta{
 		history:  make([]mem.Addr, size),
@@ -379,6 +389,18 @@ func NewMinDelta(size int, maxDelta int64) (*MinDelta, error) {
 	}
 	f.stats = &f.own
 	return f, nil
+}
+
+// ValidateMinDelta checks NewMinDelta's arguments without allocating
+// anything: at least one entry and a non-negative stride bound.
+func ValidateMinDelta(size int, maxDelta int64) error {
+	if size < 1 {
+		return fmt.Errorf("filter: min-delta scheme needs >= 1 entry, got %d", size)
+	}
+	if maxDelta < 0 {
+		return fmt.Errorf("filter: negative maxDelta %d", maxDelta)
+	}
+	return nil
 }
 
 // Stats returns a copy of the accumulated statistics.

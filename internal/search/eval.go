@@ -136,21 +136,18 @@ func (ev *evaluator) nodeCost(cfg core.Config) (float64, error) {
 
 // evaluate scores one generation. windows > 0 replays only that many
 // sample windows (a cheap halving rung); windows == 0 replays the full
-// trace through the window-sharded engine with zero options — the same
-// machine-independent call the sweep engine uses, so full-trace scores
-// are identical to a solo sweep point's and independent of generation
-// grouping. The generation is split into up to Spec.Parallel
-// contiguous groups replayed concurrently; per-candidate results never
-// depend on the grouping, so any width produces identical evaluations.
+// trace — the same exact replay a sweep point runs, so full-trace
+// scores are identical to a solo sweep point's and independent of
+// generation grouping. The generation is split into up to
+// Spec.Parallel contiguous groups replayed concurrently; per-candidate
+// results never depend on the grouping, so any width produces
+// identical evaluations.
 //
 // With the incremental layer enabled, a candidate whose exact (key,
 // windows) evaluation is memoized is served without replaying anything,
 // and a candidate holding a rung checkpoint at window F <= windows
-// restores it and replays only [F, windows). A full-trace evaluation
-// resumes from a checkpoint only when the windowed engine would have
-// replayed exactly anyway (core.FullReplayResumable); on shardable
-// traces its warmup-bounded approximation is the score of record, so
-// those evaluations run from scratch.
+// restores it and replays only [F, windows) — full-trace evaluations
+// included, because every replay is exact.
 func (ev *evaluator) evaluate(ctx context.Context, pool []candidate, windows int) ([]Eval, error) {
 	if len(pool) == 0 {
 		return nil, nil
@@ -161,7 +158,6 @@ func (ev *evaluator) evaluate(ctx context.Context, pool []candidate, windows int
 		to = K
 	}
 	scratchRefs := int64(ev.tr.PrefixLen(to))
-	fullEval := windows <= 0
 	ev.lastResumed, ev.lastReplayed = 0, 0
 
 	evals := make([]Eval, len(pool))
@@ -197,32 +193,18 @@ func (ev *evaluator) evaluate(ctx context.Context, pool []candidate, windows int
 		jobs = append(jobs, job{idx: i, cfg: cfg})
 	}
 
-	// Realize the systems, then swap in checkpoint restores where the
-	// incremental layer allows a resume.
+	// Realize the systems: a checkpoint restore where the incremental
+	// layer holds one, a fresh system otherwise.
 	for j := range jobs {
+		if st := ev.states[pool[jobs[j].idx].key()]; st != nil && st.windows > 0 && st.windows <= to {
+			jobs[j].from, jobs[j].sys = st.windows, st.ck.Restore()
+			continue
+		}
 		sys, err := core.New(jobs[j].cfg)
 		if err != nil {
 			return nil, err
 		}
 		jobs[j].sys = sys
-	}
-	if len(ev.states) > 0 && len(jobs) > 0 {
-		resumeOK := !fullEval
-		if fullEval {
-			fresh := make([]*core.System, len(jobs))
-			for j := range jobs {
-				fresh[j] = jobs[j].sys
-			}
-			resumeOK = core.FullReplayResumable(fresh, ev.tr)
-		}
-		if resumeOK {
-			for j := range jobs {
-				if st := ev.states[pool[jobs[j].idx].key()]; st != nil && st.windows > 0 && st.windows <= to {
-					jobs[j].from = st.windows
-					jobs[j].sys = st.ck.Restore()
-				}
-			}
-		}
 	}
 
 	if len(jobs) > 0 {
@@ -257,13 +239,7 @@ func (ev *evaluator) evaluate(ctx context.Context, pool []candidate, windows int
 					for k := 0; k < run; k++ {
 						group[k] = js[k].sys
 					}
-					var err error
-					if fullEval && js[0].from == 0 {
-						err = core.ReplayStoreMultiWindowed(runCtx, group, ev.tr, core.ShardOptions{})
-					} else {
-						err = core.ReplayStoreMultiPrefixFrom(runCtx, group, ev.tr, js[0].from, to)
-					}
-					if err != nil {
+					if err := core.ReplayStoreMultiPrefixFrom(runCtx, group, ev.tr, js[0].from, to); err != nil {
 						errs[g] = err
 						cancel()
 						return
@@ -289,7 +265,7 @@ func (ev *evaluator) evaluate(ctx context.Context, pool []candidate, windows int
 			// ledger, and a closed ledger cannot be extended exactly.
 			ev.states[pool[jb.idx].key()] = &evalState{ck: jb.sys.Checkpoint(), windows: to}
 		}
-		if fullEval {
+		if windows <= 0 {
 			// Instructions are a whole-trace quantity; prefix rungs rank
 			// on access-stream metrics only, which don't need them.
 			jb.sys.AddInstructions(ev.tr.Instructions())

@@ -84,25 +84,33 @@ func TestRunDeterministicAcrossParallel(t *testing.T) {
 // gate at package level: for every strategy, a run with the
 // incremental-replay layer enabled must decide exactly what a
 // Spec.Scratch run decides — same winner, front, peak, eval count and
-// per-eval scores — while halving actually replays fewer references
-// and serves the floored repeated rungs from the eval memo. Only the
-// replay-cost accounting fields may differ. The mixed-front input
-// checkpoints front-class followers and resumes them in new groups.
+// per-eval scores — while halving actually replays fewer references.
+// Only the replay-cost accounting fields may differ. Two inputs:
+//
+//   - applu's small input is an 8-window trace, so halving's rung
+//     schedule hits the minRungWindows floor and repeated window counts
+//     are served from the eval memo. The mixed-front space checkpoints
+//     front-class followers and resumes them in new groups.
+//   - spec77's is a 79-window trace, long enough that the finalists'
+//     full-trace scores must resume from their last rung checkpoints.
 func TestScratchMatchesIncremental(t *testing.T) {
 	ctx := context.Background()
-	check := func(t *testing.T, spec func() Spec) {
+	check := func(t *testing.T, spec func() Spec, workload string) {
 		for _, strategy := range []string{"halving", "pareto", "grid"} {
 			t.Run(strategy, func(t *testing.T) {
+				// fullResumed is the windows the incremental run's
+				// full-trace rungs skipped by restoring checkpoints.
+				var fullResumed int
 				run := func(scratch bool) *Result {
 					s := spec()
-					// applu's small input is an 8-window trace, so halving's
-					// rung schedule hits the minRungWindows floor: repeated
-					// window counts exercise the eval memo, not just the
-					// checkpoint resume.
-					s.Workload = "applu"
+					s.Workload = workload
 					s.Strategy = strategy
 					s.Scratch = scratch
-					r, err := Run(ctx, s)
+					r, err := RunProgress(ctx, s, func(p Progress) {
+						if !scratch && p.Windows == 0 {
+							fullResumed += p.WindowsResumed
+						}
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -123,7 +131,10 @@ func TestScratchMatchesIncremental(t *testing.T) {
 						t.Errorf("incremental halving replayed %d refs, scratch %d — no saving",
 							incr.RefsSimulated, scratch.RefsSimulated)
 					}
-					if incr.CacheHits == 0 {
+					if fullResumed == 0 {
+						t.Error("incremental halving scored its finalists on the full trace from window 0")
+					}
+					if workload == "applu" && incr.CacheHits == 0 {
 						t.Error("incremental halving served no evaluation from the memo")
 					}
 				}
@@ -144,8 +155,9 @@ func TestScratchMatchesIncremental(t *testing.T) {
 			})
 		}
 	}
-	check(t, tinySpec)
-	t.Run("mixed-front", func(t *testing.T) { check(t, mixedFrontSpec) })
+	check(t, tinySpec, "applu")
+	t.Run("mixed-front", func(t *testing.T) { check(t, mixedFrontSpec, "applu") })
+	t.Run("long-trace", func(t *testing.T) { check(t, tinySpec, "spec77") })
 }
 
 // TestHalvingMatchesGridWinner checks the optimize-smoke property at

@@ -129,7 +129,6 @@ func (s *Server) initMetrics() {
 	gauge("trace_cache_evictions_total", func() any { return sweeprun.TraceCacheStats().Evictions })
 	gauge("refs_replayed_total", func() any { return experiments.ReplayedRefs() })
 	gauge("replay_fanout_width", func() any { return core.LastFanOutWidth() })
-	gauge("replay_window_shards", func() any { return core.LastWindowShards() })
 	gauge("search_evals_total", func() any { return search.EvalsTotal() })
 	gauge("search_eval_cache_hits_total", func() any { return search.EvalCacheHits() })
 	gauge("search_front_size", func() any { return search.LastFrontSize() })

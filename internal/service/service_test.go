@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"streamsim/internal/core"
 	"streamsim/internal/search"
 	"streamsim/internal/service/api"
 	"streamsim/internal/sweeprun"
@@ -120,10 +121,12 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestSubmitRejectsHostileSizes: a spec whose values would size
-// hardware past core.MaxCount gets a 400 on both POST endpoints and
-// creates no job. Admitted, a depth of 1e9 asks stream.NewBuffer for a
-// 24 GB FIFO, and that out-of-memory failure is fatal to the whole
-// daemon, every other job included. The injected runner keeps any
+// hardware past core.MaxCount, name hardware core.New cannot build, or
+// list more than core.MaxCount sweep points gets a 400 on both POST
+// endpoints and creates no job. Admitted, a depth of 1e9 asks
+// stream.NewBuffer for a 24 GB FIFO, and that out-of-memory failure is
+// fatal to the whole daemon, every other job included; an unbuildable
+// value would only become a failed job. The injected runner keeps any
 // spec that slipped through from simulating anything.
 func TestSubmitRejectsHostileSizes(t *testing.T) {
 	var calls atomic.Int64
@@ -133,6 +136,10 @@ func TestSubmitRejectsHostileSizes(t *testing.T) {
 	ctx := context.Background()
 	sweep := func(param string, v int) api.SubmitRequest {
 		return api.SubmitRequest{Sweep: &sweeprun.Spec{Workload: "mgrid", Param: param, Values: []int{2, v}}}
+	}
+	manyLatencies := make([]int, core.MaxCount+1)
+	for i := range manyLatencies {
+		manyLatencies[i] = i
 	}
 	space := search.Spec{Workload: "mgrid", Space: []search.Dim{
 		{Param: "streams", Values: []int{2, 4}},
@@ -146,6 +153,11 @@ func TestSubmitRejectsHostileSizes(t *testing.T) {
 		{"sweep streams=2e9", sweep("streams", 2e9)},
 		{"sweep victim=1e9", sweep("victim", 1e9)},
 		{"sweep filter=1e9", sweep("filter", 1e9)},
+		{"sweep depth=0", sweep("depth", 0)},
+		{"sweep assoc=3", sweep("assoc", 3)},
+		{"sweep czone=63", sweep("czone", 63)},
+		{"sweep assoc=1048576", sweep("assoc", 1048576)},
+		{"sweep of 1025 latencies", api.SubmitRequest{Sweep: &sweeprun.Spec{Workload: "mgrid", Param: "latency", Values: manyLatencies}}},
 		{"optimize depth=1e9", api.SubmitRequest{Optimize: &space}},
 	} {
 		if _, err := cl.Submit(ctx, tc.req); err == nil || !strings.Contains(err.Error(), "400") {
@@ -520,7 +532,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"jobs_queued", "jobs_running", "jobs_done", "jobs_failed", "jobs_cancelled",
 		"memo_hits", "workers", "trace_cache_hits", "trace_cache_bytes",
 		"trace_cache_entries", "trace_cache_evictions_total", "refs_replayed_total",
-		"refs_per_sec", "replay_fanout_width", "replay_window_shards", "uptime_seconds",
+		"refs_per_sec", "replay_fanout_width", "uptime_seconds",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %q", key)

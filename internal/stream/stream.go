@@ -50,10 +50,17 @@ type Buffer struct {
 // NewBuffer returns an inactive stream buffer with the given FIFO
 // depth. Depth must be at least 1; the paper fixes it at 2.
 func NewBuffer(geom mem.Geometry, depth int) (*Buffer, error) {
-	if depth < 1 {
-		return nil, fmt.Errorf("stream: depth %d < 1", depth)
+	if err := checkDepth(depth); err != nil {
+		return nil, err
 	}
 	return &Buffer{geom: geom, depth: depth, fifo: make([]slot, depth)}, nil
+}
+
+func checkDepth(depth int) error {
+	if depth < 1 {
+		return fmt.Errorf("stream: depth %d < 1", depth)
+	}
+	return nil
 }
 
 // Stride returns the current word stride (0 when inactive).
@@ -381,10 +388,19 @@ type Config struct {
 	OnPrefetch func(blk mem.Addr)
 }
 
+// Validate checks cfg without allocating anything: at least one
+// stream, each at least one entry deep. NewSet calls it first.
+func (cfg Config) Validate() error {
+	if cfg.Streams < 1 {
+		return fmt.Errorf("stream: need at least one stream, got %d", cfg.Streams)
+	}
+	return checkDepth(cfg.Depth)
+}
+
 // NewSet builds a stream set.
 func NewSet(geom mem.Geometry, cfg Config) (*Set, error) {
-	if cfg.Streams < 1 {
-		return nil, fmt.Errorf("stream: need at least one stream, got %d", cfg.Streams)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	s := &Set{geom: geom, latency: cfg.Latency, realloc: cfg.Realloc}
 	s.stats = &s.own

@@ -74,6 +74,11 @@ func (s Spec) Validate() error {
 	if len(s.Values) == 0 {
 		return fmt.Errorf("sweeprun: at least one value is required")
 	}
+	// Every point's system is built before the replay starts, so the
+	// value count bounds the sweep's memory like any other count.
+	if len(s.Values) > core.MaxCount {
+		return fmt.Errorf("sweeprun: %d values, at most %d", len(s.Values), core.MaxCount)
+	}
 	seen := make(map[int]bool, len(s.Values))
 	for _, v := range s.Values {
 		if seen[v] {
@@ -252,10 +257,9 @@ func runPoints(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config,
 	// for parameters that leave the L1 untouched (streams, depth,
 	// filter, czone, latency) the L1 front end simulates once with
 	// every point replaying only its own stream-side events. Both this
-	// path and the per-point workers below replay through the
-	// window-sharded engine with identical (zero) options, so the chunk
-	// plan — a function of the trace alone — and therefore the values
-	// are identical at any Parallel width.
+	// path and the per-point workers below run the same exact
+	// sequential replay, so the values are identical at any Parallel
+	// width.
 	if s.Metric != "cpi" && s.Parallel <= 1 {
 		return runPointsFanOut(ctx, s, tr, cfgs, values)
 	}
@@ -301,10 +305,10 @@ func runPoints(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config,
 	return ctx.Err()
 }
 
-// runPointsFanOut measures every point in one multi-config
-// window-sharded replay. Only the hit-rate family routes here: the
-// cpi metric replays through the timing model, which is not a
-// core.System and cannot join a fan-out.
+// runPointsFanOut measures every point in one multi-config replay.
+// Only the hit-rate family routes here: the cpi metric replays through
+// the timing model, which is not a core.System and cannot join a
+// fan-out.
 func runPointsFanOut(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config, values []float64) error {
 	systems := make([]*core.System, len(cfgs))
 	for i, cfg := range cfgs {
@@ -314,7 +318,7 @@ func runPointsFanOut(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.C
 		}
 		systems[i] = sys
 	}
-	if err := core.ReplayStoreMultiWindowed(ctx, systems, tr, core.ShardOptions{}); err != nil {
+	if err := core.ReplayStoreMultiPrefixFrom(ctx, systems, tr, 0, 0); err != nil {
 		return err
 	}
 	for i, sys := range systems {
@@ -376,7 +380,7 @@ func measurePoint(ctx context.Context, tr *trace.Store, cfg core.Config, metric 
 		if err != nil {
 			return 0, err
 		}
-		if err := core.ReplayStoreWindowed(ctx, sys, tr, core.ShardOptions{}); err != nil {
+		if err := core.ReplayStoreMultiPrefixFrom(ctx, []*core.System{sys}, tr, 0, 0); err != nil {
 			return 0, err
 		}
 		sys.AddInstructions(tr.Instructions())

@@ -104,8 +104,8 @@ func TestStorePrefixLen(t *testing.T) {
 	}
 }
 
-// TestTimeSamplerWindowsMatchStore pins the boundary agreement the
-// window-sharded engine relies on: with the paper's parameters, each
+// TestTimeSamplerWindowsMatchStore pins the boundary agreement window
+// seeks and prefix replays rely on: with the paper's parameters, each
 // sampler on-phase is exactly one store window, so the sampler's
 // window count and the store's seek index describe the same partition.
 func TestTimeSamplerWindowsMatchStore(t *testing.T) {
