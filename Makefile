@@ -79,17 +79,24 @@ bench-check:
 bench-update:
 	$(GO) run ./cmd/benchrun -bench '$(BENCH_HOT)' -benchtime 2s -count 5 -baseline BENCH_after.json -update
 
-# replay-smoke is the worker-width check of every artefact's row
-# fan-out: the whole paper pass runs on one worker and on every core,
-# and the two outputs must be byte-identical. Each artefact computes
-# its benchmark rows concurrently and places them by index, and every
-# row is one exact sequential replay, so worker width changes
+# replay-smoke checks the whole paper pass against its committed
+# output, PAPER_GOLDEN, on one worker and on every core. Each artefact
+# computes its benchmark rows concurrently and places them by index,
+# and every row is one exact sequential replay, so worker width changes
 # wall-clock time only; a row appended from a worker, or a model or
-# prefetcher shared across benchmarks, shows up here as a diff.
+# prefetcher shared across benchmarks, shows up here as a diff. A
+# change that moves a published number fails here until it regenerates
+# the golden (run the first command below with `> $(PAPER_GOLDEN)`),
+# so the moved lines show in its diff. The floating-point results are
+# pinned for amd64, which CI runs on: Go may fuse a multiply and an add
+# into one instruction on other architectures, which can round a
+# printed last digit differently.
+PAPER_GOLDEN = cmd/paperexp/testdata/all-0.1.golden
 replay-smoke:
 	GOMAXPROCS=1 $(GO) run ./cmd/paperexp -exp all -scale 0.1 > replay-1worker.out
 	$(GO) run ./cmd/paperexp -exp all -scale 0.1 > replay-nworker.out
-	cmp replay-1worker.out replay-nworker.out
+	cmp $(PAPER_GOLDEN) replay-1worker.out
+	cmp $(PAPER_GOLDEN) replay-nworker.out
 	rm -f replay-1worker.out replay-nworker.out
 
 # sweep-smoke exercises the parallel sweep scheduler end to end: the

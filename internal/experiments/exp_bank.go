@@ -78,7 +78,7 @@ func BankBehaviour(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	names := workload.Names()
-	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
 		blocks, err := trafficOf(ctx, name, table1Size(name), opt.Scale, stridedStreams(16))
 		if err != nil {

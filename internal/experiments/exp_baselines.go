@@ -13,6 +13,7 @@ import (
 	"streamsim/internal/mem"
 	"streamsim/internal/prefetch"
 	"streamsim/internal/tab"
+	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
 
@@ -24,107 +25,133 @@ type baselineResult struct {
 	Extra float64
 }
 
-// runOnChipPrefetcher replays a trace through L1s with a prefetcher
-// that fills the cache directly. rpt, when non-nil, additionally
-// observes every data reference (it is on-chip beside the load/store
-// unit); p supplies the miss/first-use hooks.
-func runOnChipPrefetcher(ctx context.Context, name string, size workload.Size, scale float64,
-	p prefetch.Prefetcher, rpt *prefetch.RPT) (baselineResult, error) {
-	tr, err := record(ctx, name, size, scale)
-	if err != nil {
-		return baselineResult{}, err
-	}
-	base, err := missStream(ctx, name, size, scale) // baseline misses (no prefetch)
-	if err != nil {
-		return baselineResult{}, err
-	}
-	var baseMisses uint64
-	for _, ev := range base.events {
-		if !ev.write {
-			baseMisses++
-		}
-	}
+// onChipL1 is one pair of L1s under a prefetcher that fills the cache
+// directly; a nil prefetcher makes it the no-prefetch baseline. p
+// supplies the miss/first-use hooks, and an RPT additionally observes
+// every reference (it is on-chip beside the load/store unit).
+type onChipL1 struct {
+	l1i, l1d *cache.Cache
+	geom     mem.Geometry
+	p        prefetch.Prefetcher
+	rpt      *prefetch.RPT // p, when it is an RPT
+	// pending tracks prefetched-but-untouched blocks for the tagged
+	// policies and for wasted-traffic accounting.
+	pending        map[mem.Addr]bool
+	misses, wasted uint64
+}
 
+func newOnChipL1(p prefetch.Prefetcher) (*onChipL1, error) {
 	cfg := noStreams()
 	l1i, err := cache.New(cfg.L1I)
 	if err != nil {
-		return baselineResult{}, err
+		return nil, err
 	}
 	l1d, err := cache.New(cfg.L1D)
 	if err != nil {
-		return baselineResult{}, err
+		return nil, err
 	}
-	geom := cfg.Geometry
+	rpt, _ := p.(*prefetch.RPT)
+	return &onChipL1{l1i: l1i, l1d: l1d, geom: cfg.Geometry, p: p, rpt: rpt,
+		pending: map[mem.Addr]bool{}}, nil
+}
 
-	// pending tracks prefetched-but-untouched blocks for the tagged
-	// policies and for wasted-traffic accounting.
-	pending := map[mem.Addr]bool{}
-	var misses, issued, wasted uint64
+// evicted counts a prefetched block that died untouched.
+func (o *onChipL1) evicted(victim mem.Addr) {
+	if o.pending[victim] {
+		delete(o.pending, victim)
+		o.wasted++
+	}
+}
 
-	install := func(c *cache.Cache, blocks []mem.Addr) {
-		for _, b := range blocks {
-			addr := geom.BlockToByte(b)
-			res := c.Prefetch(uint64(addr))
-			if !res.Filled {
-				continue
-			}
-			issued++
-			pending[b] = true
-			if res.Evicted {
-				victim := mem.Addr(res.VictimBlock)
-				if pending[victim] {
-					// A prefetched block died untouched.
-					delete(pending, victim)
-					wasted++
-				}
-			}
+// install prefetches blocks into c.
+func (o *onChipL1) install(c *cache.Cache, blocks []mem.Addr) {
+	for _, b := range blocks {
+		res := c.Prefetch(uint64(o.geom.BlockToByte(b)))
+		if !res.Filled {
+			continue
+		}
+		o.pending[b] = true
+		if res.Evicted {
+			o.evicted(mem.Addr(res.VictimBlock))
 		}
 	}
+}
 
-	err = each(ctx, tr, func(pa *mem.Access) {
-		a := *pa
-		c := l1d
-		if a.Kind == mem.IFetch {
-			c = l1i
+// access presents one reference to the L1s and the prefetcher.
+func (o *onChipL1) access(a mem.Access) {
+	c := o.l1d
+	if a.Kind == mem.IFetch {
+		c = o.l1i
+	}
+	var res cache.Result
+	if a.Kind == mem.Write {
+		res = c.Write(uint64(a.Addr))
+	} else {
+		res = c.Read(uint64(a.Addr))
+	}
+	blk := o.geom.BlockAddr(a.Addr)
+	if res.Hit && o.pending[blk] {
+		delete(o.pending, blk)
+		o.install(c, o.p.FirstUse(a, blk))
+	}
+	if res.Sampled && !res.Hit && res.Filled {
+		o.misses++
+		if res.Evicted {
+			o.evicted(mem.Addr(res.VictimBlock))
 		}
-		var res cache.Result
-		if a.Kind == mem.Write {
-			res = c.Write(uint64(a.Addr))
-		} else {
-			res = c.Read(uint64(a.Addr))
+		if o.p != nil {
+			o.install(c, o.p.Miss(a, blk))
 		}
-		blk := geom.BlockAddr(a.Addr)
-		if res.Hit && pending[blk] {
-			delete(pending, blk)
-			install(c, p.FirstUse(a, blk))
+	}
+	if o.rpt != nil {
+		if pb, ok := o.rpt.Observe(a); ok {
+			o.install(c, []mem.Addr{pb})
 		}
-		if res.Sampled && !res.Hit && res.Filled {
-			misses++
-			if res.Evicted {
-				if victim := mem.Addr(res.VictimBlock); pending[victim] {
-					delete(pending, victim)
-					wasted++
-				}
-			}
-			install(c, p.Miss(a, blk))
+	}
+}
+
+// result scores the walk against the baseline's misses; blocks still
+// untouched at the end count as wasted.
+func (o *onChipL1) result(baseMisses uint64) baselineResult {
+	if baseMisses == 0 {
+		return baselineResult{}
+	}
+	wasted := o.wasted + uint64(len(o.pending))
+	return baselineResult{
+		Coverage: 100 * float64(int64(baseMisses)-int64(o.misses)) / float64(baseMisses),
+		Extra:    100 * float64(wasted) / float64(baseMisses),
+	}
+}
+
+// runOnChipPrefetchers walks a trace once through three independent
+// pairs of L1s: the no-prefetch baseline, which counts the misses
+// coverage is measured against, tagged OBL and the RPT. Each pair
+// gives the result a walk of its own would, from one decode.
+func runOnChipPrefetchers(ctx context.Context, tr *trace.Store) (obl, rpt baselineResult, err error) {
+	oblP, err := prefetch.NewOBL(1)
+	if err != nil {
+		return obl, rpt, err
+	}
+	rptP, err := prefetch.NewRPT(mem.DefaultGeometry(), 512, 4)
+	if err != nil {
+		return obl, rpt, err
+	}
+	l1s := make([]*onChipL1, 3)
+	for i, p := range []prefetch.Prefetcher{nil, oblP, rptP} {
+		if l1s[i], err = newOnChipL1(p); err != nil {
+			return obl, rpt, err
 		}
-		if rpt != nil {
-			if pb, ok := rpt.Observe(a); ok {
-				install(c, []mem.Addr{pb})
-			}
+	}
+	err = each(ctx, tr, func(a *mem.Access) {
+		for _, o := range l1s {
+			o.access(*a)
 		}
 	})
 	if err != nil {
-		return baselineResult{}, err
+		return obl, rpt, err
 	}
-	wasted += uint64(len(pending)) // still untouched at end
-
-	out := baselineResult{}
-	if baseMisses > 0 {
-		out.Coverage = 100 * float64(int64(baseMisses)-int64(misses)) / float64(baseMisses)
-		out.Extra = 100 * float64(wasted) / float64(baseMisses)
-	}
-	return out, nil
+	base := l1s[0].misses
+	return l1s[1].result(base), l1s[2].result(base), nil
 }
 
 // Baselines compares tagged OBL and the Baer-Chen RPT against the
@@ -146,26 +173,18 @@ func Baselines(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	names := workload.Names()
-	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
 		size := table1Size(name)
 		sres, err := runConfig(ctx, name, size, opt, stridedStreams(16))
 		if err != nil {
 			return nil, err
 		}
-		obl, err := prefetch.NewOBL(1)
+		tr, err := record(ctx, name, size, opt.Scale)
 		if err != nil {
 			return nil, err
 		}
-		oblRes, err := runOnChipPrefetcher(ctx, name, size, opt.Scale, obl, nil)
-		if err != nil {
-			return nil, err
-		}
-		rpt, err := prefetch.NewRPT(mem.DefaultGeometry(), 512, 4)
-		if err != nil {
-			return nil, err
-		}
-		rptRes, err := runOnChipPrefetcher(ctx, name, size, opt.Scale, rpt, rpt)
+		oblRes, rptRes, err := runOnChipPrefetchers(ctx, tr)
 		if err != nil {
 			return nil, err
 		}

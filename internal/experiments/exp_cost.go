@@ -59,7 +59,7 @@ func EqualCost(ctx context.Context, opt Options) (*tab.Table, error) {
 	}
 
 	names := workload.Names()
-	err = addRows(ctx, t, len(names), func(i int) ([]string, error) {
+	err = addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
 		size := table1Size(name)
 		tr, err := record(ctx, name, size, opt.Scale)

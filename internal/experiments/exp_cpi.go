@@ -34,7 +34,7 @@ func CPI(ctx context.Context, opt Options) (*tab.Table, error) {
 	}
 	lat := timing.DefaultLatencies()
 	names := workload.Names()
-	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
 		tr, err := record(ctx, name, table1Size(name), opt.Scale)
 		if err != nil {

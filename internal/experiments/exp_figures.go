@@ -36,7 +36,7 @@ func Figure3(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	names := workload.Names()
-	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
 		cfgs := make([]core.Config, len(figure3StreamCounts))
 		for j, streams := range figure3StreamCounts {
@@ -72,7 +72,7 @@ func Figure5(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	names := workload.Names()
-	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
 		res, err := runConfigs(ctx, name, table1Size(name), opt,
 			[]core.Config{plainStreams(10), filteredStreams()})
@@ -118,7 +118,7 @@ func Figure8(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	names := workload.Names()
-	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
 		res, err := runConfigs(ctx, name, table1Size(name), opt,
 			[]core.Config{filteredStreams(), stridedStreams(16)})
@@ -162,7 +162,7 @@ func Figure9(ctx context.Context, opt Options) (*tab.Table, error) {
 			"prefer large czones (paper: optimal czone is a little over twice the stride)",
 		},
 	}
-	err := addRows(ctx, t, len(figure9Benchmarks), func(i int) ([]string, error) {
+	err := addRows(ctx, t, inputWeights(figure9Benchmarks, opt.Scale), func(i int) ([]string, error) {
 		name := figure9Benchmarks[i]
 		cfgs := make([]core.Config, len(figure9CzoneBits))
 		for j, bits := range figure9CzoneBits {

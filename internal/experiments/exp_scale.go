@@ -52,7 +52,7 @@ func Scalability(ctx context.Context, opt Options) (*tab.Table, error) {
 	lat := timing.DefaultLatencies()
 	lat.BusBlock = 0 // per-node latency only; the shared capacity is the analysis
 	names := workload.Names()
-	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
 		tr, err := record(ctx, name, table1Size(name), opt.Scale)
 		if err != nil {

@@ -30,7 +30,7 @@ func Table1(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	names := workload.Names()
-	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
 		size := table1Size(name)
 		w, err := workload.New(name, size)
@@ -66,7 +66,7 @@ func Table2(ctx context.Context, opt Options) (*tab.Table, error) {
 		Columns: []string{"benchmark", "EB %", "paper EB %", "hit %"},
 	}
 	names := workload.Names()
-	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
 		r, err := runConfig(ctx, name, table1Size(name), opt, plainStreams(10))
 		if err != nil {
@@ -94,7 +94,7 @@ func Table3(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	names := workload.Names()
-	err := addRows(ctx, t, len(names), func(i int) ([]string, error) {
+	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
 		r, err := runConfig(ctx, name, table1Size(name), opt, plainStreams(10))
 		if err != nil {
@@ -187,7 +187,11 @@ func Table4(ctx context.Context, opt Options) (*tab.Table, error) {
 		},
 	}
 	sizes := []workload.Size{workload.SizeSmall, workload.SizeLarge}
-	err := addRows(ctx, t, len(paperTable4)*len(sizes), func(i int) ([]string, error) {
+	weights := make([]uint64, len(paperTable4)*len(sizes))
+	for i := range weights {
+		weights[i] = workload.EstimateRefs(paperTable4[i/len(sizes)].Name, sizes[i%len(sizes)], opt.Scale)
+	}
+	err := addRows(ctx, t, weights, func(i int) ([]string, error) {
 		ref := paperTable4[i/len(sizes)]
 		sz := sizes[i%len(sizes)]
 		r, err := runConfig(ctx, ref.Name, sz, opt, stridedStreams(16))

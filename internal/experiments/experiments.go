@@ -11,9 +11,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -156,29 +158,31 @@ func record(ctx context.Context, name string, size workload.Size, scale float64)
 	return tr, err
 }
 
-// ResetTraceCache drops every cached recording and memoized miss
-// stream (used by benchmarks that want to measure generation cost).
-// Miss-stream entries are deleted in place rather than by reassigning
-// the sync.Map value, which would race with concurrent Loads from
-// in-flight experiment runs.
-func ResetTraceCache() {
-	sweeprun.ResetTraceCache()
-	l2StreamCache.Range(func(k, _ any) bool {
-		l2StreamCache.Delete(k)
-		return true
-	})
-}
+// ResetTraceCache drops every cached recording (used by benchmarks
+// that want to measure generation cost).
+func ResetTraceCache() { sweeprun.ResetTraceCache() }
 
-// addRows computes rows 0..n-1 of t across up to GOMAXPROCS workers
-// and appends them in index order, so the table is the same at any
-// worker count. It is how every artefact visits its benchmarks: each
-// row builds its own systems and models, and rows share only the
-// recording cache and the miss-stream memo, which are safe for
-// concurrent use. Workers stop taking rows once ctx is cancelled (rows
-// already running observe ctx through the replay loops). The
-// lowest-index error is returned, else ctx.Err(); on error t is left
-// as it was.
-func addRows(ctx context.Context, t *tab.Table, n int, row func(i int) ([]string, error)) error {
+// addRows computes one row of t per weight across up to GOMAXPROCS
+// workers and appends them in index order, so the table is the same at
+// any worker count. It is how every artefact visits its benchmarks:
+// each row builds its own systems and models, and rows share only the
+// recording cache, which is safe for concurrent use.
+//
+// Workers start rows heaviest first, Graham's longest-processing-time
+// rule, so the longest row does not run alone at the end of the
+// artefact; equal weights start in index order. Callers weigh a row by
+// its input's workload.EstimateRefs, which needs no recording.
+//
+// Workers stop taking rows once ctx is cancelled (rows already running
+// observe ctx through the replay loops). The lowest-index error is
+// returned, else ctx.Err(); on error t is left as it was.
+func addRows(ctx context.Context, t *tab.Table, weights []uint64, row func(i int) ([]string, error)) error {
+	n := len(weights)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weights[b], weights[a]) })
 	rows := make([][]string, n)
 	errs := make([]error, n)
 	var next atomic.Int64
@@ -188,10 +192,11 @@ func addRows(ctx context.Context, t *tab.Table, n int, row func(i int) ([]string
 		go func() {
 			defer wg.Done()
 			for ctx.Err() == nil {
-				i := int(next.Add(1) - 1)
-				if i >= n {
+				k := int(next.Add(1) - 1)
+				if k >= n {
 					return
 				}
+				i := order[k]
 				rows[i], errs[i] = row(i)
 			}
 		}()
@@ -207,6 +212,17 @@ func addRows(ctx context.Context, t *tab.Table, n int, row func(i int) ([]string
 	}
 	t.Rows = append(t.Rows, rows...)
 	return nil
+}
+
+// inputWeights weighs each named benchmark's Table 1 input by its
+// reference count at scale: the addRows weights of the artefacts that
+// visit benchmarks at their Table 1 inputs.
+func inputWeights(names []string, scale float64) []uint64 {
+	weights := make([]uint64, len(names))
+	for i, name := range names {
+		weights[i] = workload.EstimateRefs(name, table1Size(name), scale)
+	}
+	return weights
 }
 
 // Memory-system configuration builders, named after the paper's setups.
@@ -289,8 +305,8 @@ func runConfigs(ctx context.Context, name string, size workload.Size, opt Option
 }
 
 // l2MissStream is the L1 miss-side traffic of one trace: the block
-// fills and write-backs that a secondary cache would observe. It is
-// recorded once and replayed across L2 configurations (Table 4).
+// fills and write-backs that a secondary cache would observe. Table 4
+// derives one per row and replays it across L2 configurations.
 type l2MissStream struct {
 	events []l2Event
 }
@@ -300,22 +316,8 @@ type l2Event struct {
 	write bool // write-back of a dirty victim
 }
 
-// l2StreamCache memoizes miss streams per missKey.
-var l2StreamCache sync.Map
-
-// missKey identifies the recording a miss stream derives from.
-type missKey struct {
-	name  string
-	size  workload.Size
-	scale float64
-}
-
 // missStream derives the L1 miss traffic of a benchmark trace.
 func missStream(ctx context.Context, name string, size workload.Size, scale float64) (*l2MissStream, error) {
-	key := missKey{name, size, scale}
-	if v, ok := l2StreamCache.Load(key); ok {
-		return v.(*l2MissStream), nil
-	}
 	tr, err := record(ctx, name, size, scale)
 	if err != nil {
 		return nil, err
@@ -358,8 +360,7 @@ func missStream(ctx context.Context, name string, size workload.Size, scale floa
 	if err != nil {
 		return nil, err
 	}
-	v, _ := l2StreamCache.LoadOrStore(key, ms)
-	return v.(*l2MissStream), nil
+	return ms, nil
 }
 
 // l2LocalHitRates replays a miss stream through several secondary

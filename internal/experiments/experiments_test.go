@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"streamsim/internal/cache"
+	"streamsim/internal/mem"
 	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
 	"streamsim/internal/workload"
@@ -201,8 +202,48 @@ func TestMissStreamDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
-		t.Error("miss stream should be memoized")
+	if len(a.events) != len(b.events) {
+		t.Fatalf("derivations have %d and %d events", len(a.events), len(b.events))
+	}
+	for i := range a.events {
+		if a.events[i] != b.events[i] {
+			t.Fatalf("event %d differs: %+v vs %+v", i, a.events[i], b.events[i])
+		}
+	}
+}
+
+// TestOnChipBaselineMatchesMissStream: extbase's no-prefetch walker
+// counts the baseline misses that coverage is measured against; for
+// every Table 1 input it must count exactly the fills of the L1 miss
+// stream Table 4 derives from the same recording.
+func TestOnChipBaselineMatchesMissStream(t *testing.T) {
+	ctx := context.Background()
+	for _, name := range workload.Names() {
+		size := table1Size(name)
+		ms, err := missStream(ctx, name, size, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fills uint64
+		for _, ev := range ms.events {
+			if !ev.write {
+				fills++
+			}
+		}
+		tr, err := record(ctx, name, size, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := newOnChipL1(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := each(ctx, tr, func(a *mem.Access) { base.access(*a) }); err != nil {
+			t.Fatal(err)
+		}
+		if base.misses != fills || fills == 0 {
+			t.Errorf("%s: baseline walker counted %d misses, miss stream has %d fills", name, base.misses, fills)
+		}
 	}
 }
 
@@ -268,7 +309,7 @@ func TestAddRowsInIndexOrder(t *testing.T) {
 	var others sync.WaitGroup
 	others.Add(n - 1)
 	tb := &tab.Table{Rows: [][]string{{"header"}}}
-	err := addRows(context.Background(), tb, n, func(i int) ([]string, error) {
+	err := addRows(context.Background(), tb, make([]uint64, n), func(i int) ([]string, error) {
 		ran[i].Add(1)
 		if i == 0 {
 			others.Wait()
@@ -303,7 +344,7 @@ func TestAddRowsLowestIndexError(t *testing.T) {
 	low, high := errors.New("row 3"), errors.New("row 7")
 	highDone := make(chan struct{})
 	tb := &tab.Table{}
-	err := addRows(context.Background(), tb, 10, func(i int) ([]string, error) {
+	err := addRows(context.Background(), tb, make([]uint64, 10), func(i int) ([]string, error) {
 		switch i {
 		case 3:
 			<-highDone
@@ -330,7 +371,7 @@ func TestAddRowsStopsDispatchOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var started atomic.Int32
-	err := addRows(ctx, &tab.Table{}, 1000, func(i int) ([]string, error) {
+	err := addRows(ctx, &tab.Table{}, make([]uint64, 1000), func(i int) ([]string, error) {
 		started.Add(1)
 		if i == 0 {
 			cancel()
@@ -347,7 +388,7 @@ func TestAddRowsStopsDispatchOnCancel(t *testing.T) {
 	}
 
 	started.Store(0)
-	err = addRows(ctx, &tab.Table{}, 10, func(int) ([]string, error) {
+	err = addRows(ctx, &tab.Table{}, make([]uint64, 10), func(int) ([]string, error) {
 		started.Add(1)
 		return nil, nil
 	})
@@ -356,9 +397,61 @@ func TestAddRowsStopsDispatchOnCancel(t *testing.T) {
 	}
 }
 
+// TestAddRowsLongestFirst: on one worker, rows start in descending
+// weight and equal weights in index order; rows still land in index
+// order; and when a heavy high-index row fails first, a lower-index
+// failure still wins.
+func TestAddRowsLongestFirst(t *testing.T) {
+	withWorkers(t, 1)
+	weights := []uint64{5, 9, 0, 9, 7, 5, 12}
+	var started []int
+	tb := &tab.Table{}
+	err := addRows(context.Background(), tb, weights, func(i int) ([]string, error) {
+		started = append(started, i)
+		return []string{fmt.Sprint(i)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{6, 1, 3, 4, 0, 5, 2}; fmt.Sprint(started) != fmt.Sprint(want) {
+		t.Errorf("rows started in order %v, want %v", started, want)
+	}
+	if len(tb.Rows) != len(weights) {
+		t.Fatalf("%d rows appended, want %d", len(tb.Rows), len(weights))
+	}
+	for i, row := range tb.Rows {
+		if row[0] != fmt.Sprint(i) {
+			t.Errorf("row %d = %v, want %d", i, row, i)
+		}
+	}
+
+	low, heavy := errors.New("row 2"), errors.New("row 6")
+	started = started[:0]
+	tb = &tab.Table{}
+	err = addRows(context.Background(), tb, weights, func(i int) ([]string, error) {
+		started = append(started, i)
+		switch i {
+		case 2:
+			return nil, low
+		case 6:
+			return nil, heavy
+		}
+		return []string{"ok"}, nil
+	})
+	if started[0] != 6 {
+		t.Errorf("row %d started first, want the heaviest (6)", started[0])
+	}
+	if !errors.Is(err, low) {
+		t.Errorf("err = %v, want %v", err, low)
+	}
+	if len(tb.Rows) != 0 {
+		t.Errorf("failed fan-out appended %d rows", len(tb.Rows))
+	}
+}
+
 func TestAddRowsZero(t *testing.T) {
 	tb := &tab.Table{}
-	if err := addRows(context.Background(), tb, 0, func(int) ([]string, error) { return nil, errors.New("never") }); err != nil {
+	if err := addRows(context.Background(), tb, nil, func(int) ([]string, error) { return nil, errors.New("never") }); err != nil {
 		t.Errorf("zero rows should succeed, got %v", err)
 	}
 	if len(tb.Rows) != 0 {

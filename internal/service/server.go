@@ -183,6 +183,33 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, api.ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
+// bodyTimeout is how long a client may take to send a POST body once
+// its headers are in. It is a fixed bound, held in a variable only so
+// tests can shorten it.
+var bodyTimeout = 30 * time.Second
+
+// decodeBody decodes one JSON value from a request body of at most
+// 1 MiB that must arrive within bodyTimeout. The read deadline is set
+// on the connection here rather than as the daemon's
+// http.Server.ReadTimeout, so the bound holds wherever the handler is
+// served, and it covers the decode only: a decoded body clears it, so
+// a response that streams for longer is not bounded by it. A failed
+// decode leaves it armed, because before answering net/http drains
+// what is left of the body, and a stalled client must not hold that
+// read open. Writers that are not a connection (test recorders) cannot
+// take a deadline, and their bodies are already in memory.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	rc := http.NewResponseController(w)
+	armed := rc.SetReadDeadline(time.Now().Add(bodyTimeout)) == nil
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(v); err != nil {
+		return err
+	}
+	if armed {
+		return rc.SetReadDeadline(time.Time{})
+	}
+	return nil
+}
+
 // handleSubmit accepts a job, answering from the memo store when the
 // canonical key is already known.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -191,7 +218,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SubmitRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
@@ -335,7 +362,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var spec search.Spec
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
+	if err := decodeBody(w, r, &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

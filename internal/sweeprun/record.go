@@ -46,7 +46,9 @@ func Record(ctx context.Context, name, sizeS string, scale float64) (*workload.W
 }
 
 // recordTrace runs w once into a store preallocated from the
-// workload's reference estimate, so recording does not regrow.
+// workload's reference estimate. The estimate scales by the kernel's
+// own step count and lands within 2% above the recorded length
+// (TestEstimateRefsMatchesRecording), so recording does not regrow.
 func recordTrace(ctx context.Context, w *workload.Workload, sz workload.Size, scale float64) (*trace.Store, error) {
 	st := trace.NewStore(int(workload.EstimateRefs(w.Name, sz, scale)))
 	if err := w.RunContext(ctx, st, scale); err != nil {

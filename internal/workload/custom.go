@@ -89,11 +89,11 @@ func Custom(p CustomParams) (*Workload, error) {
 			100*p.SequentialShare/total, 100*p.StrideShare/total,
 			100*p.RandomShare/total, 100*p.ResidentShare/total),
 		DataBytes: p.DataBytes,
-		run: func(m *Machine, scale float64) {
+		steps:     p.References,
+		run: func(m *Machine, n int) {
 			arena := m.Alloc(p.DataBytes)
 			resident := m.Alloc(8 << 10)
 			rng := m.Rand()
-			n := iters(p.References, scale)
 			seqPos, stridePos := int64(0), int64(0)
 			arenaBytes := int64(p.DataBytes)
 			for i := 0; i < n; i++ {

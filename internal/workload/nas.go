@@ -39,10 +39,10 @@ func newEmbar(size Size) (*Workload, error) {
 		Description: "Embarrassingly parallel",
 		Input:       "2^17 Gaussian pairs",
 		DataBytes:   elems * dbl,
-		run: func(m *Machine, scale float64) {
+		steps:       elems,
+		run: func(m *Machine, n int) {
 			table := m.Alloc(elems * dbl)
 			scratch := m.Alloc(256) // RNG state + Box-Muller temporaries
-			n := iters(elems, scale)
 			for i := 0; i < n; i++ {
 				m.Loop(0)
 				// ~36 scratch references (always cache-resident) and
@@ -82,7 +82,8 @@ func newMgrid(size Size) (*Workload, error) {
 		Description: "Multigrid kernel",
 		Input:       fmt3d(n) + " grid",
 		DataBytes:   uint64(4 * cells * dbl),
-		run: func(m *Machine, scale float64) {
+		steps:       5,
+		run: func(m *Machine, sweeps int) {
 			rng := m.Rand()
 			// Four full-resolution arrays plus per-level coarse grids.
 			u := m.Alloc(uint64(cells * dbl))
@@ -92,7 +93,6 @@ func newMgrid(size Size) (*Workload, error) {
 			u2 := m.Alloc(uint64(cells / 8 * dbl)) // coarse grid
 			r2 := m.Alloc(uint64(cells / 8 * dbl))
 			coef := m.Alloc(512) // stencil coefficients: resident
-			sweeps := iters(5, scale)
 			for s := 0; s < sweeps; s++ {
 				// Smooth + residual: seven lanes walked in lockstep
 				// (u with its +/-1 row taps, v, r, z, and the coarse
@@ -168,7 +168,8 @@ func newCgm(size Size) (*Workload, error) {
 		// (the NAS makea routine keeps a second copy), and the CG
 		// vectors — matching Table 1's 2.9 MB for the small input.
 		DataBytes: uint64(3*nnz*(dbl+4) + 6*n*dbl),
-		run: func(m *Machine, scale float64) {
+		steps:     12,
+		run: func(m *Machine, cgIters int) {
 			a := m.Alloc(uint64(nnz * dbl))
 			colidx := m.Alloc(uint64(nnz * 4))
 			x := m.Alloc(uint64(n * dbl))
@@ -176,7 +177,6 @@ func newCgm(size Size) (*Workload, error) {
 			zvec := m.Alloc(uint64(n * dbl))
 			rng := m.Rand()
 			perRow := nnz / n
-			cgIters := iters(12, scale)
 			for it := 0; it < cgIters; it++ {
 				// q = A*x: stream a[] and colidx[], gather x[],
 				// accumulate in a resident partial-sum slot.
@@ -228,11 +228,11 @@ func newFftpde(size Size) (*Workload, error) {
 		Description: "3-D PDE solver using FFT",
 		Input:       fmt3d(n) + " complex array",
 		DataBytes:   uint64(3 * cells * cplx),
-		run: func(m *Machine, scale float64) {
+		steps:       2,
+		run: func(m *Machine, steps int) {
 			grid := m.Alloc(uint64(cells * cplx))
 			chk := m.Alloc(uint64(cells * cplx)) // evolved copy
 			work := m.Alloc(uint64(n * cplx))    // per-column FFT workspace
-			steps := iters(2, scale)
 			for t := 0; t < steps; t++ {
 				// Evolve + copy: unit-stride sweep of both arrays.
 				for i := 0; i < cells; i++ {
@@ -305,12 +305,12 @@ func newIS(size Size) (*Workload, error) {
 		Description: "Integer sort",
 		Input:       "64K integers, maxkey = 2048",
 		DataBytes:   keys*4 + keys*4 + maxKey*4,
-		run: func(m *Machine, scale float64) {
+		steps:       10,
+		run: func(m *Machine, passes int) {
 			keyArr := m.Alloc(keys * 4)
 			rank := m.Alloc(keys * 4)
 			count := m.Alloc(maxKey * 4) // 8 KB: cache resident
 			rng := m.Rand()
-			passes := iters(10, scale)
 			for p := 0; p < passes; p++ {
 				// Counting phase: stream keys, bump histogram (the
 				// histogram and its bookkeeping are cache-resident).
@@ -387,14 +387,14 @@ func newAppbt(size Size) (*Workload, error) {
 		Description: "Fluid dynamics (block tridiagonal ADI)",
 		Input:       fmt3d(n) + " grid",
 		DataBytes:   uint64(3 * cells * jacBytes),
-		run: func(m *Machine, scale float64) {
+		steps:       18,
+		run: func(m *Machine, steps int) {
 			jacA := m.Alloc(uint64(cells * jacBytes))
 			jacB := m.Alloc(uint64(cells * jacBytes))
 			jacC := m.Alloc(uint64(cells * jacBytes))
 			rhs := m.Alloc(uint64(cells * 5 * dbl))
 			lhs := m.Alloc(4 << 10) // factored 5x5 pivot tile: resident
 			rng := m.Rand()
-			steps := iters(18, scale)
 			for t := 0; t < steps; t++ {
 				// x-solves: contiguous block runs, long streams; the
 				// 5x5 Gaussian elimination itself runs on a resident
@@ -488,13 +488,13 @@ func newADI(name, desc string, n int, stridedFrac float64, steps int, scramble b
 		Description: desc,
 		Input:       fmt3d(n) + " grid",
 		DataBytes:   uint64(4 * cells * rec),
-		run: func(m *Machine, scale float64) {
+		steps:       steps,
+		run: func(m *Machine, nstep int) {
 			u := m.Alloc(uint64(cells * rec))
 			rsd := m.Alloc(uint64(cells * rec))
 			flux := m.Alloc(uint64(cells * rec))
 			tile := m.Alloc(4 << 10) // 5x5 system solve scratch: resident
 			rng := m.Rand()
-			nstep := iters(steps, scale)
 			ySteps := int(stridedFrac * float64(n))
 			for t := 0; t < nstep; t++ {
 				// x-sweep: unit stride over u and rsd, with the 5x5

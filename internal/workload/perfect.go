@@ -33,12 +33,12 @@ func newSpec77(size Size) (*Workload, error) {
 		Description: "Weather simulation (spectral)",
 		Input:       "720 time steps",
 		DataBytes:   coeffs*dbl + gridPts*dbl,
-		run: func(m *Machine, scale float64) {
+		steps:       10,
+		run: func(m *Machine, steps int) {
 			spec := m.Alloc(coeffs * dbl)
 			grid := m.Alloc(gridPts * dbl)
 			work := m.Alloc(8 << 10) // physics workspace: resident
 			rng := m.Rand()
-			steps := iters(10, scale)
 			const lat = 128 // points per latitude line
 			for t := 0; t < steps; t++ {
 				// Legendre transform: stream the coefficient array
@@ -103,11 +103,11 @@ func newAdm(size Size) (*Workload, error) {
 		Description: "Air pollution (implicit transport)",
 		Input:       "64 x 1 x 16 grid, 720 time steps",
 		DataBytes:   fieldElems * dbl,
-		run: func(m *Machine, scale float64) {
+		steps:       40,
+		run: func(m *Machine, steps int) {
 			field := m.Alloc(fieldElems * dbl)
 			work := m.Alloc(16 << 10) // resident solver workspace
 			rng := m.Rand()
-			steps := iters(40, scale)
 			for t := 0; t < steps; t++ {
 				for i := 0; i < 60000; i++ {
 					m.Loop(0)
@@ -151,12 +151,12 @@ func newBdna(size Size) (*Workload, error) {
 		Description: "Nucleic acid simulation (molecular dynamics)",
 		Input:       "500 molecules, 20 counter ions",
 		DataBytes:   atoms * rec,
-		run: func(m *Machine, scale float64) {
+		steps:       6,
+		run: func(m *Machine, steps int) {
 			arena := m.Alloc(atoms * rec)
 			nbr := m.Alloc(atoms * 4)
 			work := m.Alloc(4 << 10) // potential tables: resident
 			rng := m.Rand()
-			steps := iters(6, scale)
 			for t := 0; t < steps; t++ {
 				// Force loop: walk atoms in order (their records and
 				// the neighbour-index list stream sequentially), with
@@ -215,11 +215,11 @@ func newDyfesm(size Size) (*Workload, error) {
 		Description: "Structural dynamics (FEM)",
 		Input:       "4 elements, 1000 time steps",
 		DataBytes:   nodes * dbl,
-		run: func(m *Machine, scale float64) {
+		steps:       60,
+		run: func(m *Machine, steps int) {
 			nodal := m.Alloc(nodes * dbl)
 			elem := m.Alloc(8 << 10) // element matrices: resident
 			rng := m.Rand()
-			steps := iters(60, scale)
 			for t := 0; t < steps; t++ {
 				// Displacement/velocity updates: two sequential sweeps
 				// of the nodal arrays per step.
@@ -271,11 +271,11 @@ func newMdg(size Size) (*Workload, error) {
 		Description: "Liquid water simulation (molecular dynamics)",
 		Input:       "343 molecules, 100 time steps",
 		DataBytes:   mols * rec,
-		run: func(m *Machine, scale float64) {
+		steps:       30,
+		run: func(m *Machine, steps int) {
 			arena := m.Alloc(mols * rec)
 			forces := m.Alloc(mols * rec / 2)
 			work := m.Alloc(4 << 10)
-			steps := iters(30, scale)
 			for t := 0; t < steps; t++ {
 				for i := 0; i < mols; i++ {
 					m.Loop(0)
@@ -326,11 +326,11 @@ func newQcd(size Size) (*Workload, error) {
 		Description: "Quantum chromodynamics",
 		Input:       "12 x 12 x 12 x 12 lattice",
 		DataBytes:   uint64(sites * linkRec),
-		run: func(m *Machine, scale float64) {
+		steps:       3,
+		run: func(m *Machine, sweeps int) {
 			links := m.Alloc(uint64(sites * linkRec))
 			mom := m.Alloc(uint64(sites * linkRec / 2))
 			acc := m.Alloc(4 << 10)
-			sweeps := iters(3, scale)
 			strides := []int{1, l, l * l, l * l * l}
 			for s := 0; s < sweeps; s++ {
 				for site := 0; site < sites; site++ {
@@ -406,10 +406,10 @@ func newTrfd(size Size) (*Workload, error) {
 		Description: "Quantum mechanics (integral transformation)",
 		Input:       "two-electron integral transformation",
 		DataBytes:   ints * dbl,
-		run: func(m *Machine, scale float64) {
+		steps:       2,
+		run: func(m *Machine, passes int) {
 			xrsiq := m.Alloc(ints * dbl) // packed integral matrix
 			work := m.Alloc(16 << 10)    // resident DGEMM tile
-			passes := iters(2, scale)
 			for p := 0; p < passes; p++ {
 				// Row pass: long unit-stride sweeps with dominant
 				// resident-tile compute between touches.

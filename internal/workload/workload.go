@@ -80,9 +80,14 @@ type Workload struct {
 	Input string
 	// DataBytes is the resident data-set size.
 	DataBytes uint64
-	// run is the kernel body. scale in (0, 1] shrinks the iteration
-	// count for quick runs without changing the data-set size.
-	run func(m *Machine, scale float64)
+	// steps is the iteration count of the kernel's one scaled outer
+	// loop at scale 1. Run hands the kernel iters(steps, scale), and
+	// EstimateRefs scales by the same count, so the two cannot drift.
+	steps int
+	// run is the kernel body, running its outer loop steps times.
+	// Scaling shrinks that count for quick runs without changing the
+	// data-set size.
+	run func(m *Machine, steps int)
 }
 
 // Run drives the kernel, sending its references to sink. scale in
@@ -114,7 +119,7 @@ func (w *Workload) RunContext(ctx context.Context, sink Sink, scale float64) (er
 			err = cp.err
 		}
 	}()
-	w.run(m, scale)
+	w.run(m, iters(w.steps, scale))
 	m.flush()
 	return nil
 }
@@ -455,11 +460,11 @@ var growable = map[string]bool{
 
 // refCounts holds the measured reference count (data accesses plus
 // instruction fetches) of each benchmark at scale 1, small and large
-// inputs; zero marks an undefined large input. Iteration counts scale
-// linearly with the scale knob, so EstimateRefs extrapolates from
-// these. The numbers only size preallocations — a drifted estimate
-// costs one slice regrow, never correctness — so they do not need
-// re-measuring every time a kernel is retuned.
+// inputs; zero marks an undefined large input. Every outer-loop step
+// of a kernel emits the same number of references, so EstimateRefs
+// scales these by the step count. TestEstimateRefsMatchesRecording
+// pins them against the kernels: retuning a kernel's loop body means
+// re-measuring its entry here.
 var refCounts = map[string][2]uint64{
 	"embar":  {6029312, 0},
 	"mgrid":  {2252620, 17162060},
@@ -479,12 +484,21 @@ var refCounts = map[string][2]uint64{
 }
 
 // EstimateRefs estimates how many references the named benchmark
-// emits at the given input size and scale — the preallocation hint
-// for trace recording. Unknown benchmarks (or sizes) return zero,
-// which callers treat as "no hint".
+// emits at the given input size and scale: the preallocation hint for
+// trace recording, and the weight that orders the experiments' rows.
+// It scales the measured count by the kernel's own step count,
+// iters(steps, scale), so it models the clamp to at least one outer
+// step that makes two-step kernels such as fftpde and trfd record a
+// whole step at any scale below 0.5. Below scale 1 it adds 1% of
+// slack. Unknown benchmarks (or sizes) return zero, which callers
+// treat as "no hint".
 func EstimateRefs(name string, size Size, scale float64) uint64 {
 	counts, ok := refCounts[name]
 	if !ok {
+		return 0
+	}
+	w, err := New(name, size)
+	if err != nil {
 		return 0
 	}
 	n := counts[0]
@@ -492,10 +506,7 @@ func EstimateRefs(name string, size Size, scale float64) uint64 {
 		n = counts[1]
 	}
 	if scale < 1 {
-		// Kernels clamp each scaled loop to at least one iteration, so
-		// tiny scales undershoot a pure linear model; the +1% slack and
-		// the callers' tolerance for a regrow cover that.
-		n = uint64(float64(n) * scale * 1.01)
+		n = uint64(float64(n) * float64(iters(w.steps, scale)) / float64(w.steps) * 1.01)
 	}
 	return n
 }
