@@ -26,6 +26,7 @@ import (
 	"streamsim/internal/mem"
 	"streamsim/internal/search"
 	"streamsim/internal/stream"
+	"streamsim/internal/timing"
 	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
@@ -510,6 +511,38 @@ func BenchmarkReplayMulti2(b *testing.B) { benchReplayMulti(b, 2) }
 // BenchmarkReplayMulti8 fans one decode out to 8 systems — the
 // fig3/fig9 shape (a full x-axis sweep per benchmark).
 func BenchmarkReplayMulti8(b *testing.B) { benchReplayMulti(b, 8) }
+
+// BenchmarkReplayTimed3 is the timed layer: the extcpi shape, three
+// timing models (bare L1, ten plain streams, the filtered czone
+// configuration) over one decode of the replay fixture through
+// timing.Replay, so the paper's L1s are simulated once and each model
+// is charged its own misses. refs/s is aggregate: trace length × 3
+// per op.
+func BenchmarkReplayTimed3(b *testing.B) {
+	store, _ := replayFixture(b)
+	bare := core.DefaultConfig()
+	bare.Streams = stream.Config{}
+	bare.UnitFilterEntries, bare.Stride = 0, core.NoStrideDetection
+	plain := core.DefaultConfig()
+	plain.UnitFilterEntries, plain.Stride = 0, core.NoStrideDetection
+	cfgs := []core.Config{bare, plain, core.DefaultConfig()}
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		models := make([]*timing.Model, len(cfgs))
+		for j, cfg := range cfgs {
+			m, err := timing.New(cfg, timing.DefaultLatencies())
+			if err != nil {
+				b.Fatal(err)
+			}
+			models[j] = m
+		}
+		if err := timing.Replay(ctx, models, store); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(store.Len())*float64(len(cfgs))*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
+}
 
 // benchHalving runs one full successive-halving optimization per op —
 // the optimize-smoke incremental configuration (applu's 8-window small

@@ -18,6 +18,7 @@ import (
 var gateFiles = []string{
 	"bench_test.go",
 	"internal/core/alloc_test.go",
+	"internal/timing/alloc_test.go",
 	"internal/workload/cancel_test.go",
 }
 

@@ -145,7 +145,7 @@ type System struct {
 
 	instructions uint64
 	finished     bool
-	out          Outcome // scratch for AccessOutcome
+	out          Outcome // scratch for AccessOutcome and the miss log
 
 	// tap, when non-nil, records every backend event as a packed word:
 	// the write-backs to memory (writeBack) and the L1 miss fills that
@@ -156,6 +156,14 @@ type System struct {
 	// through their own backend instead of re-simulating an identical
 	// front (see applyTap).
 	tap []uint64
+
+	// log, when non-nil, is the miss log of the batch being replayed:
+	// one entry per reference that left the L1-hit path (see Miss).
+	// The logged fan-out (ReplayStoreMultiLogged) arms it on every
+	// system with room for a whole batch: a leader logs from
+	// AccessPacked's probe loops (logMiss), a follower from its tap
+	// segments (applyLog).
+	log []Miss
 
 	ctr counters // every statistic; the components count into it (bind)
 }
@@ -429,6 +437,21 @@ type Outcome struct {
 	Prefetches uint64
 }
 
+// Miss is one entry of a system's miss log: a reference of the
+// replayed batch that left the L1-hit path — an L1 miss or a reference
+// set sampling skipped — and how it was serviced. The batch's other
+// references hit in the L1.
+type Miss struct {
+	// Index is the reference's position in its batch.
+	Index int
+	// TapEnd is the length of the front leader's tap once the
+	// reference was done: its backend events are the tap from the
+	// previous entry's TapEnd up to TapEnd.
+	TapEnd int
+	// Outcome is how this system serviced the reference.
+	Outcome
+}
+
 // Access presents one memory reference to the system.
 //
 // The L1 probe is inlined here (and in AccessBatch) rather than
@@ -479,6 +502,8 @@ func (s *System) AccessBatch(accs []mem.Access) {
 // byte-identical to AccessBatch over the equivalent mem.Access slice,
 // but each reference is a single word unpacked straight into the
 // probe, with no struct materialization between decode and simulation.
+// With the miss log armed, each reference that leaves the hit path is
+// logged as missVia finishes it (logMiss).
 //
 //simlint:hotpath
 //simlint:borrowed words
@@ -492,7 +517,7 @@ func (s *System) AccessPacked(words []uint64) {
 	if !pd.DeferHits() || !pi.DeferHits() {
 		// Stamped replacement: every hit must update its way's stamp,
 		// so run the full per-reference bookkeeping.
-		for _, w := range words {
+		for i, w := range words {
 			c, p, write, ifetch := ld, &pd, w&3 == uint64(mem.Write), false
 			if w&3 == uint64(IFetchKind) {
 				c, p, write, ifetch = li, &pi, false, true
@@ -503,6 +528,9 @@ func (s *System) AccessPacked(words []uint64) {
 				continue
 			}
 			s.missVia(c, mem.Addr(w>>2), write, ifetch, st)
+			if s.log != nil {
+				s.logMiss(i)
+			}
 		}
 		return
 	}
@@ -511,12 +539,15 @@ func (s *System) AccessPacked(words []uint64) {
 	// registers and flushes once per batch — no per-reference stores at
 	// all on a read hit.
 	var hitsD, hitsI uint64
-	for _, w := range words {
+	for i, w := range words {
 		if w&3 == uint64(IFetchKind) {
 			if _, st := pi.Probe(w >> 2); st == cache.ProbeHit {
 				hitsI++
 			} else {
 				s.missVia(li, mem.Addr(w>>2), false, true, st)
+				if s.log != nil {
+					s.logMiss(i)
+				}
 			}
 			continue
 		}
@@ -525,6 +556,9 @@ func (s *System) AccessPacked(words []uint64) {
 		switch {
 		case st != cache.ProbeHit:
 			s.missVia(ld, mem.Addr(w>>2), write, false, st)
+			if s.log != nil {
+				s.logMiss(i)
+			}
 		case write:
 			ld.HitAt(way, true)
 		default:
@@ -700,6 +734,24 @@ func (s *System) tapEvent(ev uint64) {
 	s.tap = append(s.tap, ev)
 }
 
+// logMiss appends reference i of the batch to the miss log with the
+// outcome missVia accounted for it, then clears the outcome for the
+// next miss: the logged fan-out clears it when it arms the log, and a
+// hit never writes it, so each entry carries its own reference's
+// events only. The log has room for a whole batch, so the reslice
+// never grows it. It stays out of line: inlined at AccessPacked's
+// three miss sites it grew the probe loops' frame for replays that
+// never log.
+//
+//go:noinline
+//simlint:hotpath
+func (s *System) logMiss(i int) {
+	n := len(s.log)
+	s.log = s.log[:n+1]
+	s.log[n] = Miss{Index: i, TapEnd: len(s.tap), Outcome: s.out}
+	s.out = Outcome{}
+}
+
 // applyTap replays a leader system's tapped backend events (see
 // System.tap) through this system's own backend: the very writeBack
 // and fill a solo system runs. The caller guarantees this system's
@@ -722,6 +774,34 @@ func (s *System) applyTap(events []uint64) {
 		}
 	}
 }
+
+// applyLog is applyTap for a logged replay: it replays the leader's
+// tap one logged reference at a time and logs this system's own
+// outcome for each. The shared front decided every level but a fill's:
+// a victim hit, an unsampled reference or a no-write-allocate store
+// taps no fill, so each entry starts from the leader's level, and a
+// fill in the segment replaces it with this system's stream or memory
+// level. Write-backs and prefetches are this system's own, counted by
+// its backend as the segment replays.
+//
+//simlint:hotpath
+//simlint:borrowed tap log
+func (s *System) applyLog(tap []uint64, log []Miss) {
+	s.log = s.log[:len(log)]
+	start := 0
+	for k, e := range log {
+		s.out = Outcome{Level: e.Level}
+		s.applyTap(tap[start:e.TapEnd])
+		start = e.TapEnd
+		s.log[k] = Miss{Index: e.Index, TapEnd: e.TapEnd, Outcome: s.out}
+	}
+}
+
+// MissLog returns the miss log of the batch a logged replay
+// (ReplayStoreMultiLogged) last stepped, in reference order. It is
+// valid only during that replay's batch callback: the next batch
+// overwrites it, and the replay disarms it on exit.
+func (s *System) MissLog() []Miss { return s.log }
 
 // adoptFront hands a follower the front its leader simulated for both
 // of them (see frontPlan). The leader's L1 and victim counters are

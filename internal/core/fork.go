@@ -29,8 +29,9 @@ func (s *System) Fork() *System {
 // and bound to the copy's counters. Starting from the value copy
 // carries every field by construction, so a copy can go wrong only by
 // sharing a reference with its original, which TestSnapshotCopiesAreDeep
-// walks for. The configuration, hooks included, is shared; tap is nil
-// between replay calls (settle disarms it), so no copy carries one.
+// walks for. The configuration, hooks included, is shared; tap and
+// the miss log are nil between replay calls (settle disarms them), so
+// no copy carries one.
 func (s *System) clone() *System {
 	n := *s
 	n.l1i, n.l1d = s.l1i.Clone(), s.l1d.Clone()

@@ -88,8 +88,10 @@ type frontPlan []frontClass
 // planFronts groups systems by front key in order of first appearance;
 // each class's first member leads. A leader with followers gets a tap
 // buffer sized for the worst batch (a write-back and a fill per
-// reference), so the tap never grows mid-replay.
-func planFronts(systems []*System) frontPlan {
+// reference), so the tap never grows mid-replay. logged arms every
+// system's miss log the same way, with room for one entry per
+// reference of a batch and a clear outcome to log into.
+func planFronts(systems []*System, logged bool) frontPlan {
 	p := make(frontPlan, 0, len(systems))
 	keys := make([]frontKey, 0, len(systems))
 next:
@@ -109,11 +111,18 @@ next:
 			c.leader.tap = make([]uint64, 0, 2*trace.ReplayBatchLen)
 		}
 	}
+	if logged {
+		for _, sys := range systems {
+			sys.log = make([]Miss, 0, trace.ReplayBatchLen)
+			sys.out = Outcome{}
+		}
+	}
 	return p
 }
 
 // step presents one decoded batch to every class: the leader simulates
-// it, then each follower replays the leader's tapped events. A leader
+// it, then each follower replays the leader's tapped events — one
+// logged reference at a time when the miss logs are armed. A leader
 // without followers has a nil tap and records nothing.
 //
 //simlint:hotpath
@@ -123,20 +132,27 @@ func (p frontPlan) step(words []uint64) {
 		c := &p[i]
 		lead := c.leader
 		lead.tap = lead.tap[:0]
+		lead.log = lead.log[:0]
 		lead.AccessPacked(words)
 		for _, f := range c.followers {
-			f.applyTap(lead.tap)
+			if lead.log != nil {
+				f.applyLog(lead.tap, lead.log)
+			} else {
+				f.applyTap(lead.tap)
+			}
 		}
 	}
 }
 
 // replay decodes refs references from it, steps the plan over each
-// batch and polls ctx between batches. On cancellation every system
-// has consumed the same prefix and ctx.Err() is returned.
+// batch, hands the batch to visit when it is non-nil, and polls ctx
+// between batches. On cancellation every system has consumed the same
+// prefix, visit has seen every batch they consumed, and ctx.Err() is
+// returned.
 //
 //simlint:hotpath
 //simlint:borrowed buf
-func (p frontPlan) replay(ctx context.Context, it *trace.StoreIter, refs int, buf []uint64) error {
+func (p frontPlan) replay(ctx context.Context, it *trace.StoreIter, refs int, buf []uint64, visit func(words []uint64)) error {
 	done := ctx.Done()
 	for refs > 0 {
 		b := buf
@@ -148,6 +164,9 @@ func (p frontPlan) replay(ctx context.Context, it *trace.StoreIter, refs int, bu
 			return nil
 		}
 		p.step(b[:n])
+		if visit != nil {
+			visit(b[:n])
+		}
 		refs -= n
 		select {
 		case <-done:
@@ -158,12 +177,14 @@ func (p frontPlan) replay(ctx context.Context, it *trace.StoreIter, refs int, bu
 	return nil
 }
 
-// settle closes a replay call on every exit: the taps are disarmed and
-// each follower adopts its leader's front (System.adoptFront).
+// settle closes a replay call on every exit: the taps and miss logs
+// are disarmed and each follower adopts its leader's front
+// (System.adoptFront).
 func (p frontPlan) settle() {
 	for _, c := range p {
-		c.leader.tap = nil
+		c.leader.tap, c.leader.log = nil, nil
 		for _, f := range c.followers {
+			f.log = nil
 			f.adoptFront(c.leader)
 		}
 	}

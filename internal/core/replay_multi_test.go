@@ -326,14 +326,39 @@ func syntheticStore(nRefs int) *trace.Store {
 }
 
 // TestReplayStoreMultiCancel checks that a cancelled context aborts
-// the fan-out promptly on every path: the call returns ctx.Err() and
-// no system consumes more than one extra batch after the cancel. The
-// pre-cancelled variant bounds the damage exactly; the mid-flight
+// the fan-out promptly on every path, the logged one included: the
+// call returns ctx.Err(), every system has consumed the same prefix,
+// and none consumes more than one extra batch after the cancel. The
+// logged path's batch callback must have seen exactly that prefix.
+// The pre-cancelled variant bounds the damage exactly; the mid-flight
 // variant (cancel from another goroutine) is the shape the simd
-// service exercises and runs race-clean under -race.
+// service exercises and runs race-clean under -race. The systems span
+// several front classes, so leaders and followers both stop.
 func TestReplayStoreMultiCancel(t *testing.T) {
 	st := syntheticStore(64 * trace.ReplayBatchLen)
-	cfgs := multiConfigs()
+	cfgs := append(multiConfigs(), mixedFrontConfigs()...)
+	batched := -1 // references the logged path's callback saw; -1 on the other paths
+	logged := func(ctx context.Context, systems []*core.System, st *trace.Store) error {
+		batched = 0
+		return core.ReplayStoreMultiLogged(ctx, systems, st, func(words []uint64) { batched += len(words) })
+	}
+	consumed := func(t *testing.T, systems []*core.System) uint64 {
+		t.Helper()
+		var first uint64
+		for i, sys := range systems {
+			r := sys.Results()
+			n := r.L1I.Accesses + r.L1D.Accesses
+			if i == 0 {
+				first = n
+			} else if n != first {
+				t.Errorf("system %d consumed %d refs, system 0 %d: a cancelled fan-out must stop every system at one prefix", i, n, first)
+			}
+		}
+		if batched >= 0 && uint64(batched) != first {
+			t.Errorf("the batch callback saw %d refs, the systems consumed %d", batched, first)
+		}
+		return first
+	}
 
 	for _, mode := range []struct {
 		name   string
@@ -341,23 +366,23 @@ func TestReplayStoreMultiCancel(t *testing.T) {
 	}{
 		{"sequential", wholeTrace},
 		{"exact", replayWindowByWindow},
+		{"logged", logged},
 	} {
 		t.Run(mode.name+"/pre-cancelled", func(t *testing.T) {
+			batched = -1
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			systems := newSystems(t, cfgs)
 			if err := mode.replay(ctx, systems, st); err != context.Canceled {
 				t.Fatalf("replay = %v, want context.Canceled", err)
 			}
-			for i, sys := range systems {
-				r := sys.Results()
-				if consumed := r.L1I.Accesses + r.L1D.Accesses; consumed > trace.ReplayBatchLen {
-					t.Errorf("system %d consumed %d refs after pre-cancel, want <= one batch (%d)",
-						i, consumed, trace.ReplayBatchLen)
-				}
+			if n := consumed(t, systems); n > trace.ReplayBatchLen {
+				t.Errorf("systems consumed %d refs after pre-cancel, want <= one batch (%d)",
+					n, trace.ReplayBatchLen)
 			}
 		})
 		t.Run(mode.name+"/mid-flight", func(t *testing.T) {
+			batched = -1
 			ctx, cancel := context.WithCancel(context.Background())
 			systems := newSystems(t, cfgs)
 			var wg sync.WaitGroup
@@ -375,6 +400,7 @@ func TestReplayStoreMultiCancel(t *testing.T) {
 			if err := <-errc; err != nil && err != context.Canceled {
 				t.Fatalf("replay = %v, want nil or context.Canceled", err)
 			}
+			consumed(t, systems)
 		})
 	}
 }
@@ -400,18 +426,26 @@ func TestReplayStoreMultiDegenerate(t *testing.T) {
 }
 
 // TestLastFanOutWidthEveryPath pins the replay_fanout_width gauge on
-// a whole-trace replay and on a resumed one: a three-system replay
-// that follows a one-system one must read three either way.
+// a whole-trace replay, on a resumed one and on a logged one: a
+// three-system replay that follows a one-system one must read three
+// each way.
 func TestLastFanOutWidthEveryPath(t *testing.T) {
 	ctx := context.Background()
 	st := syntheticStore(4 * trace.WindowRefs)
-	for _, from := range []int{0, 2} {
+	for _, path := range []struct {
+		name   string
+		replay func([]*core.System) error
+	}{
+		{"whole trace", func(s []*core.System) error { return core.ReplayStoreMultiPrefixFrom(ctx, s, st, 0, 0) }},
+		{"from window 2", func(s []*core.System) error { return core.ReplayStoreMultiPrefixFrom(ctx, s, st, 2, 0) }},
+		{"logged", func(s []*core.System) error { return core.ReplayStoreMultiLogged(ctx, s, st, func([]uint64) {}) }},
+	} {
 		for _, n := range []int{1, 3} {
-			if err := core.ReplayStoreMultiPrefixFrom(ctx, newSystems(t, multiConfigs()[:n]), st, from, 0); err != nil {
+			if err := path.replay(newSystems(t, multiConfigs()[:n])); err != nil {
 				t.Fatal(err)
 			}
 			if got := core.LastFanOutWidth(); got != n {
-				t.Errorf("from window %d: LastFanOutWidth after a %d-system replay = %d", from, n, got)
+				t.Errorf("%s: LastFanOutWidth after a %d-system replay = %d", path.name, n, got)
 			}
 		}
 	}

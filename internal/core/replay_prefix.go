@@ -1,7 +1,8 @@
 // The one multi-system replay: every hit-rate experiment row, sweep
 // point and optimizer score in the module replays a recorded trace
 // through ReplayStoreMultiPrefixFrom, whole traces as the range
-// [0, end).
+// [0, end), and every timed row through ReplayStoreMultiLogged, the
+// same pass with each system's miss log armed.
 // Successive halving (internal/search) also scores cheap early rungs
 // on a prefix of the sample windows — one decode pass feeds every
 // candidate, and candidates sharing an L1 front simulate it once — and
@@ -39,6 +40,30 @@ import (
 //
 //simlint:deterministic
 func ReplayStoreMultiPrefixFrom(ctx context.Context, systems []*System, st *trace.Store, fromWindow, toWindow int) error {
+	return replayRange(ctx, systems, st, fromWindow, toWindow, nil)
+}
+
+// ReplayStoreMultiLogged is ReplayStoreMultiPrefixFrom over the whole
+// trace with every system's miss log armed: after each batch, batch is
+// called with the batch's packed references, and each system's
+// MissLog then lists the ones that left its L1-hit path, in order,
+// with how that system serviced each; every other reference of the
+// batch hit in its L1. This is what a timing model needs to charge a
+// batch (internal/timing), and the front is still simulated once per
+// class: leaders log from their probe loops, and followers replay the
+// leader's tap one logged reference at a time. On cancellation every
+// system has consumed the same prefix, batch has seen all of it, and
+// ctx.Err() is returned.
+//
+//simlint:deterministic
+func ReplayStoreMultiLogged(ctx context.Context, systems []*System, st *trace.Store, batch func(words []uint64)) error {
+	return replayRange(ctx, systems, st, 0, 0, batch)
+}
+
+// replayRange is the one body of both entry points: it clamps the
+// window range, plans the fronts (arming the miss logs when visit is
+// non-nil) and runs the range loop, settling the plan on every exit.
+func replayRange(ctx context.Context, systems []*System, st *trace.Store, fromWindow, toWindow int, visit func(words []uint64)) error {
 	if len(systems) == 0 {
 		return nil
 	}
@@ -55,9 +80,9 @@ func ReplayStoreMultiPrefixFrom(ctx context.Context, systems []*System, st *trac
 	if fromWindow == toWindow {
 		return nil
 	}
-	p := planFronts(systems)
+	p := planFronts(systems, visit != nil)
 	defer p.settle()
 	it := st.IterAtWindow(fromWindow)
 	refs := st.PrefixLen(toWindow) - st.PrefixLen(fromWindow)
-	return p.replay(ctx, &it, refs, make([]uint64, trace.ReplayBatchLen))
+	return p.replay(ctx, &it, refs, make([]uint64, trace.ReplayBatchLen), visit)
 }

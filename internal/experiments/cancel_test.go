@@ -24,22 +24,30 @@ func TestExperimentPreCancelled(t *testing.T) {
 
 // TestExperimentCancelMidRun cancels an experiment that is actively
 // recording and replaying and checks it unwinds promptly rather than
-// running to completion.
+// running to completion: fig3 on the hit-rate fan-out and extcpi on
+// the timed one.
 func TestExperimentCancelMidRun(t *testing.T) {
-	ResetTraceCache()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		time.Sleep(30 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := Figure3(ctx, Options{Scale: 0.5})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Figure3 = %v, want context.Canceled", err)
-	}
-	if d := time.Since(start); d > 10*time.Second {
-		t.Errorf("cancelled Figure3 took %v to unwind", d)
+	for _, id := range []string{"fig3", "extcpi"} {
+		t.Run(id, func(t *testing.T) {
+			e, err := Lookup(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ResetTraceCache()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				time.Sleep(30 * time.Millisecond)
+				cancel()
+			}()
+			start := time.Now()
+			if _, err := e.Run(ctx, Options{Scale: 0.5}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s = %v, want context.Canceled", id, err)
+			}
+			if d := time.Since(start); d > 10*time.Second {
+				t.Errorf("cancelled %s took %v to unwind", id, d)
+			}
+		})
 	}
 }
 

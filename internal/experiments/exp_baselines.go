@@ -25,10 +25,12 @@ type baselineResult struct {
 	Extra float64
 }
 
-// onChipL1 is one pair of L1s under a prefetcher that fills the cache
-// directly; a nil prefetcher makes it the no-prefetch baseline. p
-// supplies the miss/first-use hooks, and an RPT additionally observes
-// every reference (it is on-chip beside the load/store unit).
+// onChipL1 is one pair of the paper's L1s under a prefetcher that
+// fills the cache directly. p supplies the miss/first-use hooks, and
+// an RPT additionally observes every reference (it is on-chip beside
+// the load/store unit). The no-prefetch baseline it is scored against
+// needs no walker of its own: those L1s are the ones the row's stream
+// configuration replays.
 type onChipL1 struct {
 	l1i, l1d *cache.Cache
 	geom     mem.Geometry
@@ -99,9 +101,7 @@ func (o *onChipL1) access(a mem.Access) {
 		if res.Evicted {
 			o.evicted(mem.Addr(res.VictimBlock))
 		}
-		if o.p != nil {
-			o.install(c, o.p.Miss(a, blk))
-		}
+		o.install(c, o.p.Miss(a, blk))
 	}
 	if o.rpt != nil {
 		if pb, ok := o.rpt.Observe(a); ok {
@@ -123,11 +123,11 @@ func (o *onChipL1) result(baseMisses uint64) baselineResult {
 	}
 }
 
-// runOnChipPrefetchers walks a trace once through three independent
-// pairs of L1s: the no-prefetch baseline, which counts the misses
-// coverage is measured against, tagged OBL and the RPT. Each pair
-// gives the result a walk of its own would, from one decode.
-func runOnChipPrefetchers(ctx context.Context, tr *trace.Store) (obl, rpt baselineResult, err error) {
+// runOnChipPrefetchers walks a trace once through two independent
+// pairs of L1s, under tagged OBL and under the RPT, and scores each
+// against baseMisses, the no-prefetch L1 misses of the same trace.
+// Each pair gives the result a walk of its own would, from one decode.
+func runOnChipPrefetchers(ctx context.Context, tr *trace.Store, baseMisses uint64) (obl, rpt baselineResult, err error) {
 	oblP, err := prefetch.NewOBL(1)
 	if err != nil {
 		return obl, rpt, err
@@ -136,8 +136,8 @@ func runOnChipPrefetchers(ctx context.Context, tr *trace.Store) (obl, rpt baseli
 	if err != nil {
 		return obl, rpt, err
 	}
-	l1s := make([]*onChipL1, 3)
-	for i, p := range []prefetch.Prefetcher{nil, oblP, rptP} {
+	l1s := make([]*onChipL1, 2)
+	for i, p := range []prefetch.Prefetcher{oblP, rptP} {
 		if l1s[i], err = newOnChipL1(p); err != nil {
 			return obl, rpt, err
 		}
@@ -150,8 +150,7 @@ func runOnChipPrefetchers(ctx context.Context, tr *trace.Store) (obl, rpt baseli
 	if err != nil {
 		return obl, rpt, err
 	}
-	base := l1s[0].misses
-	return l1s[1].result(base), l1s[2].result(base), nil
+	return l1s[0].result(baseMisses), l1s[1].result(baseMisses), nil
 }
 
 // Baselines compares tagged OBL and the Baer-Chen RPT against the
@@ -184,7 +183,10 @@ func Baselines(ctx context.Context, opt Options) (*tab.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		oblRes, rptRes, err := runOnChipPrefetchers(ctx, tr)
+		// The stream configuration runs the paper's L1s, seeds
+		// included, so its fills are the no-prefetch baseline's misses.
+		base := sres.L1I.Fills + sres.L1D.Fills
+		oblRes, rptRes, err := runOnChipPrefetchers(ctx, tr, base)
 		if err != nil {
 			return nil, err
 		}

@@ -10,10 +10,8 @@ import (
 
 	"streamsim/internal/cache"
 	"streamsim/internal/cost"
-	"streamsim/internal/mem"
 	"streamsim/internal/tab"
 	"streamsim/internal/timing"
-	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
 
@@ -85,8 +83,9 @@ func EqualCost(ctx context.Context, opt Options) (*tab.Table, error) {
 			return nil, err
 		}
 
-		// Both nodes replay from one decode of the trace.
-		if err := replayTimedMulti(ctx, []*timing.Model{ml2, ms}, tr); err != nil {
+		// Both nodes replay from one decode of the trace, through
+		// one simulation of their shared L1s.
+		if err := replayTimed(ctx, []*timing.Model{ml2, ms}, tr); err != nil {
 			return nil, err
 		}
 
@@ -101,42 +100,4 @@ func EqualCost(ctx context.Context, opt Options) (*tab.Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// replayTimedMulti feeds one recorded trace into several timing
-// models from a single decode pass, spreading the instruction count
-// evenly across the accesses, so each model's ledger is identical to
-// a replay into that model alone. The decode skips the PC stream: the
-// timing model, like core.System, never reads Access.PC.
-func replayTimedMulti(ctx context.Context, models []*timing.Model, tr *trace.Store) error {
-	insts := tr.Instructions()
-	perAccess := uint64(0)
-	if n := uint64(tr.Len()); n > 0 {
-		perAccess = insts / n
-	}
-	done := ctx.Done()
-	buf := make([]mem.Access, trace.ReplayBatchLen)
-	it := tr.Iter()
-	var spent uint64
-	for n := it.NextNoPC(buf); n > 0; n = it.NextNoPC(buf) {
-		for _, m := range models {
-			for i := 0; i < n; i++ {
-				m.Access(buf[i])
-				m.AddInstructions(perAccess)
-			}
-		}
-		spent += uint64(n) * perAccess
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-		}
-	}
-	if insts > spent {
-		for _, m := range models {
-			m.AddInstructions(insts - spent)
-		}
-	}
-	replayedRefs.Add(uint64(tr.Len()) * uint64(len(models)))
-	return nil
 }

@@ -40,14 +40,15 @@ func CPI(ctx context.Context, opt Options) (*tab.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// All three memory systems replay from one decode of the trace.
+		// All three memory systems replay from one decode of the
+		// trace, through one simulation of their shared L1s.
 		models := make([]*timing.Model, 3)
 		for j, cfg := range []core.Config{noStreams(), plainStreams(10), stridedStreams(16)} {
 			if models[j], err = timing.New(cfg, lat); err != nil {
 				return nil, err
 			}
 		}
-		if err := replayTimedMulti(ctx, models, tr); err != nil {
+		if err := replayTimed(ctx, models, tr); err != nil {
 			return nil, err
 		}
 		bare, plain, full := models[0].Stats(), models[1].Stats(), models[2].Stats()

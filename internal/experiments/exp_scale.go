@@ -66,7 +66,7 @@ func Scalability(ctx context.Context, opt Options) (*tab.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := replayTimedMulti(ctx, []*timing.Model{unfiltered, filtered}, tr); err != nil {
+		if err := replayTimed(ctx, []*timing.Model{unfiltered, filtered}, tr); err != nil {
 			return nil, err
 		}
 		un := trafficRate(unfiltered.Stats(), unfiltered.Results().MemoryTraffic())

@@ -25,6 +25,7 @@ import (
 	"streamsim/internal/stream"
 	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
+	"streamsim/internal/timing"
 	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
@@ -133,6 +134,18 @@ func replayMulti(ctx context.Context, systems []*core.System, tr *trace.Store) e
 		sys.AddInstructions(tr.Instructions())
 	}
 	replayedRefs.Add(uint64(tr.Len()) * uint64(len(systems)))
+	return nil
+}
+
+// replayTimed replays the whole trace through every timing model
+// (timing.Replay): one decode per batch, one simulation of each shared
+// L1 front, and the trace's instructions spread evenly over its
+// references.
+func replayTimed(ctx context.Context, models []*timing.Model, tr *trace.Store) error {
+	if err := timing.Replay(ctx, models, tr); err != nil {
+		return err
+	}
+	replayedRefs.Add(uint64(tr.Len()) * uint64(len(models)))
 	return nil
 }
 

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"streamsim/internal/cache"
-	"streamsim/internal/mem"
 	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
 	"streamsim/internal/workload"
@@ -212,15 +211,17 @@ func TestMissStreamDeterministic(t *testing.T) {
 	}
 }
 
-// TestOnChipBaselineMatchesMissStream: extbase's no-prefetch walker
-// counts the baseline misses that coverage is measured against; for
-// every Table 1 input it must count exactly the fills of the L1 miss
-// stream Table 4 derives from the same recording.
+// TestOnChipBaselineMatchesMissStream: extbase scores its prefetchers
+// against the no-prefetch misses it reads from its stream row's replay
+// (stridedStreams(16): the paper's L1s, seeds included); for every
+// Table 1 input that replay's L1 fills must equal the fills of the L1
+// miss stream Table 4 derives from the same recording.
 func TestOnChipBaselineMatchesMissStream(t *testing.T) {
 	ctx := context.Background()
+	opt := Options{Scale: 0.05}
 	for _, name := range workload.Names() {
 		size := table1Size(name)
-		ms, err := missStream(ctx, name, size, 0.05)
+		ms, err := missStream(ctx, name, size, opt.Scale)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,19 +231,12 @@ func TestOnChipBaselineMatchesMissStream(t *testing.T) {
 				fills++
 			}
 		}
-		tr, err := record(ctx, name, size, 0.05)
+		res, err := runConfig(ctx, name, size, opt, stridedStreams(16))
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := newOnChipL1(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := each(ctx, tr, func(a *mem.Access) { base.access(*a) }); err != nil {
-			t.Fatal(err)
-		}
-		if base.misses != fills || fills == 0 {
-			t.Errorf("%s: baseline walker counted %d misses, miss stream has %d fills", name, base.misses, fills)
+		if base := res.L1I.Fills + res.L1D.Fills; base != fills || fills == 0 {
+			t.Errorf("%s: stream replay filled %d blocks, miss stream has %d fills", name, base, fills)
 		}
 	}
 }

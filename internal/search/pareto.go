@@ -15,7 +15,9 @@ func runPareto(ctx context.Context, ev *evaluator, onProgress func(Progress)) (*
 	s := ev.spec
 	gsize := gridSize(s.Space)
 	rng := rand.New(rand.NewSource(s.Seed))
-	seen := make(map[string]bool, s.Budget)
+	// seen never holds more than the grid, and Validate bounds the
+	// grid but not the budget, so the grid bounds the size hint.
+	seen := make(map[string]bool, min(s.Budget, gsize))
 
 	initial := s.Budget / 4
 	if initial < 1 {

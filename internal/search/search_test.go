@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -255,6 +256,40 @@ func TestParetoFrontImproves(t *testing.T) {
 		if score(s.Metric, r.Front[i]) <= score(s.Metric, r.Front[i-1]) {
 			t.Errorf("front point %d does not improve the metric", i)
 		}
+	}
+}
+
+// TestParetoHeapIndependentOfBudget: Validate bounds the grid but not
+// the budget, so nothing a pareto run allocates may grow with the
+// budget. Over a two-value space a run makes two evaluations at any
+// budget; at budget 2^22 it must allocate no more than a few MiB,
+// where sizing its seen-set by the budget took over 200.
+func TestParetoHeapIndependentOfBudget(t *testing.T) {
+	ctx := context.Background()
+	s := tinySpec()
+	s.Strategy = "pareto"
+	s.Space = []Dim{{Param: "streams", Values: []int{1, 4}}}
+	s.Budget = 4
+	// The first run records the trace, so the measured one allocates
+	// only what the search itself needs.
+	if _, err := Run(ctx, s); err != nil {
+		t.Fatal(err)
+	}
+	s.Budget = 1 << 22
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := Run(ctx, s)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Evals != 2 {
+		t.Errorf("pareto over a two-value space made %d evaluations, want 2", r.Evals)
+	}
+	const bound = 8 << 20
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Errorf("pareto run at budget %d allocated %.1f MiB, want at most %d MiB",
+			s.Budget, float64(got)/(1<<20), bound>>20)
 	}
 }
 

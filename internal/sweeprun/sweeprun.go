@@ -306,9 +306,11 @@ func runPoints(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config,
 }
 
 // runPointsFanOut measures every point in one multi-config replay.
-// Only the hit-rate family routes here: the cpi metric replays through
-// the timing model, which is not a core.System and cannot join a
-// fan-out.
+// Only the hit-rate family routes here. A cpi point charges each
+// instruction count where the trace recorded it (Store.ReplayContext),
+// so it reproduces a direct workload run, while the timed fan-out
+// (timing.Replay) spreads the instructions evenly over the references;
+// cpi points therefore stay one replay each.
 func runPointsFanOut(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config, values []float64) error {
 	systems := make([]*core.System, len(cfgs))
 	for i, cfg := range cfgs {

@@ -15,11 +15,13 @@
 package timing
 
 import (
+	"context"
 	"fmt"
 
 	"streamsim/internal/cache"
 	"streamsim/internal/core"
 	"streamsim/internal/mem"
+	"streamsim/internal/trace"
 )
 
 // Latencies are the cycle costs of each service level.
@@ -170,8 +172,15 @@ func (m *Model) AccessBatch(accs []mem.Access) {
 // Access runs one reference through the memory system and charges its
 // latency.
 func (m *Model) Access(a mem.Access) {
-	out := m.sys.AccessOutcome(a)
+	m.charge(a.Addr, a.Kind == mem.Write, m.sys.AccessOutcome(a))
+}
 
+// charge bills the latency of one reference to addr (a store when
+// write) that the memory system serviced as out. It is the one charge
+// of both Access and chargeBatch.
+//
+//simlint:hotpath
+func (m *Model) charge(addr mem.Addr, write bool, out core.Outcome) {
 	// Bus occupancy: every block moved (prefetches issued on this
 	// access, plus a write-back, plus a demand fetch) holds the bus.
 	busy := out.Prefetches * m.lat.BusBlock
@@ -194,10 +203,10 @@ func (m *Model) Access(a mem.Access) {
 		// A secondary cache, when present, intercepts the fast path.
 		if m.l2 != nil && out.Level == core.LevelMemory {
 			var res cache.Result
-			if a.Kind == mem.Write {
-				res = m.l2.Write(uint64(a.Addr))
+			if write {
+				res = m.l2.Write(uint64(addr))
 			} else {
-				res = m.l2.Read(uint64(a.Addr))
+				res = m.l2.Read(uint64(addr))
 			}
 			if res.Hit {
 				stall += m.lat.L2Hit
@@ -231,3 +240,73 @@ func (m *Model) Access(a mem.Access) {
 
 // Results finalizes and returns the functional results.
 func (m *Model) Results() core.Results { return m.sys.Results() }
+
+// chargeBatch charges one batch that a logged replay stepped through
+// m's system, exactly as Access followed by AddInstructions(perAccess)
+// would have charged each reference: words are the batch's packed
+// references (the trace.StoreIter.NextPacked layout) and log the
+// system's miss log for them. The references the log names are
+// charged one by one. Every other reference hit in the L1, and a hit
+// moves no block, so it neither waits for the bus nor occupies it:
+// each run of hits between two logged references costs (L1Hit +
+// perAccess) cycles per reference, added in one step before the miss
+// that ends the run, and the ledger's hit and instruction counts are
+// added once per batch.
+//
+//simlint:hotpath
+//simlint:borrowed words log
+func (m *Model) chargeBatch(words []uint64, log []core.Miss, perAccess uint64) {
+	hit := m.lat.L1Hit + perAccess
+	next := 0
+	for _, e := range log {
+		m.now += uint64(e.Index-next) * hit
+		w := words[e.Index]
+		m.charge(mem.Addr(w>>2), w&3 == uint64(mem.Write), e.Outcome)
+		m.now += perAccess
+		next = e.Index + 1
+	}
+	m.now += uint64(len(words)-next) * hit
+	n := uint64(len(words))
+	m.stats.StallCycles += (n - uint64(len(log))) * m.lat.L1Hit
+	m.stats.InstructionCycles += n * perAccess
+	m.stats.Instructions += n * perAccess
+	m.sys.AddInstructions(n * perAccess)
+}
+
+// Replay replays a recorded trace through every model from one decode
+// pass (core.ReplayStoreMultiLogged), so models whose systems share an
+// L1 front simulate it once, and charges each batch to every model
+// (chargeBatch). The instructions are spread evenly: each reference
+// retires Instructions/Len of them right after its access, and the
+// remainder retires after the last. Each model's ledger, results and
+// secondary cache end exactly as driving it alone through Access and
+// AddInstructions on that schedule would leave them. A cancelled
+// replay returns ctx.Err() with every model having consumed the same
+// prefix.
+//
+//simlint:deterministic
+func Replay(ctx context.Context, models []*Model, st *trace.Store) error {
+	insts, refs := st.Instructions(), uint64(st.Len())
+	perAccess := uint64(0)
+	if refs > 0 {
+		perAccess = insts / refs
+	}
+	systems := make([]*core.System, len(models))
+	for i, m := range models {
+		systems[i] = m.sys
+	}
+	err := core.ReplayStoreMultiLogged(ctx, systems, st, func(words []uint64) {
+		for _, m := range models {
+			m.chargeBatch(words, m.sys.MissLog(), perAccess)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	if rest := insts - refs*perAccess; rest > 0 {
+		for _, m := range models {
+			m.AddInstructions(rest)
+		}
+	}
+	return nil
+}

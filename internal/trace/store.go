@@ -460,64 +460,6 @@ func (it *StoreIter) nextSizeIdx() int {
 	return -1
 }
 
-// NextNoPC is Next without the program-counter stream: decoded
-// accesses carry Addr, Kind and Size but a zero PC, and the PC stream
-// is not consumed at all. The memory-system simulators never read the
-// PC (it exists for the PC-indexed prefetcher baselines), so this is
-// the replay decode path — it halves the varint work per reference.
-//
-// An iterator must stick to one of Next or NextNoPC for its lifetime:
-// NextNoPC leaves the PC cursor untouched, so a later Next on the same
-// iterator would decode PC deltas that belong to already-consumed
-// accesses.
-func (it *StoreIter) NextNoPC(buf []mem.Access) int {
-	n := it.s.n - it.i
-	if n <= 0 {
-		return 0
-	}
-	if n > len(buf) {
-		n = len(buf)
-	}
-	addrs := it.s.addr
-	pos := it.pos
-	rings := it.rings
-	nextExc := it.nextSizeIdx()
-	for j := 0; j < n; j++ {
-		b0 := addrs[pos]
-		pos++
-		zz := uint64(b0) >> 5 & 3
-		if b0 >= 0x80 {
-			for shift := 2; ; shift += 7 {
-				b := addrs[pos]
-				pos++
-				zz |= uint64(b&0x7f) << shift
-				if b < 0x80 {
-					break
-				}
-			}
-		}
-		st := &rings[b0&31]
-		delta := int64(zz>>1) ^ -int64(zz&1)
-		addr := (st.last + st.d2 + uint64(delta)) & uint64(MaxAddr)
-		if zz >= strideResetZZ {
-			st.d1, st.d2 = 0, 0
-		} else {
-			st.d1, st.d2 = (addr-st.last)&uint64(MaxAddr), st.d1
-		}
-		st.last = addr
-		buf[j] = mem.Access{Addr: mem.Addr(addr), Kind: mem.Kind(b0 & 3)}
-		if it.i+j == nextExc {
-			buf[j].Size = it.s.sizes[it.excNext].size
-			it.excNext++
-			nextExc = it.nextSizeIdx()
-		}
-	}
-	it.pos = pos
-	it.rings = rings
-	it.i += n
-	return n
-}
-
 // NextPacked decodes up to len(buf) references into packed words —
 // uint64(addr)<<2 | uint64(kind) — and returns how many it wrote; zero
 // means the trace is exhausted. This is the memory-system replay
@@ -527,9 +469,10 @@ func (it *StoreIter) NextNoPC(buf []mem.Access) int {
 // addresses carry at most 62 bits (MaxAddr) — and matches what
 // core.(*System).AccessPacked unpacks.
 //
-// Like NextNoPC, NextPacked leaves the PC cursor untouched: an
-// iterator must stick to one of Next, NextNoPC or NextPacked for its
-// lifetime.
+// NextPacked leaves the PC cursor untouched, so a later Next on the
+// same iterator would decode PC deltas that belong to already-consumed
+// references: an iterator must stick to one of Next or NextPacked for
+// its lifetime.
 //
 //simlint:hotpath
 func (it *StoreIter) NextPacked(buf []uint64) int {

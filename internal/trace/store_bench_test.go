@@ -59,15 +59,3 @@ func BenchmarkStoreDecode(b *testing.B) {
 	}
 	b.ReportMetric(float64(s.Len())*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
 }
-
-func BenchmarkStoreDecodeNoPC(b *testing.B) {
-	s := decodeFixture(1 << 18)
-	buf := make([]mem.Access, ReplayBatchLen)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := s.Iter()
-		for n := it.NextNoPC(buf); n > 0; n = it.NextNoPC(buf) {
-		}
-	}
-	b.ReportMetric(float64(s.Len())*float64(b.N)/b.Elapsed().Seconds(), "refs/s")
-}

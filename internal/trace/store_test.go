@@ -155,35 +155,6 @@ func TestStoreEstimatePreallocHolds(t *testing.T) {
 	}
 }
 
-func TestStoreNextNoPCMatchesNext(t *testing.T) {
-	accs := randomAccesses(5000)
-	s := NewStore(len(accs))
-	s.AppendBatch(accs)
-	full, noPC := s.Iter(), s.Iter()
-	fb, nb := make([]mem.Access, 77), make([]mem.Access, 77)
-	i := 0
-	for {
-		nf, nn := full.Next(fb), noPC.NextNoPC(nb)
-		if nf != nn {
-			t.Fatalf("batch sizes diverged at access %d: %d vs %d", i, nf, nn)
-		}
-		if nf == 0 {
-			break
-		}
-		for j := 0; j < nf; j++ {
-			want := fb[j]
-			want.PC = 0
-			if nb[j] != want {
-				t.Fatalf("access %d: NextNoPC decoded %+v, want %+v", i, nb[j], want)
-			}
-			i++
-		}
-	}
-	if i != len(accs) {
-		t.Fatalf("decoded %d accesses, want %d", i, len(accs))
-	}
-}
-
 func TestStoreNextPackedMatchesNext(t *testing.T) {
 	accs := randomAccesses(5000)
 	s := NewStore(len(accs))
