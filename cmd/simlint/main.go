@@ -2,10 +2,8 @@
 // driver for the custom static-analysis passes in internal/analysis.
 //
 // Each pass encodes an invariant of the paper's methodology that the
-// type system cannot express:
+// type system, go vet and the tests cannot hold:
 //
-//	seededrand  deterministic, config-seeded randomness
-//	pow2size    power-of-two block/cache/czone geometry
 //	errdiscard  no dropped trace/config errors
 //	hotpath     //simlint:hotpath functions transitively allocation-free
 //	ctxflow     received contexts flow onward; no stray Background/TODO
@@ -14,12 +12,16 @@
 //	detflow     //simlint:deterministic roots transitively deterministic
 //	directives  every //simlint:* comment parses, resolves and attaches
 //
-// The call-graph-aware passes (hotpath, ctxflow, lockdisc, borrowck,
-// detflow) share one set of module facts
-// (internal/analysis/callgraph) built per run over every loaded
-// package.
+// The call-graph-aware passes (hotpath, ctxflow, borrowck, detflow)
+// share one set of module facts (internal/analysis/callgraph) built
+// per run over every loaded package.
 //
-// Some invariants need no pass because they hold by construction: the
+// Some invariants need no pass because something else holds them:
+// power-of-two geometry is refused at construction (mem.NewGeometry,
+// cache.Config.Validate and core.Config.Validate, which core.New
+// runs); seeded randomness is pinned by the workload determinism
+// golden, the batched-vs-scalar replay test and the optimizer's
+// scratch-vs-incremental test; lock copies are go vet's copylocks. The
 // bandwidth ledger and the memory-traffic hook move in lockstep
 // because core counts each off-chip block in the one function that
 // posts it (System.writeBack, System.fetch), on every replay path; and
@@ -30,18 +32,14 @@
 //
 // Usage:
 //
-//	simlint [-list] [-json] [-only name,name] [-skip name,name]
-//	        [-baseline file] [-write-baseline file] [packages]
+//	simlint [-list] [-json] [-only name,name] [packages]
 //
 // Packages default to ./...; findings are sorted by file/line/column/
 // analyzer and exactly-duplicate findings are dropped, so -json output
-// is diff-stable. A baseline file (see -write-baseline and `make
-// lint-baseline`) waives its recorded findings by (file, analyzer,
-// message), letting a new analyzer land strict without blocking on
-// pre-existing findings; entries carry no line numbers, so unrelated
-// edits do not invalidate them. The exit status is 0 when clean, 1
-// when findings were reported, 2 on usage or load errors. `make lint` and
-// CI run it over the whole repository with the committed baseline.
+// is diff-stable. There is no waiver: a finding is fixed, not
+// suppressed. The exit status is 0 when clean, 1 when findings were
+// reported, 2 on usage or load errors. `make lint` and CI run it over
+// the whole repository.
 package main
 
 import (
@@ -62,14 +60,10 @@ import (
 	"streamsim/internal/analysis/errdiscard"
 	"streamsim/internal/analysis/hotpath"
 	"streamsim/internal/analysis/lockdisc"
-	"streamsim/internal/analysis/pow2size"
-	"streamsim/internal/analysis/seededrand"
 )
 
 // analyzers is the full suite, in reporting order.
 var analyzers = []*analysis.Analyzer{
-	seededrand.Analyzer,
-	pow2size.Analyzer,
 	errdiscard.Analyzer,
 	hotpath.Analyzer,
 	ctxflow.Analyzer,
@@ -89,11 +83,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default all)")
-	runAlias := fs.String("run", "", "alias for -only (kept for compatibility)")
-	skip := fs.String("skip", "", "comma-separated analyzer names to skip")
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array (file/line/col/analyzer/message)")
-	baseline := fs.String("baseline", "", "waive findings recorded in this baseline file")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this baseline file and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -103,13 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *only == "" {
-		*only = *runAlias
-	} else if *runAlias != "" {
-		fmt.Fprintln(stderr, "simlint: -run and -only are aliases; pass one")
-		return 2
-	}
-	suite, err := selectAnalyzers(*only, *skip)
+	suite, err := selectAnalyzers(*only)
 	if err != nil {
 		fmt.Fprintln(stderr, "simlint:", err)
 		return 2
@@ -124,22 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	records := toRecords(findings, mustAbs("."))
-	if *writeBaseline != "" {
-		if err := saveBaseline(*writeBaseline, records); err != nil {
-			fmt.Fprintln(stderr, "simlint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "simlint: baseline %s: %d entries\n", *writeBaseline, len(records))
-		return 0
-	}
-	if *baseline != "" {
-		waived, err := loadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(stderr, "simlint:", err)
-			return 2
-		}
-		records = filterBaseline(records, waived)
-	}
 	if *jsonOut {
 		if err := writeJSON(stdout, records); err != nil {
 			fmt.Fprintln(stderr, "simlint:", err)
@@ -158,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // record is one finding in driver form: a repo-relative path and the
-// fields every output mode (text, JSON, baseline) agrees on.
+// fields both output modes (text, JSON) agree on.
 type record struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`
@@ -170,7 +138,7 @@ type record struct {
 // toRecords converts suite findings to records: paths relativized to
 // baseDir, sorted by file/line/col/analyzer/message, exact duplicates
 // dropped. The order is a total one over every field that reaches the
-// output, so -json and the baseline are diff-stable run to run.
+// output, so -json is diff-stable run to run.
 func toRecords(findings []analysis.Finding, baseDir string) []record {
 	out := make([]record, 0, len(findings))
 	for _, f := range findings {
@@ -222,65 +190,6 @@ func mustAbs(dir string) string {
 	return abs
 }
 
-// baselineEntry is one waived finding. No line or column: a baseline
-// survives unrelated edits to the file, and a waived finding that
-// moves is still the same finding.
-type baselineEntry struct {
-	File     string `json:"file"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// loadBaseline reads a baseline file written by -write-baseline.
-func loadBaseline(path string) (map[baselineEntry]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("baseline: %w", err)
-	}
-	var entries []baselineEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("baseline %s: %w", path, err)
-	}
-	waived := make(map[baselineEntry]bool, len(entries))
-	for _, e := range entries {
-		waived[e] = true
-	}
-	return waived, nil
-}
-
-// filterBaseline drops records the baseline waives.
-func filterBaseline(records []record, waived map[baselineEntry]bool) []record {
-	out := records[:0]
-	for _, r := range records {
-		if waived[baselineEntry{r.File, r.Analyzer, r.Message}] {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// saveBaseline writes the current findings as a baseline. Entries are
-// unique and inherit toRecords's ordering, so regeneration is
-// diff-stable.
-func saveBaseline(path string, records []record) error {
-	entries := make([]baselineEntry, 0, len(records))
-	seen := map[baselineEntry]bool{}
-	for _, r := range records {
-		e := baselineEntry{r.File, r.Analyzer, r.Message}
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		entries = append(entries, e)
-	}
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // writeJSON emits the records as one JSON array. An empty run prints
 // [] rather than null so consumers can always range over the result.
 func writeJSON(w io.Writer, records []record) error {
@@ -292,51 +201,23 @@ func writeJSON(w io.Writer, records []record) error {
 	return enc.Encode(records)
 }
 
-// selectAnalyzers resolves the -only/-skip flags against the suite.
-func selectAnalyzers(only, skip string) ([]*analysis.Analyzer, error) {
+// selectAnalyzers resolves the -only flag against the suite: every
+// analyzer when only is empty, else the named ones in the order given.
+func selectAnalyzers(only string) ([]*analysis.Analyzer, error) {
+	if only == "" {
+		return analyzers, nil
+	}
 	byName := map[string]*analysis.Analyzer{}
 	for _, a := range analyzers {
 		byName[a.Name] = a
 	}
-	names := func(csv string) ([]string, error) {
-		if csv == "" {
-			return nil, nil
-		}
-		var out []string
-		for _, name := range strings.Split(csv, ",") {
-			name = strings.TrimSpace(name)
-			if _, ok := byName[name]; !ok {
-				return nil, fmt.Errorf("unknown analyzer %q", name)
-			}
-			out = append(out, name)
-		}
-		return out, nil
-	}
-	onlyNames, err := names(only)
-	if err != nil {
-		return nil, err
-	}
-	skipNames, err := names(skip)
-	if err != nil {
-		return nil, err
-	}
-	skipped := map[string]bool{}
-	for _, n := range skipNames {
-		skipped[n] = true
-	}
 	var suite []*analysis.Analyzer
-	if onlyNames == nil {
-		for _, a := range analyzers {
-			if !skipped[a.Name] {
-				suite = append(suite, a)
-			}
+	for _, name := range strings.Split(only, ",") {
+		a, ok := byName[strings.TrimSpace(name)]
+		if !ok {
+			return nil, fmt.Errorf("unknown analyzer %q", strings.TrimSpace(name))
 		}
-		return suite, nil
-	}
-	for _, n := range onlyNames {
-		if !skipped[n] {
-			suite = append(suite, byName[n])
-		}
+		suite = append(suite, a)
 	}
 	return suite, nil
 }

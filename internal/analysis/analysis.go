@@ -20,15 +20,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"sort"
 	"strings"
 )
 
 // Analyzer describes one invariant checker.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //simlint:ignore directives. Lower-case, no spaces.
+	// Name identifies the analyzer in diagnostics and in simlint's
+	// -only flag. Lower-case, no spaces.
 	Name string
 	// Doc is the one-paragraph description printed by `simlint -list`.
 	Doc string
@@ -99,25 +98,9 @@ func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
 }
 
-// RunAnalyzer executes a over pkg and returns its diagnostics with
-// //simlint:ignore suppressions applied, sorted by position. If the
-// analyzer declares Facts, they are computed over pkg alone; use
-// RunAnalyzerFacts (or RunSuite) to share facts built over a wider
-// package set.
-func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	var facts any
-	if a.Facts != nil {
-		var err error
-		if facts, err = a.Facts([]*Package{pkg}); err != nil {
-			return nil, fmt.Errorf("%s: facts: %w", a.Name, err)
-		}
-	}
-	return RunAnalyzerFacts(a, pkg, facts)
-}
-
-// RunAnalyzerFacts is RunAnalyzer with the module facts supplied by the
-// caller, for drivers that compute them over more packages than the one
-// being analyzed.
+// RunAnalyzerFacts executes a over pkg with the module facts supplied
+// by the caller (nil when the analyzer declares no Facts) and returns
+// its diagnostics sorted by position.
 func RunAnalyzerFacts(a *Analyzer, pkg *Package, facts any) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	pass := &Pass{
@@ -132,7 +115,6 @@ func RunAnalyzerFacts(a *Analyzer, pkg *Package, facts any) ([]Diagnostic, error
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 	}
-	diags = filterSuppressed(a.Name, pkg, diags)
 	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
 	return diags, nil
 }
@@ -184,51 +166,4 @@ func RunSuite(pkgs []*Package, suite []*Analyzer) ([]Finding, error) {
 		}
 	}
 	return out, nil
-}
-
-// ignoreDirective matches "//simlint:ignore name1,name2" comments.
-var ignoreDirective = regexp.MustCompile(`^//simlint:ignore\s+([\w,]+)`)
-
-// filterSuppressed drops diagnostics whose line (or the line below a
-// standalone directive comment) carries //simlint:ignore <name>.
-func filterSuppressed(name string, pkg *Package, diags []Diagnostic) []Diagnostic {
-	suppressed := map[string]map[int]bool{} // filename -> line -> ignored
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := ignoreDirective.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				names := strings.Split(m[1], ",")
-				ok := false
-				for _, n := range names {
-					if n == name || n == "all" {
-						ok = true
-					}
-				}
-				if !ok {
-					continue
-				}
-				p := pkg.Fset.Position(c.Pos())
-				lines := suppressed[p.Filename]
-				if lines == nil {
-					lines = map[int]bool{}
-					suppressed[p.Filename] = lines
-				}
-				lines[p.Line] = true
-				// A directive alone on its line suppresses the next line.
-				lines[p.Line+1] = true
-			}
-		}
-	}
-	out := diags[:0]
-	for _, d := range diags {
-		p := pkg.Fset.Position(d.Pos)
-		if suppressed[p.Filename][p.Line] {
-			continue
-		}
-		out = append(out, d)
-	}
-	return out
 }

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"strings"
 	"testing"
 )
 
@@ -53,42 +52,5 @@ func TestAppliesTo(t *testing.T) {
 	open := &Analyzer{Name: "y"}
 	if !open.AppliesTo("anything") {
 		t.Error("empty prefix list must match everything")
-	}
-}
-
-// TestSuppression covers the //simlint:ignore directive end to end
-// using a synthetic analyzer that reports on every return statement.
-func TestSuppression(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the toolchain via go list")
-	}
-	pkgs, err := Load("../..", "./internal/analysis/testdata/suppress")
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	a := &Analyzer{
-		Name: "retlint",
-		Run: func(pass *Pass) error {
-			for _, f := range pass.Files {
-				ast.Inspect(f, func(n ast.Node) bool {
-					if _, ok := n.(*ast.ReturnStmt); ok {
-						pass.Reportf(n.Pos(), "return found")
-					}
-					return true
-				})
-			}
-			return nil
-		},
-	}
-	diags, err := RunAnalyzer(a, pkgs[0])
-	if err != nil {
-		t.Fatalf("RunAnalyzer: %v", err)
-	}
-	if len(diags) != 1 {
-		t.Fatalf("got %d diagnostics, want 1 (two of three returns suppressed): %v", len(diags), diags)
-	}
-	pos := pkgs[0].Fset.Position(diags[0].Pos)
-	if !strings.Contains(pos.Filename, "suppress.go") {
-		t.Errorf("diagnostic at %v", pos)
 	}
 }

@@ -149,14 +149,3 @@ func (p *probe) Touch(addr uint64) bool {
 func (p *probe) Mark(i int, v uint64) {
 	p.tags[i] = v
 }
-
-var waived []int
-
-// Waived retains the batch, but the site carries an explicit
-// suppression, so the finding is dropped like any other analyzer's.
-//
-//simlint:borrowed batch
-func Waived(batch []int) {
-	//simlint:ignore borrowck
-	waived = batch
-}

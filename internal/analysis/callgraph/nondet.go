@@ -28,9 +28,10 @@ type Nondet struct {
 //     is later passed to a sort/slices call in the same function);
 //   - time.Now/Since/Until read the wall clock;
 //   - package-level math/rand and math/rand/v2 draws use the process
-//     global source (constructors like New/NewSource are exempt:
-//     seededrand separately proves their seeds come from config, and
-//     methods on a seeded *rand.Rand replay deterministically);
+//     global source (constructors like New/NewSource are exempt: the
+//     walk still scans their seed argument, so a clock seed shows as
+//     time.Now, and methods on a seeded *rand.Rand replay
+//     deterministically);
 //   - crypto/rand is nondeterministic by construction;
 //   - os environment and filesystem reads depend on the host; config
 //     loaders own them and are annotated //simlint:configload, which

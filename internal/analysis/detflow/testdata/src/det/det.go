@@ -108,25 +108,3 @@ func Seeded(seed int64) int {
 	return r.Intn(100)
 }
 
-// Waived reads the clock, but the site carries an explicit
-// suppression.
-//
-//simlint:deterministic
-func Waived() int64 {
-	//simlint:ignore detflow
-	return time.Now().Unix()
-}
-
-func noisy() int64 {
-	//simlint:ignore detflow
-	return time.Now().UnixNano()
-}
-
-// Quiet reaches a waived site through a helper: chain-reported
-// findings anchor at the construct, so that is where the suppression
-// sits — not at the root.
-//
-//simlint:deterministic
-func Quiet() int64 {
-	return noisy()
-}

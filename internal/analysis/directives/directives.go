@@ -1,16 +1,15 @@
 // Package directives makes every //simlint:* comment a checked
 // artifact. Annotations are load-bearing in this repo — hotpath and
 // detflow prove invariants from them, borrowck trusts them across
-// calls, ignore suppresses findings — so a misspelled verb, an
-// argument that no longer names anything, or a directive orphaned by
-// a refactor must be a lint error, not a silently dead marker.
+// calls — so a misspelled verb, an argument that no longer names
+// anything, or a directive orphaned by a refactor must be a lint
+// error, not a silently dead marker.
 //
 // Rules, per directive:
 //
-//   - the verb must be one of ignore, hotpath, coldpath,
-//     deterministic, configload, borrowed;
-//   - ignore must name known analyzers (or "all") in the canonical
-//     comma-separated form the suppression matcher reads;
+//   - the verb must be one of hotpath, coldpath, deterministic,
+//     configload, borrowed (there is no waiver verb: a finding is
+//     fixed, not suppressed);
 //   - hotpath, coldpath, deterministic and configload must sit in a
 //     function declaration's doc comment and take no arguments —
 //     arguments are only meaningful in _test.go gate files, which the
@@ -27,19 +26,10 @@ package directives
 
 import (
 	"go/ast"
-	"strings"
 
 	"streamsim/internal/analysis"
 	"streamsim/internal/analysis/callgraph"
 )
-
-// KnownAnalyzers is every analyzer name an //simlint:ignore may
-// suppress. cmd/simlint asserts this list matches its suite, so a
-// renamed analyzer cannot silently orphan its suppressions.
-var KnownAnalyzers = []string{
-	"seededrand", "pow2size", "errdiscard", "hotpath", "ctxflow",
-	"lockdisc", "borrowck", "detflow", "directives",
-}
 
 // funcVerbs are the verbs that mark a function declaration.
 var funcVerbs = map[string]bool{
@@ -56,10 +46,6 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	known := map[string]bool{"all": true}
-	for _, n := range KnownAnalyzers {
-		known[n] = true
-	}
 	for _, file := range pass.Files {
 		// Map each doc comment back to its function declaration, to
 		// tell an attached directive from an orphaned one.
@@ -82,8 +68,6 @@ func run(pass *analysis.Pass) error {
 				switch {
 				case verb == "":
 					pass.Reportf(c.Pos(), "empty simlint directive")
-				case verb == "ignore":
-					checkIgnore(pass, c, args, known)
 				case funcVerbs[verb]:
 					switch {
 					case docOf[c] == nil:
@@ -100,32 +84,6 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-// checkIgnore validates a suppression: known analyzer names in the
-// exact comma-separated form the suppression matcher parses.
-func checkIgnore(pass *analysis.Pass, c *ast.Comment, args []string, known map[string]bool) {
-	if len(args) == 0 {
-		pass.Reportf(c.Pos(), "//simlint:ignore names no analyzers; say which findings are waived")
-		return
-	}
-	list := strings.Fields(strings.TrimPrefix(c.Text, "//simlint:ignore"))
-	for i, f := range list {
-		// "//" starts an embedded remark, same as SplitDirective.
-		if strings.HasPrefix(f, "//") {
-			list = list[:i]
-			break
-		}
-	}
-	if len(list) != 1 || list[0] != strings.Join(args, ",") {
-		pass.Reportf(c.Pos(), "//simlint:ignore list must be one comma-separated token without spaces (the suppression matcher reads only the first token)")
-		return
-	}
-	for _, name := range args {
-		if !known[name] {
-			pass.Reportf(c.Pos(), "//simlint:ignore names unknown analyzer %q", name)
-		}
-	}
 }
 
 // checkBorrowed validates a borrow annotation: attached to a function

@@ -42,17 +42,11 @@ func orphans() {
 	_ = 0
 }
 
-func suppressions() {
-	//simlint:ignore seededrand,detflow
+// waived carries the retired waiver verb. A finding is fixed, not
+// suppressed, so the verb no longer parses.
+func waived() {
+	//simlint:ignore detflow // want `unknown simlint directive "ignore"`
 	_ = 0
-	//simlint:ignore seededrand, detflow // want `//simlint:ignore list must be one comma-separated token without spaces \(the suppression matcher reads only the first token\)`
-	_ = 1
-	//simlint:ignore nosuchpass // want `//simlint:ignore names unknown analyzer "nosuchpass"`
-	_ = 2
-	//simlint:ignore // want `//simlint:ignore names no analyzers; say which findings are waived`
-	_ = 3
-	//simlint:ignore statecov,hotpath // want `//simlint:ignore names unknown analyzer "statecov"`
-	_ = 4
 }
 
 // Ledger carries a marker of the retired snapshot-coverage analyzer,

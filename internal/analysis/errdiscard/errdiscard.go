@@ -13,8 +13,7 @@
 // or /config (the codec and the loaders) whose results include an
 // error must consume that error. Calling for effect (an expression or
 // defer statement) and assigning the error to the blank identifier are
-// both flagged; a genuinely ignorable error is waived explicitly with
-// //simlint:ignore errdiscard.
+// both flagged.
 package errdiscard
 
 import (
@@ -96,7 +95,7 @@ func checkBlankAssign(pass *analysis.Pass, assign *ast.AssignStmt) {
 	}
 	if id, ok := assign.Lhs[idx].(*ast.Ident); ok && id.Name == "_" {
 		pass.Reportf(assign.Pos(),
-			"error result of %s assigned to the blank identifier; handle it or waive it with //simlint:ignore errdiscard",
+			"error result of %s assigned to the blank identifier; handle it",
 			name)
 	}
 }

@@ -1,5 +1,5 @@
 // Package b exercises the errdiscard negative cases: handled errors,
-// error-free calls, non-target packages, and an explicit waiver.
+// error-free calls and non-target packages.
 package b
 
 import (
@@ -29,8 +29,4 @@ func nonTarget(b *strings.Builder) {
 	// strings is not a trace/config package; WriteString's error may
 	// be dropped freely.
 	b.WriteString("ok")
-}
-
-func waived(w *trace.Writer) {
-	w.Flush() //simlint:ignore errdiscard
 }

@@ -6,15 +6,15 @@
 //     exit without the matching deferred Unlock leaks the lock on
 //     that path — the classic multi-return hazard. A Lock with no
 //     Unlock at all is flagged unconditionally.
-//  2. sync types must not be copied: value receivers, value
-//     parameters, assignments and call arguments whose type contains
-//     a Mutex/RWMutex/WaitGroup/Once/Cond by value.
-//  3. Blocking operations must not run while a lock is held: bare
+//  2. Blocking operations must not run while a lock is held: bare
 //     channel sends/receives, selects without a default, Wait on
 //     WaitGroup/Cond, time.Sleep, and calls into net/http. A channel
 //     operation inside a select that has a default case is
 //     non-blocking and allowed — that is the service pool's
 //     backpressure idiom.
+//
+// Copying a value that holds a lock is go vet's copylocks check, which
+// covers the whole module, so this analyzer does not repeat it.
 //
 // The critical-section model is positional (Lock position to matching
 // Unlock position, or function end when deferred), which is exact for
@@ -32,7 +32,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:            "lockdisc",
-	Doc:             "mutex discipline: deferred unlocks on early-return paths, no sync copies, no blocking calls under a held lock",
+	Doc:             "mutex discipline: deferred unlocks on early-return paths, no blocking calls under a held lock",
 	PackagePrefixes: []string{"streamsim/internal/service", "streamsim/internal/sweeprun"},
 	Run:             run,
 }
@@ -59,7 +59,6 @@ type region struct {
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
-	checkCopies(pass, fd)
 	regions := lockRegions(pass, fd)
 	if len(regions) == 0 {
 		return
@@ -275,88 +274,6 @@ func isSyncType(t types.Type, names ...string) bool {
 		if obj.Name() == n {
 			return true
 		}
-	}
-	return false
-}
-
-// checkCopies flags sync-containing values copied by receiver,
-// parameter, assignment or call argument.
-func checkCopies(pass *analysis.Pass, fd *ast.FuncDecl) {
-	info := pass.TypesInfo
-	flagFields := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			t := info.Types[f.Type].Type
-			if t != nil && containsSync(t, nil) {
-				pass.Reportf(f.Type.Pos(), "%s copies %s, which contains a sync type; use a pointer", what, t.String())
-			}
-		}
-	}
-	flagFields(fd.Recv, "value receiver")
-	flagFields(fd.Type.Params, "value parameter")
-	copied := func(e ast.Expr) bool {
-		e = ast.Unparen(e)
-		switch e.(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-			tv, ok := info.Types[e]
-			// A type expression (new(expvar.Map), make(chan T)) names
-			// the type; only values copy.
-			if !ok || tv.IsType() || tv.Type == nil {
-				return false
-			}
-			return containsSync(tv.Type, nil)
-		}
-		return false
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for _, rhs := range n.Rhs {
-				if copied(rhs) {
-					pass.Reportf(rhs.Pos(), "assignment copies %s, which contains a sync type", types.ExprString(rhs))
-				}
-			}
-		case *ast.CallExpr:
-			if tv, ok := info.Types[n.Fun]; ok && tv.IsType() {
-				return true // conversions do not copy locks meaningfully differently, skip
-			}
-			for _, arg := range n.Args {
-				if copied(arg) {
-					pass.Reportf(arg.Pos(), "call argument copies %s, which contains a sync type", types.ExprString(arg))
-				}
-			}
-		}
-		return true
-	})
-}
-
-// containsSync reports whether t embeds a sync.Mutex, RWMutex,
-// WaitGroup, Once or Cond by value.
-func containsSync(t types.Type, seen map[*types.Named]bool) bool {
-	if named, ok := t.(*types.Named); ok {
-		if seen[named] {
-			return false
-		}
-		if seen == nil {
-			seen = map[*types.Named]bool{}
-		}
-		seen[named] = true
-		if isSyncType(named, "Mutex", "RWMutex", "WaitGroup", "Once", "Cond") {
-			return true
-		}
-		return containsSync(named.Underlying(), seen)
-	}
-	switch t := t.(type) {
-	case *types.Struct:
-		for i := 0; i < t.NumFields(); i++ {
-			if containsSync(t.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsSync(t.Elem(), seen)
 	}
 	return false
 }

@@ -1,6 +1,5 @@
 // Package lock exercises the lockdisc analyzer: deferred unlocks on
-// early-return paths, no sync copies, no blocking operations while a
-// lock is held.
+// early-return paths, no blocking operations while a lock is held.
 package lock
 
 import (
@@ -108,30 +107,4 @@ func (s *store) FetchesLocked(c *http.Client, url string) {
 	if err == nil {
 		resp.Body.Close()
 	}
-}
-
-type wrapped struct {
-	mu sync.Mutex
-	n  int
-}
-
-// ByValue's receiver copies the mutex on every call.
-func (w wrapped) ByValue() int { // want `value receiver copies lock\.wrapped, which contains a sync type; use a pointer`
-	return w.n
-}
-
-// ByPointer is the allowed form.
-func (w *wrapped) ByPointer() int { return w.n }
-
-func process(w wrapped) int { // want `value parameter copies lock\.wrapped, which contains a sync type; use a pointer`
-	return w.n
-}
-
-func snapshot(w *wrapped) int {
-	cp := *w // want `assignment copies \*w, which contains a sync type`
-	return cp.n
-}
-
-func passes(w *wrapped) int {
-	return process(*w) // want `call argument copies \*w, which contains a sync type`
 }

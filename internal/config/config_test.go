@@ -146,6 +146,25 @@ func TestLoadFile(t *testing.T) {
 	}
 }
 
+// TestCommittedConfigsLoad loads every preset file under configs/:
+// Load builds a system from each, so a file whose geometry core.New
+// refuses (a size or associativity that is not a power of two, say)
+// fails here rather than at a user's -config.
+func TestCommittedConfigsLoad(t *testing.T) {
+	paths, err := filepath.Glob("../../configs/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 4 {
+		t.Fatalf("found %d config files under configs/, want at least 4: %v", len(paths), paths)
+	}
+	for _, path := range paths {
+		if _, err := Load(path); err != nil {
+			t.Errorf("%s: %v", filepath.Base(path), err)
+		}
+	}
+}
+
 func TestDescribe(t *testing.T) {
 	paper, _ := (&File{}).Build()
 	s := Describe(paper)

@@ -14,11 +14,12 @@ import (
 	"streamsim/internal/trace"
 )
 
-// warmedSystem builds a default system (streams, filter, czones all
-// active) and drives it past cold-start so steady state is measured.
-func warmedSystem(t *testing.T) *System {
+// warmedSystem builds a system (the default one has streams, filter
+// and czones all active) and drives it past cold-start so steady state
+// is measured.
+func warmedSystem(t *testing.T, cfg Config) *System {
 	t.Helper()
-	sys, err := New(DefaultConfig())
+	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,25 +36,42 @@ func warmedSystem(t *testing.T) *System {
 	return sys
 }
 
+// TestAccessDoesNotAllocate gates Access on the default system and on
+// every component row (componentRows), so each component's steady
+// state is measured, not only the default system's. Each call group
+// adds four scattered reads to a sequential read, write and instruction
+// fetch. They miss the L1, the streams and the unit filter, so the
+// stride detector observes each, and an allocation per observation
+// shows although AllocsPerRun rounds its average down.
+//
 //simlint:hotpath (*streamsim/internal/core.System).Access
 func TestAccessDoesNotAllocate(t *testing.T) {
-	sys := warmedSystem(t)
-	i := 0
-	avg := testing.AllocsPerRun(10000, func() {
-		a := mem.Addr(1<<24 + i*64)
-		sys.Access(mem.Access{Addr: a, Kind: mem.Read})
-		sys.Access(mem.Access{Addr: a + 8, Kind: mem.Write})
-		sys.Access(mem.Access{Addr: 1 << 20, Kind: mem.IFetch})
-		i++
-	})
-	if avg != 0 {
-		t.Errorf("Access allocates %v times per call group; want 0", avg)
+	rows := append([]componentRow{{"default", DefaultConfig()}}, componentRows()...)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			sys := warmedSystem(t, row.cfg)
+			i := 0
+			avg := testing.AllocsPerRun(10000, func() {
+				a := mem.Addr(1<<24 + i*64)
+				sys.Access(mem.Access{Addr: a, Kind: mem.Read})
+				sys.Access(mem.Access{Addr: a + 8, Kind: mem.Write})
+				sys.Access(mem.Access{Addr: 1 << 20, Kind: mem.IFetch})
+				for k := 0; k < 4; k++ {
+					scattered := mem.Addr(uint32(4*i+k)*2654435761>>12) << 6
+					sys.Access(mem.Access{Addr: 1<<28 + scattered, Kind: mem.Read})
+				}
+				i++
+			})
+			if avg != 0 {
+				t.Errorf("Access allocates %v times per call group; want 0", avg)
+			}
+		})
 	}
 }
 
 //simlint:hotpath (*streamsim/internal/core.System).AccessOutcome
 func TestAccessOutcomeDoesNotAllocate(t *testing.T) {
-	sys := warmedSystem(t)
+	sys := warmedSystem(t, DefaultConfig())
 	i := 0
 	avg := testing.AllocsPerRun(10000, func() {
 		sys.AccessOutcome(mem.Access{Addr: mem.Addr(1<<24 + i*64), Kind: mem.Read})
@@ -66,7 +84,7 @@ func TestAccessOutcomeDoesNotAllocate(t *testing.T) {
 
 //simlint:hotpath (*streamsim/internal/core.System).AccessBatch
 func TestAccessBatchDoesNotAllocate(t *testing.T) {
-	sys := warmedSystem(t)
+	sys := warmedSystem(t, DefaultConfig())
 	batch := make([]mem.Access, 256)
 	base := mem.Addr(1 << 24)
 	avg := testing.AllocsPerRun(1000, func() {

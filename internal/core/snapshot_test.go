@@ -12,6 +12,46 @@ import (
 	"streamsim/internal/workload"
 )
 
+// componentRow is one configuration of componentRows.
+type componentRow struct {
+	name string
+	cfg  Config
+}
+
+// componentRows are configurations that together enable every
+// component a System can hold: random, LRU and FIFO L1s, victim
+// buffers, unified and partitioned streams with and without latency,
+// the unit, czone and min-delta filters, and both hooks. Each is
+// DefaultConfig with 4 KB L1s, which keep a short trace evicting into
+// the victim buffers and missing into the streams and filters.
+// TestSnapshotCopiesAreDeep walks their snapshot copies and
+// TestAccessDoesNotAllocate gates their access path.
+func componentRows() []componentRow {
+	row := func(name string, set func(*Config)) componentRow {
+		cfg := DefaultConfig()
+		cfg.L1I.SizeBytes, cfg.L1D.SizeBytes = 4<<10, 4<<10
+		set(&cfg)
+		return componentRow{name, cfg}
+	}
+	return []componentRow{
+		row("random L1s, victim buffers, partitioned streams, unit and czone filters, latency", func(c *Config) {
+			c.VictimEntries = 4
+			c.PartitionedStreams = true
+			c.Streams.Latency = 8
+		}),
+		row("LRU L1s, unit filter and min-delta", func(c *Config) {
+			c.L1I.Replacement, c.L1D.Replacement = cache.LRU, cache.LRU
+			c.Stride = MinDeltaScheme
+		}),
+		row("FIFO L1s, unfiltered streams, hooks", func(c *Config) {
+			c.L1I.Replacement, c.L1D.Replacement = cache.FIFO, cache.FIFO
+			c.UnitFilterEntries, c.Stride = 0, NoStrideDetection
+			c.OnMemoryTraffic = func(mem.Addr) {}
+			c.Streams.OnPrefetch = func(mem.Addr) {}
+		}),
+	}
+}
+
 // TestSnapshotCopiesAreDeep walks Fork and Checkpoint().Restore() of
 // warmed systems against their originals, one leaf at a time. Every
 // snapshot copy starts from a value copy of its struct, so a field is
@@ -29,40 +69,15 @@ import (
 //     through stats, and the stale copy a clone keeps in own is read
 //     only by a standalone clone.
 //
-// The rows together enable every component, which the last check
-// asserts field by field.
+// The component rows together enable every component, which the last
+// check asserts field by field.
 func TestSnapshotCopiesAreDeep(t *testing.T) {
 	st := snapshotTrace(t)
-	rows := []struct {
-		name string
-		set  func(*Config)
-	}{
-		{"random L1s, victim buffers, partitioned streams, unit and czone filters, latency", func(c *Config) {
-			c.VictimEntries = 4
-			c.PartitionedStreams = true
-			c.Streams.Latency = 8
-		}},
-		{"LRU L1s, unit filter and min-delta", func(c *Config) {
-			c.L1I.Replacement, c.L1D.Replacement = cache.LRU, cache.LRU
-			c.Stride = MinDeltaScheme
-		}},
-		{"FIFO L1s, unfiltered streams, hooks", func(c *Config) {
-			c.L1I.Replacement, c.L1D.Replacement = cache.FIFO, cache.FIFO
-			c.UnitFilterEntries, c.Stride = 0, NoStrideDetection
-			c.OnMemoryTraffic = func(mem.Addr) {}
-			c.Streams.OnPrefetch = func(mem.Addr) {}
-		}},
-	}
 	sysType := reflect.TypeOf(System{})
 	nonNil := map[string]bool{}
-	for _, row := range rows {
+	for _, row := range componentRows() {
 		t.Run(row.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			// 4 KB L1s keep a short trace evicting into the victim
-			// buffers and missing into the streams and filters.
-			cfg.L1I.SizeBytes, cfg.L1D.SizeBytes = 4<<10, 4<<10
-			row.set(&cfg)
-			sys, err := New(cfg)
+			sys, err := New(row.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"streamsim/internal/cache"
+	"streamsim/internal/core"
 	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
 	"streamsim/internal/workload"
@@ -211,14 +212,23 @@ func TestMissStreamDeterministic(t *testing.T) {
 	}
 }
 
-// TestOnChipBaselineMatchesMissStream: extbase scores its prefetchers
+// TestOnChipBaselineMatchesMissStream replays the paper's stream
+// configurations (Sections 5, 6 and 7) together over every Table 1
+// input and checks two things. First, extbase scores its prefetchers
 // against the no-prefetch misses it reads from its stream row's replay
-// (stridedStreams(16): the paper's L1s, seeds included); for every
-// Table 1 input that replay's L1 fills must equal the fills of the L1
-// miss stream Table 4 derives from the same recording.
+// (stridedStreams(16): the paper's L1s, seeds included), so that
+// replay's L1 fills must equal the fills of the L1 miss stream Table 4
+// derives from the same recording. Second, every stream set conserves
+// its prefetches: each issued prefetch is consumed by one hit or
+// wasted once, so Hits + PrefetchesWasted == PrefetchesIssued. An
+// entry a write-back invalidates is wasted when it leaves its FIFO,
+// not also when it is invalidated; the test requires invalidations,
+// so it exercises that path.
 func TestOnChipBaselineMatchesMissStream(t *testing.T) {
 	ctx := context.Background()
 	opt := Options{Scale: 0.05}
+	cfgs := []core.Config{plainStreams(1), plainStreams(10), filteredStreams(), stridedStreams(16)}
+	var invalidations uint64
 	for _, name := range workload.Names() {
 		size := table1Size(name)
 		ms, err := missStream(ctx, name, size, opt.Scale)
@@ -231,13 +241,25 @@ func TestOnChipBaselineMatchesMissStream(t *testing.T) {
 				fills++
 			}
 		}
-		res, err := runConfig(ctx, name, size, opt, stridedStreams(16))
+		res, err := runConfigs(ctx, name, size, opt, cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if base := res.L1I.Fills + res.L1D.Fills; base != fills || fills == 0 {
+		for i, r := range res {
+			st := r.Streams
+			if st.Hits+st.PrefetchesWasted != st.PrefetchesIssued {
+				t.Errorf("%s, config %d: hits %d + wasted %d != issued %d (%d invalidations)",
+					name, i, st.Hits, st.PrefetchesWasted, st.PrefetchesIssued, st.Invalidations)
+			}
+			invalidations += st.Invalidations
+		}
+		strided := res[len(res)-1]
+		if base := strided.L1I.Fills + strided.L1D.Fills; base != fills || fills == 0 {
 			t.Errorf("%s: stream replay filled %d blocks, miss stream has %d fills", name, base, fills)
 		}
+	}
+	if invalidations == 0 {
+		t.Fatal("no write-back invalidated a stream entry; the test would not exercise the invalidation path")
 	}
 }
 

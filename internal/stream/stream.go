@@ -564,7 +564,9 @@ func (s *Set) allocate(startWord mem.Addr, stride int64) uint64 {
 }
 
 // InvalidateBlock implements write-back coherence: clear every stream
-// entry holding blk. Cleared entries count as wasted prefetches.
+// entry holding blk. A cleared entry stays in its FIFO until a probe
+// drops it at the head, a reallocation flushes it or Finish counts it,
+// and that exit is where it counts as wasted, once.
 func (s *Set) InvalidateBlock(blk mem.Addr) {
 	for i, b := range s.bufs {
 		n := b.invalidate(blk)
@@ -574,7 +576,6 @@ func (s *Set) InvalidateBlock(blk mem.Addr) {
 			s.heads[i] = headUnknown
 		}
 		s.stats.Invalidations += uint64(n)
-		s.stats.PrefetchesWasted += uint64(n)
 	}
 }
 

@@ -222,13 +222,17 @@ func TestInvalidateBlock(t *testing.T) {
 	}
 }
 
+// TestInvalidateCountsWasted checks that an invalidated entry is
+// wasted once, when it leaves the FIFO: every issued prefetch is
+// either consumed by a hit or wasted.
 func TestInvalidateCountsWasted(t *testing.T) {
 	s := newSet(t, 1, 2)
-	s.AllocateUnit(10)
-	before := s.Stats().PrefetchesWasted
+	s.AllocateUnit(10) // holds 11, 12
 	s.InvalidateBlock(12)
-	if got := s.Stats().PrefetchesWasted - before; got != 1 {
-		t.Errorf("wasted delta = %d, want 1", got)
+	s.Finish()
+	st := s.Stats()
+	if st.Hits+st.PrefetchesWasted != st.PrefetchesIssued {
+		t.Errorf("hits %d + wasted %d != issued %d", st.Hits, st.PrefetchesWasted, st.PrefetchesIssued)
 	}
 }
 

@@ -7,7 +7,11 @@ package workload_test
 // record-to-store-then-batched-replay — have to produce byte-identical
 // serialized Results. This extends the determinism golden test from
 // "same inputs, same outputs" to "same inputs, same outputs, on every
-// delivery path".
+// delivery path". It is also the gate against a global or
+// clock-seeded random draw inside any workload kernel: the three runs
+// of that workload would diverge. The determinism golden runs only
+// mgrid and fftpde, and the detflow analyzer does not reach kernels,
+// so for the other thirteen kernels this test is the only such gate.
 
 import (
 	"bytes"

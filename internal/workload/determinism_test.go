@@ -5,8 +5,13 @@ package workload_test
 // inputs have to produce byte-identical statistics — any divergence
 // means hidden global state (an unseeded rand source, map-iteration
 // order leaking into results, wall-clock coupling) crept into a hot
-// path. The simlint analyzers (seededrand, detflow) enforce the same
-// property statically; this test enforces it end to end.
+// path. It runs two kernels, mgrid and fftpde, so it catches state
+// every kernel shares (the Machine's random source, the System) but
+// not a global draw inside one of the other kernels: the gate for
+// every kernel is TestBatchedReplayMatchesScalar (batch_equiv_test.go),
+// which runs each workload three times. The detflow analyzer checks
+// the property statically on its annotated roots, and reaches kernels
+// only through func values, so it cannot see inside them.
 
 import (
 	"bytes"
