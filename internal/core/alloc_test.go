@@ -7,11 +7,13 @@ package core
 // here immediately.
 
 import (
+	"context"
 	"testing"
 
 	"streamsim/internal/cache"
 	"streamsim/internal/mem"
 	"streamsim/internal/trace"
+	"streamsim/internal/workload"
 )
 
 // warmedSystem builds a system (the default one has streams, filter
@@ -19,10 +21,11 @@ import (
 // is measured.
 func warmedSystem(t *testing.T, cfg Config) *System {
 	t.Helper()
-	sys, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	return warm(mustNew(t, cfg))
+}
+
+// warm drives sys past cold-start and returns it.
+func warm(sys *System) *System {
 	for i := 0; i < 1<<14; i++ {
 		a := mem.Addr(1<<24 + i*8)
 		sys.Access(mem.Access{Addr: a, Kind: mem.Read})
@@ -46,10 +49,10 @@ func warmedSystem(t *testing.T, cfg Config) *System {
 //
 //simlint:hotpath (*streamsim/internal/core.System).Access
 func TestAccessDoesNotAllocate(t *testing.T) {
-	rows := append([]componentRow{{"default", DefaultConfig()}}, componentRows()...)
+	rows := append([]componentRow{{"default", DefaultConfig(), false}}, componentRows()...)
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			sys := warmedSystem(t, row.cfg)
+			sys := warm(row.build(t))
 			i := 0
 			avg := testing.AllocsPerRun(10000, func() {
 				a := mem.Addr(1<<24 + i*64)
@@ -149,5 +152,51 @@ func TestLoggedStepDoesNotAllocate(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("a logged step allocates %v times per batch; want 0", avg)
+	}
+}
+
+// TestReplayAllocationsDoNotGrow gates a whole replay, not one call:
+// replaying the first window of a trace and the whole trace must
+// allocate the same total, so nothing on any path allocates per
+// reference or per event. The per-call gates above divide a sampled
+// total by the call count, which rounds away an allocation made on a
+// rare path, such as the drop of a stream entry a write-back
+// invalidated; a total over a whole replay does not. The trace's first
+// window only reads, so it writes nothing back, and the is kernel after
+// it invalidates thousands of stream entries in the 4 KB L1s'
+// configuration.
+//
+//simlint:hotpath streamsim/internal/core.ReplayStoreMultiPrefixFrom
+func TestReplayAllocationsDoNotGrow(t *testing.T) {
+	st := trace.NewStore(0)
+	for i := 0; i < trace.WindowRefs; i++ {
+		st.Append(mem.Access{Addr: mem.Addr(1<<30 + 64*i), Kind: mem.Read})
+	}
+	w, err := workload.New("is", workload.SizeSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(st, 0.01); err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.L1I.SizeBytes, cfg.L1D.SizeBytes = 4<<10, 4<<10
+	replay := func(windows int) (allocs float64, invalidations uint64) {
+		allocs = testing.AllocsPerRun(1, func() {
+			sys := mustNew(t, cfg)
+			if err := ReplayStoreMultiPrefixFrom(context.Background(), []*System{sys}, st, 0, windows); err != nil {
+				t.Fatal(err)
+			}
+			invalidations = sys.Results().Streams.Invalidations
+		})
+		return allocs, invalidations
+	}
+	short, shortInv := replay(1)
+	long, longInv := replay(st.WindowCount())
+	if shortInv != 0 || longInv < 1000 {
+		t.Fatalf("the first window invalidates %d stream entries and the whole trace %d; want 0 and thousands", shortInv, longInv)
+	}
+	if short != long {
+		t.Errorf("replaying one window allocates %v times, all %d windows %v times; want equal", short, st.WindowCount(), long)
 	}
 }

@@ -96,14 +96,14 @@ type Config struct {
 	// MinDeltaMax bounds accepted min-delta strides in words
 	// (0 = unbounded).
 	MinDeltaMax int64
-
-	// OnMemoryTraffic, when set, observes every block the system moves
-	// over the memory interface on the demand side — fast-path fetches
-	// and write-backs. Prefetch traffic is observed via
-	// Streams.OnPrefetch; together they are the full traffic sequence
-	// bank-interleaving analyses replay (see internal/memctl).
-	OnMemoryTraffic func(blk mem.Addr)
 }
+
+// Config is a comparable value: the experiments memoize replay results
+// by it (internal/sweeprun), so a configuration is its own memo key and
+// a field added later joins the key. A field of func, slice or map type
+// would fail to compile here; an observer of the simulation belongs on
+// the built System instead (System.OnTraffic).
+var _ map[Config]Results
 
 // DefaultConfig is the paper's baseline: 64K+64K 4-way random-
 // replacement L1s, ten streams of depth two, both filters at sixteen
@@ -145,7 +145,8 @@ type System struct {
 
 	instructions uint64
 	finished     bool
-	out          Outcome // scratch for AccessOutcome and the miss log
+	out          Outcome            // scratch for AccessOutcome and the miss log
+	onTraffic    func(blk mem.Addr) // see OnTraffic
 
 	// tap, when non-nil, records every backend event as a packed word:
 	// the write-backs to memory (writeBack) and the L1 miss fills that
@@ -366,6 +367,27 @@ func New(cfg Config) (*System, error) {
 
 // Config returns the configuration the system was built with.
 func (s *System) Config() Config { return s.cfg }
+
+// OnTraffic sets fn to observe every block the system moves over the
+// memory interface from now on, in order: fast-path fetches and
+// write-backs on the demand side, issued stream prefetches on the
+// prefetch side. Together they are the full traffic sequence
+// bank-interleaving analyses replay (see internal/memctl). A nil fn,
+// the default, observes nothing and costs nothing. Snapshot copies
+// (Fork, Checkpoint) share the hook.
+//
+// The hook is set on the built system, not in its Config, so that a
+// Config stays a comparable memo key: a hooked replay is run for its
+// side effects and never reaches a results memo.
+func (s *System) OnTraffic(fn func(blk mem.Addr)) {
+	s.onTraffic = fn
+	if s.streams != nil {
+		s.streams.OnPrefetch(fn)
+	}
+	if s.streamsI != nil {
+		s.streamsI.OnPrefetch(fn)
+	}
+}
 
 // SetCzoneBits retunes the czone at run time (the paper's memory-mapped
 // mask store). It fails unless the czone scheme is active.
@@ -717,8 +739,8 @@ func (s *System) fetch(blk mem.Addr) {
 
 // noteTraffic reports a demand-side block transfer to the hook.
 func (s *System) noteTraffic(blk mem.Addr) {
-	if s.cfg.OnMemoryTraffic != nil {
-		s.cfg.OnMemoryTraffic(blk)
+	if s.onTraffic != nil {
+		s.onTraffic(blk)
 	}
 }
 

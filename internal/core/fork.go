@@ -16,8 +16,8 @@ import (
 // its own. A fork therefore accumulates pure deltas: whatever its
 // counters read later is exactly the work done since the fork. The
 // retired-instruction counter, the finished flag and the scratch
-// outcome start from zero too, and the configuration (including any
-// hooks) is shared with the original.
+// outcome start from zero too, and the traffic hook (OnTraffic), if
+// any, is shared with the original.
 func (s *System) Fork() *System {
 	n := s.clone()
 	n.ctr, n.instructions, n.finished, n.out = counters{}, 0, false, Outcome{}
@@ -29,9 +29,9 @@ func (s *System) Fork() *System {
 // and bound to the copy's counters. Starting from the value copy
 // carries every field by construction, so a copy can go wrong only by
 // sharing a reference with its original, which TestSnapshotCopiesAreDeep
-// walks for. The configuration, hooks included, is shared; tap and
-// the miss log are nil between replay calls (settle disarms them), so
-// no copy carries one.
+// walks for. The traffic hook, if any, is shared; tap and the miss log
+// are nil between replay calls (settle disarms them), so no copy
+// carries one.
 func (s *System) clone() *System {
 	n := *s
 	n.l1i, n.l1d = s.l1i.Clone(), s.l1d.Clone()

@@ -96,10 +96,10 @@ func TestAccessOutcomePending(t *testing.T) {
 // every backend path at run time. For each hardware shape, every
 // system of a three-system fan-out — a leader that simulates the
 // shared L1 front and two followers that replay its tapped backend
-// events — must post one block to the traffic hook for each demand
-// fetch and each write-back its ledger counts, and one to the prefetch
-// hook for each prefetch issued. The trace's writes and instruction
-// fetches exercise write-backs and both L1s.
+// events — must post one block to its traffic hook (System.OnTraffic)
+// for each demand fetch, write-back and issued prefetch its ledger
+// counts. The trace's writes and instruction fetches exercise
+// write-backs and both L1s.
 func TestTrafficHooksSeeAllBlocks(t *testing.T) {
 	w, err := workload.New("appbt", workload.SizeSmall)
 	if err != nil {
@@ -129,13 +129,11 @@ func TestTrafficHooksSeeAllBlocks(t *testing.T) {
 		{"filtered", filtered},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var demand, prefetch [3]uint64
-			systems := make([]*System, len(demand))
+			var seen [3]uint64
+			systems := make([]*System, len(seen))
 			for i := range systems {
-				cfg := tc.cfg
-				cfg.OnMemoryTraffic = func(mem.Addr) { demand[i]++ }
-				cfg.Streams.OnPrefetch = func(mem.Addr) { prefetch[i]++ }
-				systems[i] = mustNew(t, cfg)
+				systems[i] = mustNew(t, tc.cfg)
+				systems[i].OnTraffic(func(mem.Addr) { seen[i]++ })
 			}
 			if err := ReplayStoreMultiPrefixFrom(context.Background(), systems, st, 0, 0); err != nil {
 				t.Fatal(err)
@@ -146,12 +144,9 @@ func TestTrafficHooksSeeAllBlocks(t *testing.T) {
 					t.Errorf("system %d: %d write-backs, %d L1I misses; the trace must exercise both",
 						i, r.Bandwidth.WriteBacks, r.L1I.Misses)
 				}
-				if ledger := r.Bandwidth.DemandFetches + r.Bandwidth.WriteBacks; demand[i] != ledger {
-					t.Errorf("system %d: traffic hook saw %d blocks, ledger has %d (%d fetches + %d write-backs)",
-						i, demand[i], ledger, r.Bandwidth.DemandFetches, r.Bandwidth.WriteBacks)
-				}
-				if prefetch[i] != r.Streams.PrefetchesIssued {
-					t.Errorf("system %d: prefetch hook saw %d, ledger has %d", i, prefetch[i], r.Streams.PrefetchesIssued)
+				if ledger := r.Bandwidth.DemandFetches + r.Bandwidth.WriteBacks + r.Streams.PrefetchesIssued; seen[i] != ledger {
+					t.Errorf("system %d: traffic hook saw %d blocks, ledger has %d (%d fetches + %d write-backs + %d prefetches)",
+						i, seen[i], ledger, r.Bandwidth.DemandFetches, r.Bandwidth.WriteBacks, r.Streams.PrefetchesIssued)
 				}
 			}
 		})

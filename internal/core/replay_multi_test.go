@@ -58,7 +58,7 @@ var fixtures struct {
 
 type soloKey struct {
 	st  *trace.Store
-	cfg string
+	cfg core.Config
 }
 
 // recordTrace runs a workload at a small scale straight into a
@@ -96,7 +96,7 @@ func replayEach(t *testing.T, cfgs []core.Config, st *trace.Store) []core.Result
 	t.Helper()
 	want := make([]core.Results, len(cfgs))
 	for i, cfg := range cfgs {
-		key := soloKey{st, fmt.Sprintf("%+v", cfg)}
+		key := soloKey{st, cfg}
 		fixtures.Lock()
 		r, ok := fixtures.solo[key]
 		fixtures.Unlock()

@@ -82,19 +82,20 @@ func TestReplayWindowedFallbacksAreExact(t *testing.T) {
 		}
 		want[i] = sys.Results()
 	}
-	hooked := append([]core.Config(nil), cfgs...)
-	hooked[0].OnMemoryTraffic = func(mem.Addr) {}
 	for _, tc := range []struct {
-		name string
-		cfgs []core.Config
-		opt  core.ShardOptions
+		name   string
+		hooked bool
+		opt    core.ShardOptions
 	}{
-		{"short-trace-auto", cfgs, core.ShardOptions{}},
-		{"forced-single-shard", cfgs, core.ShardOptions{Shards: 1}},
-		{"hooked-system", hooked, core.ShardOptions{Shards: 4}},
+		{"short-trace-auto", false, core.ShardOptions{}},
+		{"forced-single-shard", false, core.ShardOptions{Shards: 1}},
+		{"hooked-system", true, core.ShardOptions{Shards: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			systems := newSystems(t, tc.cfgs)
+			systems := newSystems(t, cfgs)
+			if tc.hooked {
+				systems[0].OnTraffic(func(mem.Addr) {})
+			}
 			if err := core.ReplayStoreMultiWindowed(ctx, systems, st, tc.opt); err != nil {
 				t.Fatal(err)
 			}

@@ -12,42 +12,52 @@ import (
 	"streamsim/internal/workload"
 )
 
-// componentRow is one configuration of componentRows.
+// componentRow is one system of componentRows: a configuration, and
+// whether the built system gets a traffic hook (System.OnTraffic).
 type componentRow struct {
-	name string
-	cfg  Config
+	name  string
+	cfg   Config
+	hooks bool
 }
 
-// componentRows are configurations that together enable every
-// component a System can hold: random, LRU and FIFO L1s, victim
-// buffers, unified and partitioned streams with and without latency,
-// the unit, czone and min-delta filters, and both hooks. Each is
-// DefaultConfig with 4 KB L1s, which keep a short trace evicting into
-// the victim buffers and missing into the streams and filters.
+// build returns a fresh system of the row.
+func (r componentRow) build(t *testing.T) *System {
+	t.Helper()
+	sys := mustNew(t, r.cfg)
+	if r.hooks {
+		sys.OnTraffic(func(mem.Addr) {})
+	}
+	return sys
+}
+
+// componentRows are systems that together enable every component a
+// System can hold: random, LRU and FIFO L1s, victim buffers, unified
+// and partitioned streams with and without latency, the unit, czone
+// and min-delta filters, and the traffic hooks. Each is DefaultConfig
+// with 4 KB L1s, which keep a short trace evicting into the victim
+// buffers and missing into the streams and filters.
 // TestSnapshotCopiesAreDeep walks their snapshot copies and
 // TestAccessDoesNotAllocate gates their access path.
 func componentRows() []componentRow {
-	row := func(name string, set func(*Config)) componentRow {
+	row := func(name string, hooks bool, set func(*Config)) componentRow {
 		cfg := DefaultConfig()
 		cfg.L1I.SizeBytes, cfg.L1D.SizeBytes = 4<<10, 4<<10
 		set(&cfg)
-		return componentRow{name, cfg}
+		return componentRow{name, cfg, hooks}
 	}
 	return []componentRow{
-		row("random L1s, victim buffers, partitioned streams, unit and czone filters, latency", func(c *Config) {
+		row("random L1s, victim buffers, partitioned streams, unit and czone filters, latency", false, func(c *Config) {
 			c.VictimEntries = 4
 			c.PartitionedStreams = true
 			c.Streams.Latency = 8
 		}),
-		row("LRU L1s, unit filter and min-delta", func(c *Config) {
+		row("LRU L1s, unit filter and min-delta", false, func(c *Config) {
 			c.L1I.Replacement, c.L1D.Replacement = cache.LRU, cache.LRU
 			c.Stride = MinDeltaScheme
 		}),
-		row("FIFO L1s, unfiltered streams, hooks", func(c *Config) {
+		row("FIFO L1s, unfiltered streams, hooks", true, func(c *Config) {
 			c.L1I.Replacement, c.L1D.Replacement = cache.FIFO, cache.FIFO
 			c.UnitFilterEntries, c.Stride = 0, NoStrideDetection
-			c.OnMemoryTraffic = func(mem.Addr) {}
-			c.Streams.OnPrefetch = func(mem.Addr) {}
 		}),
 	}
 }
@@ -61,10 +71,10 @@ func componentRows() []componentRow {
 //   - Every leaf is equal. A Fork's counters, instruction count,
 //     finished flag and scratch outcome are the exception: they must be
 //     zero.
-//   - No pointer or slice backing array is shared, except the func
-//     hooks of the configuration. A pointer into the original System
-//     (a component's stats, bound to its counters) must point at the
-//     same place in the copy, whose counters the walk checks as a field.
+//   - No pointer or slice backing array is shared, except the traffic
+//     hooks. A pointer into the original System (a component's stats,
+//     bound to its counters) must point at the same place in the copy,
+//     whose counters the walk checks as a field.
 //   - Components' own statistics are skipped: a bound component counts
 //     through stats, and the stale copy a clone keeps in own is read
 //     only by a standalone clone.
@@ -77,10 +87,7 @@ func TestSnapshotCopiesAreDeep(t *testing.T) {
 	nonNil := map[string]bool{}
 	for _, row := range componentRows() {
 		t.Run(row.name, func(t *testing.T) {
-			sys, err := New(row.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sys := row.build(t)
 			if err := ReplayStore(context.Background(), sys, st); err != nil {
 				t.Fatal(err)
 			}

@@ -30,14 +30,12 @@ func trafficOf(ctx context.Context, name string, size workload.Size, scale float
 	if err != nil {
 		return nil, err
 	}
-	var blocks []mem.Addr
-	hook := func(blk mem.Addr) { blocks = append(blocks, blk) }
-	cfg.OnMemoryTraffic = hook
-	cfg.Streams.OnPrefetch = hook
 	sys, err := core.New(cfg)
 	if err != nil {
 		return nil, err
 	}
+	var blocks []mem.Addr
+	sys.OnTraffic(func(blk mem.Addr) { blocks = append(blocks, blk) })
 	if err := replayMulti(ctx, []*core.System{sys}, tr); err != nil {
 		return nil, err
 	}

@@ -32,80 +32,93 @@ type baselineResult struct {
 // needs no walker of its own: those L1s are the ones the row's stream
 // configuration replays.
 type onChipL1 struct {
-	l1i, l1d *cache.Cache
-	geom     mem.Geometry
-	p        prefetch.Prefetcher
-	rpt      *prefetch.RPT // p, when it is an RPT
-	// pending tracks prefetched-but-untouched blocks for the tagged
-	// policies and for wasted-traffic accounting.
-	pending        map[mem.Addr]bool
+	l1i, l1d       taggedL1
+	geom           mem.Geometry
+	p              prefetch.Prefetcher
+	rpt            *prefetch.RPT // p, when it is an RPT
 	misses, wasted uint64
+}
+
+// taggedL1 is one L1 of an onChipL1 with the tagged policies' tag bit:
+// untouched holds one flag per way, indexed by the flat way
+// cache.Probe returns, set while the way holds a prefetched block no
+// demand reference has touched yet. A flag lives with its line, so a
+// block prefetched into one L1 is not used by a hit in the other.
+type taggedL1 struct {
+	c         *cache.Cache
+	untouched []bool
+}
+
+func newTaggedL1(cfg cache.Config) (taggedL1, error) {
+	c, err := cache.New(cfg)
+	if err != nil {
+		return taggedL1{}, err
+	}
+	return taggedL1{c: c, untouched: make([]bool, cfg.SizeBytes/cfg.BlockBytes)}, nil
 }
 
 func newOnChipL1(p prefetch.Prefetcher) (*onChipL1, error) {
 	cfg := noStreams()
-	l1i, err := cache.New(cfg.L1I)
+	l1i, err := newTaggedL1(cfg.L1I)
 	if err != nil {
 		return nil, err
 	}
-	l1d, err := cache.New(cfg.L1D)
+	l1d, err := newTaggedL1(cfg.L1D)
 	if err != nil {
 		return nil, err
 	}
 	rpt, _ := p.(*prefetch.RPT)
-	return &onChipL1{l1i: l1i, l1d: l1d, geom: cfg.Geometry, p: p, rpt: rpt,
-		pending: map[mem.Addr]bool{}}, nil
+	return &onChipL1{l1i: l1i, l1d: l1d, geom: cfg.Geometry, p: p, rpt: rpt}, nil
 }
 
-// evicted counts a prefetched block that died untouched.
-func (o *onChipL1) evicted(victim mem.Addr) {
-	if o.pending[victim] {
-		delete(o.pending, victim)
+// filled accounts a fill of the block holding addr into l1, found by
+// probing it again: a fill that displaces an untouched prefetched
+// block wastes that prefetch, and the way is untouched afterwards iff
+// the fill is a prefetch.
+func (o *onChipL1) filled(l1 *taggedL1, addr mem.Addr, prefetched bool) {
+	way, _ := l1.c.Probe(uint64(addr))
+	if l1.untouched[way] {
 		o.wasted++
 	}
+	l1.untouched[way] = prefetched
 }
 
-// install prefetches blocks into c.
-func (o *onChipL1) install(c *cache.Cache, blocks []mem.Addr) {
+// install prefetches blocks into l1.
+func (o *onChipL1) install(l1 *taggedL1, blocks []mem.Addr) {
 	for _, b := range blocks {
-		res := c.Prefetch(uint64(o.geom.BlockToByte(b)))
-		if !res.Filled {
-			continue
-		}
-		o.pending[b] = true
-		if res.Evicted {
-			o.evicted(mem.Addr(res.VictimBlock))
+		addr := o.geom.BlockToByte(b)
+		if l1.c.Prefetch(uint64(addr)).Filled {
+			o.filled(l1, addr, true)
 		}
 	}
 }
 
 // access presents one reference to the L1s and the prefetcher.
 func (o *onChipL1) access(a mem.Access) {
-	c := o.l1d
+	l1 := &o.l1d
 	if a.Kind == mem.IFetch {
-		c = o.l1i
+		l1 = &o.l1i
 	}
-	var res cache.Result
-	if a.Kind == mem.Write {
-		res = c.Write(uint64(a.Addr))
-	} else {
-		res = c.Read(uint64(a.Addr))
-	}
-	blk := o.geom.BlockAddr(a.Addr)
-	if res.Hit && o.pending[blk] {
-		delete(o.pending, blk)
-		o.install(c, o.p.FirstUse(a, blk))
-	}
-	if res.Sampled && !res.Hit && res.Filled {
-		o.misses++
-		if res.Evicted {
-			o.evicted(mem.Addr(res.VictimBlock))
+	write := a.Kind == mem.Write
+	switch way, st := l1.c.Probe(uint64(a.Addr)); st {
+	case cache.ProbeHit:
+		l1.c.HitAt(way, write)
+		if l1.untouched[way] {
+			l1.untouched[way] = false
+			o.install(l1, o.p.FirstUse(a, o.geom.BlockAddr(a.Addr)))
 		}
-		o.install(c, o.p.Miss(a, blk))
+	case cache.ProbeMiss:
+		if l1.c.MissAt(uint64(a.Addr), write).Filled {
+			o.misses++
+			o.filled(l1, a.Addr, false)
+			o.install(l1, o.p.Miss(a, o.geom.BlockAddr(a.Addr)))
+		}
+	default:
+		l1.c.NoteUnsampled()
 	}
 	if o.rpt != nil {
 		if pb, ok := o.rpt.Observe(a); ok {
-			o.install(c, []mem.Addr{pb})
+			o.install(l1, []mem.Addr{pb})
 		}
 	}
 }
@@ -116,7 +129,14 @@ func (o *onChipL1) result(baseMisses uint64) baselineResult {
 	if baseMisses == 0 {
 		return baselineResult{}
 	}
-	wasted := o.wasted + uint64(len(o.pending))
+	wasted := o.wasted
+	for _, l1 := range []*taggedL1{&o.l1i, &o.l1d} {
+		for _, u := range l1.untouched {
+			if u {
+				wasted++
+			}
+		}
+	}
 	return baselineResult{
 		Coverage: 100 * float64(int64(baseMisses)-int64(o.misses)) / float64(baseMisses),
 		Extra:    100 * float64(wasted) / float64(baseMisses),

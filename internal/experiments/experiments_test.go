@@ -14,6 +14,7 @@ import (
 	"streamsim/internal/core"
 	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
+	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
 
@@ -260,6 +261,105 @@ func TestOnChipBaselineMatchesMissStream(t *testing.T) {
 	}
 	if invalidations == 0 {
 		t.Fatal("no write-back invalidated a stream entry; the test would not exercise the invalidation path")
+	}
+}
+
+// paperPassConfigs is every configuration the paper pass sends
+// through runConfigs: Table 1's bare L1s, Figure 3's stream counts
+// (Tables 2 and 3 and Figure 5 replay its ten-stream column), the
+// filtered streams of Figures 5 and 8, and Figure 9's czone sizes
+// (Figure 8, Table 4 and extbase replay its 16-bit column).
+func paperPassConfigs() []core.Config {
+	cfgs := []core.Config{noStreams(), filteredStreams()}
+	for _, n := range figure3StreamCounts {
+		cfgs = append(cfgs, plainStreams(n))
+	}
+	for _, bits := range figure9CzoneBits {
+		cfgs = append(cfgs, stridedStreams(bits))
+	}
+	return cfgs
+}
+
+// TestResultsMemo runs every paper-pass configuration through
+// runConfigs over two inputs, one at its large size, and checks the
+// recording's results memo against fresh solo replays: a cancelled
+// replay memoizes nothing, the first completed call replays every
+// configuration, a repeated call replays none and returns Results equal
+// to the solo replays', and after ResetTraceCache the next call replays
+// again.
+func TestResultsMemo(t *testing.T) {
+	ctx := context.Background()
+	opt := Options{Scale: 0.02}
+	cfgs := paperPassConfigs()
+	ResetTraceCache()
+	for _, name := range []string{"mgrid", "appsp"} {
+		size := table1Size(name)
+		tr, err := record(ctx, name, size, opt.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs := uint64(tr.Len()) * uint64(len(cfgs))
+		want := make([]core.Results, len(cfgs))
+		for i, cfg := range cfgs {
+			sys, err := core.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.ReplayStore(ctx, sys, tr); err != nil {
+				t.Fatal(err)
+			}
+			sys.AddInstructions(tr.Instructions())
+			want[i] = sys.Results()
+		}
+		check := func(what string, wantRefs, wantHits uint64) {
+			t.Helper()
+			refs0, hits0 := ReplayedRefs(), sweeprun.TraceCacheStats().MemoHits
+			res, err := runConfigs(ctx, name, size, opt, cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ReplayedRefs() - refs0; got != wantRefs {
+				t.Errorf("%s, %s: replayed %d refs, want %d", name, what, got, wantRefs)
+			}
+			if got := sweeprun.TraceCacheStats().MemoHits - hits0; got != wantHits {
+				t.Errorf("%s, %s: %d memo hits, want %d", name, what, got, wantHits)
+			}
+			for i := range cfgs {
+				if res[i] != want[i] {
+					t.Errorf("%s, %s: config %d differs from a solo replay:\ngot  %+v\nwant %+v", name, what, i, res[i], want[i])
+				}
+			}
+		}
+
+		entries0 := sweeprun.TraceCacheStats().MemoEntries
+		cctx, cancel := context.WithCancel(ctx)
+		_, err = sweeprun.Results(cctx, name, size, opt.Scale, cfgs, func(tr *trace.Store, cfgs []core.Config) ([]core.Results, error) {
+			cancel()
+			return replayConfigs(cctx, tr, cfgs)
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: replay cancelled mid-call returned %v, want context.Canceled", name, err)
+		}
+		if got := sweeprun.TraceCacheStats().MemoEntries; got != entries0 {
+			t.Errorf("%s: a cancelled replay changed the memo from %d to %d results", name, entries0, got)
+		}
+		check("first call", refs, 0)
+		check("repeated call", 0, uint64(len(cfgs)))
+	}
+	ResetTraceCache()
+	if got := sweeprun.TraceCacheStats().MemoEntries; got != 0 {
+		t.Errorf("ResetTraceCache left %d memoized results", got)
+	}
+	tr, err := record(ctx, "mgrid", table1Size("mgrid"), opt.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs0 := ReplayedRefs()
+	if _, err := runConfigs(ctx, "mgrid", table1Size("mgrid"), opt, cfgs); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ReplayedRefs()-refs0, uint64(tr.Len())*uint64(len(cfgs)); got != want {
+		t.Errorf("after ResetTraceCache: replayed %d refs, want %d", got, want)
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"context"
 	"strconv"
 	"testing"
+
+	"streamsim/internal/mem"
+	"streamsim/internal/prefetch"
 )
 
 // cellFloat parses a numeric table cell.
@@ -14,6 +17,53 @@ func cellFloat(t *testing.T, cell string) float64 {
 		t.Fatalf("bad numeric cell %q: %v", cell, err)
 	}
 	return v
+}
+
+// firstUses counts the first uses a Prefetcher is told of.
+type firstUses struct {
+	prefetch.Prefetcher
+	n int
+}
+
+func (f *firstUses) FirstUse(a mem.Access, blk mem.Addr) []mem.Addr {
+	f.n++
+	return f.Prefetcher.FirstUse(a, blk)
+}
+
+// TestOnChipL1KeepsCachesApart: the tag of a prefetched block lives
+// with its line, so an instruction fetch that hits block b in the L1I
+// is not the first use of b prefetched into the L1D, and that prefetch
+// stays untouched (wasted at the end) until a data reference hits it.
+func TestOnChipL1KeepsCachesApart(t *testing.T) {
+	obl, err := prefetch.NewOBL(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &firstUses{Prefetcher: obl}
+	o, err := newOnChipL1(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const b = 1000 // a block number; b-1, b and b+1 fall in distinct sets
+	at := func(blk mem.Addr) mem.Addr { return o.geom.BlockToByte(blk) }
+	o.access(mem.Access{Addr: at(b), Kind: mem.IFetch})   // L1I miss: fills b, prefetches b+1 into the L1I
+	o.access(mem.Access{Addr: at(b - 1), Kind: mem.Read}) // L1D miss: fills b-1, prefetches b into the L1D
+	o.access(mem.Access{Addr: at(b), Kind: mem.IFetch})   // L1I hit on the demand-filled b
+	if p.n != 0 {
+		t.Errorf("an L1I hit was the first use of an L1D prefetch (%d first uses, want 0)", p.n)
+	}
+	// With 100 baseline misses, Extra counts wasted blocks: both
+	// prefetches are untouched.
+	if r := o.result(100); r.Extra != 2 {
+		t.Errorf("extra traffic %.0f blocks after the L1I hit, want 2", r.Extra)
+	}
+	o.access(mem.Access{Addr: at(b), Kind: mem.Read}) // L1D hit on the prefetched b: its first use, prefetching b+1
+	if p.n != 1 {
+		t.Errorf("%d first uses after the L1D hit, want 1", p.n)
+	}
+	if r := o.result(100); r.Extra != 2 || o.misses != 2 {
+		t.Errorf("extra traffic %.0f blocks and %d misses, want 2 (b+1 in each L1) and 2", r.Extra, o.misses)
+	}
 }
 
 func TestCPIExperimentShape(t *testing.T) {

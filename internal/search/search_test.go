@@ -39,17 +39,31 @@ func mixedFrontSpec() Spec {
 	return s
 }
 
+// sampledSpec is tinySpec over a 24-point space, twice its budget, so
+// halving evaluates only the candidates its seeded source draws.
+func sampledSpec() Spec {
+	s := tinySpec()
+	s.Space = []Dim{
+		{Param: "streams", Values: []int{1, 2, 4, 8}},
+		{Param: "depth", Values: []int{1, 2, 3}},
+		{Param: "filter", Values: []int{0, 16}},
+	}
+	return s
+}
+
 // TestRunDeterministicAcrossParallel is the acceptance gate for the
 // optimizer's reproducibility: for a fixed seed the result is
 // byte-identical across repeated runs and across -parallel widths, for
 // both the grid oracle and seeded halving, on the stream-side space
-// and on the mixed-front one.
+// and on the mixed-front one. The spaces of both fit their budget, so
+// halving's draw cannot matter there; on the sampled space it does,
+// and a draw from any source but the seeded one changes the result.
 //
 //simlint:deterministic streamsim/internal/search.Run
 func TestRunDeterministicAcrossParallel(t *testing.T) {
 	ctx := context.Background()
-	check := func(t *testing.T, spec func() Spec) {
-		for _, strategy := range []string{"grid", "halving"} {
+	check := func(t *testing.T, spec func() Spec, strategies ...string) {
+		for _, strategy := range strategies {
 			t.Run(strategy, func(t *testing.T) {
 				var want []byte
 				for _, parallel := range []int{1, 2, 4} {
@@ -77,8 +91,9 @@ func TestRunDeterministicAcrossParallel(t *testing.T) {
 			})
 		}
 	}
-	check(t, tinySpec)
-	t.Run("mixed-front", func(t *testing.T) { check(t, mixedFrontSpec) })
+	check(t, tinySpec, "grid", "halving")
+	t.Run("mixed-front", func(t *testing.T) { check(t, mixedFrontSpec, "grid", "halving") })
+	t.Run("sampled", func(t *testing.T) { check(t, sampledSpec, "halving") })
 }
 
 // TestScratchMatchesIncremental is the checkpoint layer's equivalence

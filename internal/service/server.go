@@ -127,6 +127,8 @@ func (s *Server) initMetrics() {
 	gauge("trace_cache_bytes", func() any { return sweeprun.TraceCacheStats().Bytes })
 	gauge("trace_cache_entries", func() any { return sweeprun.TraceCacheStats().Entries })
 	gauge("trace_cache_evictions_total", func() any { return sweeprun.TraceCacheStats().Evictions })
+	gauge("results_memo_hits", func() any { return sweeprun.TraceCacheStats().MemoHits })
+	gauge("results_memo_entries", func() any { return sweeprun.TraceCacheStats().MemoEntries })
 	gauge("refs_replayed_total", func() any { return experiments.ReplayedRefs() })
 	gauge("replay_fanout_width", func() any { return core.LastFanOutWidth() })
 	gauge("search_evals_total", func() any { return search.EvalsTotal() })

@@ -531,7 +531,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, key := range []string{
 		"jobs_queued", "jobs_running", "jobs_done", "jobs_failed", "jobs_cancelled",
 		"memo_hits", "workers", "trace_cache_hits", "trace_cache_bytes",
-		"trace_cache_entries", "trace_cache_evictions_total", "refs_replayed_total",
+		"trace_cache_entries", "trace_cache_evictions_total", "results_memo_hits",
+		"results_memo_entries", "refs_replayed_total",
 		"refs_per_sec", "replay_fanout_width", "uptime_seconds",
 	} {
 		if _, ok := m[key]; !ok {

@@ -383,9 +383,6 @@ type Config struct {
 	// Realloc selects the victim policy (default LRU, as the paper
 	// assumes).
 	Realloc Realloc
-	// OnPrefetch, when set, observes every issued prefetch's block
-	// number (memory-traffic analyses use it; nil costs nothing).
-	OnPrefetch func(blk mem.Addr)
 }
 
 // Validate checks cfg without allocating anything: at least one
@@ -409,11 +406,19 @@ func NewSet(geom mem.Geometry, cfg Config) (*Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		b.onPrefetch = cfg.OnPrefetch
 		s.bufs = append(s.bufs, b)
 		s.heads = append(s.heads, headUnknown)
 	}
 	return s, nil
+}
+
+// OnPrefetch sets fn to observe every prefetch the set issues from now
+// on, by block number (memory-traffic analyses use it; nil, the
+// default, costs nothing).
+func (s *Set) OnPrefetch(fn func(blk mem.Addr)) {
+	for _, b := range s.bufs {
+		b.onPrefetch = fn
+	}
 }
 
 // Streams returns the number of buffers in the set.
@@ -439,7 +444,7 @@ func (b *Buffer) clone() *Buffer {
 // and a copy of the statistics it counts into. The clone evolves and
 // counts independently of the original. The OnPrefetch hook, if any,
 // is shared with the original: callers that clone for concurrent
-// replay must not configure one.
+// replay must not set one.
 func (s *Set) Clone() *Set {
 	n := *s
 	n.own, n.stats = *s.stats, &n.own

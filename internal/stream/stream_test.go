@@ -483,13 +483,11 @@ func TestStatsAdd(t *testing.T) {
 
 func TestOnPrefetchHook(t *testing.T) {
 	var issued []mem.Addr
-	s, err := NewSet(mem.DefaultGeometry(), Config{
-		Streams: 1, Depth: 2,
-		OnPrefetch: func(blk mem.Addr) { issued = append(issued, blk) },
-	})
+	s, err := NewSet(mem.DefaultGeometry(), Config{Streams: 1, Depth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.OnPrefetch(func(blk mem.Addr) { issued = append(issued, blk) })
 	s.AllocateUnit(10)
 	if len(issued) != 2 || issued[0] != 11 || issued[1] != 12 {
 		t.Fatalf("hook saw %v, want [11 12]", issued)

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"streamsim/internal/core"
 	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
@@ -45,6 +46,50 @@ func Record(ctx context.Context, name, sizeS string, scale float64) (*workload.W
 	return w, st, nil
 }
 
+// Results returns the Results of replaying the recording of (name,
+// size, scale), the store Record returns, through each configuration,
+// in order. Every recording carries a results memo: the Results of
+// each configuration replayed over it to completion, keyed by the
+// configuration itself. Results answers from the memo what it holds
+// and calls replay once, outside the cache's lock, with the recording
+// and the configurations it lacks, in order; replay returns their
+// Results in that order. They join the memo only when replay returns
+// without error, so a cancelled replay memoizes nothing. The memo
+// lives on the recording's cache entry, so eviction and
+// ResetTraceCache drop it with the store.
+//
+// A memoized Results stands for every later replay of its
+// configuration, so replay must return what a solo replay of the whole
+// recording returns. A replay that observes the simulation
+// (core.System.OnTraffic), stops at a prefix or charges a timing model
+// does not come here.
+func Results(ctx context.Context, name string, size workload.Size, scale float64, cfgs []core.Config,
+	replay func(st *trace.Store, cfgs []core.Config) ([]core.Results, error)) ([]core.Results, error) {
+	_, st, err := Record(ctx, name, size.String(), scale)
+	if err != nil {
+		return nil, err
+	}
+	key := traceKey{name, size, scale}
+	res := make([]core.Results, len(cfgs))
+	missing := recordings.memoized(key, st, cfgs, res)
+	if len(missing) == 0 {
+		return res, nil
+	}
+	todo := make([]core.Config, len(missing))
+	for j, i := range missing {
+		todo[j] = cfgs[i]
+	}
+	got, err := replay(st, todo)
+	if err != nil {
+		return nil, err
+	}
+	for j, i := range missing {
+		res[i] = got[j]
+	}
+	recordings.memoize(key, st, todo, got)
+	return res, nil
+}
+
 // recordTrace runs w once into a store preallocated from the
 // workload's reference estimate. The estimate scales by the kernel's
 // own step count and lands within 2% above the recorded length
@@ -77,11 +122,12 @@ type traceKey struct {
 	scale float64
 }
 
-// traceEntry is one cached recording.
+// traceEntry is one cached recording and its results memo.
 type traceEntry struct {
-	key   traceKey
-	store *trace.Store
-	bytes int64 // store.Footprint()
+	key     traceKey
+	store   *trace.Store
+	bytes   int64                        // store.Footprint()
+	results map[core.Config]core.Results // completed replays of store; see Results
 }
 
 // traceCache is a bounded cache of recordings. A caller that misses
@@ -91,7 +137,8 @@ type traceEntry struct {
 // cancelled recording inserts nothing, so no caller inherits another
 // caller's cancellation. Entries are evicted least recently used
 // first once their footprints exceed the budget. The LRU order lives
-// in a list so that nothing ever ranges over the map.
+// in a list so that nothing ever ranges over the map. Each entry's
+// results memo follows the same rules (see Results).
 type traceCache struct {
 	mu      sync.Mutex
 	budget  int64
@@ -99,10 +146,12 @@ type traceCache struct {
 	lru     *list.List                 // most recently used at the front
 
 	// Written under mu, read without it by TraceCacheStats.
-	bytes     atomic.Int64
-	resident  atomic.Int64
-	hits      atomic.Uint64
-	evictions atomic.Uint64
+	bytes       atomic.Int64
+	resident    atomic.Int64
+	hits        atomic.Uint64
+	evictions   atomic.Uint64
+	memoHits    atomic.Uint64
+	memoEntries atomic.Int64
 }
 
 func newTraceCache(budget int64) *traceCache {
@@ -147,10 +196,58 @@ func (c *traceCache) cached(key traceKey) *trace.Store {
 	return el.Value.(*traceEntry).store
 }
 
+// memo returns the results memo of st, or nil when key is not cached
+// or caches another store (st was evicted and recorded again); c.mu
+// must be held.
+func (c *traceCache) memo(key traceKey, st *trace.Store) map[core.Config]core.Results {
+	if el := c.entries[key]; el != nil {
+		if e := el.Value.(*traceEntry); e.store == st {
+			return e.results
+		}
+	}
+	return nil
+}
+
+// memoized copies into res[i] the memoized Results of each cfgs[i]
+// that st's results memo holds, counting a memo hit for each, and
+// returns the indices of the others in order.
+func (c *traceCache) memoized(key traceKey, st *trace.Store, cfgs []core.Config, res []core.Results) (missing []int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	memo := c.memo(key, st)
+	for i, cfg := range cfgs {
+		r, ok := memo[cfg]
+		if !ok {
+			missing = append(missing, i)
+			continue
+		}
+		res[i] = r
+		c.memoHits.Add(1)
+	}
+	return missing
+}
+
+// memoize adds res[i] as the Results of cfgs[i] to st's results memo,
+// if st is still cached under key.
+func (c *traceCache) memoize(key traceKey, st *trace.Store, cfgs []core.Config, res []core.Results) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	memo := c.memo(key, st)
+	if memo == nil {
+		return
+	}
+	for i, cfg := range cfgs {
+		if _, ok := memo[cfg]; !ok {
+			c.memoEntries.Add(1)
+		}
+		memo[cfg] = res[i]
+	}
+}
+
 // insert caches st under key and evicts down to the budget; c.mu must
 // be held.
 func (c *traceCache) insert(key traceKey, st *trace.Store) {
-	e := &traceEntry{key: key, store: st, bytes: int64(st.Footprint())}
+	e := &traceEntry{key: key, store: st, bytes: int64(st.Footprint()), results: map[core.Config]core.Results{}}
 	c.entries[key] = c.lru.PushFront(e)
 	c.bytes.Add(e.bytes)
 	c.resident.Add(1)
@@ -160,13 +257,15 @@ func (c *traceCache) insert(key traceKey, st *trace.Store) {
 	}
 }
 
-// remove drops the entry at el; c.mu must be held. Replays still
-// holding its store keep it alive until they finish.
+// remove drops the entry at el and its results memo; c.mu must be
+// held. Replays still holding its store keep it alive until they
+// finish, and memoize nothing into it.
 func (c *traceCache) remove(el *list.Element) {
 	e := c.lru.Remove(el).(*traceEntry)
 	delete(c.entries, e.key)
 	c.bytes.Add(-e.bytes)
 	c.resident.Add(-1)
+	c.memoEntries.Add(-int64(len(e.results)))
 }
 
 // reset drops every entry. Recordings in progress are inserted when
@@ -191,6 +290,12 @@ type CacheStats struct {
 	Entries int64
 	// Evictions counts recordings dropped to stay within the budget.
 	Evictions uint64
+	// MemoHits counts configurations Results answered from a
+	// recording's results memo instead of replaying them.
+	MemoHits uint64
+	// MemoEntries is the number of Results the cached recordings'
+	// memos hold.
+	MemoEntries int64
 }
 
 // TraceCacheStats reads the recording cache's counters without
@@ -198,13 +303,16 @@ type CacheStats struct {
 func TraceCacheStats() CacheStats {
 	c := recordings
 	return CacheStats{
-		Hits:      c.hits.Load(),
-		Bytes:     c.bytes.Load(),
-		Entries:   c.resident.Load(),
-		Evictions: c.evictions.Load(),
+		Hits:        c.hits.Load(),
+		Bytes:       c.bytes.Load(),
+		Entries:     c.resident.Load(),
+		Evictions:   c.evictions.Load(),
+		MemoHits:    c.memoHits.Load(),
+		MemoEntries: c.memoEntries.Load(),
 	}
 }
 
-// ResetTraceCache drops every cached recording, for benchmarks that
-// measure recording cost. Hit and eviction counts keep accumulating.
+// ResetTraceCache drops every cached recording with its results memo,
+// for benchmarks that measure recording cost. Hit and eviction counts
+// keep accumulating.
 func ResetTraceCache() { recordings.reset() }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
+	"streamsim/internal/core"
 	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
@@ -216,5 +218,128 @@ func TestScaleOutOfRange(t *testing.T) {
 		if err := s.Validate(); (err == nil) != tc.specOK {
 			t.Errorf("Validate(scale %v) = %v, want ok=%v", tc.scale, err, tc.specOK)
 		}
+	}
+}
+
+// TestResultsMemoRules drives Results with a stand-in replay that
+// marks each Results with its configuration's stream count. A
+// configuration replays once per recording and is answered from the
+// memo after, in the caller's order; a failed replay memoizes nothing;
+// a replay whose recording was dropped and recorded again meanwhile
+// memoizes nothing into the new recording's entry, whose memo the
+// reset emptied.
+func TestResultsMemoRules(t *testing.T) {
+	ctx := context.Background()
+	cfg := func(streams int) core.Config {
+		c := core.DefaultConfig()
+		c.Streams.Streams = streams
+		return c
+	}
+	var replayed []int
+	replay := func(_ *trace.Store, cfgs []core.Config) ([]core.Results, error) {
+		res := make([]core.Results, len(cfgs))
+		for i, c := range cfgs {
+			replayed = append(replayed, c.Streams.Streams)
+			res[i].Instructions = uint64(c.Streams.Streams)
+		}
+		return res, nil
+	}
+	results := func(replay func(*trace.Store, []core.Config) ([]core.Results, error), streams ...int) ([]core.Results, error) {
+		t.Helper()
+		cfgs := make([]core.Config, len(streams))
+		for i, n := range streams {
+			cfgs[i] = cfg(n)
+		}
+		return Results(ctx, "embar", workload.SizeSmall, 0.02, cfgs, replay)
+	}
+	expect := func(what string, res []core.Results, wantReplayed []int, wantEntries int64, streams ...int) {
+		t.Helper()
+		if !slices.Equal(replayed, wantReplayed) {
+			t.Errorf("%s: replayed stream counts %v, want %v", what, replayed, wantReplayed)
+		}
+		for i, n := range streams {
+			if res[i].Instructions != uint64(n) {
+				t.Errorf("%s: result %d is for %d streams, want %d", what, i, res[i].Instructions, n)
+			}
+		}
+		if got := TraceCacheStats().MemoEntries; got != wantEntries {
+			t.Errorf("%s: memo holds %d results, want %d", what, got, wantEntries)
+		}
+		replayed = nil
+	}
+
+	ResetTraceCache()
+	res, err := results(replay, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect("cold", res, []int{2, 4}, 2, 2, 4)
+	hits0 := TraceCacheStats().MemoHits
+	if res, err = results(replay, 4, 8, 2); err != nil {
+		t.Fatal(err)
+	}
+	expect("warm", res, []int{8}, 3, 4, 8, 2)
+	if hits := TraceCacheStats().MemoHits - hits0; hits != 2 {
+		t.Errorf("%d memo hits, want 2", hits)
+	}
+
+	failed := errors.New("replay failed")
+	if _, err := results(func(*trace.Store, []core.Config) ([]core.Results, error) { return nil, failed }, 6); !errors.Is(err, failed) {
+		t.Fatalf("failed replay returned %v", err)
+	}
+	expect("failed", nil, nil, 3)
+
+	rerecorded := func(st *trace.Store, cfgs []core.Config) ([]core.Results, error) {
+		ResetTraceCache()
+		if _, _, err := Record(ctx, "embar", "small", 0.02); err != nil {
+			return nil, err
+		}
+		return replay(st, cfgs)
+	}
+	if res, err = results(rerecorded, 6); err != nil {
+		t.Fatal(err)
+	}
+	expect("re-recorded meanwhile", res, []int{6}, 0, 6)
+}
+
+// TestResultsConcurrent: callers asking for overlapping
+// configurations of one recording at once each get the right Results,
+// and the memo ends up holding each configuration once. Run it under
+// -race: the memo is shared by every caller of the recording.
+func TestResultsConcurrent(t *testing.T) {
+	ResetTraceCache()
+	replay := func(_ *trace.Store, cfgs []core.Config) ([]core.Results, error) {
+		res := make([]core.Results, len(cfgs))
+		for i, c := range cfgs {
+			res[i].Instructions = uint64(c.Streams.Streams)
+		}
+		return res, nil
+	}
+	const callers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cfgs := make([]core.Config, 3)
+			for i := range cfgs {
+				cfgs[i] = core.DefaultConfig()
+				cfgs[i].Streams.Streams = 1 + (g+i)%4
+			}
+			res, err := Results(context.Background(), "embar", workload.SizeSmall, 0.02, cfgs, replay)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, r := range res {
+				if want := uint64(cfgs[i].Streams.Streams); r.Instructions != want {
+					t.Errorf("caller %d: result %d is for %d streams, want %d", g, i, r.Instructions, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := TraceCacheStats().MemoEntries; got != 4 {
+		t.Errorf("memo holds %d results, want 4", got)
 	}
 }

@@ -3,6 +3,15 @@
 // a benchmark and tabulate a chosen metric. The CLI owns flag parsing
 // and plotting; the service owns queueing and memoization; both hand
 // a Spec to Run.
+//
+// It also owns the process's recording cache. Record records each
+// (workload, size, scale) once for every caller: sweeps, the optimizer
+// and the paper experiments. Each cached recording carries a results
+// memo, the Results of every configuration replayed over it to
+// completion, which Results consults before replaying; the experiments
+// use it, so a paper pass replays each (input, configuration) once.
+// Sweeps do not: their values come from the request, and a memo for
+// them would need a bound of its own.
 package sweeprun
 
 import (
