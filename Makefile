@@ -83,27 +83,29 @@ bench-update:
 # into one instruction on other architectures, which can round a
 # printed last digit differently.
 #
-# The memo-cold leg: within one process, an experiment configuration
-# replays once per recording, and later artefacts read its Results from
-# the recording's results memo (internal/sweeprun). So the whole pass
-# replays nothing for Tables 2 and 3 (Figure 3's ten-stream column) or
-# for extbase's stream column (Figure 8's Section 7 system). Each of
-# the three then runs alone, in a process of its own with a cold memo,
-# and must print its paragraph of the golden, so a memo hit and a fresh
-# replay are held to the same bytes.
+# The cold leg: within one process, every artefact after Table 1
+# replays from what earlier artefacts left on the recordings: results
+# from the results memo (Tables 2 and 3 replay nothing after Figure 3)
+# and L1 fronts from the stored fronts (internal/sweeprun), so no later
+# artefact decodes a trace Table 1 recorded or probes an L1 over it.
+# Run alone, the same artefact replays live from a cold cache. So every
+# ID `paperexp -list` prints runs alone, each in a fresh process, and
+# the outputs, joined with one blank line as `-exp all` joins them,
+# must equal the golden too: a memo or front hit and a live replay are
+# held to the same bytes.
 PAPER_GOLDEN = cmd/paperexp/testdata/all-0.1.golden
 replay-smoke:
 	GOMAXPROCS=1 $(GO) run ./cmd/paperexp -exp all -scale 0.1 > replay-1worker.out
 	$(GO) run ./cmd/paperexp -exp all -scale 0.1 > replay-nworker.out
 	cmp $(PAPER_GOLDEN) replay-1worker.out
 	cmp $(PAPER_GOLDEN) replay-nworker.out
-	$(GO) run ./cmd/paperexp -exp table2 -scale 0.1 > replay-table2.out
-	$(GO) run ./cmd/paperexp -exp table3 -scale 0.1 > replay-table3.out
-	$(GO) run ./cmd/paperexp -exp extbase -scale 0.1 > replay-extbase.out
-	awk -v RS= '/^Table 2:/' $(PAPER_GOLDEN) | cmp - replay-table2.out
-	awk -v RS= '/^Table 3:/' $(PAPER_GOLDEN) | cmp - replay-table3.out
-	awk -v RS= '/^Extension: stream buffers vs/' $(PAPER_GOLDEN) | cmp - replay-extbase.out
-	rm -f replay-1worker.out replay-nworker.out replay-table2.out replay-table3.out replay-extbase.out
+	$(GO) build -o replay-paperexp ./cmd/paperexp
+	sep=; for id in $$(./replay-paperexp -list | awk '{print $$1}'); do \
+		printf "$$sep"; sep='\n'; \
+		./replay-paperexp -exp $$id -scale 0.1 || exit 1; \
+	done > replay-alone.out
+	cmp $(PAPER_GOLDEN) replay-alone.out
+	rm -f replay-1worker.out replay-nworker.out replay-alone.out replay-paperexp
 
 # sweep-smoke exercises the parallel sweep scheduler end to end: the
 # same 8-value stream-count sweep runs serial (-parallel 1) and at one

@@ -537,7 +537,7 @@ func BenchmarkReplayTimed3(b *testing.B) {
 			}
 			models[j] = m
 		}
-		if err := timing.Replay(ctx, models, store); err != nil {
+		if err := timing.Replay(ctx, models, store, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -295,6 +295,12 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
+// Footprint is the size in bytes of the cache's state arrays: tags,
+// metadata and replacement stamps.
+func (c *Cache) Footprint() int64 {
+	return int64(8*len(c.tags) + len(c.meta) + 8*len(c.used) + 8*len(c.filled))
+}
+
 // CountInto redirects the cache's counting to *st from now on without
 // disturbing its contents; Stats then reports *st. A cache built by New
 // counts into a value of its own; a memory system points all of its

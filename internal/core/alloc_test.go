@@ -108,7 +108,7 @@ func TestAccessBatchDoesNotAllocate(t *testing.T) {
 // fan-out: a leader logging its misses, a follower replaying the tap
 // one logged reference at a time, and a second class's lone leader.
 //
-//simlint:hotpath (streamsim/internal/core.frontPlan).step
+//simlint:hotpath (*streamsim/internal/core.frontPlan).step
 func TestLoggedStepDoesNotAllocate(t *testing.T) {
 	plain := DefaultConfig()
 	plain.UnitFilterEntries, plain.Stride = 0, NoStrideDetection
@@ -122,8 +122,8 @@ func TestLoggedStepDoesNotAllocate(t *testing.T) {
 		}
 		systems = append(systems, sys)
 	}
-	p := planFronts(systems, true)
-	defer p.settle()
+	p := planFronts(systems, true, nil, nil)
+	defer p.settle(true)
 	batch := make([]uint64, trace.ReplayBatchLen)
 	base := uint64(1 << 24)
 	fill := func() {
@@ -141,14 +141,14 @@ func TestLoggedStepDoesNotAllocate(t *testing.T) {
 	}
 	for i := 0; i < 64; i++ {
 		fill()
-		p.step(batch)
+		p.step(batch, len(batch))
 	}
 	if len(systems[1].MissLog()) == 0 {
 		t.Fatal("warm-up batch logged no misses; the test would not exercise the logs")
 	}
 	avg := testing.AllocsPerRun(200, func() {
 		fill()
-		p.step(batch)
+		p.step(batch, len(batch))
 	})
 	if avg != 0 {
 		t.Errorf("a logged step allocates %v times per batch; want 0", avg)
@@ -198,5 +198,75 @@ func TestReplayAllocationsDoNotGrow(t *testing.T) {
 	}
 	if short != long {
 		t.Errorf("replaying one window allocates %v times, all %d windows %v times; want equal", short, st.WindowCount(), long)
+	}
+}
+
+// frontSlot is a FrontMemo holding at most one front, which it hands
+// every lookup: enough for replays of one front class.
+type frontSlot struct{ f *Front }
+
+func (m *frontSlot) Front(Config) *Front { return m.f }
+func (m *frontSlot) AddFront(f *Front)   { m.f = f }
+
+// TestStoredReplayAllocationsDoNotGrow gates a replay served from a
+// stored front the way TestReplayAllocationsDoNotGrow gates a live one:
+// served from the front of a one-window trace and from the front of a
+// trace of many windows, the same systems allocate the same total,
+// with and without miss logs, so decoding a stored front and replaying
+// it through the backends allocates nothing per batch or per event.
+// The long trace is TestReplayAllocationsDoNotGrow's, whose write-backs
+// invalidate thousands of stream entries.
+//
+//simlint:hotpath streamsim/internal/core.ReplayStoreFronts
+func TestStoredReplayAllocationsDoNotGrow(t *testing.T) {
+	short, long := trace.NewStore(0), trace.NewStore(0)
+	for i := 0; i < trace.WindowRefs; i++ {
+		a := mem.Access{Addr: mem.Addr(1<<30 + 64*i), Kind: mem.Read}
+		short.Append(a)
+		long.Append(a)
+	}
+	w, err := workload.New("is", workload.SizeSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(long, 0.01); err != nil {
+		t.Fatal(err)
+	}
+	plain := DefaultConfig()
+	plain.L1I.SizeBytes, plain.L1D.SizeBytes = 4<<10, 4<<10
+	filtered := plain
+	plain.UnitFilterEntries, plain.Stride = 0, NoStrideDetection
+	ctx := context.Background()
+	batches := 0
+	visit := func(int) { batches++ }
+	replay := func(st *trace.Store, memo FrontMemo, visit func(int)) (allocs float64, invalidations uint64) {
+		allocs = testing.AllocsPerRun(1, func() {
+			systems := []*System{mustNew(t, plain), mustNew(t, filtered)}
+			if err := ReplayStoreFronts(ctx, systems, st, memo, visit); err != nil {
+				t.Fatal(err)
+			}
+			invalidations = systems[0].Results().Streams.Invalidations
+		})
+		return allocs, invalidations
+	}
+	shortMemo, longMemo := &frontSlot{}, &frontSlot{}
+	replay(short, shortMemo, nil)
+	replay(long, longMemo, nil)
+	if shortMemo.f == nil || longMemo.f == nil {
+		t.Fatal("the recording replays stored no front")
+	}
+	for _, logged := range []func(int){nil, visit} {
+		shortAllocs, shortInv := replay(short, shortMemo, logged)
+		longAllocs, longInv := replay(long, longMemo, logged)
+		if shortInv != 0 || longInv < 1000 {
+			t.Fatalf("the one-window trace invalidates %d stream entries and the long one %d; want 0 and thousands", shortInv, longInv)
+		}
+		if shortAllocs != longAllocs {
+			t.Errorf("served from stored fronts (logged %v), a one-window replay allocates %v times, a %d-window one %v times; want equal",
+				logged != nil, shortAllocs, long.WindowCount(), longAllocs)
+		}
+	}
+	if batches == 0 {
+		t.Error("the logged replays called back no batch")
 	}
 }

@@ -153,17 +153,19 @@ type System struct {
 	// get past the victim buffer (fill). The multi-config replay engine
 	// arms it on the leader of each front class with followers —
 	// systems sharing the leader's geometry, L1s and victim buffer size
-	// (frontPlan) — and the followers replay only the tapped events
-	// through their own backend instead of re-simulating an identical
-	// front (see applyTap).
+	// (frontPlan) — and on a leader recording its front (Front), and
+	// the followers replay only the tapped events through their own
+	// backend instead of re-simulating an identical front (see
+	// applyTap).
 	tap []uint64
 
 	// log, when non-nil, is the miss log of the batch being replayed:
 	// one entry per reference that left the L1-hit path (see Miss).
-	// The logged fan-out (ReplayStoreMultiLogged) arms it on every
-	// system with room for a whole batch: a leader logs from
-	// AccessPacked's probe loops (logMiss), a follower from its tap
-	// segments (applyLog).
+	// The logged fan-out (ReplayStoreFronts with a batch callback) arms
+	// it on every system with room for a whole batch, and a leader
+	// recording its front arms it too: a leader logs from AccessPacked's
+	// probe loops (logMiss), a follower from its tap segments
+	// (applyLog).
 	log []Miss
 
 	ctr counters // every statistic; the components count into it (bind)
@@ -470,6 +472,9 @@ type Miss struct {
 	// reference was done: its backend events are the tap from the
 	// previous entry's TapEnd up to TapEnd.
 	TapEnd int
+	// Addr is the referenced address, and Write is set for a store.
+	Addr  mem.Addr
+	Write bool
 	// Outcome is how this system serviced the reference.
 	Outcome
 }
@@ -551,7 +556,7 @@ func (s *System) AccessPacked(words []uint64) {
 			}
 			s.missVia(c, mem.Addr(w>>2), write, ifetch, st)
 			if s.log != nil {
-				s.logMiss(i)
+				s.logMiss(i, w)
 			}
 		}
 		return
@@ -568,7 +573,7 @@ func (s *System) AccessPacked(words []uint64) {
 			} else {
 				s.missVia(li, mem.Addr(w>>2), false, true, st)
 				if s.log != nil {
-					s.logMiss(i)
+					s.logMiss(i, w)
 				}
 			}
 			continue
@@ -579,7 +584,7 @@ func (s *System) AccessPacked(words []uint64) {
 		case st != cache.ProbeHit:
 			s.missVia(ld, mem.Addr(w>>2), write, false, st)
 			if s.log != nil {
-				s.logMiss(i)
+				s.logMiss(i, w)
 			}
 		case write:
 			ld.HitAt(way, true)
@@ -756,8 +761,9 @@ func (s *System) tapEvent(ev uint64) {
 	s.tap = append(s.tap, ev)
 }
 
-// logMiss appends reference i of the batch to the miss log with the
-// outcome missVia accounted for it, then clears the outcome for the
+// logMiss appends reference i of the batch, packed word w, to the miss
+// log with the outcome missVia accounted for it, then clears the
+// outcome for the
 // next miss: the logged fan-out clears it when it arms the log, and a
 // hit never writes it, so each entry carries its own reference's
 // events only. The log has room for a whole batch, so the reslice
@@ -767,10 +773,10 @@ func (s *System) tapEvent(ev uint64) {
 //
 //go:noinline
 //simlint:hotpath
-func (s *System) logMiss(i int) {
+func (s *System) logMiss(i int, w uint64) {
 	n := len(s.log)
 	s.log = s.log[:n+1]
-	s.log[n] = Miss{Index: i, TapEnd: len(s.tap), Outcome: s.out}
+	s.log[n] = Miss{Index: i, TapEnd: len(s.tap), Addr: mem.Addr(w >> 2), Write: w&3 == uint64(mem.Write), Outcome: s.out}
 	s.out = Outcome{}
 }
 
@@ -815,14 +821,15 @@ func (s *System) applyLog(tap []uint64, log []Miss) {
 		s.out = Outcome{Level: e.Level}
 		s.applyTap(tap[start:e.TapEnd])
 		start = e.TapEnd
-		s.log[k] = Miss{Index: e.Index, TapEnd: e.TapEnd, Outcome: s.out}
+		e.Outcome = s.out
+		s.log[k] = e
 	}
 }
 
 // MissLog returns the miss log of the batch a logged replay
-// (ReplayStoreMultiLogged) last stepped, in reference order. It is
-// valid only during that replay's batch callback: the next batch
-// overwrites it, and the replay disarms it on exit.
+// (ReplayStoreFronts with a batch callback) last stepped, in reference
+// order. It is valid only during that replay's batch callback: the
+// next batch overwrites it, and the replay disarms it on exit.
 func (s *System) MissLog() []Miss { return s.log }
 
 // adoptFront hands a follower the front its leader simulated for both

@@ -69,10 +69,14 @@ type frontKey struct {
 
 // frontClass is the systems of one fan-out that share a front key. The
 // leader simulates the front and taps the backend events it generates
-// (System.tap); the followers replay only those events (applyTap).
+// (System.tap); the followers replay only those events (applyTap). A
+// class served from a stored front has no leader: stored replays the
+// front's events to every member, and all of them are followers.
 type frontClass struct {
 	leader    *System
 	followers []*System
+	stored    *frontReader // the stored front serving the class, or nil
+	rec       *frontWriter // records the leader's front, or nil
 }
 
 // frontPlan partitions one replay call's systems into front classes.
@@ -83,7 +87,11 @@ type frontClass struct {
 // identical front state — L1 and victim contents, replacement RNGs and
 // their counters. Fresh systems and systems restored from checkpoints
 // taken at the same window both meet it.
-type frontPlan []frontClass
+type frontPlan struct {
+	classes []frontClass
+	logged  bool // every system's miss log is armed
+	live    bool // some class has a leader, so batches must be decoded
+}
 
 // planFronts groups systems by front key in order of first appearance;
 // each class's first member leads. A leader with followers gets a tap
@@ -91,23 +99,40 @@ type frontPlan []frontClass
 // reference), so the tap never grows mid-replay. logged arms every
 // system's miss log the same way, with room for one entry per
 // reference of a batch and a clear outcome to log into.
-func planFronts(systems []*System, logged bool) frontPlan {
-	p := make(frontPlan, 0, len(systems))
+//
+// A non-nil memo serves whole-trace replays of st (see
+// ReplayStoreFronts): a class of fresh systems whose front memo holds
+// runs from the stored front, and any other class of fresh systems has
+// its leader record its front, with tap and miss log armed.
+func planFronts(systems []*System, logged bool, memo FrontMemo, st *trace.Store) *frontPlan {
+	p := &frontPlan{classes: make([]frontClass, 0, len(systems)), logged: logged}
 	keys := make([]frontKey, 0, len(systems))
 next:
 	for _, sys := range systems {
-		k := frontKey{sys.geom, sys.cfg.L1I, sys.cfg.L1D, sys.cfg.VictimEntries}
+		k := sys.frontKey()
 		for i := range keys {
 			if keys[i] == k {
-				p[i].followers = append(p[i].followers, sys)
+				p.classes[i].followers = append(p.classes[i].followers, sys)
 				continue next
 			}
 		}
 		keys = append(keys, k)
-		p = append(p, frontClass{leader: sys})
+		p.classes = append(p.classes, frontClass{leader: sys})
 	}
-	for _, c := range p {
-		if len(c.followers) > 0 {
+	for i := range p.classes {
+		c := &p.classes[i]
+		if memo != nil && c.fresh() {
+			if f := memo.Front(c.leader.cfg); f != nil && f.key == keys[i] && f.refs == st.Len() {
+				c.followers = append([]*System{c.leader}, c.followers...)
+				c.leader, c.stored = nil, f.reader()
+				continue
+			}
+			c.rec = newFrontWriter(keys[i], st.Len())
+			c.leader.log = make([]Miss, 0, trace.ReplayBatchLen)
+			c.leader.out = Outcome{}
+		}
+		p.live = true
+		if len(c.followers) > 0 || c.rec != nil {
 			c.leader.tap = make([]uint64, 0, 2*trace.ReplayBatchLen)
 		}
 	}
@@ -120,52 +145,80 @@ next:
 	return p
 }
 
-// step presents one decoded batch to every class: the leader simulates
-// it, then each follower replays the leader's tapped events — one
-// logged reference at a time when the miss logs are armed. A leader
-// without followers has a nil tap and records nothing.
+// fresh reports whether the class's systems have presented no
+// reference to their L1s yet, so its front starts from the state New
+// builds. Only a fresh class can be served from a stored front or
+// record one.
+func (c *frontClass) fresh() bool {
+	if !c.leader.fresh() {
+		return false
+	}
+	for _, f := range c.followers {
+		if !f.fresh() {
+			return false
+		}
+	}
+	return true
+}
+
+// step presents one batch of n references to every class: the leader
+// simulates words, the batch's decoded references, and a stored front
+// decodes the batch's events; then each follower replays the tapped
+// events — one logged reference at a time when the miss logs are
+// armed. A leader without followers has a nil tap and records nothing
+// unless it records its front. words is nil when no class has a
+// leader.
 //
 //simlint:hotpath
 //simlint:borrowed words
-func (p frontPlan) step(words []uint64) {
-	for i := range p {
-		c := &p[i]
-		lead := c.leader
-		lead.tap = lead.tap[:0]
-		lead.log = lead.log[:0]
-		lead.AccessPacked(words)
+func (p *frontPlan) step(words []uint64, n int) {
+	for i := range p.classes {
+		c := &p.classes[i]
+		var tap []uint64
+		var log []Miss
+		if lead := c.leader; lead != nil {
+			lead.tap = lead.tap[:0]
+			lead.log = lead.log[:0]
+			lead.AccessPacked(words)
+			if c.rec != nil {
+				c.rec.add(words, lead.tap, lead.log)
+			}
+			tap, log = lead.tap, lead.log
+		} else {
+			tap, log = c.stored.next(n)
+		}
 		for _, f := range c.followers {
-			if lead.log != nil {
-				f.applyLog(lead.tap, lead.log)
+			if p.logged {
+				f.applyLog(tap, log)
 			} else {
-				f.applyTap(lead.tap)
+				f.applyTap(tap)
 			}
 		}
 	}
 }
 
-// replay decodes refs references from it, steps the plan over each
-// batch, hands the batch to visit when it is non-nil, and polls ctx
-// between batches. On cancellation every system has consumed the same
-// prefix, visit has seen every batch they consumed, and ctx.Err() is
-// returned.
+// replay steps the plan over refs references of it, decoding each
+// batch only when some class has a leader, hands each batch's length
+// to visit when it is non-nil, and polls ctx between batches. On
+// cancellation every system has consumed the same prefix, visit has
+// seen every batch they consumed, and ctx.Err() is returned.
 //
 //simlint:hotpath
 //simlint:borrowed buf
-func (p frontPlan) replay(ctx context.Context, it *trace.StoreIter, refs int, buf []uint64, visit func(words []uint64)) error {
+func (p *frontPlan) replay(ctx context.Context, it *trace.StoreIter, refs int, buf []uint64, visit func(n int)) error {
 	done := ctx.Done()
 	for refs > 0 {
-		b := buf
-		if refs < len(b) {
-			b = b[:refs]
+		n := min(refs, len(buf))
+		var words []uint64
+		if p.live {
+			if n = it.NextPacked(buf[:n]); n == 0 {
+				return nil
+			}
+			words = buf[:n]
 		}
-		n := it.NextPacked(b)
-		if n == 0 {
-			return nil
-		}
-		p.step(b[:n])
+		p.step(words, n)
 		if visit != nil {
-			visit(b[:n])
+			visit(n)
 		}
 		refs -= n
 		select {
@@ -179,13 +232,33 @@ func (p frontPlan) replay(ctx context.Context, it *trace.StoreIter, refs int, bu
 
 // settle closes a replay call on every exit: the taps and miss logs
 // are disarmed and each follower adopts its leader's front
-// (System.adoptFront).
-func (p frontPlan) settle() {
-	for _, c := range p {
-		c.leader.tap, c.leader.log = nil, nil
+// (System.adoptFront). A class served from a stored front adopts the
+// front's end state only when the replay completed, because a stored
+// front keeps no state mid-trace: after a cancelled call its members
+// keep the fronts they entered with.
+func (p *frontPlan) settle(completed bool) {
+	for _, c := range p.classes {
+		front := c.leader
+		if c.stored != nil {
+			front = c.stored.f.end
+		} else {
+			front.tap, front.log = nil, nil
+		}
 		for _, f := range c.followers {
 			f.log = nil
-			f.adoptFront(c.leader)
+			if c.stored == nil || completed {
+				f.adoptFront(front)
+			}
+		}
+	}
+}
+
+// record hands the memo the front each recording leader recorded over
+// the whole trace.
+func (p *frontPlan) record(memo FrontMemo) {
+	for _, c := range p.classes {
+		if c.rec != nil {
+			memo.AddFront(c.rec.front(c.leader))
 		}
 	}
 }

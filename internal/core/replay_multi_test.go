@@ -340,7 +340,7 @@ func TestReplayStoreMultiCancel(t *testing.T) {
 	batched := -1 // references the logged path's callback saw; -1 on the other paths
 	logged := func(ctx context.Context, systems []*core.System, st *trace.Store) error {
 		batched = 0
-		return core.ReplayStoreMultiLogged(ctx, systems, st, func(words []uint64) { batched += len(words) })
+		return core.ReplayStoreFronts(ctx, systems, st, nil, func(n int) { batched += n })
 	}
 	consumed := func(t *testing.T, systems []*core.System) uint64 {
 		t.Helper()
@@ -438,7 +438,7 @@ func TestLastFanOutWidthEveryPath(t *testing.T) {
 	}{
 		{"whole trace", func(s []*core.System) error { return core.ReplayStoreMultiPrefixFrom(ctx, s, st, 0, 0) }},
 		{"from window 2", func(s []*core.System) error { return core.ReplayStoreMultiPrefixFrom(ctx, s, st, 2, 0) }},
-		{"logged", func(s []*core.System) error { return core.ReplayStoreMultiLogged(ctx, s, st, func([]uint64) {}) }},
+		{"logged", func(s []*core.System) error { return core.ReplayStoreFronts(ctx, s, st, nil, func(int) {}) }},
 	} {
 		for _, n := range []int{1, 3} {
 			if err := path.replay(newSystems(t, multiConfigs()[:n])); err != nil {

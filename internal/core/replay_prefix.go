@@ -1,8 +1,9 @@
-// The one multi-system replay: every hit-rate experiment row, sweep
-// point and optimizer score in the module replays a recorded trace
-// through ReplayStoreMultiPrefixFrom, whole traces as the range
-// [0, end), and every timed row through ReplayStoreMultiLogged, the
-// same pass with each system's miss log armed.
+// The one multi-system replay: every sweep point and optimizer score
+// in the module replays a recorded trace through
+// ReplayStoreMultiPrefixFrom, whole traces as the range [0, end), and
+// every experiment row through ReplayStoreFronts, the same pass over
+// the whole trace with the recording's front memo, and with each
+// system's miss log armed for a timed row.
 // Successive halving (internal/search) also scores cheap early rungs
 // on a prefix of the sample windows — one decode pass feeds every
 // candidate, and candidates sharing an L1 front simulate it once — and
@@ -40,30 +41,48 @@ import (
 //
 //simlint:deterministic
 func ReplayStoreMultiPrefixFrom(ctx context.Context, systems []*System, st *trace.Store, fromWindow, toWindow int) error {
-	return replayRange(ctx, systems, st, fromWindow, toWindow, nil)
+	return replayRange(ctx, systems, st, fromWindow, toWindow, nil, nil)
 }
 
-// ReplayStoreMultiLogged is ReplayStoreMultiPrefixFrom over the whole
-// trace with every system's miss log armed: after each batch, batch is
-// called with the batch's packed references, and each system's
-// MissLog then lists the ones that left its L1-hit path, in order,
-// with how that system serviced each; every other reference of the
-// batch hit in its L1. This is what a timing model needs to charge a
-// batch (internal/timing), and the front is still simulated once per
+// ReplayStoreFronts is ReplayStoreMultiPrefixFrom over the whole
+// trace, with a batch callback and a front memo, either of which may
+// be nil.
+//
+// A non-nil batch arms every system's miss log: after each batch,
+// batch is called with the batch's length, and each system's MissLog
+// then lists the references of the batch that left its L1-hit path, in
+// order, with how that system serviced each; every other reference of
+// the batch hit in its L1. This is what a timing model needs to charge
+// a batch (internal/timing), and the front is still simulated once per
 // class: leaders log from their probe loops, and followers replay the
-// leader's tap one logged reference at a time. On cancellation every
-// system has consumed the same prefix, batch has seen all of it, and
-// ctx.Err() is returned.
+// leader's tap one logged reference at a time.
+//
+// A non-nil memo holds the stored fronts of st (see Front). A class of
+// fresh systems — built by New, no reference presented yet — whose
+// front the memo holds decodes no reference and probes no L1: every
+// member replays the stored events through its own backend, and when
+// the replay completes adopts the stored end state. Any other class of
+// fresh systems replays live, and its leader records its front, which
+// the memo receives only when the replay completes. Classes of systems
+// that are not fresh replay live and record nothing. The Results, miss
+// logs and traffic of a class served from a stored front equal a live
+// replay's, because the stored front is the one a live leader records.
+//
+// On cancellation every system has consumed the same prefix, batch has
+// seen all of it, the memo receives nothing, and ctx.Err() is returned;
+// the members of a class served from a stored front keep the fronts
+// they entered with.
 //
 //simlint:deterministic
-func ReplayStoreMultiLogged(ctx context.Context, systems []*System, st *trace.Store, batch func(words []uint64)) error {
-	return replayRange(ctx, systems, st, 0, 0, batch)
+func ReplayStoreFronts(ctx context.Context, systems []*System, st *trace.Store, memo FrontMemo, batch func(n int)) error {
+	return replayRange(ctx, systems, st, 0, 0, batch, memo)
 }
 
 // replayRange is the one body of both entry points: it clamps the
 // window range, plans the fronts (arming the miss logs when visit is
-// non-nil) and runs the range loop, settling the plan on every exit.
-func replayRange(ctx context.Context, systems []*System, st *trace.Store, fromWindow, toWindow int, visit func(words []uint64)) error {
+// non-nil, and serving and recording fronts from memo) and runs the
+// range loop, settling the plan on every exit.
+func replayRange(ctx context.Context, systems []*System, st *trace.Store, fromWindow, toWindow int, visit func(n int), memo FrontMemo) error {
 	if len(systems) == 0 {
 		return nil
 	}
@@ -80,9 +99,13 @@ func replayRange(ctx context.Context, systems []*System, st *trace.Store, fromWi
 	if fromWindow == toWindow {
 		return nil
 	}
-	p := planFronts(systems, visit != nil)
-	defer p.settle()
+	p := planFronts(systems, visit != nil, memo, st)
 	it := st.IterAtWindow(fromWindow)
 	refs := st.PrefixLen(toWindow) - st.PrefixLen(fromWindow)
-	return p.replay(ctx, &it, refs, make([]uint64, trace.ReplayBatchLen), visit)
+	err := p.replay(ctx, &it, refs, make([]uint64, trace.ReplayBatchLen), visit)
+	p.settle(err == nil)
+	if err == nil && memo != nil {
+		p.record(memo)
+	}
+	return err
 }

@@ -14,6 +14,7 @@ import (
 	"streamsim/internal/core"
 	"streamsim/internal/mem"
 	"streamsim/internal/memctl"
+	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
 	"streamsim/internal/workload"
 )
@@ -23,37 +24,38 @@ import (
 // previous bank recovers when the traffic camps).
 const bankRequestSpacing = 4
 
-// trafficOf captures the ordered block sequence a configuration moves
-// over the memory interface for one benchmark trace.
-func trafficOf(ctx context.Context, name string, size workload.Size, scale float64, cfg core.Config) ([]mem.Addr, error) {
+// bankTraffic replays one benchmark trace through cfg and feeds the
+// ordered block sequence it moves over the memory interface, as the
+// blocks arrive, to interleaved memories of 8 and 32 banks, one request
+// every bankRequestSpacing cycles. It returns the block count and each
+// memory's statistics.
+func bankTraffic(ctx context.Context, name string, size workload.Size, scale float64, cfg core.Config) (blocks uint64, s8, s32 memctl.Stats, err error) {
 	tr, err := record(ctx, name, size, scale)
 	if err != nil {
-		return nil, err
+		return 0, s8, s32, err
 	}
 	sys, err := core.New(cfg)
 	if err != nil {
-		return nil, err
+		return 0, s8, s32, err
 	}
-	var blocks []mem.Addr
-	sys.OnTraffic(func(blk mem.Addr) { blocks = append(blocks, blk) })
-	if err := replayMulti(ctx, []*core.System{sys}, tr); err != nil {
-		return nil, err
-	}
-	return blocks, nil
-}
-
-// bankStats replays a block sequence through an interleaved memory.
-func bankStats(blocks []mem.Addr, banks int) (memctl.Stats, error) {
-	b, err := memctl.New(memctl.Config{Banks: banks, BusyCycles: 20})
+	b8, err := memctl.New(memctl.Config{Banks: 8, BusyCycles: 20})
 	if err != nil {
-		return memctl.Stats{}, err
+		return 0, s8, s32, err
 	}
-	now := uint64(0)
-	for _, blk := range blocks {
-		b.Access(blk, now)
-		now += bankRequestSpacing
+	b32, err := memctl.New(memctl.Config{Banks: 32, BusyCycles: 20})
+	if err != nil {
+		return 0, s8, s32, err
 	}
-	return b.Stats(), nil
+	sys.OnTraffic(func(blk mem.Addr) {
+		now := blocks * bankRequestSpacing
+		b8.Access(blk, now)
+		b32.Access(blk, now)
+		blocks++
+	})
+	if err := replayMulti(ctx, []*core.System{sys}, tr, sweeprun.Fronts(name, size, scale, tr)); err != nil {
+		return 0, s8, s32, err
+	}
+	return blocks, b8.Stats(), b32.Stats(), nil
 }
 
 // BankBehaviour reports per-benchmark bank-conflict rates and average
@@ -78,19 +80,11 @@ func BankBehaviour(ctx context.Context, opt Options) (*tab.Table, error) {
 	names := workload.Names()
 	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {
 		name := names[i]
-		blocks, err := trafficOf(ctx, name, table1Size(name), opt.Scale, stridedStreams(16))
+		blocks, s8, s32, err := bankTraffic(ctx, name, table1Size(name), opt.Scale, stridedStreams(16))
 		if err != nil {
 			return nil, err
 		}
-		s8, err := bankStats(blocks, 8)
-		if err != nil {
-			return nil, err
-		}
-		s32, err := bankStats(blocks, 32)
-		if err != nil {
-			return nil, err
-		}
-		return []string{name, tab.D(uint64(len(blocks))),
+		return []string{name, tab.D(blocks),
 			tab.F(100 * s8.ConflictRate()), tab.F(s8.AvgWait()),
 			tab.F(100 * s32.ConflictRate()), tab.F(s32.AvgWait())}, nil
 	})

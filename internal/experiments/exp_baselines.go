@@ -36,6 +36,7 @@ type onChipL1 struct {
 	geom           mem.Geometry
 	p              prefetch.Prefetcher
 	rpt            *prefetch.RPT // p, when it is an RPT
+	blocks         []mem.Addr    // the blocks p asks for, reused across calls
 	misses, wasted uint64
 }
 
@@ -105,20 +106,23 @@ func (o *onChipL1) access(a mem.Access) {
 		l1.c.HitAt(way, write)
 		if l1.untouched[way] {
 			l1.untouched[way] = false
-			o.install(l1, o.p.FirstUse(a, o.geom.BlockAddr(a.Addr)))
+			o.blocks = o.p.FirstUse(a, o.geom.BlockAddr(a.Addr), o.blocks[:0])
+			o.install(l1, o.blocks)
 		}
 	case cache.ProbeMiss:
 		if l1.c.MissAt(uint64(a.Addr), write).Filled {
 			o.misses++
 			o.filled(l1, a.Addr, false)
-			o.install(l1, o.p.Miss(a, o.geom.BlockAddr(a.Addr)))
+			o.blocks = o.p.Miss(a, o.geom.BlockAddr(a.Addr), o.blocks[:0])
+			o.install(l1, o.blocks)
 		}
 	default:
 		l1.c.NoteUnsampled()
 	}
 	if o.rpt != nil {
 		if pb, ok := o.rpt.Observe(a); ok {
-			o.install(l1, []mem.Addr{pb})
+			o.blocks = append(o.blocks[:0], pb)
+			o.install(l1, o.blocks)
 		}
 	}
 }

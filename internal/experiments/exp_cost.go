@@ -10,6 +10,7 @@ import (
 
 	"streamsim/internal/cache"
 	"streamsim/internal/cost"
+	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
 	"streamsim/internal/timing"
 	"streamsim/internal/workload"
@@ -85,7 +86,7 @@ func EqualCost(ctx context.Context, opt Options) (*tab.Table, error) {
 
 		// Both nodes replay from one decode of the trace, through
 		// one simulation of their shared L1s.
-		if err := replayTimed(ctx, []*timing.Model{ml2, ms}, tr); err != nil {
+		if err := replayTimed(ctx, []*timing.Model{ml2, ms}, tr, sweeprun.Fronts(name, size, opt.Scale, tr)); err != nil {
 			return nil, err
 		}
 

@@ -9,6 +9,7 @@ import (
 	"context"
 
 	"streamsim/internal/core"
+	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
 	"streamsim/internal/timing"
 	"streamsim/internal/workload"
@@ -48,7 +49,7 @@ func CPI(ctx context.Context, opt Options) (*tab.Table, error) {
 				return nil, err
 			}
 		}
-		if err := replayTimed(ctx, models, tr); err != nil {
+		if err := replayTimed(ctx, models, tr, sweeprun.Fronts(name, table1Size(name), opt.Scale, tr)); err != nil {
 			return nil, err
 		}
 		bare, plain, full := models[0].Stats(), models[1].Stats(), models[2].Stats()

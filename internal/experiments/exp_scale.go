@@ -11,6 +11,7 @@ package experiments
 import (
 	"context"
 
+	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
 	"streamsim/internal/timing"
 	"streamsim/internal/workload"
@@ -66,7 +67,7 @@ func Scalability(ctx context.Context, opt Options) (*tab.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := replayTimed(ctx, []*timing.Model{unfiltered, filtered}, tr); err != nil {
+		if err := replayTimed(ctx, []*timing.Model{unfiltered, filtered}, tr, sweeprun.Fronts(name, table1Size(name), opt.Scale, tr)); err != nil {
 			return nil, err
 		}
 		un := trafficRate(unfiltered.Stats(), unfiltered.Results().MemoryTraffic())

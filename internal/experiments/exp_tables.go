@@ -150,7 +150,7 @@ func minL2ForHitRate(ctx context.Context, name string, size workload.Size, scale
 				})
 			}
 		}
-		hrs, err := ms.l2LocalHitRates(ctx, cfgs)
+		hrs, err := l2LocalHitRates(ctx, ms, cfgs)
 		if err != nil {
 			return "", 0, err
 		}

@@ -18,6 +18,14 @@
 // replays once. The timed rows (extcpi, extcost, extscale) charge
 // their models from the replay's miss log and extbank observes its
 // replay's traffic, so those replay every time.
+//
+// Every artefact runs the paper's L1s, so all of its replays of an
+// input share one L1 front. Each replay of fresh systems runs through
+// the recording's front memo (sweeprun.Fronts): the first simulates
+// the front and stores it, and every later one replays only its stream
+// backends from the stored front, with no decode and no L1 probe.
+// Table 4 reads its secondary caches' traffic from the same stored
+// front.
 package experiments
 
 import (
@@ -110,9 +118,8 @@ func table1Size(name string) workload.Size {
 }
 
 // each decodes the trace in batches and calls fn on every access in
-// order — the shared iteration shape for consumers that want scalar
-// visits (miss-stream derivation, the prefetcher baselines) without
-// paying per-access decode state. ctx is polled once per batch; a
+// order — the iteration shape for consumers that want scalar visits
+// (the prefetcher baselines) without paying per-access decode state. ctx is polled once per batch; a
 // cancelled walk returns ctx.Err().
 func each(ctx context.Context, tr *trace.Store, fn func(a *mem.Access)) error {
 	done := ctx.Done()
@@ -132,12 +139,14 @@ func each(ctx context.Context, tr *trace.Store, fn func(a *mem.Access)) error {
 	return nil
 }
 
-// replayMulti feeds the whole trace into every system from one decode
-// per batch (core.ReplayStoreMultiPrefixFrom): N configs share each
+// replayMulti feeds the whole trace into every system, all fresh, from
+// one decode per batch (core.ReplayStoreFronts): N configs share each
 // decoded 512-reference slice while it is L1-hot, in one exact
 // sequential pass, so the published numbers are machine-independent.
-func replayMulti(ctx context.Context, systems []*core.System, tr *trace.Store) error {
-	if err := core.ReplayStoreMultiPrefixFrom(ctx, systems, tr, 0, 0); err != nil {
+// fronts is the recording's front memo (sweeprun.Fronts): a front it
+// stores replays without the decode or the L1s.
+func replayMulti(ctx context.Context, systems []*core.System, tr *trace.Store, fronts core.FrontMemo) error {
+	if err := core.ReplayStoreFronts(ctx, systems, tr, fronts, nil); err != nil {
 		return err
 	}
 	for _, sys := range systems {
@@ -147,12 +156,12 @@ func replayMulti(ctx context.Context, systems []*core.System, tr *trace.Store) e
 	return nil
 }
 
-// replayTimed replays the whole trace through every timing model
-// (timing.Replay): one decode per batch, one simulation of each shared
-// L1 front, and the trace's instructions spread evenly over its
-// references.
-func replayTimed(ctx context.Context, models []*timing.Model, tr *trace.Store) error {
-	if err := timing.Replay(ctx, models, tr); err != nil {
+// replayTimed replays the whole trace through every timing model, all
+// fresh (timing.Replay): one decode per batch, one simulation of each
+// shared L1 front unless the recording's front memo stores it, and the
+// trace's instructions spread evenly over its references.
+func replayTimed(ctx context.Context, models []*timing.Model, tr *trace.Store, fronts core.FrontMemo) error {
+	if err := timing.Replay(ctx, models, tr, fronts); err != nil {
 		return err
 	}
 	replayedRefs.Add(uint64(tr.Len()) * uint64(len(models)))
@@ -160,8 +169,9 @@ func replayTimed(ctx context.Context, models []*timing.Model, tr *trace.Store) e
 }
 
 // replayedRefs counts references replayed (or scalar-walked) through
-// completed trace passes, process-wide; a configuration answered from
-// a results memo replays nothing and adds nothing. The simd service
+// completed trace passes, process-wide, per system, whether its front
+// was simulated or replayed from a stored front; a configuration
+// answered from a results memo replays nothing and adds nothing. The simd service
 // exposes it as a throughput metric; the add-per-completed-pass
 // granularity keeps the replay loop free of per-batch atomics.
 var replayedRefs atomic.Uint64
@@ -183,7 +193,8 @@ func record(ctx context.Context, name string, size workload.Size, scale float64)
 }
 
 // ResetTraceCache drops every cached recording with its results memo
-// (used by benchmarks that want to measure generation cost).
+// and stored fronts (used by benchmarks that want to measure
+// generation cost).
 func ResetTraceCache() { sweeprun.ResetTraceCache() }
 
 // addRows computes one row of t per weight across up to GOMAXPROCS
@@ -304,13 +315,14 @@ func runConfig(ctx context.Context, name string, size workload.Size, opt Options
 // to a solo replay of its configuration.
 func runConfigs(ctx context.Context, name string, size workload.Size, opt Options, cfgs []core.Config) ([]core.Results, error) {
 	return sweeprun.Results(ctx, name, size, opt.Scale, cfgs, func(tr *trace.Store, cfgs []core.Config) ([]core.Results, error) {
-		return replayConfigs(ctx, tr, cfgs)
+		return replayConfigs(ctx, tr, sweeprun.Fronts(name, size, opt.Scale, tr), cfgs)
 	})
 }
 
 // replayConfigs replays the whole trace through a fresh system of each
-// configuration, decoding each batch once for all of them.
-func replayConfigs(ctx context.Context, tr *trace.Store, cfgs []core.Config) ([]core.Results, error) {
+// configuration, decoding each batch once for all of them unless the
+// front memo stores their front.
+func replayConfigs(ctx context.Context, tr *trace.Store, fronts core.FrontMemo, cfgs []core.Config) ([]core.Results, error) {
 	systems := make([]*core.System, len(cfgs))
 	for i, cfg := range cfgs {
 		var err error
@@ -318,7 +330,7 @@ func replayConfigs(ctx context.Context, tr *trace.Store, cfgs []core.Config) ([]
 			return nil, err
 		}
 	}
-	if err := replayMulti(ctx, systems, tr); err != nil {
+	if err := replayMulti(ctx, systems, tr, fronts); err != nil {
 		return nil, err
 	}
 	res := make([]core.Results, len(systems))
@@ -328,73 +340,53 @@ func replayConfigs(ctx context.Context, tr *trace.Store, cfgs []core.Config) ([]
 	return res, nil
 }
 
-// l2MissStream is the L1 miss-side traffic of one trace: the block
-// fills and write-backs that a secondary cache would observe. Table 4
-// derives one per row and replays it across L2 configurations.
-type l2MissStream struct {
-	events []l2Event
-}
-
-type l2Event struct {
-	addr  mem.Addr
-	write bool // write-back of a dirty victim
-}
-
-// missStream derives the L1 miss traffic of a benchmark trace.
-func missStream(ctx context.Context, name string, size workload.Size, scale float64) (*l2MissStream, error) {
+// missStream returns the L1 miss-side traffic of a benchmark trace,
+// the block fills and write-backs that a secondary cache would
+// observe: the paper's L1 front over the trace, whose tap is that
+// traffic (core.Front.Events). Every replay of the paper's L1s over the
+// recording stores the front, so Table 4's own stream row has stored
+// it; if the front memo lacks it, a bare L1 system replays the
+// recording to record it.
+func missStream(ctx context.Context, name string, size workload.Size, scale float64) (*core.Front, error) {
 	tr, err := record(ctx, name, size, scale)
 	if err != nil {
 		return nil, err
 	}
-	cfg := noStreams()
-	l1i, err := cache.New(cfg.L1I)
+	fronts := sweeprun.Fronts(name, size, scale, tr)
+	if f := fronts.Front(noStreams()); f != nil {
+		return f, nil
+	}
+	sys, err := core.New(noStreams())
 	if err != nil {
 		return nil, err
 	}
-	l1d, err := cache.New(cfg.L1D)
-	if err != nil {
+	keep := &keepFront{FrontMemo: fronts}
+	if err := replayMulti(ctx, []*core.System{sys}, tr, keep); err != nil {
 		return nil, err
 	}
-	geom := cfg.Geometry
-	ms := &l2MissStream{}
-	err = each(ctx, tr, func(a *mem.Access) {
-		c := l1d
-		if a.Kind == mem.IFetch {
-			c = l1i
-		}
-		var res cache.Result
-		if a.Kind == mem.Write {
-			res = c.Write(uint64(a.Addr))
-		} else {
-			res = c.Read(uint64(a.Addr))
-		}
-		if !res.Sampled || res.Hit {
-			return
-		}
-		if res.WroteBack {
-			ms.events = append(ms.events, l2Event{
-				addr:  geom.BlockToByte(mem.Addr(res.VictimBlock)),
-				write: true,
-			})
-		}
-		if res.Filled {
-			ms.events = append(ms.events, l2Event{addr: geom.BlockBase(a.Addr)})
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ms, nil
+	return keep.front, nil
 }
 
-// l2LocalHitRates replays a miss stream through several secondary
-// cache configurations in one pass over the events — the Table 4
-// search probes six (assoc, block) shapes per cache size, and the
-// event list only has to stream through the host's caches once for
+// keepFront passes a front memo through and keeps the front a replay
+// records, which the memo may not store (its recording was dropped).
+type keepFront struct {
+	core.FrontMemo
+	front *core.Front
+}
+
+func (k *keepFront) AddFront(f *core.Front) {
+	k.front = f
+	k.FrontMemo.AddFront(f)
+}
+
+// l2LocalHitRates replays a miss stream (missStream) through several
+// secondary cache configurations in one pass over the events — the
+// Table 4 search probes six (assoc, block) shapes per cache size, and
+// the events only have to stream through the host's caches once for
 // all of them. Hit rates return in percent, in configuration order,
 // identical to one call per configuration. ctx is polled every
 // ReplayBatchLen events.
-func (ms *l2MissStream) l2LocalHitRates(ctx context.Context, cfgs []cache.Config) ([]float64, error) {
+func l2LocalHitRates(ctx context.Context, ms *core.Front, cfgs []cache.Config) ([]float64, error) {
 	caches := make([]*cache.Cache, len(cfgs))
 	for i, cfg := range cfgs {
 		l2, err := cache.New(cfg)
@@ -404,23 +396,28 @@ func (ms *l2MissStream) l2LocalHitRates(ctx context.Context, cfgs []cache.Config
 		caches[i] = l2
 	}
 	done := ctx.Done()
-	for i, ev := range ms.events {
-		if ev.write {
+	i, cancelled := 0, false
+	ms.Events(func(addr mem.Addr, writeBack bool) bool {
+		if writeBack {
 			for _, l2 := range caches {
-				l2.Write(uint64(ev.addr))
+				l2.Write(uint64(addr))
 			}
 		} else {
 			for _, l2 := range caches {
-				l2.Read(uint64(ev.addr))
+				l2.Read(uint64(addr))
 			}
 		}
-		if i%trace.ReplayBatchLen == trace.ReplayBatchLen-1 {
+		if i++; i%trace.ReplayBatchLen == 0 {
 			select {
 			case <-done:
-				return nil, ctx.Err()
+				cancelled = true
 			default:
 			}
 		}
+		return !cancelled
+	})
+	if cancelled {
+		return nil, ctx.Err()
 	}
 	hrs := make([]float64, len(caches))
 	for i, l2 := range caches {

@@ -12,6 +12,7 @@ import (
 
 	"streamsim/internal/cache"
 	"streamsim/internal/core"
+	"streamsim/internal/mem"
 	"streamsim/internal/sweeprun"
 	"streamsim/internal/tab"
 	"streamsim/internal/trace"
@@ -191,24 +192,109 @@ func TestTraceCacheReuse(t *testing.T) {
 	}
 }
 
-func TestMissStreamDeterministic(t *testing.T) {
-	a, err := missStream(context.Background(), "is", workload.SizeSmall, 0.05)
+// missEvent is one block a secondary cache sees: a fill, or the
+// write-back of a dirty block.
+type missEvent struct {
+	addr  mem.Addr
+	write bool
+}
+
+// missEvents lists a miss stream's events in order.
+func missEvents(ms *core.Front) []missEvent {
+	var evs []missEvent
+	ms.Events(func(addr mem.Addr, writeBack bool) bool {
+		evs = append(evs, missEvent{addr, writeBack})
+		return true
+	})
+	return evs
+}
+
+// walkMissStream is the L1 miss traffic of a trace derived the direct
+// way, the oracle of the stored front's: one walk of the paper's L1s
+// through cache.Read and cache.Write, recording each write-back of a
+// dirty victim and each fill, as block base addresses.
+func walkMissStream(t *testing.T, tr *trace.Store) []missEvent {
+	t.Helper()
+	cfg := noStreams()
+	l1i, err := cache.New(cfg.L1I)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.events) == 0 {
+	l1d, err := cache.New(cfg.L1D)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geom := cfg.Geometry
+	var evs []missEvent
+	err = each(context.Background(), tr, func(a *mem.Access) {
+		c := l1d
+		if a.Kind == mem.IFetch {
+			c = l1i
+		}
+		var res cache.Result
+		if a.Kind == mem.Write {
+			res = c.Write(uint64(a.Addr))
+		} else {
+			res = c.Read(uint64(a.Addr))
+		}
+		if !res.Sampled || res.Hit {
+			return
+		}
+		if res.WroteBack {
+			evs = append(evs, missEvent{geom.BlockToByte(mem.Addr(res.VictimBlock)), true})
+		}
+		if res.Filled {
+			evs = append(evs, missEvent{geom.BlockBase(a.Addr), false})
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+// TestMissStreamDeterministic derives Table 4's miss stream twice, from
+// a front a live replay records and from the one a stream row's replay
+// stored, and checks both against a direct walk of the paper's L1s
+// over the trace: the stored front's tap is exactly the traffic a
+// secondary cache behind those L1s sees.
+func TestMissStreamDeterministic(t *testing.T) {
+	ctx := context.Background()
+	const scale = 0.05
+	ResetTraceCache()
+	a, err := missStream(ctx, "is", workload.SizeSmall, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetTraceCache()
+	if _, err := runConfig(ctx, "is", workload.SizeSmall, Options{Scale: scale}, stridedStreams(16)); err != nil {
+		t.Fatal(err)
+	}
+	hits0 := sweeprun.TraceCacheStats().FrontHits
+	b, err := missStream(ctx, "is", workload.SizeSmall, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sweeprun.TraceCacheStats().FrontHits - hits0; got != 1 {
+		t.Errorf("the stream row's stored front answered %d lookups, want 1", got)
+	}
+	tr, err := record(ctx, "is", workload.SizeSmall, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := walkMissStream(t, tr)
+	if len(want) == 0 {
 		t.Fatal("empty miss stream")
 	}
-	b, err := missStream(context.Background(), "is", workload.SizeSmall, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.events) != len(b.events) {
-		t.Fatalf("derivations have %d and %d events", len(a.events), len(b.events))
-	}
-	for i := range a.events {
-		if a.events[i] != b.events[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, a.events[i], b.events[i])
+	for _, ms := range []*core.Front{a, b} {
+		got := missEvents(ms)
+		if len(got) != len(want) {
+			t.Fatalf("stored front has %d events, the L1 walk %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("event %d differs: %+v vs %+v", i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -237,7 +323,7 @@ func TestOnChipBaselineMatchesMissStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		var fills uint64
-		for _, ev := range ms.events {
+		for _, ev := range missEvents(ms) {
 			if !ev.write {
 				fills++
 			}
@@ -335,7 +421,7 @@ func TestResultsMemo(t *testing.T) {
 		cctx, cancel := context.WithCancel(ctx)
 		_, err = sweeprun.Results(cctx, name, size, opt.Scale, cfgs, func(tr *trace.Store, cfgs []core.Config) ([]core.Results, error) {
 			cancel()
-			return replayConfigs(cctx, tr, cfgs)
+			return replayConfigs(cctx, tr, sweeprun.Fronts(name, size, opt.Scale, tr), cfgs)
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: replay cancelled mid-call returned %v, want context.Canceled", name, err)
@@ -370,7 +456,7 @@ func TestL2HitRateMonotonicInSize(t *testing.T) {
 	}
 	prev := -1.0
 	for _, size := range []uint{64 << 10, 512 << 10, 4 << 20} {
-		hrs, err := ms.l2LocalHitRates(context.Background(), []cache.Config{{
+		hrs, err := l2LocalHitRates(context.Background(), ms, []cache.Config{{
 			Name: "L2", SizeBytes: size, Assoc: 4, BlockBytes: 64,
 			Replacement: cache.LRU, Write: cache.WriteBack, Alloc: cache.WriteAllocate,
 		}})

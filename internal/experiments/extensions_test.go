@@ -25,9 +25,52 @@ type firstUses struct {
 	n int
 }
 
-func (f *firstUses) FirstUse(a mem.Access, blk mem.Addr) []mem.Addr {
+func (f *firstUses) FirstUse(a mem.Access, blk mem.Addr, buf []mem.Addr) []mem.Addr {
 	f.n++
-	return f.Prefetcher.FirstUse(a, blk)
+	return f.Prefetcher.FirstUse(a, blk, buf)
+}
+
+// TestOnChipWalkersDoNotAllocate: a warmed walker's access allocates
+// nothing under either prefetcher. Each step reads the next block of a
+// sequential stream under one load PC, which under OBL is the first use
+// of the block its predecessor prefetched and under the RPT a steady
+// stride that predicts, and a scattered block that misses; the blocks
+// a prefetcher asks for land in the walker's own buffer.
+func TestOnChipWalkersDoNotAllocate(t *testing.T) {
+	obl, err := prefetch.NewOBL(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rpt, err := prefetch.NewRPT(mem.DefaultGeometry(), 512, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []prefetch.Prefetcher{obl, rpt} {
+		o, err := newOnChipL1(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		step := func() {
+			o.access(mem.Access{Addr: mem.Addr(1<<24 + 64*i), Kind: mem.Read, PC: 0x1000})
+			scattered := mem.Addr(uint32(i)*2654435761>>12) << 6
+			o.access(mem.Access{Addr: 1<<30 + scattered, Kind: mem.Read, PC: 0x2000})
+			i++
+		}
+		for k := 0; k < 4096; k++ {
+			step()
+		}
+		misses := o.misses
+		if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+			t.Errorf("%s walker allocates %v times per step; want 0", p.Name(), avg)
+		}
+		if o.misses == misses {
+			t.Errorf("%s walker missed nothing while measured", p.Name())
+		}
+	}
+	if rpt.Stats().Predictions == 0 {
+		t.Error("the RPT predicted nothing; the test would not exercise its prefetches")
+	}
 }
 
 // TestOnChipL1KeepsCachesApart: the tag of a prefetched block lives

@@ -21,15 +21,17 @@ import (
 // Prefetcher decides which blocks to pull into the primary cache.
 // The harness (internal/experiments) calls Miss for every demand miss
 // and FirstUse the first time a previously prefetched block is
-// referenced; both return block numbers to prefetch.
+// referenced; both append the block numbers to prefetch to buf, a
+// buffer the caller owns, and return it, so a caller that passes the
+// same buffer back each time allocates only while it grows.
 type Prefetcher interface {
 	// Name labels the scheme in results.
 	Name() string
-	// Miss observes a demand miss and returns blocks to prefetch.
-	Miss(a mem.Access, blk mem.Addr) []mem.Addr
+	// Miss observes a demand miss and appends blocks to prefetch.
+	Miss(a mem.Access, blk mem.Addr, buf []mem.Addr) []mem.Addr
 	// FirstUse observes the first demand reference to a block that
 	// entered the cache via prefetch (tagged schemes chain on this).
-	FirstUse(a mem.Access, blk mem.Addr) []mem.Addr
+	FirstUse(a mem.Access, blk mem.Addr, buf []mem.Addr) []mem.Addr
 }
 
 // OBL is Smith's tagged one-block-lookahead policy: fetching block i
@@ -56,21 +58,21 @@ func NewOBL(degree int) (*OBL, error) {
 func (o *OBL) Name() string { return fmt.Sprintf("OBL-%d", o.degree) }
 
 // Miss implements Prefetcher: prefetch the next degree blocks.
-func (o *OBL) Miss(_ mem.Access, blk mem.Addr) []mem.Addr {
-	return o.successors(blk)
+func (o *OBL) Miss(_ mem.Access, blk mem.Addr, buf []mem.Addr) []mem.Addr {
+	return o.successors(blk, buf)
 }
 
 // FirstUse implements Prefetcher: the tagged policy chains.
-func (o *OBL) FirstUse(_ mem.Access, blk mem.Addr) []mem.Addr {
-	return o.successors(blk)
+func (o *OBL) FirstUse(_ mem.Access, blk mem.Addr, buf []mem.Addr) []mem.Addr {
+	return o.successors(blk, buf)
 }
 
-func (o *OBL) successors(blk mem.Addr) []mem.Addr {
-	out := make([]mem.Addr, o.degree)
-	for i := range out {
-		out[i] = blk + mem.Addr(i) + 1
+// successors appends the degree blocks after blk to buf.
+func (o *OBL) successors(blk mem.Addr, buf []mem.Addr) []mem.Addr {
+	for i := 1; i <= o.degree; i++ {
+		buf = append(buf, blk+mem.Addr(i))
 	}
-	return out
+	return buf
 }
 
 // rptState is the Baer-Chen per-entry automaton.
@@ -236,7 +238,7 @@ func (r *RPT) Observe(a mem.Access) (blk mem.Addr, ok bool) {
 
 // Miss implements Prefetcher. The RPT's work happens in Observe; a
 // miss adds nothing extra.
-func (r *RPT) Miss(mem.Access, mem.Addr) []mem.Addr { return nil }
+func (r *RPT) Miss(_ mem.Access, _ mem.Addr, buf []mem.Addr) []mem.Addr { return buf }
 
 // FirstUse implements Prefetcher.
-func (r *RPT) FirstUse(mem.Access, mem.Addr) []mem.Addr { return nil }
+func (r *RPT) FirstUse(_ mem.Access, _ mem.Addr, buf []mem.Addr) []mem.Addr { return buf }

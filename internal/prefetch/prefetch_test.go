@@ -1,6 +1,7 @@
 package prefetch
 
 import (
+	"slices"
 	"testing"
 
 	"streamsim/internal/mem"
@@ -21,22 +22,20 @@ func TestNewOBLValidation(t *testing.T) {
 
 func TestOBLSuccessors(t *testing.T) {
 	o, _ := NewOBL(1)
-	got := o.Miss(mem.Access{}, 100)
+	got := o.Miss(mem.Access{}, 100, nil)
 	if len(got) != 1 || got[0] != 101 {
 		t.Errorf("Miss successors = %v, want [101]", got)
 	}
-	got = o.FirstUse(mem.Access{}, 200)
+	got = o.FirstUse(mem.Access{}, 200, got[:0])
 	if len(got) != 1 || got[0] != 201 {
 		t.Errorf("FirstUse successors = %v, want [201] (tagged chaining)", got)
 	}
 	o2, _ := NewOBL(3)
-	got = o2.Miss(mem.Access{}, 10)
-	want := []mem.Addr{11, 12, 13}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("degree-3 successors = %v, want %v", got, want)
-			break
-		}
+	buf := []mem.Addr{7}
+	got = o2.Miss(mem.Access{}, 10, buf)
+	want := []mem.Addr{7, 11, 12, 13}
+	if !slices.Equal(got, want) {
+		t.Errorf("degree-3 successors appended to [7] = %v, want %v", got, want)
 	}
 }
 

@@ -129,6 +129,8 @@ func (s *Server) initMetrics() {
 	gauge("trace_cache_evictions_total", func() any { return sweeprun.TraceCacheStats().Evictions })
 	gauge("results_memo_hits", func() any { return sweeprun.TraceCacheStats().MemoHits })
 	gauge("results_memo_entries", func() any { return sweeprun.TraceCacheStats().MemoEntries })
+	gauge("front_memo_hits", func() any { return sweeprun.TraceCacheStats().FrontHits })
+	gauge("front_memo_bytes", func() any { return sweeprun.TraceCacheStats().FrontBytes })
 	gauge("refs_replayed_total", func() any { return experiments.ReplayedRefs() })
 	gauge("replay_fanout_width", func() any { return core.LastFanOutWidth() })
 	gauge("search_evals_total", func() any { return search.EvalsTotal() })

@@ -532,7 +532,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"jobs_queued", "jobs_running", "jobs_done", "jobs_failed", "jobs_cancelled",
 		"memo_hits", "workers", "trace_cache_hits", "trace_cache_bytes",
 		"trace_cache_entries", "trace_cache_evictions_total", "results_memo_hits",
-		"results_memo_entries", "refs_replayed_total",
+		"results_memo_entries", "front_memo_hits", "front_memo_bytes", "refs_replayed_total",
 		"refs_per_sec", "replay_fanout_width", "uptime_seconds",
 	} {
 		if _, ok := m[key]; !ok {

@@ -90,6 +90,67 @@ func Results(ctx context.Context, name string, size workload.Size, scale float64
 	return res, nil
 }
 
+// Fronts returns the front memo of the recording of (name, size,
+// scale) that st is, the store Record returns: the stored L1 fronts of
+// completed whole-trace replays of st (core.Front), at most one per
+// front key. core.ReplayStoreFronts serves a class of fresh systems
+// from it and stores the front a live class records. The fronts live
+// on the recording's cache entry beside its results memo and count
+// against the cache's budget, so eviction and ResetTraceCache drop them
+// with the store; a memo whose recording was dropped, or dropped and
+// recorded again, serves and stores nothing.
+//
+// Only replays from fresh systems over the whole recording use it: the
+// experiments' fan-outs. Sweeps and the optimizer replay live.
+func Fronts(name string, size workload.Size, scale float64, st *trace.Store) core.FrontMemo {
+	return frontMemo{recordings, traceKey{name, size, scale}, st}
+}
+
+// frontMemo is the core.FrontMemo of one cached recording.
+type frontMemo struct {
+	c   *traceCache
+	key traceKey
+	st  *trace.Store
+}
+
+// Front returns the stored front serving cfg, counting a front hit, or
+// nil.
+func (m frontMemo) Front(cfg core.Config) *core.Front {
+	m.c.mu.Lock()
+	defer m.c.mu.Unlock()
+	if e := m.c.entry(m.key, m.st); e != nil {
+		for _, f := range e.fronts {
+			if f.Serves(cfg) {
+				m.c.frontHits.Add(1)
+				return f
+			}
+		}
+	}
+	return nil
+}
+
+// AddFront stores f on the recording's entry, charging its bytes to the
+// budget, unless the entry is gone or already holds a front of f's key.
+func (m frontMemo) AddFront(f *core.Front) {
+	m.c.mu.Lock()
+	defer m.c.mu.Unlock()
+	e := m.c.entry(m.key, m.st)
+	if e == nil {
+		return
+	}
+	for _, g := range e.fronts {
+		if g.SameFront(f) {
+			return
+		}
+	}
+	e.fronts = append(e.fronts, f)
+	n := f.Bytes()
+	e.bytes += n
+	m.c.bytes.Add(n)
+	m.c.frontBytes.Add(n)
+	m.c.evict()
+}
+
 // recordTrace runs w once into a store preallocated from the
 // workload's reference estimate. The estimate scales by the kernel's
 // own step count and lands within 2% above the recorded length
@@ -122,12 +183,14 @@ type traceKey struct {
 	scale float64
 }
 
-// traceEntry is one cached recording and its results memo.
+// traceEntry is one cached recording with its results memo and its
+// stored fronts.
 type traceEntry struct {
 	key     traceKey
 	store   *trace.Store
-	bytes   int64                        // store.Footprint()
+	bytes   int64                        // store.Footprint() plus the fronts' Bytes
 	results map[core.Config]core.Results // completed replays of store; see Results
+	fronts  []*core.Front                // see Fronts
 }
 
 // traceCache is a bounded cache of recordings. A caller that misses
@@ -138,7 +201,8 @@ type traceEntry struct {
 // caller's cancellation. Entries are evicted least recently used
 // first once their footprints exceed the budget. The LRU order lives
 // in a list so that nothing ever ranges over the map. Each entry's
-// results memo follows the same rules (see Results).
+// results memo and stored fronts follow the same rules (see Results
+// and Fronts).
 type traceCache struct {
 	mu      sync.Mutex
 	budget  int64
@@ -152,6 +216,8 @@ type traceCache struct {
 	evictions   atomic.Uint64
 	memoHits    atomic.Uint64
 	memoEntries atomic.Int64
+	frontHits   atomic.Uint64
+	frontBytes  atomic.Int64
 }
 
 func newTraceCache(budget int64) *traceCache {
@@ -196,14 +262,23 @@ func (c *traceCache) cached(key traceKey) *trace.Store {
 	return el.Value.(*traceEntry).store
 }
 
-// memo returns the results memo of st, or nil when key is not cached
-// or caches another store (st was evicted and recorded again); c.mu
-// must be held.
-func (c *traceCache) memo(key traceKey, st *trace.Store) map[core.Config]core.Results {
+// entry returns the entry caching st under key, or nil when key is not
+// cached or caches another store (st was evicted and recorded again);
+// c.mu must be held.
+func (c *traceCache) entry(key traceKey, st *trace.Store) *traceEntry {
 	if el := c.entries[key]; el != nil {
 		if e := el.Value.(*traceEntry); e.store == st {
-			return e.results
+			return e
 		}
+	}
+	return nil
+}
+
+// memo returns the results memo of st, or nil (see entry); c.mu must be
+// held.
+func (c *traceCache) memo(key traceKey, st *trace.Store) map[core.Config]core.Results {
+	if e := c.entry(key, st); e != nil {
+		return e.results
 	}
 	return nil
 }
@@ -251,21 +326,30 @@ func (c *traceCache) insert(key traceKey, st *trace.Store) {
 	c.entries[key] = c.lru.PushFront(e)
 	c.bytes.Add(e.bytes)
 	c.resident.Add(1)
+	c.evict()
+}
+
+// evict drops least recently used entries until the cache is within
+// its budget; c.mu must be held.
+func (c *traceCache) evict() {
 	for c.bytes.Load() > c.budget {
 		c.remove(c.lru.Back())
 		c.evictions.Add(1)
 	}
 }
 
-// remove drops the entry at el and its results memo; c.mu must be
-// held. Replays still holding its store keep it alive until they
-// finish, and memoize nothing into it.
+// remove drops the entry at el with its results memo and fronts; c.mu
+// must be held. Replays still holding its store or fronts keep them
+// alive until they finish, and store nothing into it.
 func (c *traceCache) remove(el *list.Element) {
 	e := c.lru.Remove(el).(*traceEntry)
 	delete(c.entries, e.key)
 	c.bytes.Add(-e.bytes)
 	c.resident.Add(-1)
 	c.memoEntries.Add(-int64(len(e.results)))
+	for _, f := range e.fronts {
+		c.frontBytes.Add(-f.Bytes())
+	}
 }
 
 // reset drops every entry. Recordings in progress are inserted when
@@ -284,7 +368,8 @@ type CacheStats struct {
 	// including callers whose own recording finished after another
 	// caller had cached the same key.
 	Hits uint64
-	// Bytes is the resident footprint of the cached recordings.
+	// Bytes is the resident footprint of the cached recordings and
+	// their stored fronts.
 	Bytes int64
 	// Entries is the number of cached recordings.
 	Entries int64
@@ -296,6 +381,12 @@ type CacheStats struct {
 	// MemoEntries is the number of Results the cached recordings'
 	// memos hold.
 	MemoEntries int64
+	// FrontHits counts front lookups a stored front answered: front
+	// classes of experiment replays served without a decode or an L1
+	// probe, and Table 4's walks of a front's traffic (see Fronts).
+	FrontHits uint64
+	// FrontBytes is the stored fronts' share of Bytes.
+	FrontBytes int64
 }
 
 // TraceCacheStats reads the recording cache's counters without
@@ -309,10 +400,12 @@ func TraceCacheStats() CacheStats {
 		Evictions:   c.evictions.Load(),
 		MemoHits:    c.memoHits.Load(),
 		MemoEntries: c.memoEntries.Load(),
+		FrontHits:   c.frontHits.Load(),
+		FrontBytes:  c.frontBytes.Load(),
 	}
 }
 
-// ResetTraceCache drops every cached recording with its results memo,
-// for benchmarks that measure recording cost. Hit and eviction counts
+// ResetTraceCache drops every cached recording with its results memo
+// and stored fronts, for benchmarks that measure recording cost. Hit and eviction counts
 // keep accumulating.
 func ResetTraceCache() { recordings.reset() }

@@ -343,3 +343,143 @@ func TestResultsConcurrent(t *testing.T) {
 		t.Errorf("memo holds %d results, want 4", got)
 	}
 }
+
+// bareConfig is the paper's L1s with no streams: the cheapest system
+// that records the paper's front.
+func bareConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Streams.Streams, cfg.UnitFilterEntries, cfg.Stride = 0, 0, core.NoStrideDetection
+	return cfg
+}
+
+// replayFresh replays st through a fresh bare system with memo.
+func replayFresh(ctx context.Context, st *trace.Store, memo core.FrontMemo) error {
+	sys, err := core.New(bareConfig())
+	if err != nil {
+		return err
+	}
+	return core.ReplayStoreFronts(ctx, []*core.System{sys}, st, memo, nil)
+}
+
+// TestFrontMemoRules: a cancelled replay stores no front; a completed
+// one stores its front on the recording's entry, charged to the
+// budget, and later lookups are front hits; a memo whose recording was
+// dropped and recorded again stores nothing into the new entry; and
+// ResetTraceCache and eviction drop the fronts with their recording.
+func TestFrontMemoRules(t *testing.T) {
+	ctx := context.Background()
+	ResetTraceCache()
+	_, st, err := Record(ctx, "embar", "small", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := Fronts("embar", workload.SizeSmall, 0.02, st)
+	stats := TraceCacheStats()
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if err := replayFresh(cctx, st, memo); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled replay returned %v", err)
+	}
+	if memo.Front(bareConfig()) != nil || TraceCacheStats() != stats {
+		t.Fatalf("a cancelled replay stored a front: stats %+v, were %+v", TraceCacheStats(), stats)
+	}
+
+	if err := replayFresh(ctx, st, memo); err != nil {
+		t.Fatal(err)
+	}
+	f := memo.Front(bareConfig())
+	if f == nil {
+		t.Fatal("a completed replay stored no front")
+	}
+	got := TraceCacheStats()
+	if got.FrontBytes != f.Bytes() || got.Bytes != stats.Bytes+f.Bytes() || got.FrontHits != stats.FrontHits+1 {
+		t.Errorf("after storing a %d-byte front: %+v, were %+v", f.Bytes(), got, stats)
+	}
+	if f.Bytes() > int64(st.Len()) {
+		t.Errorf("embar's front takes %d bytes for %d references, over 1 B per reference", f.Bytes(), st.Len())
+	}
+	if err := replayFresh(ctx, st, memo); err != nil {
+		t.Fatal(err)
+	}
+	if TraceCacheStats().FrontHits != got.FrontHits+1 || memo.Front(bareConfig()) != f {
+		t.Error("a replay from the stored front did not keep it, or was not a front hit")
+	}
+
+	ResetTraceCache()
+	if got := TraceCacheStats(); got.FrontBytes != 0 || got.Bytes != 0 {
+		t.Errorf("ResetTraceCache left %d front bytes of %d", got.FrontBytes, got.Bytes)
+	}
+	_, st2, err := Record(ctx, "embar", "small", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replayFresh(ctx, st, memo); err != nil {
+		t.Fatal(err)
+	}
+	if Fronts("embar", workload.SizeSmall, 0.02, st2).Front(bareConfig()) != nil || TraceCacheStats().FrontBytes != 0 {
+		t.Error("a replay of a dropped recording stored its front on the new recording")
+	}
+
+	// Eviction drops a recording's fronts with it.
+	keyA, recA := recorder(t, 0.02)
+	keyB, recB := recorder(t, 0.03)
+	c := newTraceCache(traceCacheBudget)
+	a, err := c.get(ctx, keyA, func() (*trace.Store, error) { return recA(ctx) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replayFresh(ctx, a, frontMemo{c, keyA, a}); err != nil {
+		t.Fatal(err)
+	}
+	if c.frontBytes.Load() == 0 {
+		t.Fatal("no front stored in the local cache")
+	}
+	b, err := recB(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	c.budget = c.bytes.Load() + int64(b.Footprint()) - 1
+	c.mu.Unlock()
+	if _, err := c.get(ctx, keyB, func() (*trace.Store, error) { return b, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if c.evictions.Load() != 1 || c.frontBytes.Load() != 0 || c.bytes.Load() != int64(b.Footprint()) {
+		t.Errorf("after evicting A: %d evictions, %d front bytes, %d bytes; want 1, 0 and B's %d",
+			c.evictions.Load(), c.frontBytes.Load(), c.bytes.Load(), b.Footprint())
+	}
+	if (frontMemo{c, keyA, a}).Front(bareConfig()) != nil {
+		t.Error("an evicted recording's front is still served")
+	}
+}
+
+// TestFrontMemoConcurrentRecorders: callers that replay one recording
+// at once from fresh systems all record the same front, and the memo
+// keeps one of them, charged once. Run it under -race.
+func TestFrontMemoConcurrentRecorders(t *testing.T) {
+	ctx := context.Background()
+	ResetTraceCache()
+	_, st, err := Record(ctx, "embar", "small", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo := Fronts("embar", workload.SizeSmall, 0.02, st)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := replayFresh(ctx, st, memo); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	f := memo.Front(bareConfig())
+	if f == nil {
+		t.Fatal("no front stored")
+	}
+	if got := TraceCacheStats().FrontBytes; got != f.Bytes() {
+		t.Errorf("the memo holds %d front bytes, want one front's %d", got, f.Bytes())
+	}
+}

@@ -23,23 +23,15 @@ func TestChargeBatchDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	words := make([]uint64, trace.ReplayBatchLen)
 	var log []core.Miss
 	levels := []core.Level{core.LevelMemory, core.LevelStream, core.LevelVictim, core.LevelNone, core.LevelUnsampled}
-	for i := range words {
-		kind := mem.Read
-		if i%3 == 0 {
-			kind = mem.Write
-		}
-		words[i] = uint64(1<<20+i*4096)<<2 | uint64(kind)
-		if i%7 == 0 {
-			log = append(log, core.Miss{Index: i, Outcome: core.Outcome{
-				Level: levels[i%len(levels)], Pending: i%2 == 0, WroteBack: i%4 == 0, Prefetches: 2,
-			}})
-		}
+	for i := 0; i < trace.ReplayBatchLen; i += 7 {
+		log = append(log, core.Miss{Index: i, Addr: mem.Addr(1<<20 + i*4096), Write: i%3 == 0, Outcome: core.Outcome{
+			Level: levels[i%len(levels)], Pending: i%2 == 0, WroteBack: i%4 == 0, Prefetches: 2,
+		}})
 	}
 	avg := testing.AllocsPerRun(1000, func() {
-		m.chargeBatch(words, log, 3)
+		m.chargeBatch(trace.ReplayBatchLen, log, 3)
 	})
 	if avg != 0 {
 		t.Errorf("chargeBatch allocates %v times per batch; want 0", avg)

@@ -117,7 +117,7 @@ func replayAlone(models []*timing.Model, st *trace.Store) {
 // driving that model alone through Access leaves them.
 //
 //simlint:deterministic streamsim/internal/timing.Replay
-//simlint:deterministic streamsim/internal/core.ReplayStoreMultiLogged
+//simlint:deterministic streamsim/internal/core.ReplayStoreFronts
 func TestReplayMatchesModelsAlone(t *testing.T) {
 	const scale = 0.02
 	specs := oracleModels()
@@ -143,7 +143,7 @@ func TestReplayMatchesModelsAlone(t *testing.T) {
 			want := newModels(t, specs)
 			replayAlone(want, st)
 			got := newModels(t, specs)
-			if err := timing.Replay(context.Background(), got, st); err != nil {
+			if err := timing.Replay(context.Background(), got, st, nil); err != nil {
 				t.Fatal(err)
 			}
 			for i := range specs {

@@ -241,51 +241,52 @@ func (m *Model) charge(addr mem.Addr, write bool, out core.Outcome) {
 // Results finalizes and returns the functional results.
 func (m *Model) Results() core.Results { return m.sys.Results() }
 
-// chargeBatch charges one batch that a logged replay stepped through
-// m's system, exactly as Access followed by AddInstructions(perAccess)
-// would have charged each reference: words are the batch's packed
-// references (the trace.StoreIter.NextPacked layout) and log the
-// system's miss log for them. The references the log names are
-// charged one by one. Every other reference hit in the L1, and a hit
-// moves no block, so it neither waits for the bus nor occupies it:
+// chargeBatch charges one batch of n references that a logged replay
+// stepped through m's system, exactly as Access followed by
+// AddInstructions(perAccess) would have charged each reference: log is
+// the system's miss log for the batch. The references the log names
+// are charged one by one. Every other reference hit in the L1, and a
+// hit moves no block, so it neither waits for the bus nor occupies it:
 // each run of hits between two logged references costs (L1Hit +
 // perAccess) cycles per reference, added in one step before the miss
 // that ends the run, and the ledger's hit and instruction counts are
 // added once per batch.
 //
 //simlint:hotpath
-//simlint:borrowed words log
-func (m *Model) chargeBatch(words []uint64, log []core.Miss, perAccess uint64) {
+//simlint:borrowed log
+func (m *Model) chargeBatch(n int, log []core.Miss, perAccess uint64) {
 	hit := m.lat.L1Hit + perAccess
 	next := 0
 	for _, e := range log {
 		m.now += uint64(e.Index-next) * hit
-		w := words[e.Index]
-		m.charge(mem.Addr(w>>2), w&3 == uint64(mem.Write), e.Outcome)
+		m.charge(e.Addr, e.Write, e.Outcome)
 		m.now += perAccess
 		next = e.Index + 1
 	}
-	m.now += uint64(len(words)-next) * hit
-	n := uint64(len(words))
-	m.stats.StallCycles += (n - uint64(len(log))) * m.lat.L1Hit
-	m.stats.InstructionCycles += n * perAccess
-	m.stats.Instructions += n * perAccess
-	m.sys.AddInstructions(n * perAccess)
+	m.now += uint64(n-next) * hit
+	refs := uint64(n)
+	m.stats.StallCycles += (refs - uint64(len(log))) * m.lat.L1Hit
+	m.stats.InstructionCycles += refs * perAccess
+	m.stats.Instructions += refs * perAccess
+	m.sys.AddInstructions(refs * perAccess)
 }
 
 // Replay replays a recorded trace through every model from one decode
-// pass (core.ReplayStoreMultiLogged), so models whose systems share an
-// L1 front simulate it once, and charges each batch to every model
-// (chargeBatch). The instructions are spread evenly: each reference
-// retires Instructions/Len of them right after its access, and the
-// remainder retires after the last. Each model's ledger, results and
-// secondary cache end exactly as driving it alone through Access and
+// pass (core.ReplayStoreFronts), so models whose systems share an L1
+// front simulate it once, and charges each batch to every model
+// (chargeBatch). The models must be fresh when memo is non-nil: a
+// class of them whose front memo holds then replays from the stored
+// front, with no decode and no L1 probe (see core.FrontMemo). The
+// instructions are spread evenly: each reference retires
+// Instructions/Len of them right after its access, and the remainder
+// retires after the last. Each model's ledger, results and secondary
+// cache end exactly as driving it alone through Access and
 // AddInstructions on that schedule would leave them. A cancelled
 // replay returns ctx.Err() with every model having consumed the same
 // prefix.
 //
 //simlint:deterministic
-func Replay(ctx context.Context, models []*Model, st *trace.Store) error {
+func Replay(ctx context.Context, models []*Model, st *trace.Store, memo core.FrontMemo) error {
 	insts, refs := st.Instructions(), uint64(st.Len())
 	perAccess := uint64(0)
 	if refs > 0 {
@@ -295,9 +296,9 @@ func Replay(ctx context.Context, models []*Model, st *trace.Store) error {
 	for i, m := range models {
 		systems[i] = m.sys
 	}
-	err := core.ReplayStoreMultiLogged(ctx, systems, st, func(words []uint64) {
+	err := core.ReplayStoreFronts(ctx, systems, st, memo, func(n int) {
 		for _, m := range models {
-			m.chargeBatch(words, m.sys.MissLog(), perAccess)
+			m.chargeBatch(n, m.sys.MissLog(), perAccess)
 		}
 	})
 	if err != nil {

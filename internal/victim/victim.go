@@ -15,6 +15,7 @@ package victim
 
 import (
 	"fmt"
+	"unsafe"
 )
 
 // entry is one fully-associative victim line.
@@ -70,6 +71,9 @@ func (c *Cache) Size() int { return len(c.entries) }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return *c.stats }
+
+// Footprint is the size in bytes of the buffer's entry array.
+func (c *Cache) Footprint() int64 { return int64(len(c.entries)) * int64(unsafe.Sizeof(entry{})) }
 
 // CountInto redirects counting to *st from now on without disturbing
 // the entries (see cache.Cache.CountInto).
