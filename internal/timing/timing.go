@@ -217,12 +217,12 @@ func (m *Model) charge(addr mem.Addr, write bool, out core.Outcome) {
 			}
 		}
 		// The demand fetch needs the bus: wait for queued prefetch and
-		// write-back traffic first.
+		// write-back traffic first. The wait is part of the stall, and
+		// the clock advances by the whole stall below.
 		if m.busFreeAt > m.now {
 			wait := m.busFreeAt - m.now
 			stall += wait
 			m.stats.BusWaitCycles += wait
-			m.now += wait
 		}
 		stall += m.lat.Memory
 		busy += m.lat.BusBlock

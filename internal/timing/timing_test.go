@@ -152,22 +152,50 @@ func TestPendingPenalty(t *testing.T) {
 	}
 }
 
+// TestStatsBreakdownConsistent: execution time is compute plus memory
+// stalls, the bus wait of a demand fetch included, on a sequential read
+// stream whose misses wait for no transfer and on scattered reads and
+// writes behind a slow bus, where every miss allocates a stream whose
+// prefetches, with the write-backs, keep the bus busy past the next
+// demand fetch.
 func TestStatsBreakdownConsistent(t *testing.T) {
-	m, err := New(smallCfg(2), DefaultLatencies())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		m.Access(mem.Access{Addr: mem.Addr(1<<20 + i*64), Kind: mem.Read})
-		m.AddInstructions(3)
-	}
-	s := m.Stats()
-	if s.Cycles != s.InstructionCycles+s.StallCycles {
-		t.Errorf("cycle breakdown broken: %d != %d + %d",
-			s.Cycles, s.InstructionCycles, s.StallCycles)
-	}
-	if s.CPI() <= 1 {
-		t.Errorf("CPI = %v, must exceed 1 with memory stalls", s.CPI())
+	slow := DefaultLatencies()
+	slow.BusBlock = 40
+	for _, tc := range []struct {
+		name     string
+		lat      Latencies
+		scatter  bool
+		waitsBus bool
+	}{
+		{"sequential", DefaultLatencies(), false, false},
+		{"scattered behind a slow bus", slow, true, true},
+	} {
+		m, err := New(smallCfg(2), tc.lat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 500; i++ {
+			a := mem.Access{Addr: mem.Addr(1<<20 + i*64), Kind: mem.Read}
+			if tc.scatter {
+				a.Addr = 1<<24 + mem.Addr(uint32(i)*2654435761>>14)<<6
+				if i%2 == 1 {
+					a.Kind = mem.Write
+				}
+			}
+			m.Access(a)
+			m.AddInstructions(3)
+		}
+		s := m.Stats()
+		if s.Cycles != s.InstructionCycles+s.StallCycles {
+			t.Errorf("%s: cycle breakdown broken: %d != %d + %d (bus wait %d)",
+				tc.name, s.Cycles, s.InstructionCycles, s.StallCycles, s.BusWaitCycles)
+		}
+		if got := s.BusWaitCycles > 0; got != tc.waitsBus {
+			t.Errorf("%s: %d bus-wait cycles; want waiting %v", tc.name, s.BusWaitCycles, tc.waitsBus)
+		}
+		if s.CPI() <= 1 {
+			t.Errorf("%s: CPI = %v, must exceed 1 with memory stalls", tc.name, s.CPI())
+		}
 	}
 }
 
