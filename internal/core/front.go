@@ -75,7 +75,7 @@ func (s *System) fresh() bool {
 	return s.ctr.L1I == (cache.Stats{}) && s.ctr.L1D == (cache.Stats{})
 }
 
-// frontKey returns the system's front key (see frontKey).
+// frontKey returns the system's front key (see the frontKey type).
 func (s *System) frontKey() frontKey {
 	return frontKey{s.geom, s.cfg.L1I, s.cfg.L1D, s.cfg.VictimEntries}
 }

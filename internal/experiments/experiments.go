@@ -119,8 +119,8 @@ func table1Size(name string) workload.Size {
 
 // each decodes the trace in batches and calls fn on every access in
 // order — the iteration shape for consumers that want scalar visits
-// (the prefetcher baselines) without paying per-access decode state. ctx is polled once per batch; a
-// cancelled walk returns ctx.Err().
+// (the prefetcher baselines) without paying per-access decode state.
+// ctx is polled once per batch; a cancelled walk returns ctx.Err().
 func each(ctx context.Context, tr *trace.Store, fn func(a *mem.Access)) error {
 	done := ctx.Done()
 	buf := make([]mem.Access, trace.ReplayBatchLen)
@@ -171,9 +171,10 @@ func replayTimed(ctx context.Context, models []*timing.Model, tr *trace.Store, f
 // replayedRefs counts references replayed (or scalar-walked) through
 // completed trace passes, process-wide, per system, whether its front
 // was simulated or replayed from a stored front; a configuration
-// answered from a results memo replays nothing and adds nothing. The simd service
-// exposes it as a throughput metric; the add-per-completed-pass
-// granularity keeps the replay loop free of per-batch atomics.
+// answered from a results memo replays nothing and adds nothing. The
+// simd service exposes it as a throughput metric; the
+// add-per-completed-pass granularity keeps the replay loop free of
+// per-batch atomics.
 var replayedRefs atomic.Uint64
 
 // ReplayedRefs returns the total references replayed through completed
