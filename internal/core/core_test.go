@@ -290,21 +290,6 @@ func TestMinDeltaSchemeDetectsStrides(t *testing.T) {
 	}
 }
 
-func TestSetCzoneBits(t *testing.T) {
-	cfg := tinyConfig(2)
-	cfg.Stride = CzoneScheme
-	cfg.StrideFilterEntries = 16
-	cfg.CzoneBits = 16
-	s := mustNew(t, cfg)
-	if err := s.SetCzoneBits(20); err != nil {
-		t.Errorf("SetCzoneBits: %v", err)
-	}
-	s2 := mustNew(t, tinyConfig(2))
-	if err := s2.SetCzoneBits(20); err == nil {
-		t.Error("SetCzoneBits without czone scheme should fail")
-	}
-}
-
 func TestMPIAndMissRate(t *testing.T) {
 	s := mustNew(t, tinyConfig(0))
 	sweep(s, 1<<20, 100) // 100 compulsory misses

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"streamsim/internal/cache"
+	"streamsim/internal/stream"
 	"streamsim/internal/tab"
 	"streamsim/internal/workload"
 )
@@ -86,12 +87,10 @@ func Table2(ctx context.Context, opt Options) (*tab.Table, error) {
 //simlint:deterministic
 func Table3(ctx context.Context, opt Options) (*tab.Table, error) {
 	opt = opt.withDefaults()
+	buckets := stream.BucketLabels()
 	t := &tab.Table{
-		Title: "Table 3: stream length distribution, % of hits (10 streams)",
-		Columns: []string{
-			"benchmark", "1-5", "6-10", "11-15", "16-20", ">20",
-			"paper 1-5", "paper >20",
-		},
+		Title:   "Table 3: stream length distribution, % of hits (10 streams)",
+		Columns: append(append([]string{"benchmark"}, buckets[:]...), "paper "+buckets[0], "paper "+buckets[4]),
 	}
 	names := workload.Names()
 	err := addRows(ctx, t, inputWeights(names, opt.Scale), func(i int) ([]string, error) {

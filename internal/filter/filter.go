@@ -233,22 +233,8 @@ func checkCzoneBits(bits uint) error {
 // Size returns the number of partition entries.
 func (f *NonUnitStride) Size() int { return len(f.entries) }
 
-// CzoneBits returns the current czone size in bits.
+// CzoneBits returns the czone size in bits.
 func (f *NonUnitStride) CzoneBits() uint { return f.czoneBits }
-
-// SetCzoneBits changes the partition size at run time (the paper lets
-// the program store a mask in a memory-mapped location). Changing the
-// czone invalidates in-flight detections, since tags are reinterpreted.
-func (f *NonUnitStride) SetCzoneBits(bits uint) error {
-	if err := checkCzoneBits(bits); err != nil {
-		return err
-	}
-	f.czoneBits = bits
-	for i := range f.entries {
-		f.entries[i] = nonUnitEntry{}
-	}
-	return nil
-}
 
 // Stats returns a copy of the accumulated statistics.
 func (f *NonUnitStride) Stats() NonUnitStrideStats { return *f.stats }

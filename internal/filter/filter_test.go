@@ -298,24 +298,6 @@ func TestNonUnitStrideCzoneTooLargeInterference(t *testing.T) {
 	}
 }
 
-func TestSetCzoneBits(t *testing.T) {
-	f, _ := NewNonUnitStride(16, 16)
-	f.Observe(0x10000)
-	if err := f.SetCzoneBits(20); err != nil {
-		t.Fatal(err)
-	}
-	if f.CzoneBits() != 20 {
-		t.Errorf("CzoneBits = %d, want 20", f.CzoneBits())
-	}
-	// In-flight detection was invalidated.
-	if a, _, _ := f.Observe(0x10000 + 100); a {
-		t.Error("detection state should be cleared by czone change")
-	}
-	if err := f.SetCzoneBits(0); err == nil {
-		t.Error("czone 0 should be rejected")
-	}
-}
-
 func TestNonUnitStrideEviction(t *testing.T) {
 	f, _ := NewNonUnitStride(2, 16)
 	// Three distinct partitions: the first (LRU) is evicted.
