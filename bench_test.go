@@ -279,8 +279,6 @@ func BenchmarkAblationVictimDM(b *testing.B) {
 // --- microbenchmarks ---------------------------------------------------
 
 // BenchmarkCacheAccess measures the set-associative lookup hot path.
-//
-//simlint:hotpath (*streamsim/internal/cache.Cache).Read
 func BenchmarkCacheAccess(b *testing.B) {
 	c, err := cache.New(cache.Config{
 		Name: "L1D", SizeBytes: 64 << 10, Assoc: 4, BlockBytes: 64,
@@ -337,8 +335,6 @@ func BenchmarkCzoneObserve(b *testing.B) {
 
 // BenchmarkSystemThroughput measures full-system references per second
 // on a mixed (sweep + scatter) synthetic stream.
-//
-//simlint:hotpath (*streamsim/internal/core.System).Access
 func BenchmarkSystemThroughput(b *testing.B) {
 	sys, err := core.New(core.DefaultConfig())
 	if err != nil {
@@ -359,8 +355,6 @@ func BenchmarkSystemThroughput(b *testing.B) {
 // the batched entry point: the same reference stream delivered in
 // trace.ReplayBatchLen chunks via System.AccessBatch, the shape every
 // replay loop uses.
-//
-//simlint:hotpath (*streamsim/internal/core.System).AccessBatch
 func BenchmarkSystemThroughputBatch(b *testing.B) {
 	sys, err := core.New(core.DefaultConfig())
 	if err != nil {
@@ -436,8 +430,6 @@ func replayFixture(b *testing.B) (*trace.Store, []mem.Access) {
 // the PC-skipping fast path, since a System never reads PCs — and feed
 // System.AccessBatch. One op is one full-trace replay; refs/s is the
 // headline simulator throughput number cmd/benchrun tracks.
-//
-//simlint:hotpath streamsim/internal/core.ReplayStore
 func BenchmarkTraceReplay(b *testing.B) {
 	store, _ := replayFixture(b)
 	refs := store.Len()
@@ -460,8 +452,6 @@ func BenchmarkTraceReplay(b *testing.B) {
 // walked with one System.Access call per reference. Kept as the
 // comparison point for BenchmarkTraceReplay (it is also the memory
 // shape the compact store replaced: 24 bytes per reference).
-//
-//simlint:hotpath (*streamsim/internal/core.System).Access
 func BenchmarkTraceReplayScalar(b *testing.B) {
 	_, accs := replayFixture(b)
 	b.ResetTimer()
@@ -481,8 +471,6 @@ func BenchmarkTraceReplayScalar(b *testing.B) {
 // drives nSys systems through the exact sequential replay — the win
 // being measured is decode elimination and the shared-front tap, not
 // goroutines. refs/s is aggregate: trace length × nSys per op.
-//
-//simlint:hotpath streamsim/internal/core.ReplayStoreMultiPrefixFrom
 func benchReplayMulti(b *testing.B, nSys int) {
 	store, _ := replayFixture(b)
 	refs := store.Len()
@@ -635,8 +623,6 @@ func BenchmarkCheckpointRestore(b *testing.B) {
 // simulator attached. The difference between this and TraceReplay is
 // the simulation cost; the difference between this and zero is what
 // the compact encoding charges per reference at replay time.
-//
-//simlint:hotpath (*streamsim/internal/trace.StoreIter).NextPacked
 func BenchmarkTraceDecode(b *testing.B) {
 	store, _ := replayFixture(b)
 	refs := store.Len()

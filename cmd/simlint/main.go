@@ -5,16 +5,14 @@
 // type system, go vet and the tests cannot hold:
 //
 //	errdiscard  no dropped trace/config errors
-//	hotpath     //simlint:hotpath functions transitively allocation-free
 //	ctxflow     received contexts flow onward; no stray Background/TODO
 //	lockdisc    mutex discipline in the service and sweep layers
-//	borrowck    //simlint:borrowed parameters not retained past the call
 //	detflow     //simlint:deterministic roots transitively deterministic
-//	directives  every //simlint:* comment parses, resolves and attaches
+//	directives  every //simlint:* comment parses and attaches
 //
-// The call-graph-aware passes (hotpath, ctxflow, borrowck, detflow)
-// share one set of module facts (internal/analysis/callgraph) built
-// per run over every loaded package.
+// The call-graph-aware passes (ctxflow, detflow) share one set of
+// module facts (internal/analysis/callgraph) built per run over every
+// loaded package.
 //
 // Some invariants need no pass because something else holds them:
 // power-of-two geometry is refused at construction (mem.NewGeometry,
@@ -28,7 +26,13 @@
 // every snapshot copy (Fork, Checkpoint, Restore and the component
 // Clones) starts from a value copy of its struct, so it carries each
 // field by default, and one reflect test in internal/core walks the
-// copies for shared references.
+// copies for shared references. Zero allocation on the replay path is
+// held by the AllocsPerRun gates in internal/core, internal/timing and
+// internal/workload and by `make bench-smoke`; that no callee keeps a
+// batch buffer the replay lends it past the call is held by the
+// poisoned-buffer tests (core's TestReplayIgnoresPoisonedBuffers and
+// timing's TestChargeBatchIgnoresPoisonedLogs), which overwrite every
+// lent buffer once its call returns.
 //
 // Usage:
 //
@@ -53,22 +57,18 @@ import (
 	"strings"
 
 	"streamsim/internal/analysis"
-	"streamsim/internal/analysis/borrowck"
 	"streamsim/internal/analysis/ctxflow"
 	"streamsim/internal/analysis/detflow"
 	"streamsim/internal/analysis/directives"
 	"streamsim/internal/analysis/errdiscard"
-	"streamsim/internal/analysis/hotpath"
 	"streamsim/internal/analysis/lockdisc"
 )
 
 // analyzers is the full suite, in reporting order.
 var analyzers = []*analysis.Analyzer{
 	errdiscard.Analyzer,
-	hotpath.Analyzer,
 	ctxflow.Analyzer,
 	lockdisc.Analyzer,
-	borrowck.Analyzer,
 	detflow.Analyzer,
 	directives.Analyzer,
 }

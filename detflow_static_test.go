@@ -44,10 +44,10 @@ var detGateFiles = []string{
 //     some gate — the static guarantee never covers a root no runtime
 //     equivalence test measures.
 //
-// Unlike the hotpath gate test, the match is exact set equality rather
-// than reachability: deterministic roots are the specific functions
-// whose outputs the golden tests diff, not a closure over callees
-// (callees are covered by detflow's own traversal).
+// The match is exact set equality rather than reachability:
+// deterministic roots are the specific functions whose outputs the
+// golden tests diff, not a closure over callees (callees are covered by
+// detflow's own traversal).
 //
 // Directives in _test.go files are invisible to the simlint driver
 // (package loading excludes test files), so naming a root here imposes

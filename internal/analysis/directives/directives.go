@@ -1,23 +1,17 @@
 // Package directives makes every //simlint:* comment a checked
-// artifact. Annotations are load-bearing in this repo — hotpath and
-// detflow prove invariants from them, borrowck trusts them across
-// calls — so a misspelled verb, an argument that no longer names
-// anything, or a directive orphaned by a refactor must be a lint
-// error, not a silently dead marker.
+// artifact. Annotations are load-bearing in this repo — detflow proves
+// its invariant from them — so a misspelled verb, a retired verb, or a
+// directive orphaned by a refactor must be a lint error, not a
+// silently dead marker.
 //
 // Rules, per directive:
 //
-//   - the verb must be one of hotpath, coldpath, deterministic,
-//     configload, borrowed (there is no waiver verb: a finding is
-//     fixed, not suppressed);
-//   - hotpath, coldpath, deterministic and configload must sit in a
-//     function declaration's doc comment and take no arguments —
-//     arguments are only meaningful in _test.go gate files, which the
-//     simlint driver never loads (the static-vs-gate match tests
-//     validate those);
-//   - borrowed must sit in a function declaration's doc comment and
-//     every argument must name that function's receiver or one of its
-//     parameters.
+//   - the verb must be deterministic or configload (there is no waiver
+//     verb: a finding is fixed, not suppressed);
+//   - it must sit in a function declaration's doc comment and take no
+//     arguments — arguments are only meaningful in _test.go gate
+//     files, which the simlint driver never loads (the static-vs-gate
+//     match test validates those).
 //
 // The analyzer needs no call-graph facts: every rule is local to the
 // package under analysis, so it runs on all packages (including cmd/
@@ -33,15 +27,13 @@ import (
 
 // funcVerbs are the verbs that mark a function declaration.
 var funcVerbs = map[string]bool{
-	"hotpath":       true,
-	"coldpath":      true,
 	"deterministic": true,
 	"configload":    true,
 }
 
 var Analyzer = &analysis.Analyzer{
 	Name: "directives",
-	Doc:  "every //simlint:* comment must parse, resolve and attach to a declaration",
+	Doc:  "every //simlint:* comment must parse and attach to a declaration",
 	Run:  run,
 }
 
@@ -75,8 +67,6 @@ func run(pass *analysis.Pass) error {
 					case len(args) > 0:
 						pass.Reportf(c.Pos(), "//simlint:%s takes no arguments outside _test.go gate files", verb)
 					}
-				case verb == "borrowed":
-					checkBorrowed(pass, c, args, docOf[c])
 				default:
 					pass.Reportf(c.Pos(), "unknown simlint directive %q", verb)
 				}
@@ -84,36 +74,4 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 	return nil
-}
-
-// checkBorrowed validates a borrow annotation: attached to a function
-// declaration, with every argument naming its receiver or a
-// parameter.
-func checkBorrowed(pass *analysis.Pass, c *ast.Comment, args []string, fd *ast.FuncDecl) {
-	if fd == nil {
-		pass.Reportf(c.Pos(), "//simlint:borrowed is not attached to a function declaration; the annotation is dead")
-		return
-	}
-	if len(args) == 0 {
-		pass.Reportf(c.Pos(), "//simlint:borrowed names no parameters; say which values are lent")
-		return
-	}
-	names := map[string]bool{}
-	addFields := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, id := range f.Names {
-				names[id.Name] = true
-			}
-		}
-	}
-	addFields(fd.Recv)
-	addFields(fd.Type.Params)
-	for _, name := range args {
-		if !names[name] {
-			pass.Reportf(c.Pos(), "//simlint:borrowed names %q, which is not a receiver or parameter of %s", name, fd.Name.Name)
-		}
-	}
 }

@@ -1,43 +1,30 @@
 // Package dir exercises the directives analyzer: every //simlint:*
-// comment must parse, resolve and attach to a declaration. The
-// analyzer anchors diagnostics at the directive itself, so the want
-// expectations ride inside the directive comments — SplitDirective
-// cuts the directive at an embedded "//" remark, so the trailing want
-// text never reads as arguments.
+// comment must parse and attach to a declaration. The analyzer anchors
+// diagnostics at the directive itself, so the want expectations ride
+// inside the directive comments — SplitDirective cuts the directive at
+// an embedded "//" remark, so the trailing want text never reads as
+// arguments.
 package dir
 
 // Good is properly annotated: a bare func verb on a declaration.
 //
-//simlint:hotpath
+//simlint:deterministic
 func Good() {}
 
-type holder struct{}
-
-// GoodBorrow lends both its receiver and its parameter, in the
-// comma-separated form.
+// Load is a config loader, the other func verb.
 //
-//simlint:borrowed h,b
-func (h *holder) GoodBorrow(b []int) { _ = b }
+//simlint:configload
+func Load() {}
 
 // Timed carries arguments, which only _test.go gate files may.
 //
-//simlint:hotpath extra // want `//simlint:hotpath takes no arguments outside _test\.go gate files`
+//simlint:deterministic extra // want `//simlint:deterministic takes no arguments outside _test\.go gate files`
 func Timed() {}
-
-// Lend forgets to say which value is lent.
-//
-//simlint:borrowed // want `//simlint:borrowed names no parameters; say which values are lent`
-func Lend(batch []int) { _ = batch }
-
-// Lend2 names a parameter that does not exist.
-//
-//simlint:borrowed batches // want `//simlint:borrowed names "batches", which is not a receiver or parameter of Lend2`
-func Lend2(batch []int) { _ = batch }
 
 func orphans() {
 	//simlint:deterministic // want `//simlint:deterministic is not attached to a function declaration; the annotation is dead`
-	//simlint:borrowed batch // want `//simlint:borrowed is not attached to a function declaration; the annotation is dead`
-	//simlint:hotpat // want `unknown simlint directive "hotpat"`
+	//simlint:configload // want `//simlint:configload is not attached to a function declaration; the annotation is dead`
+	//simlint:determinstic // want `unknown simlint directive "determinstic"`
 	//simlint: // want `empty simlint directive`
 	_ = 0
 }
@@ -54,3 +41,12 @@ func waived() {
 //
 //simlint:state // want `unknown simlint directive "state"`
 type Ledger struct{ n int }
+
+// Hot carries the retired allocation and borrowing verbs. The runtime
+// allocation gates and the poisoned-buffer test hold what they marked,
+// so a stale one reports like any unknown verb.
+//
+//simlint:hotpath // want `unknown simlint directive "hotpath"`
+//simlint:coldpath // want `unknown simlint directive "coldpath"`
+//simlint:borrowed batch // want `unknown simlint directive "borrowed"`
+func Hot(batch []int) { _ = batch }

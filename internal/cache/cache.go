@@ -362,8 +362,6 @@ const (
 // with exactly one of HitAt / MissAt / NoteUnsampled to keep the
 // statistics and replacement state coherent; Read and Write wrap the
 // pairing for callers that want one-shot semantics.
-//
-//simlint:hotpath
 func (c *Cache) Probe(addr uint64) (way uint64, st ProbeStatus) {
 	// Written flat (no index/sampled/base helpers) to stay under the
 	// inlining budget.
@@ -431,13 +429,11 @@ func (p *Prober) DeferHits() bool { return p.deferHits }
 // sub-slice so the compiler drops the per-way bounds checks, which
 // keeps the method within the inlining budget at every call site.
 //
-// The snapshot is borrowed for the batch: its tags slice aliases the
-// cache's live storage, so keeping a Prober (or anything reached
-// through it) past the replay batch would let stale geometry or a
-// resized cache corrupt a later probe.
-//
-//simlint:hotpath
-//simlint:borrowed p
+// The snapshot is borrowed for the batch: the caller keeps the Prober
+// on its stack and probes through it again after the call returns, so
+// Probe must not keep p. Kept, p would make the caller's Prober escape
+// to the heap, and its tags slice, which aliases the cache's live
+// storage, would let stale geometry corrupt a later probe.
 func (p *Prober) Probe(addr uint64) (way uint64, st ProbeStatus) {
 	blk := addr >> p.blockShift
 	set := blk & p.setMask
@@ -457,15 +453,11 @@ func (p *Prober) Probe(addr uint64) (way uint64, st ProbeStatus) {
 // AddHits credits n deferred read hits in one update. Only valid when
 // the cache's Prober reports DeferHits — each credited hit must have
 // been a Probe that returned ProbeHit with no other bookkeeping due.
-//
-//simlint:hotpath
 func (c *Cache) AddHits(n uint64) { c.stats.Hits += n }
 
 // HitAt does the bookkeeping of a tag match at the way Probe returned:
 // hit count, replacement clock and LRU stamp, write-policy effects.
 // Inlinable, so the hit path stays call-free end to end.
-//
-//simlint:hotpath
 func (c *Cache) HitAt(way uint64, write bool) {
 	c.stats.Hits++
 	if c.stamped {
@@ -486,8 +478,6 @@ func (c *Cache) HitAt(way uint64, write bool) {
 }
 
 // NoteUnsampled counts a reference skipped by set sampling.
-//
-//simlint:hotpath
 func (c *Cache) NoteUnsampled() { c.stats.Unsampled++ }
 
 // Read presents a load at addr.
@@ -514,8 +504,6 @@ func (c *Cache) access(addr uint64, write bool) Result {
 
 // MissAt handles fill, eviction and write-policy accounting for a
 // sampled reference Probe classified as a miss.
-//
-//simlint:hotpath
 func (c *Cache) MissAt(addr uint64, write bool) Result {
 	set, tag := c.index(addr)
 	base := c.base(set)

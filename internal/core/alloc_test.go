@@ -2,9 +2,14 @@ package core
 
 // Allocation-regression guards: the steady-state access path must not
 // allocate, or multi-hundred-million-reference sweeps spend their time
-// in the garbage collector. Any append/boxing/map-growth sneaking into
-// Access, AccessBatch, AccessOutcome or a logged fan-out's step fails
-// here immediately.
+// in the garbage collector. These gates, with timing's, workload's and
+// `make bench-smoke`, are what holds that: any allocation on a path of
+// Access, AccessBatch, AccessOutcome, a logged fan-out's step or a live
+// or stored replay fails one of them. Check a planted allocation
+// against each gate alone (go test -run '^Name$'): an amortized one,
+// such as an append to a package slice, costs a gate only while the
+// slice grows, and in a full package run that depends on what earlier
+// tests appended.
 
 import (
 	"context"
@@ -43,12 +48,13 @@ func warm(sys *System) *System {
 // TestAccessDoesNotAllocate gates Access on the default system and on
 // every component row (componentRows), so each component's steady
 // state is measured, not only the default system's. Each call group
-// adds four scattered reads to a sequential read, write and instruction
-// fetch. They miss the L1, the streams and the unit filter, so the
+// adds four scattered reads, a scattered instruction fetch and a
+// scattered store to a sequential read, write and instruction fetch.
+// The reads miss the L1, the streams and the unit filter, so the
 // stride detector observes each, and an allocation per observation
-// shows although AllocsPerRun rounds its average down.
-//
-//simlint:hotpath (*streamsim/internal/core.System).Access
+// shows although AllocsPerRun rounds its average down. The fetch
+// misses into the instruction stream set of the partitioned row, and
+// the store misses the no-write-allocate row's data cache.
 func TestAccessDoesNotAllocate(t *testing.T) {
 	rows := append([]componentRow{{"default", DefaultConfig(), false}}, componentRows()...)
 	for _, row := range rows {
@@ -64,6 +70,9 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 					scattered := mem.Addr(uint32(4*i+k)*2654435761>>12) << 6
 					sys.Access(mem.Access{Addr: 1<<28 + scattered, Kind: mem.Read})
 				}
+				scattered := mem.Addr(uint32(i)*2654435761>>12) << 6
+				sys.Access(mem.Access{Addr: 1<<29 + scattered, Kind: mem.IFetch})
+				sys.Access(mem.Access{Addr: 1<<30 + scattered, Kind: mem.Write})
 				i++
 			})
 			if avg != 0 {
@@ -73,7 +82,6 @@ func TestAccessDoesNotAllocate(t *testing.T) {
 	}
 }
 
-//simlint:hotpath (*streamsim/internal/core.System).AccessOutcome
 func TestAccessOutcomeDoesNotAllocate(t *testing.T) {
 	sys := warmedSystem(t, DefaultConfig())
 	i := 0
@@ -86,7 +94,6 @@ func TestAccessOutcomeDoesNotAllocate(t *testing.T) {
 	}
 }
 
-//simlint:hotpath (*streamsim/internal/core.System).AccessBatch
 func TestAccessBatchDoesNotAllocate(t *testing.T) {
 	sys := warmedSystem(t, DefaultConfig())
 	batch := make([]mem.Access, 256)
@@ -108,8 +115,8 @@ func TestAccessBatchDoesNotAllocate(t *testing.T) {
 // TestLoggedStepDoesNotAllocate drives the per-batch step of a logged
 // fan-out: a leader logging its misses, a follower replaying the tap
 // one logged reference at a time, and a second class's lone leader.
-//
-//simlint:hotpath (*streamsim/internal/core.frontPlan).step
+// Then it drives the plan's replay loop over a one-batch store, so an
+// allocation per replay call shows too.
 func TestLoggedStepDoesNotAllocate(t *testing.T) {
 	plain := DefaultConfig()
 	plain.UnitFilterEntries, plain.Stride = 0, NoStrideDetection
@@ -154,6 +161,19 @@ func TestLoggedStepDoesNotAllocate(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("a logged step allocates %v times per batch; want 0", avg)
 	}
+	st := trace.NewStore(0)
+	for _, w := range batch {
+		st.Append(mem.Access{Addr: mem.Addr(w >> 2), Kind: mem.Kind(w & 3)})
+	}
+	avg = testing.AllocsPerRun(200, func() {
+		it := st.Iter()
+		if err := p.replay(context.Background(), &it, st.Len(), batch, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Errorf("the plan's replay loop allocates %v times per call; want 0", avg)
+	}
 }
 
 // TestReplayAllocationsDoNotGrow gates a whole replay, not one call:
@@ -165,9 +185,9 @@ func TestLoggedStepDoesNotAllocate(t *testing.T) {
 // invalidated; a total over a whole replay does not. The trace's first
 // window only reads, so it writes nothing back, and the is kernel after
 // it invalidates thousands of stream entries in the 4 KB L1s'
-// configuration.
-//
-//simlint:hotpath streamsim/internal/core.ReplayStoreMultiPrefixFrom
+// configuration. The fan-out adds every component row, so the rare
+// paths of each component count too: a victim hit on a dirty line, an
+// unsampled reference, a stride detector without the unit filter.
 func TestReplayAllocationsDoNotGrow(t *testing.T) {
 	st := trace.NewStore(0)
 	for i := 0; i < trace.WindowRefs; i++ {
@@ -184,11 +204,14 @@ func TestReplayAllocationsDoNotGrow(t *testing.T) {
 	cfg.L1I.SizeBytes, cfg.L1D.SizeBytes = 4<<10, 4<<10
 	replay := func(windows int) (allocs float64, invalidations uint64) {
 		allocs = testing.AllocsPerRun(1, func() {
-			sys := mustNew(t, cfg)
-			if err := ReplayStoreMultiPrefixFrom(context.Background(), []*System{sys}, st, 0, windows); err != nil {
+			systems := []*System{mustNew(t, cfg)}
+			for _, row := range componentRows() {
+				systems = append(systems, row.build(t))
+			}
+			if err := ReplayStoreMultiPrefixFrom(context.Background(), systems, st, 0, windows); err != nil {
 				t.Fatal(err)
 			}
-			invalidations = sys.Results().Streams.Invalidations
+			invalidations = systems[0].Results().Streams.Invalidations
 		})
 		return allocs, invalidations
 	}
@@ -202,12 +225,25 @@ func TestReplayAllocationsDoNotGrow(t *testing.T) {
 	}
 }
 
-// frontSlot is a FrontMemo holding at most one front, which it hands
-// every lookup: enough for replays of one front class.
-type frontSlot struct{ f *Front }
+// frontMap is a FrontMemo of one recording, a front per key.
+type frontMap map[frontKey]*Front
 
-func (m *frontSlot) Front(Config) *Front { return m.f }
-func (m *frontSlot) AddFront(f *Front)   { m.f = f }
+func (m frontMap) Front(cfg Config) *Front {
+	for _, f := range m {
+		if f.Serves(cfg) {
+			return f
+		}
+	}
+	return nil
+}
+
+func (m frontMap) AddFront(f *Front) { m[f.key] = f }
+
+// recordOnly stores fronts and serves none, so every replay through it
+// records its front.
+type recordOnly struct{ frontMap }
+
+func (recordOnly) Front(Config) *Front { return nil }
 
 // TestStoredReplayAllocationsDoNotGrow gates a replay served from a
 // stored front the way TestReplayAllocationsDoNotGrow gates a live one:
@@ -215,13 +251,14 @@ func (m *frontSlot) AddFront(f *Front)   { m.f = f }
 // trace of many windows, the same systems allocate the same total,
 // with and without miss logs, so decoding a stored front and replaying
 // it through the backends allocates nothing per batch or per event.
+// Recording a front allocates a few times more over the long trace at
+// most: its log grows by doubling from half a byte per reference, and
+// an allocation per batch would add over a thousand.
 // The long trace is TestReplayAllocationsDoNotGrow's, whose write-backs
 // invalidate thousands of stream entries. The process's first garbage
 // collection starts the collector's worker goroutines, an allocation
 // each, so the test collects once before it measures: otherwise a
 // first collection that lands in a measured replay counts against it.
-//
-//simlint:hotpath streamsim/internal/core.ReplayStoreFronts
 func TestStoredReplayAllocationsDoNotGrow(t *testing.T) {
 	runtime.GC()
 	short, long := trace.NewStore(0), trace.NewStore(0)
@@ -254,11 +291,15 @@ func TestStoredReplayAllocationsDoNotGrow(t *testing.T) {
 		})
 		return allocs, invalidations
 	}
-	shortMemo, longMemo := &frontSlot{}, &frontSlot{}
-	replay(short, shortMemo, nil)
-	replay(long, longMemo, nil)
-	if shortMemo.f == nil || longMemo.f == nil {
+	shortMemo, longMemo := frontMap{}, frontMap{}
+	shortRec, _ := replay(short, recordOnly{shortMemo}, nil)
+	longRec, _ := replay(long, recordOnly{longMemo}, nil)
+	if len(shortMemo) == 0 || len(longMemo) == 0 {
 		t.Fatal("the recording replays stored no front")
+	}
+	if longRec > shortRec+32 {
+		t.Errorf("recording a front allocates %v times over one window and %v over %d batches; want at most 32 more",
+			shortRec, longRec, long.Len()/trace.ReplayBatchLen)
 	}
 	for _, logged := range []func(int){nil, visit} {
 		shortAllocs, shortInv := replay(short, shortMemo, logged)

@@ -149,8 +149,6 @@ func newFrontWriter(key frontKey, refs int) *frontWriter {
 // log the leader's tap and miss log for it. It runs only while a
 // leader records its front, once per recording and front key, and its
 // log grows as it goes.
-//
-//simlint:coldpath
 func (w *frontWriter) add(words, tap []uint64, log []Miss) {
 	start := 0
 	for _, e := range log {
@@ -253,8 +251,6 @@ func (r *frontReader) uvarint() uint64 {
 // next decodes the next n references' entries: the tap the leader
 // would have recorded for them and its miss log, positions relative to
 // the batch. Both are valid until the next call.
-//
-//simlint:hotpath
 func (r *frontReader) next(n int) (tap []uint64, log []Miss) {
 	end := r.base + n
 	tap, log = r.tap[:0], r.entries[:0]

@@ -167,10 +167,8 @@ func (c *frontClass) fresh() bool {
 // events — one logged reference at a time when the miss logs are
 // armed. A leader without followers has a nil tap and records nothing
 // unless it records its front. words is nil when no class has a
-// leader.
-//
-//simlint:hotpath
-//simlint:borrowed words
+// leader. The caller decodes the next batch into words after the call
+// returns, so step keeps no part of it.
 func (p *frontPlan) step(words []uint64, n int) {
 	for i := range p.classes {
 		c := &p.classes[i]
@@ -199,12 +197,11 @@ func (p *frontPlan) step(words []uint64, n int) {
 
 // replay steps the plan over refs references of it, decoding each
 // batch only when some class has a leader, hands each batch's length
-// to visit when it is non-nil, and polls ctx between batches. On
-// cancellation every system has consumed the same prefix, visit has
-// seen every batch they consumed, and ctx.Err() is returned.
-//
-//simlint:hotpath
-//simlint:borrowed buf
+// to visit when it is non-nil, and polls ctx between batches. buf is
+// the decode buffer, which the caller may reuse or drop once the call
+// returns, so replay keeps no part of it. On cancellation every system
+// has consumed the same prefix, visit has seen every batch they
+// consumed, and ctx.Err() is returned.
 func (p *frontPlan) replay(ctx context.Context, it *trace.StoreIter, refs int, buf []uint64, visit func(n int)) error {
 	done := ctx.Done()
 	for refs > 0 {

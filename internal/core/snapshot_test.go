@@ -33,11 +33,15 @@ func (r componentRow) build(t *testing.T) *System {
 // componentRows are systems that together enable every component a
 // System can hold: random, LRU and FIFO L1s, victim buffers, unified
 // and partitioned streams with and without latency, the unit, czone
-// and min-delta filters, and the traffic hooks. Each is DefaultConfig
-// with 4 KB L1s, which keep a short trace evicting into the victim
-// buffers and missing into the streams and filters.
-// TestSnapshotCopiesAreDeep walks their snapshot copies and
-// TestAccessDoesNotAllocate gates their access path.
+// and min-delta filters, a stride detector without the unit filter,
+// the traffic hooks, a no-write-allocate data cache, a system without
+// streams and set sampling.
+// Each is DefaultConfig with 4 KB L1s, which keep a short trace
+// evicting into the victim buffers and missing into the streams and
+// filters. TestSnapshotCopiesAreDeep walks their snapshot copies,
+// TestAccessDoesNotAllocate and TestReplayAllocationsDoNotGrow gate
+// their replay paths, and TestReplayIgnoresPoisonedBuffers lends them
+// poisoned buffers.
 func componentRows() []componentRow {
 	row := func(name string, hooks bool, set func(*Config)) componentRow {
 		cfg := DefaultConfig()
@@ -58,6 +62,14 @@ func componentRows() []componentRow {
 		row("FIFO L1s, unfiltered streams, hooks", true, func(c *Config) {
 			c.L1I.Replacement, c.L1D.Replacement = cache.FIFO, cache.FIFO
 			c.UnitFilterEntries, c.Stride = 0, NoStrideDetection
+		}),
+		row("no-write-allocate data cache, no streams", false, func(c *Config) {
+			c.L1D.Alloc = cache.NoWriteAllocate
+			c.Streams.Streams, c.UnitFilterEntries, c.Stride = 0, 0, NoStrideDetection
+		}),
+		row("set-sampled L1s, czone without the unit filter", false, func(c *Config) {
+			c.L1I.SampleEvery, c.L1D.SampleEvery = 2, 2
+			c.UnitFilterEntries = 0
 		}),
 	}
 }

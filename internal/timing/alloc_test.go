@@ -12,8 +12,6 @@ import (
 // TestChargeBatchDoesNotAllocate: charging a batch — bulk hits, and
 // logged misses of every level through the secondary cache and the bus
 // — allocates nothing.
-//
-//simlint:hotpath (*streamsim/internal/timing.Model).chargeBatch
 func TestChargeBatchDoesNotAllocate(t *testing.T) {
 	l2 := cache.Config{
 		Name: "L2", SizeBytes: 64 << 10, Assoc: 4, BlockBytes: 64,

@@ -178,8 +178,6 @@ func (m *Model) Access(a mem.Access) {
 // charge bills the latency of one reference to addr (a store when
 // write) that the memory system serviced as out. It is the one charge
 // of both Access and chargeBatch.
-//
-//simlint:hotpath
 func (m *Model) charge(addr mem.Addr, write bool, out core.Outcome) {
 	// Bus occupancy: every block moved (prefetches issued on this
 	// access, plus a write-back, plus a demand fetch) holds the bus.
@@ -250,10 +248,9 @@ func (m *Model) Results() core.Results { return m.sys.Results() }
 // each run of hits between two logged references costs (L1Hit +
 // perAccess) cycles per reference, added in one step before the miss
 // that ends the run, and the ledger's hit and instruction counts are
-// added once per batch.
-//
-//simlint:hotpath
-//simlint:borrowed log
+// added once per batch. The caller reuses log after the call returns:
+// it is the system's miss log, which the next batch overwrites, so
+// chargeBatch keeps no part of it.
 func (m *Model) chargeBatch(n int, log []core.Miss, perAccess uint64) {
 	hit := m.lat.L1Hit + perAccess
 	next := 0

@@ -247,8 +247,6 @@ func (s *Store) Append(a mem.Access) {
 // AppendBatch encodes a batch of accesses in order. The batch is the
 // caller's: workloads flush one reused buffer through here, so the
 // encoder must be done with it when it returns.
-//
-//simlint:borrowed accs
 func (s *Store) AppendBatch(accs []mem.Access) {
 	for i := range accs {
 		s.Append(accs[i])
@@ -260,9 +258,7 @@ func (s *Store) AppendBatch(accs []mem.Access) {
 func (s *Store) Access(a mem.Access) { s.Append(a) }
 
 // AccessBatch is AppendBatch under the name workload.BatchSink
-// expects.
-//
-//simlint:borrowed accs
+// expects; like AppendBatch, it is done with accs when it returns.
 func (s *Store) AccessBatch(accs []mem.Access) { s.AppendBatch(accs) }
 
 // AddInstructions records n retired instructions at the current
@@ -473,8 +469,6 @@ func (it *StoreIter) nextSizeIdx() int {
 // same iterator would decode PC deltas that belong to already-consumed
 // references: an iterator must stick to one of Next or NextPacked for
 // its lifetime.
-//
-//simlint:hotpath
 func (it *StoreIter) NextPacked(buf []uint64) int {
 	n := it.s.n - it.i
 	if n <= 0 {

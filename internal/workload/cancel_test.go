@@ -130,8 +130,6 @@ func TestRunContextMatchesRun(t *testing.T) {
 // TestCancelCheckAllocFree is the alloc gate for the context check:
 // a machine generating references under a live, cancellable context
 // must stay allocation-free on the emit hot path.
-//
-//simlint:hotpath (*streamsim/internal/workload.Machine).SeqLoad
 func TestCancelCheckAllocFree(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -237,8 +237,6 @@ func (m *Machine) emit(a mem.Access) {
 // checkCancel polls the cancellation signal; a non-blocking receive on
 // a (possibly nil) channel, so the per-batch cost is a few nanoseconds
 // and the per-reference cost is zero.
-//
-//simlint:hotpath
 func (m *Machine) checkCancel() {
 	select {
 	case <-m.done:
