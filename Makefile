@@ -109,16 +109,35 @@ replay-smoke:
 	cmp $(PAPER_GOLDEN) replay-alone.out
 	rm -f replay-1worker.out replay-nworker.out replay-alone.out replay-paperexp
 
-# sweep-smoke exercises the parallel sweep scheduler end to end: the
-# same 8-value stream-count sweep runs serial (-parallel 1) and at one
-# worker per CPU (-parallel 0); the two outputs must be byte-identical
-# (the scheduler preserves deterministic value order at any width).
-SWEEP_SMOKE_ARGS = -workload mgrid -param streams -values 1,2,3,4,6,8,12,16 -scale 0.1
+# sweep-smoke checks a sweep against its points run alone: it builds
+# cmd/sweep once, runs the 8-value stream-count sweep and a 3-value cpi
+# depth sweep, then runs each value alone, each in a fresh process,
+# and compares the joined data rows of the solo runs with the sweep's
+# rows (awk drops the title and header and the column padding, which
+# follows the widest value). A sweep replays its points together
+# through the recording's results memo and stored L1 front
+# (sweeprun.Results), and a cpi sweep charges every point's timing
+# model in one pass of the trace, so a diff is a point the shared pass
+# got wrong.
+SWEEP_SMOKE = ./sweep-smoke-bin -workload mgrid -scale 0.1
+SWEEP_ROWS = awk 'NR > 4 { $$1 = $$1; print }'
 sweep-smoke:
-	$(GO) run ./cmd/sweep $(SWEEP_SMOKE_ARGS) -parallel 1 > sweep-serial.out
-	$(GO) run ./cmd/sweep $(SWEEP_SMOKE_ARGS) -parallel 0 > sweep-parallel.out
-	cmp sweep-serial.out sweep-parallel.out
-	rm -f sweep-serial.out sweep-parallel.out
+	$(GO) build -o sweep-smoke-bin ./cmd/sweep
+	$(SWEEP_SMOKE) -param streams -values 1,2,3,4,6,8,12,16 > sweep-all.out
+	$(SWEEP_ROWS) sweep-all.out > sweep-rows.out
+	for v in 1 2 3 4 6 8 12 16; do \
+		$(SWEEP_SMOKE) -param streams -values $$v > sweep-one.out || exit 1; \
+		$(SWEEP_ROWS) sweep-one.out; \
+	done > sweep-solo.out
+	cmp sweep-rows.out sweep-solo.out
+	$(SWEEP_SMOKE) -metric cpi -param depth -values 1,2,4 > sweep-all.out
+	$(SWEEP_ROWS) sweep-all.out > sweep-rows.out
+	for v in 1 2 4; do \
+		$(SWEEP_SMOKE) -metric cpi -param depth -values $$v > sweep-one.out || exit 1; \
+		$(SWEEP_ROWS) sweep-one.out; \
+	done > sweep-solo.out
+	cmp sweep-rows.out sweep-solo.out
+	rm -f sweep-smoke-bin sweep-all.out sweep-rows.out sweep-one.out sweep-solo.out
 
 # optimize-smoke is the config-space optimizer gate: on a space small
 # enough to enumerate, seeded successive halving must converge on the

@@ -24,7 +24,8 @@
 //	      -constraint 'eb<=30' -seed 7
 //
 // Optimizer output is bit-reproducible for a fixed -seed at any
-// -parallel width.
+// -parallel width. -parallel applies only with -optimize: a sweep's
+// points replay together, in one pass over the recorded trace.
 package main
 
 import (
@@ -65,7 +66,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		metric = fs.String("metric", "hit", "metric: hit, eb, missrate or cpi")
 		scale  = fs.Float64("scale", 0.5, "workload iteration scale in (0, 1]")
 		sizeS  = fs.String("size", "small", "input size: small or large")
-		par    = fs.Int("parallel", 1, "max sweep points measured concurrently (0 = one per CPU); results are identical at any width")
+		par    = fs.Int("parallel", 1, "with -optimize, evaluation groups per generation (0 = one per CPU); results are identical at any width")
 		plotIt = fs.Bool("plot", false, "render the sweep as an ASCII chart")
 		cpupr  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		mempr  = fs.String("memprofile", "", "write a heap profile to this file")
@@ -112,6 +113,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 			constraints: constraints, parallel: parallel, scratch: *scratch,
 		}, stdout, stderr)
 	}
+	parSet := false
+	fs.Visit(func(f *flag.Flag) { parSet = parSet || f.Name == "parallel" })
+	if parSet {
+		return fmt.Errorf("-parallel applies only with -optimize")
+	}
 	if *name == "" || *param == "" || *values == "" {
 		return fmt.Errorf("-workload, -param and -values are required")
 	}
@@ -124,10 +130,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		vals = append(vals, v)
 	}
 
-	parallel := *par
-	if parallel == 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
 	spec := sweeprun.Spec{
 		Workload: *name,
 		Size:     *sizeS,
@@ -135,7 +137,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (err erro
 		Values:   vals,
 		Metric:   *metric,
 		Scale:    *scale,
-		Parallel: parallel,
 	}
 	t, series, err := sweeprun.Run(ctx, spec)
 	if err != nil {

@@ -251,24 +251,15 @@ func TestOptimizeFlagValidation(t *testing.T) {
 	}
 }
 
-func TestParallelFlagMatchesSequential(t *testing.T) {
-	seq, err := doRun(t, "-workload", "is", "-param", "streams",
-		"-values", "1,4,10", "-scale", "0.05")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []string{"3", "0"} { // explicit width and one-per-CPU
-		got, err := doRun(t, "-workload", "is", "-param", "streams",
+// TestParallelFlagNeedsOptimize: -parallel sizes the optimizer's
+// generations only; a sweep that sets it, at any value, is rejected
+// before anything runs.
+func TestParallelFlagNeedsOptimize(t *testing.T) {
+	for _, par := range []string{"1", "3", "0"} {
+		_, err := doRun(t, "-workload", "is", "-param", "streams",
 			"-values", "1,4,10", "-scale", "0.05", "-parallel", par)
-		if err != nil {
-			t.Fatal(err)
+		if err == nil || !strings.Contains(err.Error(), "-optimize") {
+			t.Errorf("a sweep with -parallel %s returned %v, want an error naming -optimize", par, err)
 		}
-		if got != seq {
-			t.Errorf("-parallel %s output diverged:\nsequential:\n%s\nparallel:\n%s", par, seq, got)
-		}
-	}
-	if _, err := doRun(t, "-workload", "is", "-param", "streams",
-		"-values", "1", "-parallel", "-2", "-scale", "0.05"); err == nil {
-		t.Fatal("negative -parallel should fail")
 	}
 }

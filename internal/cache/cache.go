@@ -671,39 +671,3 @@ func (c *Cache) Contains(addr uint64) bool {
 	}
 	return false
 }
-
-// Invalidate removes the block holding addr if resident, returning
-// whether it was present and whether it was dirty.
-func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	if !c.sampled(set) {
-		return false, false
-	}
-	base := c.base(set)
-	for i := base; i < base+uint64(c.cfg.Assoc); i++ {
-		if c.meta[i]&flagValid != 0 && c.tags[i] == tag {
-			present, dirty = true, c.meta[i]&flagDirty != 0
-			c.meta[i] = 0
-			c.tags[i] = invalidTag
-			return present, dirty
-		}
-	}
-	return false, false
-}
-
-// Flush invalidates every line, counting dirty lines as write-backs.
-func (c *Cache) Flush() {
-	for i := range c.meta {
-		if c.meta[i]&(flagValid|flagDirty) == flagValid|flagDirty {
-			c.stats.WriteBacks++
-		}
-		c.meta[i] = 0
-		c.tags[i] = invalidTag
-	}
-	for i := range c.used {
-		c.used[i] = 0
-	}
-	for i := range c.filled {
-		c.filled[i] = 0
-	}
-}

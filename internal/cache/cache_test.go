@@ -219,39 +219,6 @@ func TestSetSampling(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := small(t)
-	c.Write(0)
-	present, dirty := c.Invalidate(0)
-	if !present || !dirty {
-		t.Errorf("Invalidate = (%v, %v), want (true, true)", present, dirty)
-	}
-	if c.Contains(0) {
-		t.Error("block still resident after invalidate")
-	}
-	present, _ = c.Invalidate(0)
-	if present {
-		t.Error("second invalidate should find nothing")
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c := small(t)
-	c.Write(0)
-	c.Read(64)
-	c.Flush()
-	if c.Contains(0) || c.Contains(64) {
-		t.Error("flush should empty the cache")
-	}
-	if got := c.Stats().WriteBacks; got != 1 {
-		t.Errorf("WriteBacks = %d, want 1 (one dirty line)", got)
-	}
-}
-
-// TestCountInto pins the counter redirection a memory system builds
-// on: once pointed at a value the cache counts there and only there,
-// its contents are untouched, and a clone counts into a copy of its
-// own.
 func TestCountInto(t *testing.T) {
 	c := small(t)
 	c.Read(0)

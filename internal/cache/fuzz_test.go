@@ -21,21 +21,13 @@ func FuzzCacheOps(f *testing.F) {
 		}
 		resident := map[uint64]bool{} // our belief, updated from results
 		for _, op := range ops {
-			addr := uint64(op) * 64
+			addr := uint64(op>>1) * 64
 			blk := addr / 64
 			var res Result
-			switch op % 3 {
-			case 0:
+			if op&1 == 0 {
 				res = c.Read(addr)
-			case 1:
+			} else {
 				res = c.Write(addr)
-			case 2:
-				present, _ := c.Invalidate(addr)
-				if present != resident[blk] {
-					t.Fatalf("Invalidate(%#x) present=%v, believed %v", addr, present, resident[blk])
-				}
-				delete(resident, blk)
-				continue
 			}
 			if !res.Sampled {
 				t.Fatal("unsampled result without set sampling")

@@ -75,11 +75,6 @@ func presets() map[string]core.Config {
 	}
 }
 
-// PresetNames lists the accepted preset names.
-func PresetNames() []string {
-	return []string{"paper", "section5", "section6", "bare"}
-}
-
 // Build resolves the file into a core.Config.
 func (f *File) Build() (core.Config, error) {
 	cfg, ok := presets()[f.Preset]

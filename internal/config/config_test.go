@@ -43,11 +43,17 @@ func TestPresets(t *testing.T) {
 			t.Errorf("preset %s produced %+v", name, cfg)
 		}
 	}
-	if _, err := (&File{Preset: "section99"}).Build(); err == nil {
-		t.Error("unknown preset should fail")
+	_, err := (&File{Preset: "section99"}).Build()
+	if err == nil {
+		t.Fatal("unknown preset should fail")
 	}
-	if len(PresetNames()) != 4 {
-		t.Error("PresetNames out of date")
+	for name := range presets() {
+		if _, ok := cases[name]; !ok && name != "" {
+			t.Errorf("preset %q is not checked", name)
+		}
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("the unknown-preset error %q does not list %q", err, name)
+		}
 	}
 }
 

@@ -225,25 +225,39 @@ func TestReplayAllocationsDoNotGrow(t *testing.T) {
 	}
 }
 
-// frontMap is a FrontMemo of one recording, a front per key.
-type frontMap map[frontKey]*Front
+// oneFront is a FrontMemo of one recording.
+type oneFront struct{ f *Front }
 
-func (m frontMap) Front(cfg Config) *Front {
-	for _, f := range m {
-		if f.Serves(cfg) {
-			return f
-		}
+func (m *oneFront) Front() *Front { return m.f }
+
+func (m *oneFront) AddFront(f *Front) {
+	if m.f == nil {
+		m.f = f
 	}
-	return nil
 }
 
-func (m frontMap) AddFront(f *Front) { m[f.key] = f }
+// recordOnly stores the front and serves none, so every replay through
+// it records the front.
+type recordOnly struct{ *oneFront }
 
-// recordOnly stores fronts and serves none, so every replay through it
-// records its front.
-type recordOnly struct{ frontMap }
+func (recordOnly) Front() *Front { return nil }
 
-func (recordOnly) Front(Config) *Front { return nil }
+// invalidatingRuns appends n short runs to st that make the paper's L1s
+// write back a block a stream holds: each stores to a block, reads the
+// block before it, whose stream miss allocates a stream that prefetches
+// the stored block, and reads eight blocks of the stored block's set,
+// which evict it, dirty, before the stream is reallocated.
+func invalidatingRuns(st *trace.Store, n int) {
+	const base, way = mem.Addr(1 << 32), mem.Addr(16 << 10) // 64 KB over 4 ways
+	for k := 0; k < n; k++ {
+		x := base + mem.Addr(128*k+64)
+		st.Append(mem.Access{Addr: x, Kind: mem.Write})
+		st.Append(mem.Access{Addr: x - 64, Kind: mem.Read})
+		for j := mem.Addr(1); j <= 8; j++ {
+			st.Append(mem.Access{Addr: x + j*way, Kind: mem.Read})
+		}
+	}
+}
 
 // TestStoredReplayAllocationsDoNotGrow gates a replay served from a
 // stored front the way TestReplayAllocationsDoNotGrow gates a live one:
@@ -251,14 +265,15 @@ func (recordOnly) Front(Config) *Front { return nil }
 // trace of many windows, the same systems allocate the same total,
 // with and without miss logs, so decoding a stored front and replaying
 // it through the backends allocates nothing per batch or per event.
-// Recording a front allocates a few times more over the long trace at
-// most: its log grows by doubling from half a byte per reference, and
-// an allocation per batch would add over a thousand.
-// The long trace is TestReplayAllocationsDoNotGrow's, whose write-backs
-// invalidate thousands of stream entries. The process's first garbage
-// collection starts the collector's worker goroutines, an allocation
-// each, so the test collects once before it measures: otherwise a
-// first collection that lands in a measured replay counts against it.
+// The systems are the paper's L1s under each backend (paperRows), the
+// only front a memo stores. Recording a front allocates a few times
+// more over the long trace at most: its log grows by doubling from
+// half a byte per reference, and an allocation per batch would add
+// over a thousand. The long trace's write-backs invalidate thousands
+// of stream entries. The process's first garbage collection starts the
+// collector's worker goroutines, an allocation each, so the test
+// collects once before it measures: otherwise a first collection that
+// lands in a measured replay counts against it.
 func TestStoredReplayAllocationsDoNotGrow(t *testing.T) {
 	runtime.GC()
 	short, long := trace.NewStore(0), trace.NewStore(0)
@@ -267,23 +282,17 @@ func TestStoredReplayAllocationsDoNotGrow(t *testing.T) {
 		short.Append(a)
 		long.Append(a)
 	}
-	w, err := workload.New("is", workload.SizeSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(long, 0.01); err != nil {
-		t.Fatal(err)
-	}
-	plain := DefaultConfig()
-	plain.L1I.SizeBytes, plain.L1D.SizeBytes = 4<<10, 4<<10
-	filtered := plain
-	plain.UnitFilterEntries, plain.Stride = 0, NoStrideDetection
+	invalidatingRuns(long, 4000)
+	rows := paperRows()
 	ctx := context.Background()
 	batches := 0
 	visit := func(int) { batches++ }
 	replay := func(st *trace.Store, memo FrontMemo, visit func(int)) (allocs float64, invalidations uint64) {
 		allocs = testing.AllocsPerRun(1, func() {
-			systems := []*System{mustNew(t, plain), mustNew(t, filtered)}
+			systems := make([]*System, len(rows))
+			for i, row := range rows {
+				systems[i] = row.build(t)
+			}
 			if err := ReplayStoreFronts(ctx, systems, st, memo, visit); err != nil {
 				t.Fatal(err)
 			}
@@ -291,10 +300,10 @@ func TestStoredReplayAllocationsDoNotGrow(t *testing.T) {
 		})
 		return allocs, invalidations
 	}
-	shortMemo, longMemo := frontMap{}, frontMap{}
+	shortMemo, longMemo := &oneFront{}, &oneFront{}
 	shortRec, _ := replay(short, recordOnly{shortMemo}, nil)
 	longRec, _ := replay(long, recordOnly{longMemo}, nil)
-	if len(shortMemo) == 0 || len(longMemo) == 0 {
+	if shortMemo.f == nil || longMemo.f == nil {
 		t.Fatal("the recording replays stored no front")
 	}
 	if longRec > shortRec+32 {

@@ -4,7 +4,10 @@
 // every configuration of its evaluation shares one front per input;
 // once a replay has simulated that front, what any later system needs
 // from it is the backend events it taps, its miss log and its end
-// state, and those are a small fraction of the trace.
+// state, and those are a small fraction of the trace. A memo stores
+// that front only: a front of other L1s serves few replays, and
+// storing one per L1 shape would cost a recording's memory many times
+// over.
 package core
 
 import (
@@ -13,60 +16,50 @@ import (
 	"streamsim/internal/trace"
 )
 
-// Front is the L1 front of one fan-out class over a whole recorded
-// trace, as its leader simulated it from fresh L1s: every reference
-// that left the L1-hit path, in order, with its tap segment, and the
-// front's end state. ReplayStoreFronts records one per live class of
-// fresh systems and serves later classes with the same front key from
-// it (see FrontMemo). A Front is immutable once recorded and safe for
+// Front is the paper's L1 front (paperFront) over a whole recorded
+// trace, as a leader simulated it from fresh L1s: every reference that
+// left the L1-hit path, in order, with its tap segment, and the front's
+// end state. ReplayStoreFronts records it from a live class of fresh
+// systems with the paper's L1s and serves later such classes from it
+// (see FrontMemo). A Front is immutable once recorded and safe for
 // concurrent replays.
 //
 // The log is one byte stream, one entry per logged reference:
 //
-//	uvarint  (position gap)<<5 | write-back<<4 | front level<<2 | kind
+//	uvarint  (position gap)<<5 | write-back<<4 | kind
 //	varint   write-back block - previous write-back block (write-back only)
 //	varint   address - previous address of the same side (I or D)
 //
 // The position gap is the distance from the previous entry less one,
-// the front level says what the front decided (a fill, or a victim
-// hit, a no-write-allocate store or an unsampled reference, which tap
-// no fill), and the kind is the reference's mem.Kind. The tap segment
-// is the optional write-back followed, for a fill, by the fill of the
-// reference's own address: exactly the events missVia hands the
-// backend.
+// bits 2 and 3 of the header are zero, and the kind is the reference's
+// mem.Kind. The paper's L1s are write-allocate, unsampled and have no
+// victim buffer, so every logged reference fills: its tap segment is
+// the optional write-back followed by the fill of the reference's own
+// address, exactly the events missVia hands the backend.
 type Front struct {
-	key     frontKey
 	refs    int     // references of the recording
 	entries int     // logged references
 	log     []byte  // see above
 	end     *System // the front's end state; see adoptFront
 }
 
-// FrontMemo holds the stored fronts of one recording; internal/sweeprun
-// keeps one per cached recording. Both methods are safe for concurrent
-// use.
+// FrontMemo holds the stored paper front of one recording;
+// internal/sweeprun keeps one per cached recording. Both methods are
+// safe for concurrent use.
 type FrontMemo interface {
-	// Front returns the stored front of cfg's L1s and victim buffers,
-	// or nil.
-	Front(cfg Config) *Front
+	// Front returns the stored front, or nil.
+	Front() *Front
 	// AddFront stores f, recorded by a replay of the recording that
-	// completed. A memo that already holds a front with f's key keeps
-	// that one.
+	// completed. A memo that already holds a front keeps that one.
 	AddFront(f *Front)
 }
 
-// Front-level codes of a log entry.
-const (
-	frontFill = iota
-	frontVictim
-	frontNone
-	frontUnsampled
-)
-
-// frontLevels maps a front-level code to the Level a member's log entry
-// starts from. A fill's level is decided by the member's own backend,
-// which overwrites it.
-var frontLevels = [4]Level{LevelMemory, LevelVictim, LevelNone, LevelUnsampled}
+// paperFront is the front key of the paper's L1s, DefaultConfig's: the
+// one front a front memo serves and stores.
+var paperFront = func() frontKey {
+	cfg := DefaultConfig()
+	return frontKey{cfg.Geometry, cfg.L1I, cfg.L1D, cfg.VictimEntries}
+}()
 
 // fresh reports whether s has presented no reference to its L1s: its
 // L1 counters read zero. A Fork reads zero too, so it must not reach a
@@ -80,27 +73,10 @@ func (s *System) frontKey() frontKey {
 	return frontKey{s.geom, s.cfg.L1I, s.cfg.L1D, s.cfg.VictimEntries}
 }
 
-// Serves reports whether f is the front of cfg's L1s and victim
-// buffers.
-func (f *Front) Serves(cfg Config) bool {
-	if cfg.Geometry == (mem.Geometry{}) {
-		cfg.Geometry = mem.DefaultGeometry()
-	}
-	return f.key == frontKey{cfg.Geometry, cfg.L1I, cfg.L1D, cfg.VictimEntries}
-}
-
-// SameFront reports whether f and g are fronts of the same L1s and
-// victim buffers.
-func (f *Front) SameFront(g *Front) bool { return f.key == g.key }
-
 // Bytes is the front's resident size: its log and the arrays of its
-// end-state L1s and victim buffers.
+// end-state L1s.
 func (f *Front) Bytes() int64 {
-	n := int64(len(f.log)) + f.end.l1i.Footprint() + f.end.l1d.Footprint()
-	if f.end.victimI != nil {
-		n += f.end.victimI.Footprint() + f.end.victimD.Footprint()
-	}
-	return n
+	return int64(len(f.log)) + f.end.l1i.Footprint() + f.end.l1d.Footprint()
 }
 
 // Events calls yield on the front's tap in order, as the memory
@@ -110,7 +86,7 @@ func (f *Front) Bytes() int64 {
 // false.
 func (f *Front) Events(yield func(addr mem.Addr, writeBack bool) bool) {
 	r := f.reader()
-	geom := f.key.geom
+	geom := f.end.geom
 	for base := 0; base < f.refs; base += trace.ReplayBatchLen {
 		tap, _ := r.next(min(trace.ReplayBatchLen, f.refs-base))
 		for _, ev := range tap {
@@ -128,7 +104,6 @@ func (f *Front) Events(yield func(addr mem.Addr, writeBack bool) bool) {
 // frontWriter records a leader's front batch by batch as the leader
 // replays a whole trace with its tap and miss log armed.
 type frontWriter struct {
-	key     frontKey
 	log     []byte
 	entries int
 	base    int       // trace position of the batch being added
@@ -137,18 +112,19 @@ type frontWriter struct {
 	addr    [2]uint64 // address of the last data and instruction entry
 }
 
-// newFrontWriter returns a writer for the front of key over a trace of
-// refs references. Its log starts with room for half a byte per
-// reference, so it seldom grows: the paper pass's fronts take 0.39
-// bytes per reference on average.
-func newFrontWriter(key frontKey, refs int) *frontWriter {
-	return &frontWriter{key: key, last: -1, log: make([]byte, 0, refs/2)}
+// newFrontWriter returns a writer for the front over a trace of refs
+// references. Its log starts with room for half a byte per reference,
+// so it seldom grows: the paper pass's fronts take 0.39 bytes per
+// reference on average.
+func newFrontWriter(refs int) *frontWriter {
+	return &frontWriter{last: -1, log: make([]byte, 0, refs/2)}
 }
 
 // add appends one batch: words are its packed references, and tap and
 // log the leader's tap and miss log for it. It runs only while a
-// leader records its front, once per recording and front key, and its
-// log grows as it goes.
+// leader records the front, once per recording, and its log grows as it
+// goes. Every logged reference fills, so its tap
+// segment ends in its fill.
 func (w *frontWriter) add(words, tap []uint64, log []Miss) {
 	start := 0
 	for _, e := range log {
@@ -157,24 +133,11 @@ func (w *frontWriter) add(words, tap []uint64, log []Miss) {
 		word := words[e.Index]
 		kind := word & 3
 		hdr := kind
-		if len(seg) > 0 && seg[0]&tapWriteBack != 0 {
+		if seg[0]&tapWriteBack != 0 {
 			hdr |= 1 << 4
 		}
-		var lvl uint64
-		switch {
-		case len(seg) > 0 && seg[len(seg)-1]&tapWriteBack == 0:
-			lvl = frontFill
-		case e.Level == LevelVictim:
-			lvl = frontVictim
-		case e.Level == LevelNone:
-			lvl = frontNone
-		case e.Level == LevelUnsampled:
-			lvl = frontUnsampled
-		default:
-			panic("core: a logged reference with no fill left the front at " + e.Level.String())
-		}
 		pos := w.base + e.Index
-		w.log = appendUvarint(w.log, uint64(pos-w.last-1)<<5|hdr|lvl<<2)
+		w.log = appendUvarint(w.log, uint64(pos-w.last-1)<<5|hdr)
 		w.last = pos
 		if hdr&(1<<4) != 0 {
 			blk := seg[0] >> 2
@@ -198,7 +161,7 @@ func (w *frontWriter) add(words, tap []uint64, log []Miss) {
 func (w *frontWriter) front(leader *System) *Front {
 	end := &System{cfg: leader.cfg, geom: leader.geom}
 	end.adoptFront(leader)
-	return &Front{key: w.key, refs: w.base, entries: w.entries, log: append([]byte(nil), w.log...), end: end}
+	return &Front{refs: w.base, entries: w.entries, log: append([]byte(nil), w.log...), end: end}
 }
 
 // frontReader decodes a stored front batch by batch for the members of
@@ -267,20 +230,19 @@ func (r *frontReader) next(n int) (tap []uint64, log []Miss) {
 		}
 		r.addr[side] += unzigzag(r.uvarint())
 		addr := r.addr[side]
-		lvl := r.hdr >> 2 & 3
-		if lvl == frontFill {
-			ev := addr << 2
-			if kind == IFetchKind {
-				ev |= tapIFetch
-			}
-			tap = tap[:len(tap)+1]
-			tap[len(tap)-1] = ev
+		ev := addr << 2
+		if kind == IFetchKind {
+			ev |= tapIFetch
 		}
+		tap = tap[:len(tap)+1]
+		tap[len(tap)-1] = ev
+		// A fill's level is decided by each member's own backend,
+		// which overwrites this one.
 		log = log[:len(log)+1]
 		log[len(log)-1] = Miss{
 			Index: r.pos - r.base, TapEnd: len(tap),
 			Addr: mem.Addr(addr), Write: kind == mem.Write,
-			Outcome: Outcome{Level: frontLevels[lvl]},
+			Outcome: Outcome{Level: LevelMemory},
 		}
 		if r.left--; r.left > 0 {
 			r.header()

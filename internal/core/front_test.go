@@ -17,34 +17,31 @@ import (
 )
 
 // testMemo is a core.FrontMemo of one recording: it keeps the first
-// front of each key and counts the lookups it answers.
+// front offered and counts the fronts offered and the lookups it
+// answers.
 type testMemo struct {
-	mu     sync.Mutex
-	fronts []*core.Front
-	hits   int
+	mu    sync.Mutex
+	front *core.Front
+	adds  int
+	hits  int
 }
 
-func (m *testMemo) Front(cfg core.Config) *core.Front {
+func (m *testMemo) Front() *core.Front {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, f := range m.fronts {
-		if f.Serves(cfg) {
-			m.hits++
-			return f
-		}
+	if m.front != nil {
+		m.hits++
 	}
-	return nil
+	return m.front
 }
 
 func (m *testMemo) AddFront(f *core.Front) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, g := range m.fronts {
-		if g.SameFront(f) {
-			return
-		}
+	m.adds++
+	if m.front == nil {
+		m.front = f
 	}
-	m.fronts = append(m.fronts, f)
 }
 
 // frontMemoConfigs is three front classes, interleaved: the paper's
@@ -52,9 +49,10 @@ func (m *testMemo) AddFront(f *core.Front) {
 // streams, the unit filter, the czone scheme); direct-mapped LRU L1s
 // with 4-entry victim buffers under plain and partitioned streams; and
 // a set-sampled instruction cache with a no-write-allocate data cache,
-// LRU, behind victim buffers, under partitioned streams and none. So
-// the stored fronts hold every front level: fills, victim hits,
-// stores that fill nothing and unsampled references.
+// LRU, behind victim buffers, under partitioned streams and none. Only
+// the paper's class is served from a stored front or records one; the
+// other two replay live beside it, with victim hits, stores that fill
+// nothing and unsampled references.
 func frontMemoConfigs() []core.Config {
 	paper := multiConfigs()
 	victim := func(streams int, partitioned bool) core.Config {
@@ -96,8 +94,9 @@ func hookedSystems(t *testing.T, cfgs []core.Config) ([]*core.System, [][]mem.Ad
 	return systems, traffic
 }
 
-// frontMemoTimed is the timed oracle set over the same three fronts:
-// models with and without a secondary cache, at several bus speeds.
+// frontMemoTimed is the timed oracle set over the same three front
+// classes: models with and without a secondary cache, at several bus
+// speeds.
 func frontMemoTimed(t *testing.T) []*timing.Model {
 	t.Helper()
 	cfgs := frontMemoConfigs()
@@ -150,14 +149,16 @@ func checkTimed(t *testing.T, what string, got, want []*timing.Model) {
 // which floor at 5.5M references at any small scale) would more than
 // double the package's time under -race; the paper pass's golden,
 // which every artefact after Table 1 replays from stored fronts,
-// covers them. A replay that records the three classes' fronts,
-// and a replay served from them without a decode or an L1 probe, both
-// leave every system's Results equal (==) to a solo ReplayStore, and
-// every hooked system sees the traffic sequence a solo hooked replay
-// sees. The timed models, served from those fronts or from fronts a
-// timed replay recorded, end with the ledgers, Results and secondary
-// caches of a live timing.Replay; and an untimed replay served from
-// the fronts a timed replay recorded matches too.
+// covers them. A replay that records the paper's front, and a replay
+// that serves the paper's class from it without a decode or an L1
+// probe, both leave every system's Results equal (==) to a solo
+// ReplayStore, and every hooked system sees the traffic sequence a
+// solo hooked replay sees; the other two classes replay live each time
+// and record nothing. The timed models, served from
+// that front or from the front a timed replay recorded, end with the
+// ledgers, Results and secondary caches of a live timing.Replay; and an
+// untimed replay served from the front a timed replay recorded matches
+// too.
 //
 //simlint:deterministic streamsim/internal/core.ReplayStoreFronts
 func TestStoredFrontMatchesLive(t *testing.T) {
@@ -203,10 +204,10 @@ func TestStoredFrontMatchesLive(t *testing.T) {
 			}
 			memo := &testMemo{}
 			untimed("recording", memo, 0)
-			if len(memo.fronts) != 3 {
-				t.Fatalf("the recording replay stored %d fronts, want 3", len(memo.fronts))
+			if memo.adds != 1 {
+				t.Fatalf("the recording replay offered %d fronts, want the paper's only", memo.adds)
 			}
-			untimed("served", memo, 3)
+			untimed("served", memo, 1)
 
 			live := frontMemoTimed(t)
 			if err := timing.Replay(ctx, live, st, nil); err != nil {
@@ -218,9 +219,9 @@ func TestStoredFrontMatchesLive(t *testing.T) {
 				memo     *testMemo
 				wantHits int
 			}{
-				{"timed, served from untimed fronts", memo, 3},
+				{"timed, served from the untimed front", memo, 1},
 				{"timed, recording", timedMemo, 0},
-				{"timed, served from timed fronts", timedMemo, 3},
+				{"timed, served from the timed front", timedMemo, 1},
 			} {
 				hits0 := tc.memo.hits
 				got := frontMemoTimed(t)
@@ -232,7 +233,7 @@ func TestStoredFrontMatchesLive(t *testing.T) {
 				}
 				checkTimed(t, tc.what, got, live)
 			}
-			untimed("served from timed fronts", timedMemo, 3)
+			untimed("served from the timed front", timedMemo, 1)
 		})
 	}
 }
@@ -254,8 +255,8 @@ func TestStoredFrontEndState(t *testing.T) {
 	if err := core.ReplayStoreFronts(ctx, systems, first, memo, nil); err != nil {
 		t.Fatal(err)
 	}
-	if memo.hits != 3 {
-		t.Fatalf("%d classes served from stored fronts, want 3", memo.hits)
+	if memo.hits != 1 {
+		t.Fatalf("%d classes served from the stored front, want 1", memo.hits)
 	}
 	for i, sys := range systems {
 		solo := newSystems(t, cfgs[i:i+1])[0]
@@ -278,9 +279,9 @@ func TestStoredFrontEndState(t *testing.T) {
 	}
 }
 
-// TestStoredFrontRules: only fresh systems use a front memo, a
-// cancelled replay stores no front, and a cancelled replay served from
-// a stored front reports the cancellation.
+// TestStoredFrontRules: only fresh systems with the paper's L1s use a
+// front memo, a cancelled replay stores no front, and a cancelled
+// replay served from a stored front reports the cancellation.
 func TestStoredFrontRules(t *testing.T) {
 	ctx := context.Background()
 	st := recordTrace(t, "mgrid", 0.02)
@@ -292,8 +293,8 @@ func TestStoredFrontRules(t *testing.T) {
 	if err := core.ReplayStoreFronts(cctx, newSystems(t, cfgs), st, memo, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled recording replay returned %v", err)
 	}
-	if len(memo.fronts) != 0 {
-		t.Errorf("a cancelled replay stored %d fronts", len(memo.fronts))
+	if memo.adds != 0 {
+		t.Errorf("a cancelled replay stored %d fronts", memo.adds)
 	}
 	batches := 0
 	cctx, cancel = context.WithCancel(ctx)
@@ -302,8 +303,8 @@ func TestStoredFrontRules(t *testing.T) {
 			cancel()
 		}
 	})
-	if !errors.Is(err, context.Canceled) || len(memo.fronts) != 0 {
-		t.Errorf("a replay cancelled mid-trace returned %v and stored %d fronts", err, len(memo.fronts))
+	if !errors.Is(err, context.Canceled) || memo.adds != 0 {
+		t.Errorf("a replay cancelled mid-trace returned %v and stored %d fronts", err, memo.adds)
 	}
 
 	if err := core.ReplayStoreFronts(ctx, newSystems(t, cfgs), st, memo, nil); err != nil {
@@ -320,15 +321,26 @@ func TestStoredFrontRules(t *testing.T) {
 		t.Errorf("a served replay cancelled after batch 3 returned %v after %d batches", err, batches)
 	}
 
-	// A system that has seen a reference is not fresh: its class
-	// replays live and records nothing.
-	used := newSystems(t, cfgs)
-	used[0].Access(mem.Access{Addr: 1 << 20, Kind: mem.Read})
-	hits0 := memo.hits
-	if err := core.ReplayStoreFronts(ctx, used, st, memo, nil); err != nil {
+	// A class with a system that has seen a reference is not fresh: it
+	// replays live, neither served from the stored front nor recording
+	// one. So do the other L1s' classes, fresh or not.
+	for _, m := range []*testMemo{memo, {}} {
+		used := newSystems(t, cfgs)
+		used[0].Access(mem.Access{Addr: 1 << 20, Kind: mem.Read})
+		hits0, adds0 := m.hits, m.adds
+		if err := core.ReplayStoreFronts(ctx, used, st, m, nil); err != nil {
+			t.Fatal(err)
+		}
+		if m.hits != hits0 || m.adds != adds0 {
+			t.Errorf("with the paper's class not fresh, %d classes were served and %d fronts recorded, want none",
+				m.hits-hits0, m.adds-adds0)
+		}
+	}
+	other := &testMemo{}
+	if err := core.ReplayStoreFronts(ctx, newSystems(t, []core.Config{cfgs[1], cfgs[2], cfgs[4], cfgs[6]}), st, other, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := memo.hits - hits0; got != 2 {
-		t.Errorf("%d classes served with one class not fresh, want 2", got)
+	if other.adds != 0 {
+		t.Errorf("fresh classes of other L1s recorded %d fronts, want none", other.adds)
 	}
 }

@@ -104,9 +104,10 @@ func (p *poisonSink) AccessBatch(accs []mem.Access) {
 // another batch. Here every lender lends two buffers in turn and
 // poisons the one it lent when the call returns, so a kept slice reads
 // poison. Each component row leads a front class with a follower of
-// deeper streams; replayed live and from stored fronts, logged and
-// not, every system's Results and miss logs must equal
-// ReplayStoreFronts'. Recorded through poisoned batches, the workload
+// deeper streams, and the paper's L1s under each backend (paperRows)
+// share one class, the one a front memo serves; replayed live and
+// from the stored front, logged and not, every system's Results and
+// miss logs must equal ReplayStoreFronts'. Recorded through poisoned batches, the workload
 // must decode to the same trace, and driven through them, each row's
 // system must end with its replay's Results.
 func TestReplayIgnoresPoisonedBuffers(t *testing.T) {
@@ -119,7 +120,7 @@ func TestReplayIgnoresPoisonedBuffers(t *testing.T) {
 	if err := w.Run(st, scale); err != nil {
 		t.Fatal(err)
 	}
-	rows := componentRows()
+	rows := append(componentRows(), paperRows()...)
 	run := func(logged bool, replay func([]*System, func(int))) (results []Results, logs [][]Miss) {
 		var systems []*System
 		for _, row := range rows {
@@ -142,9 +143,9 @@ func TestReplayIgnoresPoisonedBuffers(t *testing.T) {
 		}
 		return results, logs
 	}
-	// The first poisoned replay, live, records the fronts the stored
-	// ones serve.
-	memo := frontMap{}
+	// The first poisoned replay, live, records the front the stored
+	// replays serve.
+	memo := &oneFront{}
 	var live []Results
 	for _, mode := range []struct{ stored, logged bool }{{false, false}, {false, true}, {true, false}, {true, true}} {
 		var m FrontMemo
@@ -166,8 +167,8 @@ func TestReplayIgnoresPoisonedBuffers(t *testing.T) {
 			t.Errorf("%+v: results or miss logs differ when lent buffers are poisoned", mode)
 		}
 	}
-	if len(memo) != len(rows) {
-		t.Fatalf("the memo holds %d fronts; want one per row", len(memo))
+	if memo.f == nil {
+		t.Fatal("the memo holds no front")
 	}
 
 	rec := trace.NewStore(0)

@@ -101,9 +101,10 @@ type frontPlan struct {
 // reference of a batch and a clear outcome to log into.
 //
 // A non-nil memo serves whole-trace replays of st (see
-// ReplayStoreFronts): a class of fresh systems whose front memo holds
-// runs from the stored front, and any other class of fresh systems has
-// its leader record its front, with tap and miss log armed.
+// ReplayStoreFronts): a class of fresh systems with the paper's L1s
+// (paperFront) runs from the memo's front when it holds one, and
+// otherwise its leader records the front, with tap and miss log armed.
+// Every other class replays live and records nothing.
 func planFronts(systems []*System, logged bool, memo FrontMemo, st *trace.Store) *frontPlan {
 	p := &frontPlan{classes: make([]frontClass, 0, len(systems)), logged: logged}
 	keys := make([]frontKey, 0, len(systems))
@@ -121,13 +122,13 @@ next:
 	}
 	for i := range p.classes {
 		c := &p.classes[i]
-		if memo != nil && c.fresh() {
-			if f := memo.Front(c.leader.cfg); f != nil && f.key == keys[i] && f.refs == st.Len() {
+		if memo != nil && keys[i] == paperFront && c.fresh() {
+			if f := memo.Front(); f != nil && f.refs == st.Len() {
 				c.followers = append([]*System{c.leader}, c.followers...)
 				c.leader, c.stored = nil, f.reader()
 				continue
 			}
-			c.rec = newFrontWriter(keys[i], st.Len())
+			c.rec = newFrontWriter(st.Len())
 			c.leader.log = make([]Miss, 0, trace.ReplayBatchLen)
 			c.leader.out = Outcome{}
 		}

@@ -1,9 +1,9 @@
-// The one multi-system replay: every sweep point and optimizer score
-// in the module replays a recorded trace through
-// ReplayStoreMultiPrefixFrom, whole traces as the range [0, end), and
-// every experiment row through ReplayStoreFronts, the same pass over
-// the whole trace with the recording's front memo, and with each
-// system's miss log armed for a timed row.
+// The one multi-system replay: every optimizer score in the module
+// replays a recorded trace through ReplayStoreMultiPrefixFrom, whole
+// traces as the range [0, end), and every experiment row and hit-rate
+// sweep point through ReplayStoreFronts, the same pass over the whole
+// trace with the recording's front memo, and with each system's miss
+// log armed for a timed row.
 // Successive halving (internal/search) also scores cheap early rungs
 // on a prefix of the sample windows — one decode pass feeds every
 // candidate, and candidates sharing an L1 front simulate it once — and
@@ -57,16 +57,17 @@ func ReplayStoreMultiPrefixFrom(ctx context.Context, systems []*System, st *trac
 // class: leaders log from their probe loops, and followers replay the
 // leader's tap one logged reference at a time.
 //
-// A non-nil memo holds the stored fronts of st (see Front). A class of
-// fresh systems — built by New, no reference presented yet — whose
-// front the memo holds decodes no reference and probes no L1: every
-// member replays the stored events through its own backend, and when
-// the replay completes adopts the stored end state. Any other class of
-// fresh systems replays live, and its leader records its front, which
-// the memo receives only when the replay completes. Classes of systems
-// that are not fresh replay live and record nothing. The Results, miss
-// logs and traffic of a class served from a stored front equal a live
-// replay's, because the stored front is the one a live leader records.
+// A non-nil memo holds the stored front of st, the paper's L1s' (see
+// Front). A class of fresh systems — built by New, no reference
+// presented yet — with the paper's L1s decodes no reference and probes
+// no L1 when the memo holds the front: every member replays the stored
+// events through its own backend, and when the replay completes adopts
+// the stored end state. When the memo lacks it, the class replays live
+// and its leader records the front, which the memo receives only when
+// the replay completes. Every other class replays live and records
+// nothing. The Results, miss logs and traffic of a class served from a
+// stored front equal a live replay's, because the stored front is the
+// one a live leader records.
 //
 // On cancellation every system has consumed the same prefix, batch has
 // seen all of it, the memo receives nothing, and ctx.Err() is returned;

@@ -74,6 +74,26 @@ func componentRows() []componentRow {
 	}
 }
 
+// paperRows are the paper's L1s under each backend: plain streams,
+// partitioned streams, the unit filter, the czone scheme and
+// min-delta. They share the paper's front, the one a front memo
+// stores, so a replay served from it runs every backend.
+func paperRows() []componentRow {
+	row := func(name string, set func(*Config)) componentRow {
+		cfg := DefaultConfig()
+		cfg.UnitFilterEntries, cfg.Stride = 0, NoStrideDetection
+		set(&cfg)
+		return componentRow{"paper L1s, " + name, cfg, false}
+	}
+	return []componentRow{
+		row("plain streams", func(*Config) {}),
+		row("partitioned streams", func(c *Config) { c.PartitionedStreams = true }),
+		row("unit filter", func(c *Config) { c.UnitFilterEntries = 16 }),
+		row("czone", func(c *Config) { c.UnitFilterEntries, c.Stride = 16, CzoneScheme }),
+		row("min-delta", func(c *Config) { c.UnitFilterEntries, c.Stride = 16, MinDeltaScheme }),
+	}
+}
+
 // TestSnapshotCopiesAreDeep walks Fork and Checkpoint().Restore() of
 // warmed systems against their originals, one leaf at a time. Every
 // snapshot copy starts from a value copy of its struct, so a field is

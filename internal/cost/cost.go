@@ -125,13 +125,6 @@ type Point struct {
 	Cost float64
 }
 
-// Dominates reports whether p is at least as good as q on both axes
-// and strictly better on at least one.
-func (p Point) Dominates(q Point) bool {
-	return p.Metric >= q.Metric && p.Cost <= q.Cost &&
-		(p.Metric > q.Metric || p.Cost < q.Cost)
-}
-
 // Front returns the indices of the Pareto-optimal points — those no
 // other point dominates — sorted by ascending cost, then descending
 // metric, then ascending index. The result is deterministic: exact

@@ -103,6 +103,13 @@ func TestBusBlockCyclesFloor(t *testing.T) {
 	}
 }
 
+// dominates reports whether p is at least as good as q on both axes
+// and strictly better on at least one: the test's oracle for Front.
+func dominates(p, q Point) bool {
+	return p.Metric >= q.Metric && p.Cost <= q.Cost &&
+		(p.Metric > q.Metric || p.Cost < q.Cost)
+}
+
 // TestFrontParetoDominance is the Pareto-dominance property over a
 // small config grid: price every (streams, filtered, L2KB) node at a
 // fixed bandwidth, attach a synthetic concave hit-rate metric, and
@@ -147,7 +154,7 @@ func TestFrontParetoDominance(t *testing.T) {
 	}
 	for _, i := range front {
 		for j := range pts {
-			if j != i && pts[j].Dominates(pts[i]) {
+			if j != i && dominates(pts[j], pts[i]) {
 				t.Errorf("front point %d %v is dominated by %d %v", i, pts[i], j, pts[j])
 			}
 		}
@@ -158,7 +165,7 @@ func TestFrontParetoDominance(t *testing.T) {
 		}
 		justified := false
 		for _, i := range front {
-			if pts[i].Dominates(pts[j]) || (pts[i] == pts[j] && i < j) {
+			if dominates(pts[i], pts[j]) || (pts[i] == pts[j] && i < j) {
 				justified = true
 				break
 			}

@@ -12,12 +12,13 @@
 // Artefacts repeat one another's configurations: Tables 2 and 3 replay
 // Figure 3's ten-stream column, and Figure 9, Table 4 and extbase
 // replay Figure 8's Section 7 system. runConfig and runConfigs
-// therefore answer a configuration already replayed over a recording
-// from that recording's results memo (sweeprun.Results), and replay
-// only the rest, so within one process each (input, configuration)
-// replays once. The timed rows (extcpi, extcost, extscale) charge
-// their models from the replay's miss log and extbank observes its
-// replay's traffic, so those replay every time.
+// therefore go through sweeprun.Results, the replay sweeps use too: a
+// configuration already replayed over a recording is answered from
+// that recording's results memo, and only the rest replay, so within
+// one process each (input, configuration) replays once. The timed rows
+// (extcpi, extcost, extscale) charge their models from the replay's
+// miss log and extbank observes its replay's traffic, so those replay
+// every time.
 //
 // Every artefact runs the paper's L1s, so all of its replays of an
 // input share one L1 front. Each replay of fresh systems runs through
@@ -169,17 +170,19 @@ func replayTimed(ctx context.Context, models []*timing.Model, tr *trace.Store, f
 }
 
 // replayedRefs counts references replayed (or scalar-walked) through
-// completed trace passes, process-wide, per system, whether its front
-// was simulated or replayed from a stored front; a configuration
-// answered from a results memo replays nothing and adds nothing. The
-// simd service exposes it as a throughput metric; the
-// add-per-completed-pass granularity keeps the replay loop free of
-// per-batch atomics.
+// the experiments' own completed trace passes, process-wide, per
+// system, whether its front was simulated or replayed from a stored
+// front. The add-per-completed-pass granularity keeps the replay loop
+// free of per-batch atomics.
 var replayedRefs atomic.Uint64
 
 // ReplayedRefs returns the total references replayed through completed
-// trace passes since process start.
-func ReplayedRefs() uint64 { return replayedRefs.Load() }
+// trace passes since process start, per system: the experiments' own
+// passes and those of sweeprun.Results and sweeps
+// (sweeprun.ReplayedRefs). A configuration answered from a results memo
+// replays nothing and adds nothing. The simd service exposes it as a
+// throughput metric.
+func ReplayedRefs() uint64 { return replayedRefs.Load() + sweeprun.ReplayedRefs() }
 
 // TraceCacheHits returns how many trace lookups were served from the
 // process-wide recording cache (sweeprun.Record) since process start,
@@ -194,7 +197,7 @@ func record(ctx context.Context, name string, size workload.Size, scale float64)
 }
 
 // ResetTraceCache drops every cached recording with its results memo
-// and stored fronts (used by benchmarks that want to measure
+// and stored front (used by benchmarks that want to measure
 // generation cost).
 func ResetTraceCache() { sweeprun.ResetTraceCache() }
 
@@ -309,36 +312,13 @@ func runConfig(ctx context.Context, name string, size workload.Size, opt Options
 }
 
 // runConfigs returns the Results of replaying one benchmark trace
-// through every configuration. A configuration already replayed over
-// the recording in this process is answered from the recording's
-// results memo (sweeprun.Results); the rest replay together
-// (replayConfigs). Each entry of the returned slice is byte-identical
-// to a solo replay of its configuration.
+// through every configuration (sweeprun.Results): a configuration
+// already replayed over the recording in this process is answered from
+// its results memo, and the rest replay together. Each entry of the
+// returned slice is byte-identical to a solo replay of its
+// configuration.
 func runConfigs(ctx context.Context, name string, size workload.Size, opt Options, cfgs []core.Config) ([]core.Results, error) {
-	return sweeprun.Results(ctx, name, size, opt.Scale, cfgs, func(tr *trace.Store, cfgs []core.Config) ([]core.Results, error) {
-		return replayConfigs(ctx, tr, sweeprun.Fronts(name, size, opt.Scale, tr), cfgs)
-	})
-}
-
-// replayConfigs replays the whole trace through a fresh system of each
-// configuration, decoding each batch once for all of them unless the
-// front memo stores their front.
-func replayConfigs(ctx context.Context, tr *trace.Store, fronts core.FrontMemo, cfgs []core.Config) ([]core.Results, error) {
-	systems := make([]*core.System, len(cfgs))
-	for i, cfg := range cfgs {
-		var err error
-		if systems[i], err = core.New(cfg); err != nil {
-			return nil, err
-		}
-	}
-	if err := replayMulti(ctx, systems, tr, fronts); err != nil {
-		return nil, err
-	}
-	res := make([]core.Results, len(systems))
-	for i, sys := range systems {
-		res[i] = sys.Results()
-	}
-	return res, nil
+	return sweeprun.Results(ctx, name, size, opt.Scale, cfgs)
 }
 
 // missStream returns the L1 miss-side traffic of a benchmark trace,
@@ -354,7 +334,7 @@ func missStream(ctx context.Context, name string, size workload.Size, scale floa
 		return nil, err
 	}
 	fronts := sweeprun.Fronts(name, size, scale, tr)
-	if f := fronts.Front(noStreams()); f != nil {
+	if f := fronts.Front(); f != nil {
 		return f, nil
 	}
 	sys, err := core.New(noStreams())

@@ -138,9 +138,6 @@ func log2(v uint) uint {
 	return n
 }
 
-// WordBytes returns the word size in bytes.
-func (g Geometry) WordBytes() uint { return g.wordBytes }
-
 // BlockBytes returns the cache block size in bytes.
 func (g Geometry) BlockBytes() uint { return g.blockBytes }
 
@@ -166,10 +163,6 @@ func (g Geometry) BlockBase(a Addr) Addr {
 // the czone partitioning of Section 7 splits *word* addresses.
 func (g Geometry) WordAddr(a Addr) Addr { return a >> g.wordShift }
 
-// WordToByte converts a word number back to the byte address of the
-// word's first byte.
-func (g Geometry) WordToByte(w Addr) Addr { return w << g.wordShift }
-
 // BlockToByte converts a block number back to the byte address of the
 // block's first byte.
 func (g Geometry) BlockToByte(b Addr) Addr { return b << g.blockShift }
@@ -177,9 +170,4 @@ func (g Geometry) BlockToByte(b Addr) Addr { return b << g.blockShift }
 // BlockOfWord maps a word number to its block number.
 func (g Geometry) BlockOfWord(w Addr) Addr {
 	return w >> (g.blockShift - g.wordShift)
-}
-
-// SameBlock reports whether two byte addresses fall in one cache block.
-func (g Geometry) SameBlock(a, b Addr) bool {
-	return g.BlockAddr(a) == g.BlockAddr(b)
 }

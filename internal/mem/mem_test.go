@@ -60,9 +60,6 @@ func TestNewGeometryErrors(t *testing.T) {
 
 func TestDefaultGeometry(t *testing.T) {
 	g := DefaultGeometry()
-	if g.WordBytes() != 4 {
-		t.Errorf("WordBytes = %d, want 4", g.WordBytes())
-	}
 	if g.BlockBytes() != 64 {
 		t.Errorf("BlockBytes = %d, want 64", g.BlockBytes())
 	}
@@ -103,16 +100,6 @@ func TestBlockArithmetic(t *testing.T) {
 	}
 }
 
-func TestSameBlock(t *testing.T) {
-	g := DefaultGeometry()
-	if !g.SameBlock(0, 63) {
-		t.Error("0 and 63 should share a block")
-	}
-	if g.SameBlock(63, 64) {
-		t.Error("63 and 64 should not share a block")
-	}
-}
-
 func TestBlockOfWord(t *testing.T) {
 	g := DefaultGeometry()
 	// Word 16 is byte 64 which is block 1.
@@ -143,8 +130,8 @@ func TestWordRoundTrip(t *testing.T) {
 	g := DefaultGeometry()
 	f := func(a uint64) bool {
 		addr := Addr(a)
-		back := g.WordToByte(g.WordAddr(addr))
-		return back <= addr && addr-back < Addr(g.WordBytes())
+		back := g.WordAddr(addr) << g.WordShift()
+		return back <= addr && addr-back < 1<<g.WordShift()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -156,7 +143,7 @@ func TestBlockOfWordConsistent(t *testing.T) {
 	g := DefaultGeometry()
 	f := func(w uint32) bool {
 		word := Addr(w)
-		return g.BlockOfWord(word) == g.BlockAddr(g.WordToByte(word))
+		return g.BlockOfWord(word) == g.BlockAddr(word<<g.WordShift())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -97,25 +97,3 @@ func (b *Banks) Access(blk mem.Addr, now uint64) (start uint64) {
 	b.freeAt[bank] = start + b.cfg.BusyCycles
 	return start
 }
-
-// BanksTouched reports how many distinct banks a block-stride walk of
-// n requests touches: gcd arithmetic made observable for tests and
-// documentation. A stride sharing a large power of two with the bank
-// count concentrates on few banks.
-func BanksTouched(strideBlocks int64, banks int) int {
-	if strideBlocks < 0 {
-		strideBlocks = -strideBlocks
-	}
-	if strideBlocks == 0 {
-		return 1
-	}
-	g := gcd(strideBlocks, int64(banks))
-	return int(int64(banks) / g)
-}
-
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}

@@ -241,6 +241,42 @@ func TestMemoization(t *testing.T) {
 	}
 }
 
+// TestSweepParallelFieldIgnored: sweeps no longer take a parallel
+// width, so a request that still carries "parallel" is accepted as
+// the same sweep: it keys to the same job as the request without it.
+func TestSweepParallelFieldIgnored(t *testing.T) {
+	var calls atomic.Int64
+	_, cl := newTestServer(t, Config{Workers: 1, RunJob: instantRunner(&calls)})
+	ctx := context.Background()
+	body := `{"sweep": {"workload": "mgrid", "param": "streams", "values": [1, 2], "parallel": 4}}`
+	resp, err := cl.HTTP.Post(cl.Base+api.JobsPath, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st api.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode/100 != 2 || st.ID == "" {
+		t.Fatalf("a sweep carrying parallel got %s: %+v", resp.Status, st)
+	}
+	if _, err := cl.Wait(ctx, st.ID); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := cl.Submit(ctx, api.SubmitRequest{Sweep: &sweepSpec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.Key != st.Key || plain.ID != st.ID || !plain.Cached {
+		t.Errorf("the sweep without parallel keyed to job %s (key %s), with it to %s (key %s)", plain.ID, plain.Key, st.ID, st.Key)
+	}
+	if calls.Load() != 1 {
+		t.Errorf("runner ran %d times, want 1", calls.Load())
+	}
+}
+
 func TestResubmitAfterFailureRetries(t *testing.T) {
 	var calls atomic.Int64
 	runner := func(context.Context, api.SubmitRequest) (*tab.Table, error) {

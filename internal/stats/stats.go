@@ -1,6 +1,6 @@
 // Package stats provides the derived metrics the paper reports: ratios
 // and percentages of event counts, and the extra-bandwidth (EB) measure
-// of Section 5/6 in both its empirical and closed forms.
+// of Sections 5 and 6, computed from the bandwidth ledger.
 package stats
 
 // Ratio returns num/den as a float, or 0 when den is 0.
@@ -21,25 +21,4 @@ func Percent(num, den uint64) float64 { return 100 * Ratio(num, den) }
 // cache fills). The result is in percent.
 func ExtraBandwidth(wasted, required uint64) float64 {
 	return Percent(wasted, required)
-}
-
-// EBNoFilterClosedForm is the paper's Section 5 expression for ordinary
-// streams: every stream miss causes an allocation that will eventually
-// flush up to depth prefetches, so EB = depth * streamMisses /
-// cacheMisses (percent). It is an upper bound on the empirical EB.
-func EBNoFilterClosedForm(depth int, streamMisses, cacheMisses uint64) float64 {
-	if cacheMisses == 0 {
-		return 0
-	}
-	return 100 * float64(uint64(depth)*streamMisses) / float64(cacheMisses)
-}
-
-// EBWithFilterClosedForm is the Section 6 expression: with a filter,
-// streams are allocated only on filter hits, so EB = depth * filterHits
-// / cacheMisses (percent).
-func EBWithFilterClosedForm(depth int, filterHits, cacheMisses uint64) float64 {
-	if cacheMisses == 0 {
-		return 0
-	}
-	return 100 * float64(uint64(depth)*filterHits) / float64(cacheMisses)
 }

@@ -595,14 +595,3 @@ func (s *Set) Finish() {
 		s.stats.Lengths.add(b.hitsThisAllocation)
 	}
 }
-
-// ActiveStreams returns how many buffers currently hold streams.
-func (s *Set) ActiveStreams() int {
-	n := 0
-	for _, b := range s.bufs {
-		if b.active {
-			n++
-		}
-	}
-	return n
-}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"streamsim/internal/core"
 	"streamsim/internal/trace"
@@ -33,12 +34,9 @@ func Record(ctx context.Context, name, sizeS string, scale float64) (*workload.W
 	if !(scale > 0 && scale <= 1) {
 		return nil, nil, fmt.Errorf("sweeprun: scale %v outside (0, 1]", scale)
 	}
-	sz := workload.SizeSmall
-	if sizeS == "large" {
-		sz = workload.SizeLarge
-	}
-	st, err := recordings.get(ctx, traceKey{name, sz, scale}, func() (*trace.Store, error) {
-		return recordTrace(ctx, w, sz, scale)
+	key := keyOf(name, sizeS, scale)
+	st, err := recordings.get(ctx, key, func() (*trace.Store, error) {
+		return recordTrace(ctx, w, key.size, scale)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -46,32 +44,49 @@ func Record(ctx context.Context, name, sizeS string, scale float64) (*workload.W
 	return w, st, nil
 }
 
+// keyOf returns the cache key of Record(name, sizeS, scale).
+func keyOf(name, sizeS string, scale float64) traceKey {
+	sz := workload.SizeSmall
+	if sizeS == "large" {
+		sz = workload.SizeLarge
+	}
+	return traceKey{name, sz, scale}
+}
+
 // Results returns the Results of replaying the recording of (name,
-// size, scale), the store Record returns, through each configuration,
-// in order. Every recording carries a results memo: the Results of
-// each configuration replayed over it to completion, keyed by the
-// configuration itself. Results answers from the memo what it holds
-// and calls replay once, outside the cache's lock, with the recording
-// and the configurations it lacks, in order; replay returns their
-// Results in that order. They join the memo only when replay returns
-// without error, so a cancelled replay memoizes nothing. The memo
-// lives on the recording's cache entry, so eviction and
-// ResetTraceCache drop it with the store.
+// size, scale), the store Record returns, through a fresh system of
+// each configuration, in order, each with the trace's instructions
+// added. It is the module's one whole-trace replay of fresh systems:
+// every experiment row and sweep point comes from it. Every recording
+// carries a results memo: the Results of each configuration replayed
+// over it to completion, keyed by the configuration itself. Results
+// answers from the memo what it holds and replays the configurations
+// it lacks together, outside the cache's lock, in one pass
+// (core.ReplayStoreFronts) through the recording's front memo
+// (Fronts), so those with the paper's L1s run from the stored front
+// once a replay has recorded it. They join the memo only when the
+// replay completes, so a cancelled replay memoizes nothing. The memo
+// lives on the recording's cache entry and is charged to the cache's
+// budget, so eviction and ResetTraceCache drop it with the store.
 //
 // A memoized Results stands for every later replay of its
-// configuration, so replay must return what a solo replay of the whole
-// recording returns. A replay that observes the simulation
+// configuration. A replay that observes the simulation
 // (core.System.OnTraffic), stops at a prefix or charges a timing model
 // does not come here.
-func Results(ctx context.Context, name string, size workload.Size, scale float64, cfgs []core.Config,
-	replay func(st *trace.Store, cfgs []core.Config) ([]core.Results, error)) ([]core.Results, error) {
+func Results(ctx context.Context, name string, size workload.Size, scale float64, cfgs []core.Config) ([]core.Results, error) {
 	_, st, err := Record(ctx, name, size.String(), scale)
 	if err != nil {
 		return nil, err
 	}
-	key := traceKey{name, size, scale}
+	return recordings.results(ctx, traceKey{name, size, scale}, st, cfgs, replayFresh)
+}
+
+// results is Results over st, the store cached under key, with replay
+// as the whole-trace replay of the configurations the memo lacks.
+func (c *traceCache) results(ctx context.Context, key traceKey, st *trace.Store, cfgs []core.Config,
+	replay func(ctx context.Context, st *trace.Store, fronts core.FrontMemo, cfgs []core.Config) ([]core.Results, error)) ([]core.Results, error) {
 	res := make([]core.Results, len(cfgs))
-	missing := recordings.memoized(key, st, cfgs, res)
+	missing := c.memoized(key, st, cfgs, res)
 	if len(missing) == 0 {
 		return res, nil
 	}
@@ -79,29 +94,63 @@ func Results(ctx context.Context, name string, size workload.Size, scale float64
 	for j, i := range missing {
 		todo[j] = cfgs[i]
 	}
-	got, err := replay(st, todo)
+	got, err := replay(ctx, st, frontMemo{c, key, st}, todo)
 	if err != nil {
 		return nil, err
 	}
 	for j, i := range missing {
 		res[i] = got[j]
 	}
-	recordings.memoize(key, st, todo, got)
+	c.memoize(key, st, todo, got)
 	return res, nil
 }
 
+// replayFresh replays the whole of st through a fresh system of each
+// configuration in one pass with the recording's front memo, and
+// returns their Results with the trace's instructions added.
+func replayFresh(ctx context.Context, st *trace.Store, fronts core.FrontMemo, cfgs []core.Config) ([]core.Results, error) {
+	systems := make([]*core.System, len(cfgs))
+	for i, cfg := range cfgs {
+		var err error
+		if systems[i], err = core.New(cfg); err != nil {
+			return nil, err
+		}
+	}
+	if err := core.ReplayStoreFronts(ctx, systems, st, fronts, nil); err != nil {
+		return nil, err
+	}
+	replayedRefs.Add(uint64(st.Len()) * uint64(len(systems)))
+	res := make([]core.Results, len(systems))
+	for i, sys := range systems {
+		sys.AddInstructions(st.Instructions())
+		res[i] = sys.Results()
+	}
+	return res, nil
+}
+
+// replayedRefs counts the references of completed replays of Results
+// and Run, per system or model; a configuration answered from a results
+// memo adds nothing. Adding once per completed pass keeps the replay
+// loop free of per-batch atomics.
+var replayedRefs atomic.Uint64
+
+// ReplayedRefs returns the references replayed, per system or model,
+// through completed passes of Results and Run since process start.
+func ReplayedRefs() uint64 { return replayedRefs.Load() }
+
 // Fronts returns the front memo of the recording of (name, size,
-// scale) that st is, the store Record returns: the stored L1 fronts of
-// completed whole-trace replays of st (core.Front), at most one per
-// front key. core.ReplayStoreFronts serves a class of fresh systems
-// from it and stores the front a live class records. The fronts live
-// on the recording's cache entry beside its results memo and count
-// against the cache's budget, so eviction and ResetTraceCache drop them
-// with the store; a memo whose recording was dropped, or dropped and
-// recorded again, serves and stores nothing.
+// scale) that st is, the store Record returns: the paper's L1 front of
+// st once a completed whole-trace replay has recorded it (core.Front).
+// core.ReplayStoreFronts serves a class of fresh systems with the
+// paper's L1s from it, or has one record it. The front lives on the
+// recording's cache entry beside its results memo and counts against
+// the cache's budget, so eviction and ResetTraceCache drop it with the
+// store; a memo whose recording was dropped, or dropped and recorded
+// again, serves and stores nothing.
 //
-// Only replays from fresh systems over the whole recording use it: the
-// experiments' fan-outs. Sweeps and the optimizer replay live.
+// Only replays from fresh systems over the whole recording use it:
+// Results, and the experiments' timed and observed replays. The
+// optimizer replays live.
 func Fronts(name string, size workload.Size, scale float64, st *trace.Store) core.FrontMemo {
 	return frontMemo{recordings, traceKey{name, size, scale}, st}
 }
@@ -113,37 +162,27 @@ type frontMemo struct {
 	st  *trace.Store
 }
 
-// Front returns the stored front serving cfg, counting a front hit, or
-// nil.
-func (m frontMemo) Front(cfg core.Config) *core.Front {
+// Front returns the stored front, counting a front hit, or nil.
+func (m frontMemo) Front() *core.Front {
 	m.c.mu.Lock()
 	defer m.c.mu.Unlock()
-	if e := m.c.entry(m.key, m.st); e != nil {
-		for _, f := range e.fronts {
-			if f.Serves(cfg) {
-				m.c.frontHits.Add(1)
-				return f
-			}
-		}
+	if e := m.c.entry(m.key, m.st); e != nil && e.front != nil {
+		m.c.frontHits.Add(1)
+		return e.front
 	}
 	return nil
 }
 
 // AddFront stores f on the recording's entry, charging its bytes to the
-// budget, unless the entry is gone or already holds a front of f's key.
+// budget, unless the entry is gone or already holds a front.
 func (m frontMemo) AddFront(f *core.Front) {
 	m.c.mu.Lock()
 	defer m.c.mu.Unlock()
 	e := m.c.entry(m.key, m.st)
-	if e == nil {
+	if e == nil || e.front != nil {
 		return
 	}
-	for _, g := range e.fronts {
-		if g.SameFront(f) {
-			return
-		}
-	}
-	e.fronts = append(e.fronts, f)
+	e.front = f
 	n := f.Bytes()
 	e.bytes += n
 	m.c.bytes.Add(n)
@@ -183,14 +222,18 @@ type traceKey struct {
 	scale float64
 }
 
+// memoEntryBytes is what one results-memo entry charges to the budget:
+// its key and its value.
+const memoEntryBytes = int64(unsafe.Sizeof(core.Config{}) + unsafe.Sizeof(core.Results{}))
+
 // traceEntry is one cached recording with its results memo and its
-// stored fronts.
+// stored front.
 type traceEntry struct {
 	key     traceKey
 	store   *trace.Store
-	bytes   int64                        // store.Footprint() plus the fronts' Bytes
+	bytes   int64                        // store.Footprint(), memoEntryBytes per memo entry and the front's Bytes
 	results map[core.Config]core.Results // completed replays of store; see Results
-	fronts  []*core.Front                // see Fronts
+	front   *core.Front                  // the paper's L1 front of store, or nil; see Fronts
 }
 
 // traceCache is a bounded cache of recordings. A caller that misses
@@ -199,10 +242,10 @@ type traceEntry struct {
 // instead, so every caller of a key gets one store. A failed or
 // cancelled recording inserts nothing, so no caller inherits another
 // caller's cancellation. Entries are evicted least recently used
-// first once their footprints exceed the budget. The LRU order lives
-// in a list so that nothing ever ranges over the map. Each entry's
-// results memo and stored fronts follow the same rules (see Results
-// and Fronts).
+// first once their footprints, results memos and fronts exceed the
+// budget. The LRU order lives in a list so that nothing ever ranges
+// over the map. Each entry's results memo and stored front follow the
+// same rules (see Results and Fronts).
 type traceCache struct {
 	mu      sync.Mutex
 	budget  int64
@@ -274,22 +317,16 @@ func (c *traceCache) entry(key traceKey, st *trace.Store) *traceEntry {
 	return nil
 }
 
-// memo returns the results memo of st, or nil (see entry); c.mu must be
-// held.
-func (c *traceCache) memo(key traceKey, st *trace.Store) map[core.Config]core.Results {
-	if e := c.entry(key, st); e != nil {
-		return e.results
-	}
-	return nil
-}
-
 // memoized copies into res[i] the memoized Results of each cfgs[i]
 // that st's results memo holds, counting a memo hit for each, and
 // returns the indices of the others in order.
 func (c *traceCache) memoized(key traceKey, st *trace.Store, cfgs []core.Config, res []core.Results) (missing []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	memo := c.memo(key, st)
+	var memo map[core.Config]core.Results
+	if e := c.entry(key, st); e != nil {
+		memo = e.results
+	}
 	for i, cfg := range cfgs {
 		r, ok := memo[cfg]
 		if !ok {
@@ -303,20 +340,24 @@ func (c *traceCache) memoized(key traceKey, st *trace.Store, cfgs []core.Config,
 }
 
 // memoize adds res[i] as the Results of cfgs[i] to st's results memo,
-// if st is still cached under key.
+// if st is still cached under key, charging each new entry to the
+// budget.
 func (c *traceCache) memoize(key traceKey, st *trace.Store, cfgs []core.Config, res []core.Results) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	memo := c.memo(key, st)
-	if memo == nil {
+	e := c.entry(key, st)
+	if e == nil {
 		return
 	}
 	for i, cfg := range cfgs {
-		if _, ok := memo[cfg]; !ok {
+		if _, ok := e.results[cfg]; !ok {
 			c.memoEntries.Add(1)
+			e.bytes += memoEntryBytes
+			c.bytes.Add(memoEntryBytes)
 		}
-		memo[cfg] = res[i]
+		e.results[cfg] = res[i]
 	}
+	c.evict()
 }
 
 // insert caches st under key and evicts down to the budget; c.mu must
@@ -338,8 +379,8 @@ func (c *traceCache) evict() {
 	}
 }
 
-// remove drops the entry at el with its results memo and fronts; c.mu
-// must be held. Replays still holding its store or fronts keep them
+// remove drops the entry at el with its results memo and front; c.mu
+// must be held. Replays still holding its store or front keep them
 // alive until they finish, and store nothing into it.
 func (c *traceCache) remove(el *list.Element) {
 	e := c.lru.Remove(el).(*traceEntry)
@@ -347,8 +388,8 @@ func (c *traceCache) remove(el *list.Element) {
 	c.bytes.Add(-e.bytes)
 	c.resident.Add(-1)
 	c.memoEntries.Add(-int64(len(e.results)))
-	for _, f := range e.fronts {
-		c.frontBytes.Add(-f.Bytes())
+	if e.front != nil {
+		c.frontBytes.Add(-e.front.Bytes())
 	}
 }
 
@@ -368,8 +409,9 @@ type CacheStats struct {
 	// including callers whose own recording finished after another
 	// caller had cached the same key.
 	Hits uint64
-	// Bytes is the resident footprint of the cached recordings and
-	// their stored fronts.
+	// Bytes is the resident footprint of the cached recordings, their
+	// results memos (MemoEntries entries of a configuration and its
+	// Results each) and their stored fronts.
 	Bytes int64
 	// Entries is the number of cached recordings.
 	Entries int64
@@ -382,7 +424,7 @@ type CacheStats struct {
 	// memos hold.
 	MemoEntries int64
 	// FrontHits counts front lookups a stored front answered: front
-	// classes of experiment replays served without a decode or an L1
+	// classes of whole-trace replays served without a decode or an L1
 	// probe, and Table 4's walks of a front's traffic (see Fronts).
 	FrontHits uint64
 	// FrontBytes is the stored fronts' share of Bytes.
@@ -406,6 +448,6 @@ func TraceCacheStats() CacheStats {
 }
 
 // ResetTraceCache drops every cached recording with its results memo
-// and stored fronts, for benchmarks that measure recording cost. Hit and eviction counts
-// keep accumulating.
+// and stored front, for benchmarks that measure recording cost. Hit
+// and eviction counts keep accumulating.
 func ResetTraceCache() { recordings.reset() }

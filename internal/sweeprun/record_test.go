@@ -213,7 +213,7 @@ func TestScaleOutOfRange(t *testing.T) {
 		if _, _, err := Record(context.Background(), "mgrid", "small", tc.scale); err == nil {
 			t.Errorf("Record accepted scale %v", tc.scale)
 		}
-		s := baseSpec("hit", 1)
+		s := baseSpec("hit")
 		s.Scale = tc.scale
 		if err := s.Validate(); (err == nil) != tc.specOK {
 			t.Errorf("Validate(scale %v) = %v, want ok=%v", tc.scale, err, tc.specOK)
@@ -221,36 +221,56 @@ func TestScaleOutOfRange(t *testing.T) {
 	}
 }
 
-// TestResultsMemoRules drives Results with a stand-in replay that
-// marks each Results with its configuration's stream count. A
-// configuration replays once per recording and is answered from the
-// memo after, in the caller's order; a failed replay memoizes nothing;
-// a replay whose recording was dropped and recorded again meanwhile
-// memoizes nothing into the new recording's entry, whose memo the
-// reset emptied.
-func TestResultsMemoRules(t *testing.T) {
-	ctx := context.Background()
-	cfg := func(streams int) core.Config {
-		c := core.DefaultConfig()
-		c.Streams.Streams = streams
-		return c
-	}
-	var replayed []int
-	replay := func(_ *trace.Store, cfgs []core.Config) ([]core.Results, error) {
+// standIn is a stand-in whole-trace replay for the memo tests: it
+// marks each Results with its configuration's stream count and appends
+// the count to *replayed.
+func standIn(replayed *[]int) func(context.Context, *trace.Store, core.FrontMemo, []core.Config) ([]core.Results, error) {
+	return func(_ context.Context, _ *trace.Store, _ core.FrontMemo, cfgs []core.Config) ([]core.Results, error) {
 		res := make([]core.Results, len(cfgs))
 		for i, c := range cfgs {
-			replayed = append(replayed, c.Streams.Streams)
+			*replayed = append(*replayed, c.Streams.Streams)
 			res[i].Instructions = uint64(c.Streams.Streams)
 		}
 		return res, nil
 	}
-	results := func(replay func(*trace.Store, []core.Config) ([]core.Results, error), streams ...int) ([]core.Results, error) {
+}
+
+// streamsConfigs returns the paper's configuration at each stream
+// count.
+func streamsConfigs(streams ...int) []core.Config {
+	cfgs := make([]core.Config, len(streams))
+	for i, n := range streams {
+		cfgs[i] = core.DefaultConfig()
+		cfgs[i].Streams.Streams = n
+	}
+	return cfgs
+}
+
+// TestResultsMemoRules drives the results memo of a cache of its own
+// with the stand-in replay. A configuration replays once per recording
+// and is answered from the memo after, in the caller's order; each
+// entry is charged to the budget; a real replay cancelled mid-call
+// memoizes nothing; a replay whose recording was dropped and recorded
+// again meanwhile memoizes nothing into the new recording's entry,
+// whose memo the reset emptied; and a memo that outgrows the budget is
+// evicted with its recording, releasing its bytes.
+func TestResultsMemoRules(t *testing.T) {
+	ctx := context.Background()
+	key, rec := recorder(t, 0.02)
+	c := newTraceCache(traceCacheBudget)
+	get := func() *trace.Store {
 		t.Helper()
-		cfgs := make([]core.Config, len(streams))
-		for i, n := range streams {
-			cfgs[i] = cfg(n)
+		st, err := c.get(ctx, key, func() (*trace.Store, error) { return rec(ctx) })
+		if err != nil {
+			t.Fatal(err)
 		}
-		return Results(ctx, "embar", workload.SizeSmall, 0.02, cfgs, replay)
+		return st
+	}
+	var replayed []int
+	replay := standIn(&replayed)
+	results := func(replay func(context.Context, *trace.Store, core.FrontMemo, []core.Config) ([]core.Results, error), streams ...int) ([]core.Results, error) {
+		t.Helper()
+		return c.results(ctx, key, get(), streamsConfigs(streams...), replay)
 	}
 	expect := func(what string, res []core.Results, wantReplayed []int, wantEntries int64, streams ...int) {
 		t.Helper()
@@ -262,44 +282,66 @@ func TestResultsMemoRules(t *testing.T) {
 				t.Errorf("%s: result %d is for %d streams, want %d", what, i, res[i].Instructions, n)
 			}
 		}
-		if got := TraceCacheStats().MemoEntries; got != wantEntries {
+		if got := c.memoEntries.Load(); got != wantEntries {
 			t.Errorf("%s: memo holds %d results, want %d", what, got, wantEntries)
+		}
+		c.mu.Lock()
+		e := c.entries[key].Value.(*traceEntry)
+		c.mu.Unlock()
+		if want := int64(e.store.Footprint()) + wantEntries*memoEntryBytes; e.bytes != want || c.bytes.Load() != want {
+			t.Errorf("%s: the entry charges %d bytes and the cache %d, want %d", what, e.bytes, c.bytes.Load(), want)
 		}
 		replayed = nil
 	}
 
-	ResetTraceCache()
 	res, err := results(replay, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expect("cold", res, []int{2, 4}, 2, 2, 4)
-	hits0 := TraceCacheStats().MemoHits
+	hits0 := c.memoHits.Load()
 	if res, err = results(replay, 4, 8, 2); err != nil {
 		t.Fatal(err)
 	}
 	expect("warm", res, []int{8}, 3, 4, 8, 2)
-	if hits := TraceCacheStats().MemoHits - hits0; hits != 2 {
+	if hits := c.memoHits.Load() - hits0; hits != 2 {
 		t.Errorf("%d memo hits, want 2", hits)
 	}
 
-	failed := errors.New("replay failed")
-	if _, err := results(func(*trace.Store, []core.Config) ([]core.Results, error) { return nil, failed }, 6); !errors.Is(err, failed) {
-		t.Fatalf("failed replay returned %v", err)
+	cctx, cancel := context.WithCancel(ctx)
+	cancelled := func(ctx context.Context, st *trace.Store, fronts core.FrontMemo, cfgs []core.Config) ([]core.Results, error) {
+		cancel()
+		return replayFresh(cctx, st, fronts, cfgs)
 	}
-	expect("failed", nil, nil, 3)
+	if _, err := results(cancelled, 6); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a replay cancelled mid-call returned %v", err)
+	}
+	expect("cancelled", nil, nil, 3)
 
-	rerecorded := func(st *trace.Store, cfgs []core.Config) ([]core.Results, error) {
-		ResetTraceCache()
-		if _, _, err := Record(ctx, "embar", "small", 0.02); err != nil {
-			return nil, err
-		}
-		return replay(st, cfgs)
+	rerecorded := func(ctx context.Context, st *trace.Store, fronts core.FrontMemo, cfgs []core.Config) ([]core.Results, error) {
+		c.reset()
+		get()
+		return replay(ctx, st, fronts, cfgs)
 	}
 	if res, err = results(rerecorded, 6); err != nil {
 		t.Fatal(err)
 	}
 	expect("re-recorded meanwhile", res, []int{6}, 0, 6)
+
+	if res, err = results(replay, 1); err != nil {
+		t.Fatal(err)
+	}
+	expect("one more", res, []int{1}, 1, 1)
+	c.mu.Lock()
+	c.budget = c.bytes.Load() + memoEntryBytes
+	c.mu.Unlock()
+	if _, err = results(replay, 3, 5); err != nil {
+		t.Fatal(err)
+	}
+	if c.evictions.Load() != 1 || c.bytes.Load() != 0 || c.memoEntries.Load() != 0 || c.resident.Load() != 0 {
+		t.Errorf("a memo two entries over the budget left %d evictions, %d bytes, %d memo entries and %d recordings; want 1, 0, 0 and 0",
+			c.evictions.Load(), c.bytes.Load(), c.memoEntries.Load(), c.resident.Load())
+	}
 }
 
 // TestResultsConcurrent: callers asking for overlapping
@@ -308,12 +350,9 @@ func TestResultsMemoRules(t *testing.T) {
 // -race: the memo is shared by every caller of the recording.
 func TestResultsConcurrent(t *testing.T) {
 	ResetTraceCache()
-	replay := func(_ *trace.Store, cfgs []core.Config) ([]core.Results, error) {
-		res := make([]core.Results, len(cfgs))
-		for i, c := range cfgs {
-			res[i].Instructions = uint64(c.Streams.Streams)
-		}
-		return res, nil
+	_, st, err := Record(context.Background(), "embar", "small", 0.02)
+	if err != nil {
+		t.Fatal(err)
 	}
 	const callers = 8
 	var wg sync.WaitGroup
@@ -321,12 +360,9 @@ func TestResultsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cfgs := make([]core.Config, 3)
-			for i := range cfgs {
-				cfgs[i] = core.DefaultConfig()
-				cfgs[i].Streams.Streams = 1 + (g+i)%4
-			}
-			res, err := Results(context.Background(), "embar", workload.SizeSmall, 0.02, cfgs, replay)
+			var replayed []int
+			cfgs := streamsConfigs(1+g%4, 1+(g+1)%4, 1+(g+2)%4)
+			res, err := recordings.results(context.Background(), keyOf("embar", "small", 0.02), st, cfgs, standIn(&replayed))
 			if err != nil {
 				t.Error(err)
 				return
@@ -352,20 +388,22 @@ func bareConfig() core.Config {
 	return cfg
 }
 
-// replayFresh replays st through a fresh bare system with memo.
-func replayFresh(ctx context.Context, st *trace.Store, memo core.FrontMemo) error {
-	sys, err := core.New(bareConfig())
+// replayBare replays st through a fresh system of cfg with memo.
+func replayBare(ctx context.Context, st *trace.Store, memo core.FrontMemo, cfg core.Config) error {
+	sys, err := core.New(cfg)
 	if err != nil {
 		return err
 	}
 	return core.ReplayStoreFronts(ctx, []*core.System{sys}, st, memo, nil)
 }
 
-// TestFrontMemoRules: a cancelled replay stores no front; a completed
-// one stores its front on the recording's entry, charged to the
-// budget, and later lookups are front hits; a memo whose recording was
-// dropped and recorded again stores nothing into the new entry; and
-// ResetTraceCache and eviction drop the fronts with their recording.
+// TestFrontMemoRules: a replay of other L1s than the paper's stores no
+// front; a cancelled replay stores no front; a completed one stores
+// its front on the recording's entry, charged to the budget, and later
+// lookups are front hits; a recording holds one front, so a second
+// front offered is dropped; a memo whose recording was dropped and
+// recorded again stores nothing into the new entry; and
+// ResetTraceCache and eviction drop the front with its recording.
 func TestFrontMemoRules(t *testing.T) {
 	ctx := context.Background()
 	ResetTraceCache()
@@ -375,19 +413,27 @@ func TestFrontMemoRules(t *testing.T) {
 	}
 	memo := Fronts("embar", workload.SizeSmall, 0.02, st)
 	stats := TraceCacheStats()
+	direct := bareConfig()
+	direct.L1I.Assoc, direct.L1D.Assoc = 1, 1
+	if err := replayBare(ctx, st, memo, direct); err != nil {
+		t.Fatal(err)
+	}
+	if memo.Front() != nil || TraceCacheStats() != stats {
+		t.Fatalf("a replay of direct-mapped L1s stored a front: stats %+v, were %+v", TraceCacheStats(), stats)
+	}
 	cctx, cancel := context.WithCancel(ctx)
 	cancel()
-	if err := replayFresh(cctx, st, memo); !errors.Is(err, context.Canceled) {
+	if err := replayBare(cctx, st, memo, bareConfig()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled replay returned %v", err)
 	}
-	if memo.Front(bareConfig()) != nil || TraceCacheStats() != stats {
+	if memo.Front() != nil || TraceCacheStats() != stats {
 		t.Fatalf("a cancelled replay stored a front: stats %+v, were %+v", TraceCacheStats(), stats)
 	}
 
-	if err := replayFresh(ctx, st, memo); err != nil {
+	if err := replayBare(ctx, st, memo, bareConfig()); err != nil {
 		t.Fatal(err)
 	}
-	f := memo.Front(bareConfig())
+	f := memo.Front()
 	if f == nil {
 		t.Fatal("a completed replay stored no front")
 	}
@@ -398,11 +444,25 @@ func TestFrontMemoRules(t *testing.T) {
 	if f.Bytes() > int64(st.Len()) {
 		t.Errorf("embar's front takes %d bytes for %d references, over 1 B per reference", f.Bytes(), st.Len())
 	}
-	if err := replayFresh(ctx, st, memo); err != nil {
+	if err := replayBare(ctx, st, memo, bareConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if TraceCacheStats().FrontHits != got.FrontHits+1 || memo.Front(bareConfig()) != f {
+	if TraceCacheStats().FrontHits != got.FrontHits+1 || memo.Front() != f {
 		t.Error("a replay from the stored front did not keep it, or was not a front hit")
+	}
+	// A second front of the same recording, recorded through another
+	// cache, is dropped: the entry holds one front.
+	other := newTraceCache(traceCacheBudget)
+	if _, err := other.get(ctx, keyOf("embar", "small", 0.02), func() (*trace.Store, error) { return st, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := replayBare(ctx, st, frontMemo{other, keyOf("embar", "small", 0.02), st}, bareConfig()); err != nil {
+		t.Fatal(err)
+	}
+	bytes := TraceCacheStats().Bytes
+	memo.AddFront(other.entries[keyOf("embar", "small", 0.02)].Value.(*traceEntry).front)
+	if memo.Front() != f || TraceCacheStats().Bytes != bytes {
+		t.Error("a recording holding a front stored a second one")
 	}
 
 	ResetTraceCache()
@@ -413,10 +473,10 @@ func TestFrontMemoRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := replayFresh(ctx, st, memo); err != nil {
+	if err := replayBare(ctx, st, memo, bareConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if Fronts("embar", workload.SizeSmall, 0.02, st2).Front(bareConfig()) != nil || TraceCacheStats().FrontBytes != 0 {
+	if Fronts("embar", workload.SizeSmall, 0.02, st2).Front() != nil || TraceCacheStats().FrontBytes != 0 {
 		t.Error("a replay of a dropped recording stored its front on the new recording")
 	}
 
@@ -428,7 +488,7 @@ func TestFrontMemoRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := replayFresh(ctx, a, frontMemo{c, keyA, a}); err != nil {
+	if err := replayBare(ctx, a, frontMemo{c, keyA, a}, bareConfig()); err != nil {
 		t.Fatal(err)
 	}
 	if c.frontBytes.Load() == 0 {
@@ -448,7 +508,7 @@ func TestFrontMemoRules(t *testing.T) {
 		t.Errorf("after evicting A: %d evictions, %d front bytes, %d bytes; want 1, 0 and B's %d",
 			c.evictions.Load(), c.frontBytes.Load(), c.bytes.Load(), b.Footprint())
 	}
-	if (frontMemo{c, keyA, a}).Front(bareConfig()) != nil {
+	if (frontMemo{c, keyA, a}).Front() != nil {
 		t.Error("an evicted recording's front is still served")
 	}
 }
@@ -469,13 +529,13 @@ func TestFrontMemoConcurrentRecorders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := replayFresh(ctx, st, memo); err != nil {
+			if err := replayBare(ctx, st, memo, bareConfig()); err != nil {
 				t.Error(err)
 			}
 		}()
 	}
 	wg.Wait()
-	f := memo.Front(bareConfig())
+	f := memo.Front()
 	if f == nil {
 		t.Fatal("no front stored")
 	}

@@ -4,14 +4,17 @@
 // and plotting; the service owns queueing and memoization; both hand
 // a Spec to Run.
 //
-// It also owns the process's recording cache. Record records each
-// (workload, size, scale) once for every caller: sweeps, the optimizer
-// and the paper experiments. Each cached recording carries a results
-// memo, the Results of every configuration replayed over it to
-// completion, which Results consults before replaying; the experiments
-// use it, so a paper pass replays each (input, configuration) once.
-// Sweeps do not: their values come from the request, and a memo for
-// them would need a bound of its own.
+// It also owns the process's recording cache and its one whole-trace
+// replay of fresh systems. Record records each (workload, size, scale)
+// once for every caller: sweeps, the optimizer and the paper
+// experiments. Results replays configurations over a recording, and
+// each cached recording carries a results memo, the Results of every
+// configuration replayed over it to completion, and the paper's L1
+// front once a replay has simulated it (Fronts). A sweep point and an
+// experiment row are the same job, so both go through Results: a paper
+// pass replays each (input, configuration) once, and a sweep of a
+// configuration an experiment or an earlier sweep replayed reads it
+// from the memo. The memo is charged to the cache's budget.
 package sweeprun
 
 import (
@@ -20,9 +23,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"streamsim/internal/core"
+	"streamsim/internal/mem"
 	"streamsim/internal/tab"
 	"streamsim/internal/timing"
 	"streamsim/internal/trace"
@@ -46,13 +49,6 @@ type Spec struct {
 	Metric string `json:"metric,omitempty"`
 	// Scale is the workload iteration scale in (0, 1] (default 0.5).
 	Scale float64 `json:"scale,omitempty"`
-	// Parallel is the maximum number of sweep points measured
-	// concurrently. 0 and 1 both mean sequential (the historical
-	// behaviour, and the omitempty zero keeps service memo keys of
-	// older requests unchanged). The result is identical at any
-	// width: points are independent replays of one recorded trace,
-	// and the output keeps presentation order.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // WithDefaults fills unset optional fields. The service hashes the
@@ -105,9 +101,6 @@ func (s Spec) Validate() error {
 	}
 	if !(s.Scale > 0 && s.Scale <= 1) {
 		return fmt.Errorf("sweeprun: scale %v outside (0, 1]", s.Scale)
-	}
-	if s.Parallel < 0 {
-		return fmt.Errorf("sweeprun: parallel %d must be >= 0", s.Parallel)
 	}
 	if _, err := BuildWorkload(s.Workload, s.Size); err != nil {
 		return err
@@ -219,9 +212,13 @@ func ParamNames() string {
 // Run executes the sweep and returns the result table plus the raw
 // metric values (one per spec value, for plotting). The workload's
 // recording comes from Record, so it is generated at most once per
-// process; every sweep point replays it, up to Spec.Parallel points at
-// a time. Cancelling ctx aborts recording and every in-flight replay
-// within one batch boundary.
+// process. The hit-rate family reads each point's Results through the
+// recording's results memo, as an experiment row does (see Results).
+// A cpi sweep charges a timing model per point in one replay of the
+// full event order (Store.ReplayContext), so each point charges every
+// instruction count where the trace recorded it, as a direct workload
+// run would. Cancelling ctx aborts recording and the replay within one
+// batch boundary.
 //
 //simlint:deterministic
 func Run(ctx context.Context, s Spec) (*tab.Table, []float64, error) {
@@ -242,7 +239,23 @@ func Run(ctx context.Context, s Spec) (*tab.Table, []float64, error) {
 		return nil, nil, err
 	}
 	values := make([]float64, len(cfgs))
-	if err := runPoints(ctx, s, tr, cfgs, values); err != nil {
+	if s.Metric == "cpi" {
+		err = replayCPI(ctx, tr, cfgs, values)
+	} else {
+		var res []core.Results
+		res, err = recordings.results(ctx, keyOf(s.Workload, s.Size, s.Scale), tr, cfgs, replayFresh)
+		for i, r := range res {
+			switch s.Metric {
+			case "hit":
+				values[i] = r.StreamHitRate()
+			case "eb":
+				values[i] = r.ExtraBandwidth()
+			default:
+				values[i] = r.DataMissRate()
+			}
+		}
+	}
+	if err != nil {
 		return nil, nil, err
 	}
 	t := &tab.Table{
@@ -255,96 +268,49 @@ func Run(ctx context.Context, s Spec) (*tab.Table, []float64, error) {
 	return t, values, nil
 }
 
-// runPoints measures every sweep point into values, dispatching up to
-// s.Parallel points across workers. Each point runs under its own
-// child context; the first failure cancels the rest. Output order is
-// deterministic regardless of width because values is indexed by
-// point, not by completion.
-func runPoints(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config, values []float64) error {
-	// The hit-rate family measured serially collapses into one
-	// multi-config fan-out: the trace decodes once for all points, and
-	// for parameters that leave the L1 untouched (streams, depth,
-	// filter, czone, latency) the L1 front end simulates once with
-	// every point replaying only its own stream-side events. Both this
-	// path and the per-point workers below run the same exact
-	// sequential replay, so the values are identical at any Parallel
-	// width.
-	if s.Metric != "cpi" && s.Parallel <= 1 {
-		return runPointsFanOut(ctx, s, tr, cfgs, values)
-	}
-	workers := s.Parallel
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	runCtx, cancelAll := context.WithCancel(ctx)
-	defer cancelAll()
-	idx := make(chan int)
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				pctx, cancel := context.WithCancel(runCtx)
-				values[i], errs[i] = measurePoint(pctx, tr, cfgs[i], s.Metric)
-				cancel()
-				if errs[i] != nil {
-					cancelAll()
-				}
-			}
-		}()
-	}
-	for i := range cfgs {
-		if runCtx.Err() != nil {
-			break
-		}
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
-}
-
-// runPointsFanOut measures every point in one multi-config replay.
-// Only the hit-rate family routes here. A cpi point charges each
-// instruction count where the trace recorded it (Store.ReplayContext),
-// so it reproduces a direct workload run, while the timed fan-out
-// (timing.Replay) spreads the instructions evenly over the references;
-// cpi points therefore stay one replay each.
-func runPointsFanOut(ctx context.Context, s Spec, tr *trace.Store, cfgs []core.Config, values []float64) error {
-	systems := make([]*core.System, len(cfgs))
+// replayCPI charges a fresh timing model of each configuration, at the
+// default latencies, from one replay of tr's full event order, and
+// stores each model's CPI into values.
+func replayCPI(ctx context.Context, tr *trace.Store, cfgs []core.Config, values []float64) error {
+	models := make(timedPoints, len(cfgs))
 	for i, cfg := range cfgs {
-		sys, err := core.New(cfg)
+		m, err := timing.New(cfg, timing.DefaultLatencies())
 		if err != nil {
 			return err
 		}
-		systems[i] = sys
+		models[i] = m
 	}
-	if err := core.ReplayStoreMultiPrefixFrom(ctx, systems, tr, 0, 0); err != nil {
+	if err := tr.ReplayContext(ctx, models); err != nil {
 		return err
 	}
-	for i, sys := range systems {
-		sys.AddInstructions(tr.Instructions())
-		r := sys.Results()
-		switch s.Metric {
-		case "hit":
-			values[i] = r.StreamHitRate()
-		case "eb":
-			values[i] = r.ExtraBandwidth()
-		default:
-			values[i] = r.DataMissRate()
-		}
+	replayedRefs.Add(uint64(tr.Len()) * uint64(len(models)))
+	for i, m := range models {
+		values[i] = m.Stats().CPI()
 	}
 	return nil
+}
+
+// timedPoints is a trace sink that hands every event to each of its
+// models in turn, so each model sees the event sequence a replay into
+// it alone delivers.
+type timedPoints []*timing.Model
+
+func (ms timedPoints) Access(a mem.Access) {
+	for _, m := range ms {
+		m.Access(a)
+	}
+}
+
+func (ms timedPoints) AccessBatch(accs []mem.Access) {
+	for _, m := range ms {
+		m.AccessBatch(accs)
+	}
+}
+
+func (ms timedPoints) AddInstructions(n uint64) {
+	for _, m := range ms {
+		m.AddInstructions(n)
+	}
 }
 
 // BuildWorkload resolves a benchmark name or a custom:<mix> spec.
@@ -377,43 +343,4 @@ func BuildWorkload(name, sizeS string) (*workload.Workload, error) {
 		return nil, fmt.Errorf("unknown size %q (small or large)", sizeS)
 	}
 	return workload.New(name, size)
-}
-
-// measurePoint replays the recorded trace through cfg and extracts
-// the metric. The hit-rate family replays on the batched no-PC hot
-// path; cpi replays the full event order through the timing model, so
-// every metric is identical to a direct workload run against the
-// configured system.
-func measurePoint(ctx context.Context, tr *trace.Store, cfg core.Config, metric string) (float64, error) {
-	switch metric {
-	case "hit", "eb", "missrate":
-		sys, err := core.New(cfg)
-		if err != nil {
-			return 0, err
-		}
-		if err := core.ReplayStoreMultiPrefixFrom(ctx, []*core.System{sys}, tr, 0, 0); err != nil {
-			return 0, err
-		}
-		sys.AddInstructions(tr.Instructions())
-		r := sys.Results()
-		switch metric {
-		case "hit":
-			return r.StreamHitRate(), nil
-		case "eb":
-			return r.ExtraBandwidth(), nil
-		default:
-			return r.DataMissRate(), nil
-		}
-	case "cpi":
-		m, err := timing.New(cfg, timing.DefaultLatencies())
-		if err != nil {
-			return 0, err
-		}
-		if err := tr.ReplayContext(ctx, m); err != nil {
-			return 0, err
-		}
-		return m.Stats().CPI(), nil
-	default:
-		return 0, fmt.Errorf("unknown metric %q (hit, eb, missrate or cpi)", metric)
-	}
 }

@@ -272,8 +272,8 @@ func (m *Model) chargeBatch(n int, log []core.Miss, perAccess uint64) {
 // pass (core.ReplayStoreFronts), so models whose systems share an L1
 // front simulate it once, and charges each batch to every model
 // (chargeBatch). The models must be fresh when memo is non-nil: a
-// class of them whose front memo holds then replays from the stored
-// front, with no decode and no L1 probe (see core.FrontMemo). The
+// class of them with the paper's L1s then replays from the memo's
+// stored front, with no decode and no L1 probe (see core.FrontMemo). The
 // instructions are spread evenly: each reference retires
 // Instructions/Len of them right after its access, and the remainder
 // retires after the last. Each model's ledger, results and secondary

@@ -143,28 +143,3 @@ func (c *Cache) Insert(block uint64, dirty bool) (wbBlock uint64, writeBack bool
 	c.entries[victim] = entry{block: block, dirty: dirty, valid: true, lastUse: c.clock}
 	return wbBlock, writeBack
 }
-
-// Invalidate removes a block (write-back coherence), reporting whether
-// it was present and dirty.
-func (c *Cache) Invalidate(block uint64) (present, dirty bool) {
-	for i := range c.entries {
-		e := &c.entries[i]
-		if e.valid && e.block == block {
-			present, dirty = true, e.dirty
-			e.valid = false
-			e.dirty = false
-			return present, dirty
-		}
-	}
-	return false, false
-}
-
-// Flush empties the buffer, counting dirty entries as write-backs.
-func (c *Cache) Flush() {
-	for i := range c.entries {
-		if c.entries[i].valid && c.entries[i].dirty {
-			c.stats.WriteBacks++
-		}
-		c.entries[i] = entry{}
-	}
-}

@@ -89,34 +89,6 @@ func TestReinsertRefreshesAndMergesDirty(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c, _ := New(2)
-	c.Insert(5, true)
-	present, dirty := c.Invalidate(5)
-	if !present || !dirty {
-		t.Errorf("Invalidate = (%v, %v), want (true, true)", present, dirty)
-	}
-	if hit, _ := c.Probe(5); hit {
-		t.Error("invalidated block should be gone")
-	}
-	if present, _ := c.Invalidate(5); present {
-		t.Error("second invalidate should find nothing")
-	}
-}
-
-func TestFlush(t *testing.T) {
-	c, _ := New(4)
-	c.Insert(1, true)
-	c.Insert(2, false)
-	c.Flush()
-	if hit, _ := c.Probe(1); hit {
-		t.Error("flush should empty the buffer")
-	}
-	if got := c.Stats().WriteBacks; got != 1 {
-		t.Errorf("WriteBacks = %d, want 1 (one dirty entry)", got)
-	}
-}
-
 func TestStatsHitRate(t *testing.T) {
 	var s Stats
 	if s.HitRate() != 0 {

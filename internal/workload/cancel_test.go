@@ -139,7 +139,9 @@ func TestCancelCheckAllocFree(t *testing.T) {
 	base := m.Alloc(1 << 20)
 	avg := testing.AllocsPerRun(100, func() {
 		// 8 batch boundaries (and cancel polls) per run.
-		m.SeqLoad(base, 8*accBufLen, 8, 0)
+		for i := 0; i < 8*accBufLen; i++ {
+			m.Load(base + mem.Addr(8*i))
+		}
 	})
 	if avg != 0 {
 		t.Fatalf("AllocsPerRun with context check = %v, want 0", avg)

@@ -259,15 +259,6 @@ func (m *Machine) Alloc(bytes uint64) mem.Addr {
 	return base
 }
 
-// SetCodeFootprint sizes the hot code loop (default 8 KB).
-func (m *Machine) SetCodeFootprint(bytes uint64) {
-	if bytes < 64 {
-		bytes = 64
-	}
-	m.codeBytes = mem.Addr(bytes &^ 63)
-	m.codePC = m.codeBase
-}
-
 // Inst retires n instructions, advancing the synthetic PC and emitting
 // block-granularity instruction fetches.
 func (m *Machine) Inst(n int) {
@@ -328,72 +319,6 @@ func (m *Machine) Rand() *rand.Rand { return m.rng }
 
 // --- kernel toolkit -------------------------------------------------
 
-// SeqLoad walks n elements of elemBytes each from base, loading each,
-// with instsPerRef instructions of compute interleaved per reference.
-func (m *Machine) SeqLoad(base mem.Addr, n int, elemBytes uint, instsPerRef int) {
-	for i := 0; i < n; i++ {
-		m.Load(base + mem.Addr(i)*mem.Addr(elemBytes))
-		m.Inst(instsPerRef)
-	}
-}
-
-// SeqStore is SeqLoad for stores.
-func (m *Machine) SeqStore(base mem.Addr, n int, elemBytes uint, instsPerRef int) {
-	for i := 0; i < n; i++ {
-		m.Store(base + mem.Addr(i)*mem.Addr(elemBytes))
-		m.Inst(instsPerRef)
-	}
-}
-
-// StrideLoad walks n references from base with a constant byte stride.
-func (m *Machine) StrideLoad(base mem.Addr, n int, strideBytes int64, instsPerRef int) {
-	a := int64(base)
-	for i := 0; i < n; i++ {
-		if a < 0 {
-			return
-		}
-		m.Load(mem.Addr(a))
-		m.Inst(instsPerRef)
-		a += strideBytes
-	}
-}
-
-// StrideStore is StrideLoad for stores.
-func (m *Machine) StrideStore(base mem.Addr, n int, strideBytes int64, instsPerRef int) {
-	a := int64(base)
-	for i := 0; i < n; i++ {
-		if a < 0 {
-			return
-		}
-		m.Store(mem.Addr(a))
-		m.Inst(instsPerRef)
-		a += strideBytes
-	}
-}
-
-// GatherLoad performs n indirect loads: load idx from idxBase
-// sequentially, then load data[idx*elemBytes]. idxOf supplies the
-// index value for the i-th gather (the model's stand-in for the index
-// array contents).
-func (m *Machine) GatherLoad(idxBase, dataBase mem.Addr, n int, elemBytes uint,
-	idxOf func(i int) int, instsPerRef int) {
-	for i := 0; i < n; i++ {
-		m.Load(idxBase + mem.Addr(i)*4) // index array is int32
-		m.Load(dataBase + mem.Addr(idxOf(i))*mem.Addr(elemBytes))
-		m.Inst(instsPerRef)
-	}
-}
-
-// ScatterStore is GatherLoad with the data reference a store.
-func (m *Machine) ScatterStore(idxBase, dataBase mem.Addr, n int, elemBytes uint,
-	idxOf func(i int) int, instsPerRef int) {
-	for i := 0; i < n; i++ {
-		m.Load(idxBase + mem.Addr(i)*4)
-		m.Store(dataBase + mem.Addr(idxOf(i))*mem.Addr(elemBytes))
-		m.Inst(instsPerRef)
-	}
-}
-
 // BlockRun loads a short contiguous run of bytes (a dense sub-block,
 // e.g. one 5x5 Jacobian) starting at base.
 func (m *Machine) BlockRun(base mem.Addr, bytes uint, instsPerRef int) {
@@ -426,12 +351,6 @@ func Names() []string {
 	copy(out, order)
 	return out
 }
-
-// NASNames returns the eight NAS benchmarks in Table 1 order.
-func NASNames() []string { return append([]string(nil), order[:8]...) }
-
-// PerfectNames returns the seven PERFECT benchmarks in Table 1 order.
-func PerfectNames() []string { return append([]string(nil), order[8:]...) }
 
 // GrowableNames returns the Table 4 benchmarks that accept SizeLarge.
 func GrowableNames() []string {

@@ -38,12 +38,6 @@ func TestNamesComplete(t *testing.T) {
 	if len(names) != 15 {
 		t.Fatalf("Names() has %d entries, want 15", len(names))
 	}
-	if len(NASNames()) != 8 {
-		t.Errorf("NASNames() has %d entries, want 8", len(NASNames()))
-	}
-	if len(PerfectNames()) != 7 {
-		t.Errorf("PerfectNames() has %d entries, want 7", len(PerfectNames()))
-	}
 	seen := map[string]bool{}
 	for _, n := range names {
 		if seen[n] {
@@ -185,8 +179,8 @@ func TestMachineInstEmitsFetches(t *testing.T) {
 func TestMachineCodeWraps(t *testing.T) {
 	var c countSink
 	m := newMachine(&c, "test")
-	m.SetCodeFootprint(256) // 4 blocks of code
-	m.Inst(10000)           // loops many times
+	m.codeBytes = 256 // 4 blocks of code
+	m.Inst(10000)     // loops many times
 	if c.fetches == 0 {
 		t.Fatal("no fetches emitted")
 	}
@@ -208,55 +202,12 @@ func TestMachineInstructionBatching(t *testing.T) {
 	}
 }
 
-func TestToolkitStrideLoadStopsAtZero(t *testing.T) {
-	var c countSink
-	m := newMachine(&c, "test")
-	m.StrideLoad(mem.Addr(128), 100, -64, 1)
-	// 128, 64, 0 then the next address would be negative: stop.
-	if c.reads != 3 {
-		t.Errorf("reads = %d, want 3 (stop at address zero)", c.reads)
-	}
-}
-
-func TestToolkitGatherScatter(t *testing.T) {
-	var c countSink
-	m := newMachine(&c, "test")
-	idx := m.Alloc(1024)
-	data := m.Alloc(1024)
-	m.GatherLoad(idx, data, 10, 8, func(i int) int { return i * 2 }, 1)
-	if c.reads != 20 { // index load + data load per element
-		t.Errorf("reads = %d, want 20", c.reads)
-	}
-	m.ScatterStore(idx, data, 10, 8, func(i int) int { return i }, 1)
-	if c.writes != 10 {
-		t.Errorf("writes = %d, want 10", c.writes)
-	}
-}
-
 func TestToolkitBlockRun(t *testing.T) {
 	var c countSink
 	m := newMachine(&c, "test")
 	m.BlockRun(m.Alloc(4096), 200, 1)
 	if c.reads != 25 { // 200 bytes / 8-byte touches
 		t.Errorf("reads = %d, want 25", c.reads)
-	}
-}
-
-func TestToolkitSeq(t *testing.T) {
-	var c countSink
-	m := newMachine(&c, "test")
-	base := m.Alloc(4096)
-	m.SeqLoad(base, 10, 8, 2)
-	m.SeqStore(base, 5, 8, 2)
-	if c.reads != 10 || c.writes != 5 {
-		t.Errorf("reads/writes = %d/%d, want 10/5", c.reads, c.writes)
-	}
-	if c.insts != 0 {
-		t.Error("insts should still be batched")
-	}
-	m.flush()
-	if c.insts != 30 {
-		t.Errorf("insts = %d, want 30", c.insts)
 	}
 }
 
