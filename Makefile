@@ -34,17 +34,23 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short fuzz pass over the property surfaces (codec, cache ops).
+# Short fuzz pass over the property surfaces (codec, cache ops) and
+# the differential targets of the stream set and the unit filter, which
+# check them against naive reference models in their test files.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzReader -fuzztime=30s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz=FuzzRoundTrip -fuzztime=30s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz=FuzzCacheOps -fuzztime=30s ./internal/cache/
+	$(GO) test -run=Fuzz -fuzz=FuzzStreamSet -fuzztime=30s ./internal/stream/
+	$(GO) test -run=Fuzz -fuzz=FuzzUnitStride -fuzztime=30s ./internal/filter/
 
 # The same at CI scale: 10 seconds per target.
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzReader -fuzztime=10s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz=FuzzRoundTrip -fuzztime=10s ./internal/trace/
 	$(GO) test -run=Fuzz -fuzz=FuzzCacheOps -fuzztime=10s ./internal/cache/
+	$(GO) test -run=Fuzz -fuzz=FuzzStreamSet -fuzztime=10s ./internal/stream/
+	$(GO) test -run=Fuzz -fuzz=FuzzUnitStride -fuzztime=10s ./internal/filter/
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -110,15 +116,19 @@ replay-smoke:
 	rm -f replay-1worker.out replay-nworker.out replay-alone.out replay-paperexp
 
 # sweep-smoke checks a sweep against its points run alone: it builds
-# cmd/sweep once, runs the 8-value stream-count sweep and a 3-value cpi
-# depth sweep, then runs each value alone, each in a fresh process,
-# and compares the joined data rows of the solo runs with the sweep's
-# rows (awk drops the title and header and the column padding, which
-# follows the widest value). A sweep replays its points together
-# through the recording's results memo and stored L1 front
-# (sweeprun.Results), and a cpi sweep charges every point's timing
-# model in one pass of the trace, so a diff is a point the shared pass
-# got wrong.
+# cmd/sweep once, runs the 8-value stream-count sweep and a 4-value cpi
+# stream-count sweep, then runs each value alone, each in a fresh
+# process, and compares the joined data rows of the solo runs with the
+# sweep's rows (awk drops the title and header and the column padding,
+# which follows the widest value). The cpi leg sweeps the stream count,
+# not the depth: mgrid's CPI is the same to the last bit at depths 1, 2
+# and 4 (a deeper stream's extra prefetches drain during the allocating
+# miss's stall), while 1, 2, 4 and 10 streams print 1.9, 1.8, 1.5 and
+# 1.4, so a sink that mixed up its points' models would show. A sweep
+# replays its points together through the recording's results memo and
+# stored L1 front (sweeprun.Results), and a cpi sweep charges every
+# point's timing model in one pass of the trace, so a diff is a point
+# the shared pass got wrong.
 SWEEP_SMOKE = ./sweep-smoke-bin -workload mgrid -scale 0.1
 SWEEP_ROWS = awk 'NR > 4 { $$1 = $$1; print }'
 sweep-smoke:
@@ -130,10 +140,10 @@ sweep-smoke:
 		$(SWEEP_ROWS) sweep-one.out; \
 	done > sweep-solo.out
 	cmp sweep-rows.out sweep-solo.out
-	$(SWEEP_SMOKE) -metric cpi -param depth -values 1,2,4 > sweep-all.out
+	$(SWEEP_SMOKE) -metric cpi -param streams -values 1,2,4,10 > sweep-all.out
 	$(SWEEP_ROWS) sweep-all.out > sweep-rows.out
-	for v in 1 2 4; do \
-		$(SWEEP_SMOKE) -metric cpi -param depth -values $$v > sweep-one.out || exit 1; \
+	for v in 1 2 4 10; do \
+		$(SWEEP_SMOKE) -metric cpi -param streams -values $$v > sweep-one.out || exit 1; \
 		$(SWEEP_ROWS) sweep-one.out; \
 	done > sweep-solo.out
 	cmp sweep-rows.out sweep-solo.out

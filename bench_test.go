@@ -293,19 +293,46 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamProbe measures the multi-way head-compare path on a
-// hitting stream.
+// BenchmarkStreamProbe measures the multi-way head-compare path on the
+// traffic a workload sends it: ten interleaved unit streams, one per
+// buffer, each probed in turn, so every probe compares all ten live
+// heads and hits.
 func BenchmarkStreamProbe(b *testing.B) {
-	s, err := stream.NewSet(mem.DefaultGeometry(), stream.Config{Streams: 10, Depth: 2})
+	const streams = 10
+	s, err := stream.NewSet(mem.DefaultGeometry(), stream.Config{Streams: streams, Depth: 2})
 	if err != nil {
 		b.Fatal(err)
 	}
-	s.AllocateUnit(0)
+	for j := 0; j < streams; j++ {
+		s.AllocateUnit(mem.Addr(j) << 32)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !s.Probe(mem.Addr(i + 1)) {
+		blk := mem.Addr(i%streams)<<32 + mem.Addr(i/streams) + 1
+		if !s.ProbeOutcome(blk).Hit {
 			b.Fatal("bench stream broke")
 		}
+	}
+}
+
+// BenchmarkStreamInvalidate measures write-back invalidation over a
+// full ten-stream set, in its common case: the written-back block is in
+// no stream, so every call compares all twenty entries and clears none.
+func BenchmarkStreamInvalidate(b *testing.B) {
+	const streams = 10
+	s, err := stream.NewSet(mem.DefaultGeometry(), stream.Config{Streams: streams, Depth: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for j := 0; j < streams; j++ {
+		s.AllocateUnit(mem.Addr(j) << 32)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.InvalidateBlock(mem.Addr(i%streams)<<32 + 1<<20)
+	}
+	if s.Stats().Invalidations != 0 {
+		b.Fatal("bench invalidated a stream entry")
 	}
 }
 

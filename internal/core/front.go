@@ -26,16 +26,16 @@ import (
 //
 // The log is one byte stream, one entry per logged reference:
 //
-//	uvarint  (position gap)<<5 | write-back<<4 | kind
+//	uvarint  (position gap)<<3 | write-back<<2 | kind
 //	varint   write-back block - previous write-back block (write-back only)
 //	varint   address - previous address of the same side (I or D)
 //
 // The position gap is the distance from the previous entry less one,
-// bits 2 and 3 of the header are zero, and the kind is the reference's
-// mem.Kind. The paper's L1s are write-allocate, unsampled and have no
-// victim buffer, so every logged reference fills: its tap segment is
-// the optional write-back followed by the fill of the reference's own
-// address, exactly the events missVia hands the backend.
+// and the kind is the reference's mem.Kind. The paper's L1s are
+// write-allocate, unsampled and have no victim buffer, so every logged
+// reference fills: its tap segment is the optional write-back followed
+// by the fill of the reference's own address, exactly the events
+// missVia hands the backend.
 type Front struct {
 	refs    int     // references of the recording
 	entries int     // logged references
@@ -134,12 +134,12 @@ func (w *frontWriter) add(words, tap []uint64, log []Miss) {
 		kind := word & 3
 		hdr := kind
 		if seg[0]&tapWriteBack != 0 {
-			hdr |= 1 << 4
+			hdr |= 1 << 2
 		}
 		pos := w.base + e.Index
-		w.log = appendUvarint(w.log, uint64(pos-w.last-1)<<5|hdr)
+		w.log = appendUvarint(w.log, uint64(pos-w.last-1)<<3|hdr)
 		w.last = pos
-		if hdr&(1<<4) != 0 {
+		if hdr&(1<<2) != 0 {
 			blk := seg[0] >> 2
 			w.log = appendUvarint(w.log, zigzag(blk-w.wb))
 			w.wb = blk
@@ -194,8 +194,8 @@ func (f *Front) reader() *frontReader {
 // header decodes the next entry's position and header bits.
 func (r *frontReader) header() {
 	v := r.uvarint()
-	r.pos += int(v>>5) + 1
-	r.hdr = v & 31
+	r.pos += int(v>>3) + 1
+	r.hdr = v & 7
 }
 
 // uvarint decodes one unsigned varint of the log.
@@ -219,7 +219,7 @@ func (r *frontReader) next(n int) (tap []uint64, log []Miss) {
 	tap, log = r.tap[:0], r.entries[:0]
 	for r.left > 0 && r.pos < end {
 		kind := mem.Kind(r.hdr & 3)
-		if r.hdr&(1<<4) != 0 {
+		if r.hdr&(1<<2) != 0 {
 			r.wb += unzigzag(r.uvarint())
 			tap = tap[:len(tap)+1]
 			tap[len(tap)-1] = r.wb<<2 | tapWriteBack

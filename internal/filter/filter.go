@@ -15,6 +15,12 @@
 // The minimum-delta scheme is the paper's alternative stride detector
 // (kept for the ablation benches): it stores the last N miss addresses
 // and uses the minimum distance to any of them as the stride.
+//
+// The two allocation filters run on every stream miss, so each keeps
+// what its search compares in one array of its own: the unit-stride
+// filter its predicted blocks, in recency order, and the czone filter
+// its partition tags, with the all-ones tag marking a free entry.
+// Each lookup is then one compare loop over that array.
 package filter
 
 import (
@@ -43,20 +49,17 @@ func (s UnitStrideStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Lookups)
 }
 
-// unitEntry is one slot of the unit-stride history buffer.
-type unitEntry struct {
-	block   mem.Addr // stored as missBlock+1 (Figure 4)
-	valid   bool
-	lastUse uint64
-}
-
 // UnitStride is the Section 6 filter: allocate a stream only after
 // misses to blocks i and i+1.
+//
+// lru holds the predicted next-miss blocks in the order they were last
+// written, least recent first, and its capacity is the filter's size:
+// the entries past its length are the free ones, the LRU victim is
+// lru[0], and a lookup is one compare loop over it.
 type UnitStride struct {
-	entries []unitEntry
-	clock   uint64
-	stats   *UnitStrideStats // where the filter counts; see CountInto
-	own     UnitStrideStats  // what a filter built alone counts into
+	lru   []mem.Addr       // each stored as missBlock+1 (Figure 4)
+	stats *UnitStrideStats // where the filter counts; see CountInto
+	own   UnitStrideStats  // what a filter built alone counts into
 }
 
 // NewUnitStride builds a filter with size history entries. The paper
@@ -65,13 +68,10 @@ func NewUnitStride(size int) (*UnitStride, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("filter: unit-stride filter needs >= 1 entry, got %d", size)
 	}
-	f := &UnitStride{entries: make([]unitEntry, size)}
+	f := &UnitStride{lru: make([]mem.Addr, 0, size)}
 	f.stats = &f.own
 	return f, nil
 }
-
-// Size returns the number of history entries.
-func (f *UnitStride) Size() int { return len(f.entries) }
 
 // Stats returns a copy of the accumulated statistics.
 func (f *UnitStride) Stats() UnitStrideStats { return *f.stats }
@@ -86,7 +86,7 @@ func (f *UnitStride) CountInto(st *UnitStrideStats) { f.stats = st }
 func (f *UnitStride) Clone() *UnitStride {
 	n := *f
 	n.own, n.stats = *f.stats, &n.own
-	n.entries = append([]unitEntry(nil), f.entries...)
+	n.lru = append(make([]mem.Addr, 0, cap(f.lru)), f.lru...)
 	return &n
 }
 
@@ -95,58 +95,35 @@ func (f *UnitStride) Clone() *UnitStride {
 // consecutive pair (block-1 missed recently): the caller should
 // allocate a unit stream at missBlock and the matching history entry
 // has been freed. On false the filter has recorded missBlock+1 so a
-// future miss to the next block will match.
+// future miss to the next block will match, refreshing that prediction
+// if it was already held and otherwise evicting the least recently
+// written one when the history is full.
 func (f *UnitStride) Lookup(missBlock mem.Addr) bool {
-	f.clock++
 	f.stats.Lookups++
-	for i := range f.entries {
-		e := &f.entries[i]
-		if e.valid && e.block == missBlock {
+	next, refresh := missBlock+1, -1
+	for i, b := range f.lru {
+		if b == missBlock {
 			// Two consecutive misses confirmed; free the entry (the
 			// paper frees it as soon as the stream is detected).
-			e.valid = false
+			f.lru = append(f.lru[:i], f.lru[i+1:]...)
 			f.stats.Hits++
 			return true
 		}
+		if b == next {
+			refresh = i
+		}
 	}
-	f.insert(missBlock + 1)
+	if refresh >= 0 {
+		f.lru = append(f.lru[:refresh], f.lru[refresh+1:]...)
+	} else {
+		if len(f.lru) == cap(f.lru) {
+			f.lru = append(f.lru[:0], f.lru[1:]...)
+			f.stats.Evictions++
+		}
+		f.stats.Inserts++
+	}
+	f.lru = append(f.lru, next)
 	return false
-}
-
-// insert records a predicted next-miss block, evicting the LRU entry
-// if the history is full.
-func (f *UnitStride) insert(block mem.Addr) {
-	victim := -1
-	for i := range f.entries {
-		e := &f.entries[i]
-		if e.block == block && e.valid {
-			e.lastUse = f.clock // refresh an existing prediction
-			return
-		}
-		if !e.valid {
-			if victim == -1 || f.entries[victim].valid {
-				victim = i
-			}
-		}
-	}
-	if victim == -1 {
-		victim = 0
-		for i := 1; i < len(f.entries); i++ {
-			if f.entries[i].lastUse < f.entries[victim].lastUse {
-				victim = i
-			}
-		}
-		f.stats.Evictions++
-	}
-	f.entries[victim] = unitEntry{block: block, valid: true, lastUse: f.clock}
-	f.stats.Inserts++
-}
-
-// Reset clears the history but keeps statistics.
-func (f *UnitStride) Reset() {
-	for i := range f.entries {
-		f.entries[i] = unitEntry{}
-	}
 }
 
 // fsmState is the Figure 7 state of a non-unit-stride filter entry.
@@ -159,15 +136,13 @@ const (
 	meta2
 )
 
-// nonUnitEntry is one slot of the non-unit-stride filter: the partition
-// tag plus the FSM registers of Figure 7.
-type nonUnitEntry struct {
-	tag      mem.Addr
+// czoneEntry holds the Figure 7 FSM registers of one partition entry;
+// its tag is in NonUnitStride.tags.
+type czoneEntry struct {
 	lastAddr mem.Addr // word address of the previous miss in the zone
 	stride   int64    // current stride guess (META2 only)
 	state    fsmState
-	valid    bool
-	lastUse  uint64
+	lastUse  uint64 // 0 while the entry is free
 }
 
 // NonUnitStrideStats counts non-unit-stride filter behaviour.
@@ -185,8 +160,12 @@ type NonUnitStrideStats struct {
 }
 
 // NonUnitStride is the Section 7 czone-partitioned stride detector.
+// tags holds each entry's partition tag, none when the entry is free,
+// so an observation's search is one compare loop; entries holds the
+// FSM registers alongside.
 type NonUnitStride struct {
-	entries   []nonUnitEntry
+	tags      []mem.Addr
+	entries   []czoneEntry
 	czoneBits uint
 	clock     uint64
 	stats     *NonUnitStrideStats // where the detector counts; see CountInto
@@ -207,8 +186,11 @@ func NewNonUnitStride(size int, czoneBits uint) (*NonUnitStride, error) {
 	if err := ValidateNonUnitStride(size, czoneBits); err != nil {
 		return nil, err
 	}
-	f := &NonUnitStride{entries: make([]nonUnitEntry, size), czoneBits: czoneBits}
+	f := &NonUnitStride{tags: make([]mem.Addr, size), entries: make([]czoneEntry, size), czoneBits: czoneBits}
 	f.stats = &f.own
+	for i := range f.tags {
+		f.tags[i] = none
+	}
 	return f, nil
 }
 
@@ -230,12 +212,6 @@ func checkCzoneBits(bits uint) error {
 	return nil
 }
 
-// Size returns the number of partition entries.
-func (f *NonUnitStride) Size() int { return len(f.entries) }
-
-// CzoneBits returns the czone size in bits.
-func (f *NonUnitStride) CzoneBits() uint { return f.czoneBits }
-
 // Stats returns a copy of the accumulated statistics.
 func (f *NonUnitStride) Stats() NonUnitStrideStats { return *f.stats }
 
@@ -249,15 +225,14 @@ func (f *NonUnitStride) CountInto(st *NonUnitStrideStats) { f.stats = st }
 func (f *NonUnitStride) Clone() *NonUnitStride {
 	n := *f
 	n.own, n.stats = *f.stats, &n.own
-	n.entries = append([]nonUnitEntry(nil), f.entries...)
+	n.tags = append([]mem.Addr(nil), f.tags...)
+	n.entries = append([]czoneEntry(nil), f.entries...)
 	return &n
 }
 
-// tag extracts the partition tag (the word-address bits above the
-// czone) of a word address.
-func (f *NonUnitStride) tag(word mem.Addr) mem.Addr {
-	return word >> f.czoneBits
-}
+// none is the tag of a free czone entry. A tag is a word address
+// shifted right by at least one bit, so it never reaches all ones.
+const none = ^mem.Addr(0)
 
 // Observe presents the word address of a reference that missed the
 // primary cache, the streams, and the unit-stride filter. When three
@@ -270,12 +245,12 @@ func (f *NonUnitStride) tag(word mem.Addr) mem.Addr {
 func (f *NonUnitStride) Observe(word mem.Addr) (alloc bool, lastWord mem.Addr, stride int64) {
 	f.clock++
 	f.stats.Observations++
-	t := f.tag(word)
-	for i := range f.entries {
-		e := &f.entries[i]
-		if !e.valid || e.tag != t {
+	t := word >> f.czoneBits // the partition: the word-address bits above the czone
+	for i, tag := range f.tags {
+		if tag != t {
 			continue
 		}
+		e := &f.entries[i]
 		e.lastUse = f.clock
 		delta := int64(word) - int64(e.lastAddr)
 		if delta == 0 {
@@ -293,7 +268,8 @@ func (f *NonUnitStride) Observe(word mem.Addr) (alloc bool, lastWord mem.Addr, s
 		default: // meta2
 			if delta == e.stride {
 				// Verified: allocate and free the entry.
-				e.valid = false
+				f.tags[i] = none
+				e.lastUse = 0
 				f.stats.Allocations++
 				return true, word, delta
 			}
@@ -308,35 +284,25 @@ func (f *NonUnitStride) Observe(word mem.Addr) (alloc bool, lastWord mem.Addr, s
 	return false, 0, 0
 }
 
-// insert creates a fresh partition entry in META1.
+// insert creates a fresh partition entry in META1 in the first free
+// entry, or else over the least recently used one, in one scan: a free
+// entry's lastUse is 0 and a live one's at least 1.
 func (f *NonUnitStride) insert(tag, word mem.Addr) {
-	victim := -1
+	v := 0
 	for i := range f.entries {
-		if !f.entries[i].valid {
-			victim = i
+		if u := f.entries[i].lastUse; u == 0 {
+			v = i
 			break
+		} else if u < f.entries[v].lastUse {
+			v = i
 		}
 	}
-	if victim == -1 {
-		victim = 0
-		for i := 1; i < len(f.entries); i++ {
-			if f.entries[i].lastUse < f.entries[victim].lastUse {
-				victim = i
-			}
-		}
+	if f.tags[v] != none {
 		f.stats.Evictions++
 	}
-	f.entries[victim] = nonUnitEntry{
-		tag: tag, lastAddr: word, state: meta1, valid: true, lastUse: f.clock,
-	}
+	f.tags[v] = tag
+	f.entries[v] = czoneEntry{lastAddr: word, state: meta1, lastUse: f.clock}
 	f.stats.Inserts++
-}
-
-// Reset clears all partitions but keeps statistics.
-func (f *NonUnitStride) Reset() {
-	for i := range f.entries {
-		f.entries[i] = nonUnitEntry{}
-	}
 }
 
 // MinDeltaStats counts minimum-delta scheme behaviour.

@@ -15,8 +15,8 @@ func TestNewUnitStrideValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != 8 {
-		t.Errorf("Size = %d, want 8", f.Size())
+	if cap(f.lru) != 8 {
+		t.Errorf("size = %d, want 8", cap(f.lru))
 	}
 }
 
@@ -101,18 +101,6 @@ func TestUnitStrideDuplicateInsertRefreshes(t *testing.T) {
 	}
 }
 
-func TestUnitStrideReset(t *testing.T) {
-	f, _ := NewUnitStride(4)
-	f.Lookup(10)
-	f.Reset()
-	if f.Lookup(11) {
-		t.Error("reset should clear history")
-	}
-	if got := f.Stats().Lookups; got != 2 {
-		t.Errorf("Reset cleared stats; Lookups = %d, want 2", got)
-	}
-}
-
 func TestUnitStrideStatsHitRate(t *testing.T) {
 	var s UnitStrideStats
 	if s.HitRate() != 0 {
@@ -160,8 +148,8 @@ func TestNewNonUnitStrideValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Size() != 16 || f.CzoneBits() != 16 {
-		t.Errorf("Size/CzoneBits = %d/%d, want 16/16", f.Size(), f.CzoneBits())
+	if len(f.tags) != 16 || f.czoneBits != 16 {
+		t.Errorf("size/czone bits = %d/%d, want 16/16", len(f.tags), f.czoneBits)
 	}
 }
 
@@ -315,16 +303,6 @@ func TestNonUnitStrideEviction(t *testing.T) {
 	}
 }
 
-func TestNonUnitStrideReset(t *testing.T) {
-	f, _ := NewNonUnitStride(4, 16)
-	f.Observe(0x10000)
-	f.Observe(0x10000 + 100)
-	f.Reset()
-	if a, _, _ := f.Observe(0x10000 + 200); a {
-		t.Error("reset should clear FSM state")
-	}
-}
-
 // Property: any constant word stride whose magnitude fits well inside
 // the partition is detected on the third observation.
 func TestNonUnitStrideDetectsAnyFittingStride(t *testing.T) {
@@ -421,26 +399,43 @@ func TestMinDeltaStats(t *testing.T) {
 }
 
 // referenceNonUnit is a brute-force reimplementation of the Section 7
-// scheme used to model-check NonUnitStride: an unbounded map of
-// partitions, each holding the Figure 7 FSM registers.
+// scheme used to model-check NonUnitStride: a map of partitions, each
+// holding the Figure 7 FSM registers and the clock of its last
+// observation. A new partition at capacity (size) evicts the one
+// observed least recently.
 type referenceNonUnit struct {
 	czone uint
+	size  int
+	clock uint64
 	parts map[mem.Addr]*refEntry
 }
 
 type refEntry struct {
-	last   mem.Addr
-	stride int64
-	meta2  bool
+	last    mem.Addr
+	stride  int64
+	meta2   bool
+	lastUse uint64
 }
 
 func (r *referenceNonUnit) observe(w mem.Addr) (bool, mem.Addr, int64) {
+	r.clock++
 	tag := w >> r.czone
 	e, ok := r.parts[tag]
 	if !ok {
-		r.parts[tag] = &refEntry{last: w}
+		if len(r.parts) == r.size {
+			var lru *refEntry
+			var lruTag mem.Addr
+			for t, p := range r.parts {
+				if lru == nil || p.lastUse < lru.lastUse {
+					lru, lruTag = p, t
+				}
+			}
+			delete(r.parts, lruTag)
+		}
+		r.parts[tag] = &refEntry{last: w, lastUse: r.clock}
 		return false, 0, 0
 	}
+	e.lastUse = r.clock
 	d := int64(w) - int64(e.last)
 	if d == 0 {
 		return false, 0, 0
@@ -457,28 +452,92 @@ func (r *referenceNonUnit) observe(w mem.Addr) (bool, mem.Addr, int64) {
 	return false, 0, 0
 }
 
-// Property: with an oversized table (no capacity evictions), the
-// hardware model agrees exactly with the brute-force reference on any
-// observation sequence.
+// Property: the hardware model agrees exactly with the brute-force
+// reference on any observation sequence, both with a table of one to
+// four entries, whose partitions evict each other (so the LRU victim
+// is checked, and one eviction is counted per partition the reference
+// dropped at capacity), and with an oversized table that never evicts.
 func TestNonUnitStrideMatchesReference(t *testing.T) {
-	f := func(wordsRaw []uint16, czoneRaw uint8) bool {
+	f := func(wordsRaw []uint16, czoneRaw, sizeRaw uint8) bool {
 		czone := uint(czoneRaw%12) + 4
-		hw, err := NewNonUnitStride(4096, czone)
+		size := 4096
+		if sizeRaw%2 == 0 {
+			size = int(sizeRaw/2%4) + 1
+		}
+		hw, err := NewNonUnitStride(size, czone)
 		if err != nil {
 			return false
 		}
-		ref := &referenceNonUnit{czone: czone, parts: map[mem.Addr]*refEntry{}}
+		ref := &referenceNonUnit{czone: czone, size: size, parts: map[mem.Addr]*refEntry{}}
+		var evictions uint64
 		for _, w := range wordsRaw {
 			word := mem.Addr(w)
+			if _, ok := ref.parts[word>>czone]; !ok && len(ref.parts) == size {
+				evictions++
+			}
 			a1, l1, s1 := hw.Observe(word)
 			a2, l2, s2 := ref.observe(word)
 			if a1 != a2 || l1 != l2 || s1 != s2 {
 				return false
 			}
 		}
-		return true
+		return hw.Stats().Evictions == evictions
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzUnitStride drives a UnitStride and a naive reference, a map from
+// each predicted block to the clock of the lookup that last wrote it,
+// which evicts the smallest clock at capacity, with the same misses and
+// requires the same Lookup results and statistics. The first byte picks
+// a size of 1-6 entries; every further byte is a miss to one of 24
+// blocks, so pairs, refreshes and evictions all occur.
+func FuzzUnitStride(f *testing.F) {
+	f.Add([]byte{1, 10, 20, 30, 11, 31, 21})
+	f.Add([]byte{2, 10, 10, 20, 11, 30, 40, 31, 21, 41})
+	f.Add([]byte{3, 1, 5, 9, 2, 13, 17, 6, 21, 10, 14})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		size := int(data[0]%6) + 1
+		fl, err := NewUnitStride(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := map[mem.Addr]uint64{}
+		var want UnitStrideStats
+		for clock, b := range data[1:] {
+			blk := mem.Addr(b % 24)
+			want.Lookups++
+			_, hit := ref[blk]
+			if hit {
+				delete(ref, blk)
+				want.Hits++
+			} else if _, held := ref[blk+1]; !held {
+				if len(ref) == size {
+					lru := blk + 1
+					for p, c := range ref {
+						if lru == blk+1 || c < ref[lru] {
+							lru = p
+						}
+					}
+					delete(ref, lru)
+					want.Evictions++
+				}
+				want.Inserts++
+			}
+			if !hit {
+				ref[blk+1] = uint64(clock)
+			}
+			if got := fl.Lookup(blk); got != hit {
+				t.Fatalf("lookup %d of block %d = %v, want %v", clock, blk, got, hit)
+			}
+		}
+		if got := fl.Stats(); got != want {
+			t.Fatalf("Stats = %+v, want %+v", got, want)
+		}
+	})
 }

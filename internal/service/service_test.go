@@ -124,10 +124,11 @@ func TestSubmitValidation(t *testing.T) {
 // hardware past core.MaxCount, name hardware core.New cannot build, or
 // list more than core.MaxCount sweep points gets a 400 on both POST
 // endpoints and creates no job. Admitted, a depth of 1e9 asks
-// stream.NewBuffer for a 24 GB FIFO, and that out-of-memory failure is
-// fatal to the whole daemon, every other job included; an unbuildable
-// value would only become a failed job. The injected runner keeps any
-// spec that slipped through from simulating anything.
+// stream.NewSet for 16 GB of FIFO entries per stream, and that
+// out-of-memory failure is fatal to the whole daemon, every other job
+// included; an unbuildable value would only become a failed job. The
+// injected runner keeps any spec that slipped through from simulating
+// anything.
 func TestSubmitRejectsHostileSizes(t *testing.T) {
 	var calls atomic.Int64
 	svc, cl := newTestServer(t, Config{Workers: 1, RunJob: instantRunner(&calls)})

@@ -15,10 +15,10 @@ func Example() {
 		panic(err)
 	}
 	miss := mem.Addr(100) // block number of an on-chip miss
-	fmt.Println("first probe hits:", set.Probe(miss))
+	fmt.Println("first probe hits:", set.ProbeOutcome(miss).Hit)
 	set.AllocateUnit(miss) // prefetch 101, 102
-	fmt.Println("next block hits:", set.Probe(miss+1))
-	fmt.Println("and the next:", set.Probe(miss+2))
+	fmt.Println("next block hits:", set.ProbeOutcome(miss+1).Hit)
+	fmt.Println("and the next:", set.ProbeOutcome(miss+2).Hit)
 	// Output:
 	// first probe hits: false
 	// next block hits: true
@@ -38,7 +38,7 @@ func ExampleSet_AllocateStrided() {
 	set.AllocateStrided(last, stride)
 	for i := 1; i <= 3; i++ {
 		w := last + mem.Addr(i*stride)
-		fmt.Println(set.Probe(geom.BlockOfWord(w)))
+		fmt.Println(set.ProbeOutcome(geom.BlockOfWord(w)).Hit)
 	}
 	// Output:
 	// true

@@ -5,12 +5,18 @@
 // extension to arbitrary constant word strides (the incrementer of
 // Figure 2 replaced by a general adder).
 //
-// The model is structural: entries carry block tags, valid bits and an
-// availability (data-returned) bit. An optional latency, measured in
-// processor references, models the delay between issuing a prefetch and
-// its data arriving; a probe that matches a still-pending entry counts
-// as a hit (the paper's accounting, discussed in its Section 8 caveat)
-// but is also tallied separately as a PendingHit.
+// The model is structural: entries carry block tags and the reference
+// clock of their issue. An optional latency, measured in processor
+// references, models the delay between issuing a prefetch and its data
+// arriving; a probe that matches a still-pending entry counts as a hit
+// (the paper's accounting, discussed in its Section 8 caveat) but is
+// also tallied separately as a PendingHit.
+//
+// A Set keeps its entries flat, as the cache keeps its ways: one
+// array of streams × depth block tags, with the all-ones tag in every
+// slot that holds nothing comparable (empty, consumed or invalidated by
+// a write-back), so a probe and a write-back invalidation are each one
+// compare loop.
 package stream
 
 import (
@@ -19,186 +25,57 @@ import (
 	"streamsim/internal/mem"
 )
 
-// slot is one FIFO entry of a stream buffer.
-type slot struct {
-	block   mem.Addr // block-number tag
-	valid   bool
-	issueAt uint64 // reference clock when the prefetch was issued
+// Set is a group of stream buffers probed in parallel, with LRU
+// selection of the stream to reallocate (the paper's policy).
+//
+// blocks holds every buffer's FIFO ring, buffer i's at
+// blocks[i*depth:(i+1)*depth], and issueAt the clock each entry was
+// issued at. heads caches each buffer's head tag in one contiguous
+// array, the software analogue of the hardware's parallel comparators,
+// so a probe is a tight compare loop, and rank orders the buffers for
+// reallocation, so the victim is the first smallest entry of one
+// array. Every slot and head that holds nothing comparable holds none:
+// an idle or empty buffer's head never matches and costs the probe
+// nothing more. Only a buffer whose head entry a write-back invalidated
+// is stale: the next probe that reaches it drops the invalidated
+// entries at its head and exposes the next.
+type Set struct {
+	shift   uint // log2(words per block): a word address's block is word >> shift
+	depth   int
+	latency uint64
+	realloc Realloc
+	clock   uint64
+	heads   []mem.Addr // each buffer's head tag, or none
+	blocks  []mem.Addr // streams × depth FIFO entries, or none
+	issueAt []uint64   // the clock each entry of blocks was issued at
+	// rank is 0 while a buffer is idle, else 1 + the clock of its last
+	// use (ReallocLRU) or of its allocation (ReallocFIFO).
+	rank       []uint64
+	bufs       []buffer
+	stale      int // buffers whose head a write-back invalidated
+	onPrefetch func(blk mem.Addr)
+	stats      *Stats // where the set counts; see CountInto
+	own        Stats  // what a set built alone counts into
 }
 
-// Buffer is a single stream buffer: a FIFO of prefetched blocks plus
-// the address-generation state (next word address and word stride).
-type Buffer struct {
-	geom       mem.Geometry
-	depth      int
-	onPrefetch func(blk mem.Addr)
-
-	fifo  []slot
-	head  int // index of the oldest entry
-	count int // number of valid entries
+// buffer is one stream buffer's FIFO pointers and address-generation
+// state; its entries are in the set's flat arrays.
+type buffer struct {
+	head  int // ring offset of the oldest entry
+	count int // entries in the FIFO, invalidated ones included
 
 	nextWord  mem.Addr // word address the next prefetch derives from
-	stride    int64    // word stride; wordsPerBlock for unit streams
-	active    bool
-	exhausted bool // address generator walked off the address space
-
-	hitsThisAllocation uint64
-	lastUse            uint64
-	allocAt            uint64
+	stride    int64    // word stride; words per block for unit streams
+	exhausted bool     // address generator walked off the address space
+	stale     bool     // the head entry was invalidated and not yet dropped
+	hits      uint64   // hits since the stream was allocated
 }
 
-// NewBuffer returns an inactive stream buffer with the given FIFO
-// depth. Depth must be at least 1; the paper fixes it at 2.
-func NewBuffer(geom mem.Geometry, depth int) (*Buffer, error) {
-	if err := checkDepth(depth); err != nil {
-		return nil, err
-	}
-	return &Buffer{geom: geom, depth: depth, fifo: make([]slot, depth)}, nil
-}
-
-func checkDepth(depth int) error {
-	if depth < 1 {
-		return fmt.Errorf("stream: depth %d < 1", depth)
-	}
-	return nil
-}
-
-// Stride returns the current word stride (0 when inactive).
-func (b *Buffer) Stride() int64 {
-	if !b.active {
-		return 0
-	}
-	return b.stride
-}
-
-// Len returns the number of prefetches currently in the FIFO.
-func (b *Buffer) Len() int { return b.count }
-
-// HeadBlock returns the block tag at the head of the FIFO. ok is false
-// when the buffer is inactive or empty (all entries invalidated).
-func (b *Buffer) HeadBlock() (blk mem.Addr, ok bool) {
-	if !b.active || b.count == 0 {
-		return 0, false
-	}
-	s := b.fifo[b.head]
-	if !s.valid {
-		return 0, false
-	}
-	return s.block, true
-}
-
-// reset flushes the FIFO and begins a new stream. startWord is the word
-// address of the first prefetch target; stride is the word stride. It
-// returns the number of unconsumed prefetches discarded (wasted
-// bandwidth) and the number of new prefetches issued.
-func (b *Buffer) reset(startWord mem.Addr, stride int64, now uint64) (flushed, issued int) {
-	flushed = b.count
-	b.head, b.count = 0, 0
-	for i := range b.fifo {
-		b.fifo[i] = slot{}
-	}
-	b.active = true
-	b.exhausted = false
-	b.stride = stride
-	b.nextWord = startWord
-	b.hitsThisAllocation = 0
-	b.lastUse = now
-	b.allocAt = now
-	for i := 0; i < b.depth; i++ {
-		if !b.issue(now) {
-			break
-		}
-		issued++
-	}
-	return flushed, issued
-}
-
-// issue appends one prefetch to the FIFO tail, advancing the address
-// generator. It reports false when the FIFO is full or the generator is
-// exhausted (a negative-stride stream that walked off address 0).
-func (b *Buffer) issue(now uint64) bool {
-	if b.count == b.depth || b.exhausted {
-		return false
-	}
-	blk := b.geom.BlockOfWord(b.nextWord)
-	tail := b.head + b.count
-	if tail >= b.depth {
-		tail -= b.depth
-	}
-	b.fifo[tail] = slot{block: blk, valid: true, issueAt: now}
-	b.count++
-	if b.onPrefetch != nil {
-		b.onPrefetch(blk)
-	}
-	if next := int64(b.nextWord) + b.stride; next < 0 {
-		b.exhausted = true
-	} else {
-		b.nextWord = mem.Addr(next)
-	}
-	return true
-}
-
-// consumeHead pops the head entry and issues a replacement prefetch,
-// keeping the FIFO at depth. It returns whether the popped entry's data
-// had already returned (now-issueAt >= latency) and how many prefetches
-// were issued as refill.
-func (b *Buffer) consumeHead(now uint64, latency uint64) (ready bool, issued int) {
-	s := b.fifo[b.head]
-	ready = now-s.issueAt >= latency
-	b.fifo[b.head] = slot{}
-	b.head++
-	if b.head == b.depth {
-		b.head = 0
-	}
-	b.count--
-	b.hitsThisAllocation++
-	b.lastUse = now
-	for b.count < b.depth {
-		if !b.issue(now) {
-			break
-		}
-		issued++
-	}
-	return ready, issued
-}
-
-// dropInvalidHead discards invalidated entries at the head so the next
-// valid entry (if any) becomes comparable. Returns how many were
-// dropped; dropped entries were fetched and never used.
-func (b *Buffer) dropInvalidHead() int {
-	dropped := 0
-	for b.count > 0 && !b.fifo[b.head].valid {
-		b.fifo[b.head] = slot{}
-		b.head++
-		if b.head == b.depth {
-			b.head = 0
-		}
-		b.count--
-		dropped++
-	}
-	return dropped
-}
-
-// invalidate clears any entry holding blk (write-back coherence: stores
-// on their way to memory invalidate stale stream copies). It returns
-// the number of entries cleared.
-func (b *Buffer) invalidate(blk mem.Addr) int {
-	if !b.active {
-		return 0
-	}
-	n := 0
-	for i, c := b.head, 0; c < b.count; c++ {
-		if b.fifo[i].valid && b.fifo[i].block == blk {
-			b.fifo[i].valid = false
-			n++
-		}
-		i++
-		if i == b.depth {
-			i = 0
-		}
-	}
-	return n
-}
+// none is the tag of a slot or head that holds nothing comparable.
+// Block numbers are byte addresses shifted down, so the all-ones value
+// never names a block, and a probe or invalidation of a real block
+// never matches it.
+const none = ^mem.Addr(0)
 
 // LengthDist is the paper's Table 3 histogram: hits attributed to the
 // length of the stream (number of hits served between allocation and
@@ -315,40 +192,6 @@ func (s Stats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Probes)
 }
 
-// Set is a group of stream buffers probed in parallel, with LRU
-// selection of the stream to reallocate (the paper's policy).
-//
-// heads mirrors each buffer's valid head-block tag in one contiguous
-// array — the software analogue of the hardware's parallel comparators.
-// A probe is then a tight scan over the array instead of a pointer
-// chase through every buffer's FIFO; headUnknown marks buffers whose
-// head needs the slow path (empty, inactive, or dirtied by a
-// write-back invalidation).
-type Set struct {
-	geom    mem.Geometry
-	bufs    []*Buffer
-	heads   []mem.Addr
-	latency uint64
-	realloc Realloc
-	clock   uint64
-	stats   *Stats // where the set counts; see CountInto
-	own     Stats  // what a set built alone counts into
-}
-
-// headUnknown is the heads[] sentinel: no cached head tag. Real block
-// numbers are byte addresses shifted down, so the all-ones value can
-// never collide with one.
-const headUnknown = ^mem.Addr(0)
-
-// syncHead refreshes the cached head tag of buffer i.
-func (s *Set) syncHead(i int) {
-	if h, ok := s.bufs[i].HeadBlock(); ok {
-		s.heads[i] = h
-	} else {
-		s.heads[i] = headUnknown
-	}
-}
-
 // Realloc selects which stream is sacrificed when a new one must be
 // allocated and no buffer is idle.
 type Realloc uint8
@@ -391,7 +234,10 @@ func (cfg Config) Validate() error {
 	if cfg.Streams < 1 {
 		return fmt.Errorf("stream: need at least one stream, got %d", cfg.Streams)
 	}
-	return checkDepth(cfg.Depth)
+	if cfg.Depth < 1 {
+		return fmt.Errorf("stream: depth %d < 1", cfg.Depth)
+	}
+	return nil
 }
 
 // NewSet builds a stream set.
@@ -399,30 +245,31 @@ func NewSet(geom mem.Geometry, cfg Config) (*Set, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Set{geom: geom, latency: cfg.Latency, realloc: cfg.Realloc}
-	s.stats = &s.own
-	for i := 0; i < cfg.Streams; i++ {
-		b, err := NewBuffer(geom, cfg.Depth)
-		if err != nil {
-			return nil, err
-		}
-		s.bufs = append(s.bufs, b)
-		s.heads = append(s.heads, headUnknown)
+	s := &Set{
+		shift: geom.BlockShift() - geom.WordShift(),
+		depth: cfg.Depth, latency: cfg.Latency, realloc: cfg.Realloc,
+		heads:   make([]mem.Addr, cfg.Streams),
+		blocks:  make([]mem.Addr, cfg.Streams*cfg.Depth),
+		issueAt: make([]uint64, cfg.Streams*cfg.Depth),
+		rank:    make([]uint64, cfg.Streams),
+		bufs:    make([]buffer, cfg.Streams),
 	}
+	s.stats = &s.own
+	fillNone(s.heads)
+	fillNone(s.blocks)
 	return s, nil
+}
+
+func fillNone(tags []mem.Addr) {
+	for i := range tags {
+		tags[i] = none
+	}
 }
 
 // OnPrefetch sets fn to observe every prefetch the set issues from now
 // on, by block number (memory-traffic analyses use it; nil, the
 // default, costs nothing).
-func (s *Set) OnPrefetch(fn func(blk mem.Addr)) {
-	for _, b := range s.bufs {
-		b.onPrefetch = fn
-	}
-}
-
-// Streams returns the number of buffers in the set.
-func (s *Set) Streams() int { return len(s.bufs) }
+func (s *Set) OnPrefetch(fn func(blk mem.Addr)) { s.onPrefetch = fn }
 
 // Stats returns a copy of the accumulated statistics.
 func (s *Set) Stats() Stats { return *s.stats }
@@ -430,14 +277,6 @@ func (s *Set) Stats() Stats { return *s.stats }
 // CountInto redirects counting to *st from now on without disturbing
 // stream contents (see cache.Cache.CountInto).
 func (s *Set) CountInto(st *Stats) { s.stats = st }
-
-// clone returns a deep copy of one buffer: same geometry and policy,
-// fresh FIFO storage, identical allocation state and clocks.
-func (b *Buffer) clone() *Buffer {
-	n := *b
-	n.fifo = append([]slot(nil), b.fifo...)
-	return &n
-}
 
 // Clone returns a deep copy of the set — every buffer's FIFO and
 // address-generation state, the cached head tags, the reference clock
@@ -448,11 +287,11 @@ func (b *Buffer) clone() *Buffer {
 func (s *Set) Clone() *Set {
 	n := *s
 	n.own, n.stats = *s.stats, &n.own
-	n.bufs = make([]*Buffer, len(s.bufs))
-	for i, b := range s.bufs {
-		n.bufs[i] = b.clone()
-	}
 	n.heads = append([]mem.Addr(nil), s.heads...)
+	n.blocks = append([]mem.Addr(nil), s.blocks...)
+	n.issueAt = append([]uint64(nil), s.issueAt...)
+	n.rank = append([]uint64(nil), s.rank...)
+	n.bufs = append([]buffer(nil), s.bufs...)
 	return &n
 }
 
@@ -468,56 +307,127 @@ type ProbeResult struct {
 	Issued uint64
 }
 
-// Probe presents an on-chip miss for block blk (a block number). On a
-// hit the matching stream shifts and refills; the caller moves the
-// block into the primary cache. The return reports hit/miss; Probe has
-// already updated all statistics.
-func (s *Set) Probe(blk mem.Addr) (hit bool) {
-	return s.ProbeOutcome(blk).Hit
-}
-
-// ProbeOutcome is Probe plus a per-access report of the side effects
-// (pending status, refill prefetches issued).
+// ProbeOutcome presents an on-chip miss for block blk (a block number)
+// and reports what it did. On a hit the matching stream shifts and
+// refills; the caller moves the block into the primary cache. The
+// statistics are already updated when it returns.
 func (s *Set) ProbeOutcome(blk mem.Addr) ProbeResult {
 	s.clock++
 	s.stats.Probes++
-	for i, h := range s.heads {
-		if h == headUnknown {
-			// Slow path: drop invalidated entries at the head (as the
-			// pre-heads-array code did on every buffer every probe —
-			// lazily it is the same probe that does the dropping) and
-			// re-cache the now-exposed head, if any.
-			b := s.bufs[i]
-			s.stats.PrefetchesWasted += uint64(b.dropInvalidHead())
-			hb, ok := b.HeadBlock()
-			if !ok {
-				continue
+	i := -1
+	if s.stale == 0 {
+		for j, h := range s.heads {
+			if h == blk {
+				i = j
+				break
 			}
-			s.heads[i] = hb
-			h = hb
 		}
-		if h != blk {
-			continue
-		}
-		ready, issued := s.bufs[i].consumeHead(s.clock, s.latency)
-		s.syncHead(i)
-		s.stats.Hits++
-		if !ready {
-			s.stats.PendingHits++
-		}
-		s.stats.PrefetchesIssued += uint64(issued)
-		return ProbeResult{Hit: true, Pending: !ready, Issued: uint64(issued)}
+	} else {
+		i = s.matchStale(blk)
 	}
-	s.stats.Misses++
-	return ProbeResult{}
+	if i < 0 {
+		s.stats.Misses++
+		return ProbeResult{}
+	}
+	// Pop the head, then refill to depth: an invalidated entry the pop
+	// exposes still holds its slot through the refill, and leaves, as
+	// wasted, when a later probe reaches this buffer.
+	b := &s.bufs[i]
+	k := i*s.depth + b.head
+	ready := s.clock-s.issueAt[k] >= s.latency
+	s.blocks[k] = none
+	if b.head++; b.head == s.depth {
+		b.head = 0
+	}
+	b.count--
+	b.hits++
+	if s.realloc == ReallocLRU {
+		s.rank[i] = s.clock + 1
+	}
+	issued := s.refill(i)
+	s.syncHead(i)
+	s.stats.Hits++
+	if !ready {
+		s.stats.PendingHits++
+	}
+	s.stats.PrefetchesIssued += issued
+	return ProbeResult{Hit: true, Pending: !ready, Issued: issued}
+}
+
+// matchStale is the probe's compare loop while some heads are stale:
+// each stale buffer the scan reaches first drops the invalidated
+// entries at its head, counting them wasted, and exposes its next
+// entry. It returns the first buffer whose head is blk, or -1; stale
+// buffers past that one keep their entries until a later probe.
+func (s *Set) matchStale(blk mem.Addr) int {
+	for i := range s.heads {
+		if b := &s.bufs[i]; b.stale {
+			b.stale = false
+			s.stale--
+			base := i * s.depth
+			for b.count > 0 && s.blocks[base+b.head] == none {
+				if b.head++; b.head == s.depth {
+					b.head = 0
+				}
+				b.count--
+				s.stats.PrefetchesWasted++
+			}
+			s.syncHead(i)
+		}
+		if s.heads[i] == blk {
+			return i
+		}
+	}
+	return -1
+}
+
+// syncHead caches buffer i's head tag after its FIFO moved, and marks
+// the buffer stale when its head entry was invalidated.
+func (s *Set) syncHead(i int) {
+	b := &s.bufs[i]
+	h := none
+	if b.count > 0 {
+		h = s.blocks[i*s.depth+b.head]
+		if h == none {
+			b.stale = true
+			s.stale++
+		}
+	}
+	s.heads[i] = h
+}
+
+// refill issues prefetches into buffer i until its FIFO is full or its
+// address generator is exhausted (a negative-stride stream that walked
+// off address 0), and returns how many it issued.
+func (s *Set) refill(i int) (issued uint64) {
+	b := &s.bufs[i]
+	for b.count < s.depth && !b.exhausted {
+		blk := b.nextWord >> s.shift
+		tail := b.head + b.count
+		if tail >= s.depth {
+			tail -= s.depth
+		}
+		k := i*s.depth + tail
+		s.blocks[k], s.issueAt[k] = blk, s.clock
+		b.count++
+		issued++
+		if s.onPrefetch != nil {
+			s.onPrefetch(blk)
+		}
+		if next := int64(b.nextWord) + b.stride; next < 0 {
+			b.exhausted = true
+		} else {
+			b.nextWord = mem.Addr(next)
+		}
+	}
+	return issued
 }
 
 // AllocateUnit reallocates the LRU stream as a unit-stride stream
 // beginning one block past missBlock (the missed block itself arrives
 // via the fast path). It returns the number of prefetches issued.
 func (s *Set) AllocateUnit(missBlock mem.Addr) uint64 {
-	startWord := (missBlock + 1) << (s.geom.BlockShift() - s.geom.WordShift())
-	return s.allocate(startWord, int64(s.geom.WordsPerBlock()))
+	return s.allocate((missBlock+1)<<s.shift, 1<<s.shift)
 }
 
 // AllocateStrided reallocates the LRU stream with an arbitrary word
@@ -532,40 +442,42 @@ func (s *Set) AllocateStrided(lastWord mem.Addr, stride int64) uint64 {
 	return s.allocate(mem.Addr(start), stride)
 }
 
-// allocate picks the victim buffer per the reallocation policy
-// (preferring idle buffers) and resets it, returning the number of
-// prefetches issued for the new stream.
+// allocate flushes the victim buffer per the reallocation policy
+// (preferring idle buffers) and starts a stream in it, returning the
+// number of prefetches issued for the new stream. A flushed entry,
+// invalidated or not, was fetched and never used.
 func (s *Set) allocate(startWord mem.Addr, stride int64) uint64 {
-	vi := -1
-	for i, b := range s.bufs {
-		if !b.active {
-			vi = i
-			break
-		}
-		rank, best := b.lastUse, uint64(0)
-		if vi >= 0 {
-			best = s.bufs[vi].lastUse
-		}
-		if s.realloc == ReallocFIFO {
-			rank = b.allocAt
-			if vi >= 0 {
-				best = s.bufs[vi].allocAt
-			}
-		}
-		if vi < 0 || rank < best {
-			vi = i
-		}
+	i := s.victim()
+	b := &s.bufs[i]
+	if s.rank[i] != 0 {
+		s.stats.Lengths.add(b.hits)
+		s.stats.PrefetchesWasted += uint64(b.count)
 	}
-	victim := s.bufs[vi]
-	if victim.active {
-		s.stats.Lengths.add(victim.hitsThisAllocation)
+	if b.stale {
+		s.stale--
 	}
-	flushed, issued := victim.reset(startWord, stride, s.clock)
-	s.syncHead(vi)
-	s.stats.PrefetchesWasted += uint64(flushed)
-	s.stats.PrefetchesIssued += uint64(issued)
+	fillNone(s.blocks[i*s.depth : (i+1)*s.depth])
+	*b = buffer{nextWord: startWord, stride: stride}
+	s.rank[i] = s.clock + 1
+	issued := s.refill(i)
+	s.syncHead(i)
+	s.stats.PrefetchesIssued += issued
 	s.stats.Allocations++
-	return uint64(issued)
+	return issued
+}
+
+// victim returns the buffer to reallocate: the first idle one, else
+// the least recently used (ReallocLRU) or allocated (ReallocFIFO), the
+// first index on a tie. Two allocations can share one clock, so the
+// tie-break is part of the results.
+func (s *Set) victim() int {
+	v := 0
+	for i, r := range s.rank {
+		if r < s.rank[v] {
+			v = i
+		}
+	}
+	return v
 }
 
 // InvalidateBlock implements write-back coherence: clear every stream
@@ -573,25 +485,27 @@ func (s *Set) allocate(startWord mem.Addr, stride int64) uint64 {
 // drops it at the head, a reallocation flushes it or Finish counts it,
 // and that exit is where it counts as wasted, once.
 func (s *Set) InvalidateBlock(blk mem.Addr) {
-	for i, b := range s.bufs {
-		n := b.invalidate(blk)
-		if n > 0 {
-			// The head tag may now be stale; the next probe re-derives
-			// it (and accounts the dropped entries as wasted).
-			s.heads[i] = headUnknown
+	for k, t := range s.blocks {
+		if t != blk {
+			continue
 		}
-		s.stats.Invalidations += uint64(n)
+		s.blocks[k] = none
+		s.stats.Invalidations++
+		if i := k / s.depth; s.heads[i] == blk {
+			s.heads[i] = none
+			s.bufs[i].stale = true
+			s.stale++
+		}
 	}
 }
 
 // Finish flushes accounting at end of simulation: in-flight prefetches
 // never consumed count as wasted, and live stream lengths are recorded.
 func (s *Set) Finish() {
-	for _, b := range s.bufs {
-		if !b.active {
-			continue
+	for i, r := range s.rank {
+		if r != 0 {
+			s.stats.PrefetchesWasted += uint64(s.bufs[i].count)
+			s.stats.Lengths.add(s.bufs[i].hits)
 		}
-		s.stats.PrefetchesWasted += uint64(b.count)
-		s.stats.Lengths.add(b.hitsThisAllocation)
 	}
 }

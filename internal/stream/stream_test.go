@@ -21,11 +21,14 @@ func newSet(t testing.TB, n, depth int) *Set {
 	return s
 }
 
+// hit probes s for blk and reports whether a stream head matched.
+func hit(s *Set, blk mem.Addr) bool { return s.ProbeOutcome(blk).Hit }
+
 // active counts the buffers of s that hold streams.
 func active(s *Set) int {
 	n := 0
-	for _, b := range s.bufs {
-		if b.active {
+	for _, r := range s.rank {
+		if r != 0 {
 			n++
 		}
 	}
@@ -45,21 +48,15 @@ func TestNewSetValidation(t *testing.T) {
 	}
 }
 
-func TestNewBufferValidation(t *testing.T) {
-	if _, err := NewBuffer(geom(t), 0); err == nil {
-		t.Error("depth 0 should be rejected")
-	}
-}
-
 func TestUnitStreamSequentialHits(t *testing.T) {
 	s := newSet(t, 1, 2)
 	// Miss on block 10 allocates a stream prefetching 11, 12.
-	if s.Probe(10) {
+	if hit(s, 10) {
 		t.Fatal("cold probe should miss")
 	}
 	s.AllocateUnit(10)
 	for blk := mem.Addr(11); blk < 30; blk++ {
-		if !s.Probe(blk) {
+		if !hit(s, blk) {
 			t.Fatalf("probe of block %d should hit the running stream", blk)
 		}
 	}
@@ -77,11 +74,11 @@ func TestUnitStreamSequentialHits(t *testing.T) {
 
 func TestHeadOnlyCompare(t *testing.T) {
 	s := newSet(t, 1, 4)
-	s.Probe(10)
+	hit(s, 10)
 	s.AllocateUnit(10) // FIFO holds 11, 12, 13, 14
 	// Block 13 is in the FIFO but not at the head: must miss (the
 	// hardware compares only the head tag).
-	if s.Probe(13) {
+	if hit(s, 13) {
 		t.Error("non-head entry must not hit")
 	}
 }
@@ -92,11 +89,11 @@ func TestStridedStream(t *testing.T) {
 	// Stride of 100 words = 400 bytes (> one 64B block).
 	const stride = 100
 	base := mem.Addr(1 << 20) // word address
-	s.Probe(g.BlockOfWord(base))
+	hit(s, g.BlockOfWord(base))
 	s.AllocateStrided(base, stride)
 	for i := int64(1); i <= 20; i++ {
 		w := base + mem.Addr(i*stride)
-		if !s.Probe(g.BlockOfWord(w)) {
+		if !hit(s, g.BlockOfWord(w)) {
 			t.Fatalf("strided probe %d (word %#x) should hit", i, w)
 		}
 	}
@@ -113,7 +110,7 @@ func TestNegativeStride(t *testing.T) {
 	s.AllocateStrided(base, stride)
 	for i := int64(1); i <= 10; i++ {
 		w := mem.Addr(int64(base) + i*stride)
-		if !s.Probe(g.BlockOfWord(w)) {
+		if !hit(s, g.BlockOfWord(w)) {
 			t.Fatalf("negative-stride probe %d should hit", i)
 		}
 	}
@@ -124,9 +121,8 @@ func TestNegativeStrideUnderflowStops(t *testing.T) {
 	// Stream walking backward from word 32 with stride -16: prefetches
 	// words 16, 0, then must stop instead of wrapping.
 	s.AllocateStrided(32, -16)
-	b := s.bufs[0]
-	if b.Len() != 2 {
-		t.Errorf("FIFO holds %d entries, want 2 (16 and 0)", b.Len())
+	if n := s.bufs[0].count; n != 2 {
+		t.Errorf("FIFO holds %d entries, want 2 (16 and 0)", n)
 	}
 }
 
@@ -147,18 +143,18 @@ func TestLRUReallocation(t *testing.T) {
 	s.AllocateUnit(100)
 	s.AllocateUnit(200)
 	// Use stream A (making B the LRU).
-	if !s.Probe(101) {
+	if !hit(s, 101) {
 		t.Fatal("stream A should hit")
 	}
 	// New allocation must evict B, not A.
 	s.AllocateUnit(300)
-	if !s.Probe(102) {
+	if !hit(s, 102) {
 		t.Error("stream A should survive reallocation")
 	}
-	if !s.Probe(301) {
+	if !hit(s, 301) {
 		t.Error("new stream should be live")
 	}
-	if s.Probe(201) {
+	if hit(s, 201) {
 		t.Error("stream B should have been reallocated")
 	}
 }
@@ -173,7 +169,7 @@ func TestInactivePreferredOverLRU(t *testing.T) {
 	s.AllocateUnit(300)
 	// All three must be live: the third allocation used the idle buffer.
 	for _, blk := range []mem.Addr{101, 201, 301} {
-		if !s.Probe(blk) {
+		if !hit(s, blk) {
 			t.Errorf("block %d should hit; idle buffer not used", blk)
 		}
 	}
@@ -185,10 +181,10 @@ func TestMultiwayInterleavedStreams(t *testing.T) {
 	s.AllocateUnit(1000)
 	s.AllocateUnit(2000)
 	for i := mem.Addr(1); i <= 50; i++ {
-		if !s.Probe(1000 + i) {
+		if !hit(s, 1000+i) {
 			t.Fatalf("stream 1 probe %d missed", i)
 		}
-		if !s.Probe(2000 + i) {
+		if !hit(s, 2000+i) {
 			t.Fatalf("stream 2 probe %d missed", i)
 		}
 	}
@@ -203,12 +199,12 @@ func TestSingleBufferThrashesOnInterleave(t *testing.T) {
 	s := newSet(t, 1, 2)
 	hits := 0
 	for i := mem.Addr(1); i <= 20; i++ {
-		if s.Probe(1000 + i) {
+		if hit(s, 1000+i) {
 			hits++
 		} else {
 			s.AllocateUnit(1000 + i)
 		}
-		if s.Probe(2000 + i) {
+		if hit(s, 2000+i) {
 			hits++
 		} else {
 			s.AllocateUnit(2000 + i)
@@ -228,7 +224,7 @@ func TestInvalidateBlock(t *testing.T) {
 	}
 	// Head (11) is invalid; probe of 12 should still hit after the
 	// hardware skips the dead entry.
-	if !s.Probe(12) {
+	if !hit(s, 12) {
 		t.Error("probe of 12 should hit after head invalidation")
 	}
 }
@@ -263,7 +259,7 @@ func TestWastedPrefetchAccounting(t *testing.T) {
 func TestFinishFlushesInFlight(t *testing.T) {
 	s := newSet(t, 2, 2)
 	s.AllocateUnit(10)
-	s.Probe(11)
+	hit(s, 11)
 	s.Finish()
 	st := s.Stats()
 	// After one hit the FIFO refilled to depth 2; both are in flight.
@@ -281,10 +277,10 @@ func TestPendingHitLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Probe(10)
+	hit(s, 10)
 	s.AllocateUnit(10)
 	// Immediately probing the prefetched block: a hit, but pending.
-	if !s.Probe(11) {
+	if !hit(s, 11) {
 		t.Fatal("probe should hit")
 	}
 	st := s.Stats()
@@ -293,9 +289,9 @@ func TestPendingHitLatency(t *testing.T) {
 	}
 	// Let "time" (references) pass beyond the latency.
 	for i := 0; i < 200; i++ {
-		s.Probe(999999) // misses that advance the clock
+		hit(s, 999999) // misses that advance the clock
 	}
-	if !s.Probe(12) {
+	if !hit(s, 12) {
 		t.Fatal("probe of 12 should hit")
 	}
 	if got := s.Stats().PendingHits; got != 1 {
@@ -343,7 +339,7 @@ func TestLengthDistRecordedOnRealloc(t *testing.T) {
 	s := newSet(t, 1, 2)
 	s.AllocateUnit(10)
 	for blk := mem.Addr(11); blk <= 17; blk++ { // 7 hits
-		if !s.Probe(blk) {
+		if !hit(s, blk) {
 			t.Fatalf("probe %d should hit", blk)
 		}
 	}
@@ -389,7 +385,7 @@ func TestUnitStreamProperty(t *testing.T) {
 		}
 		s.AllocateUnit(base)
 		for i := 1; i <= run; i++ {
-			if !s.Probe(base + mem.Addr(i)) {
+			if !hit(s, base+mem.Addr(i)) {
 				return false
 			}
 		}
@@ -411,11 +407,11 @@ func TestDepthInvariant(t *testing.T) {
 		}
 		for _, op := range ops {
 			blk := mem.Addr(op % 512)
-			if !s.Probe(blk) {
+			if !hit(s, blk) {
 				s.AllocateUnit(blk)
 			}
 			for _, b := range s.bufs {
-				if b.Len() > 3 {
+				if b.count > 3 {
 					return false
 				}
 			}
@@ -436,7 +432,7 @@ func TestProbeAccounting(t *testing.T) {
 		}
 		for _, op := range ops {
 			blk := mem.Addr(op % 128)
-			if !s.Probe(blk) {
+			if !hit(s, blk) {
 				s.AllocateUnit(blk)
 			}
 		}
@@ -461,14 +457,14 @@ func TestFIFOReallocationIgnoresUse(t *testing.T) {
 	}
 	s.AllocateUnit(100) // stream A, allocated first
 	s.AllocateUnit(200) // stream B
-	if !s.Probe(101) {  // use A: would save it under LRU
+	if !hit(s, 101) {   // use A: would save it under LRU
 		t.Fatal("stream A should hit")
 	}
 	s.AllocateUnit(300) // FIFO must evict A (oldest allocation)
-	if s.Probe(102) {
+	if hit(s, 102) {
 		t.Error("stream A should have been reallocated under FIFO")
 	}
-	if !s.Probe(201) {
+	if !hit(s, 201) {
 		t.Error("stream B should survive under FIFO")
 	}
 }
@@ -503,7 +499,7 @@ func TestOnPrefetchHook(t *testing.T) {
 	if len(issued) != 2 || issued[0] != 11 || issued[1] != 12 {
 		t.Fatalf("hook saw %v, want [11 12]", issued)
 	}
-	s.Probe(11) // consume head, refill
+	hit(s, 11) // consume head, refill
 	if len(issued) != 3 || issued[2] != 13 {
 		t.Errorf("hook after refill saw %v, want [... 13]", issued)
 	}
