@@ -124,11 +124,12 @@ replay-smoke:
 # not the depth: mgrid's CPI is the same to the last bit at depths 1, 2
 # and 4 (a deeper stream's extra prefetches drain during the allocating
 # miss's stall), while 1, 2, 4 and 10 streams print 1.9, 1.8, 1.5 and
-# 1.4, so a sink that mixed up its points' models would show. A sweep
+# 1.4, so a replay that mixed up its points' models would show. A sweep
 # replays its points together through the recording's results memo and
-# stored L1 front (sweeprun.Results), and a cpi sweep charges every
-# point's timing model in one pass of the trace, so a diff is a point
-# the shared pass got wrong.
+# stored L1 front (sweeprun.Results), and a cpi sweep charges its
+# points' timing models together through timing.Replay, the replay the
+# extcpi experiment uses, so a diff is a point the shared pass got
+# wrong.
 SWEEP_SMOKE = ./sweep-smoke-bin -workload mgrid -scale 0.1
 SWEEP_ROWS = awk 'NR > 4 { $$1 = $$1; print }'
 sweep-smoke:

@@ -432,7 +432,7 @@ func replayFixture(b *testing.B) (*trace.Store, []mem.Access) {
 			replayTrace.err = err
 			return
 		}
-		// A trace.Store is itself a workload.Sink, so the run records
+		// A trace.Store is itself a mem.Sink, so the run records
 		// straight into the compact encoding.
 		st := trace.NewStore(int(workload.EstimateRefs("mgrid", workload.SizeSmall, 1.0)))
 		if err := w.Run(st, 1.0); err != nil {

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"streamsim/internal/core"
+	"streamsim/internal/mem"
 	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
@@ -126,7 +127,7 @@ func recordTrace(stdout io.Writer, name, sizeS, path string, scale float64, samp
 		return err
 	}
 	tw := trace.NewWriter(out)
-	var sink workload.Sink = tw
+	var sink mem.Sink = tw
 	var sampler *trace.TimeSampler
 	if sampled {
 		sampler, err = trace.NewTimeSampler(tw, trace.DefaultOnRefs, trace.DefaultOffRefs)

@@ -478,7 +478,7 @@ type Miss struct {
 // worth the small duplication with AccessBatch.
 func (s *System) Access(a mem.Access) {
 	c, write, ifetch := s.l1d, a.Kind == mem.Write, false
-	if a.Kind == IFetchKind {
+	if a.Kind == mem.IFetch {
 		c, write, ifetch = s.l1i, false, true
 	}
 	if way, st := c.Probe(uint64(a.Addr)); st == cache.ProbeHit {
@@ -498,7 +498,7 @@ func (s *System) AccessBatch(accs []mem.Access) {
 	for i := range accs {
 		a := &accs[i]
 		c, write, ifetch := s.l1d, a.Kind == mem.Write, false
-		if a.Kind == IFetchKind {
+		if a.Kind == mem.IFetch {
 			c, write, ifetch = s.l1i, false, true
 		}
 		way, st := c.Probe(uint64(a.Addr))
@@ -533,7 +533,7 @@ func (s *System) AccessPacked(words []uint64) {
 		// so run the full per-reference bookkeeping.
 		for i, w := range words {
 			c, p, write, ifetch := ld, &pd, w&3 == uint64(mem.Write), false
-			if w&3 == uint64(IFetchKind) {
+			if w&3 == uint64(mem.IFetch) {
 				c, p, write, ifetch = li, &pi, false, true
 			}
 			way, st := p.Probe(w >> 2)
@@ -554,7 +554,7 @@ func (s *System) AccessPacked(words []uint64) {
 	// all on a read hit.
 	var hitsD, hitsI uint64
 	for i, w := range words {
-		if w&3 == uint64(IFetchKind) {
+		if w&3 == uint64(mem.IFetch) {
 			if _, st := pi.Probe(w >> 2); st == cache.ProbeHit {
 				hitsI++
 			} else {
@@ -596,10 +596,6 @@ func (s *System) AccessOutcome(a mem.Access) Outcome {
 	s.Access(a)
 	return s.out
 }
-
-// IFetchKind re-exports mem.IFetch for the convenience of callers that
-// already import core.
-const IFetchKind = mem.IFetch
 
 // missVia continues a reference that did not hit in the on-chip cache
 // c (st is the probe status Access observed): the victim buffer →

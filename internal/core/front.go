@@ -145,7 +145,7 @@ func (w *frontWriter) add(words, tap []uint64, log []Miss) {
 			w.wb = blk
 		}
 		side := 0
-		if kind == uint64(IFetchKind) {
+		if kind == uint64(mem.IFetch) {
 			side = 1
 		}
 		addr := word >> 2
@@ -225,13 +225,13 @@ func (r *frontReader) next(n int) (tap []uint64, log []Miss) {
 			tap[len(tap)-1] = r.wb<<2 | tapWriteBack
 		}
 		side := 0
-		if kind == IFetchKind {
+		if kind == mem.IFetch {
 			side = 1
 		}
 		r.addr[side] += unzigzag(r.uvarint())
 		addr := r.addr[side]
 		ev := addr << 2
-		if kind == IFetchKind {
+		if kind == mem.IFetch {
 			ev |= tapIFetch
 		}
 		tap = tap[:len(tap)+1]

@@ -18,7 +18,7 @@ const poisonAddr = mem.Addr(0xdeadbeef << 12)
 var (
 	poisonWord   = uint64(poisonAddr)<<2 | uint64(mem.Write)
 	poisonMiss   = Miss{Index: 1, TapEnd: 1, Addr: poisonAddr, Write: true, Outcome: Outcome{Level: LevelStream, WroteBack: true, Prefetches: 9}}
-	poisonAccess = mem.Access{Addr: poisonAddr, PC: poisonAddr, Kind: mem.Write, Size: 8}
+	poisonAccess = mem.Access{Addr: poisonAddr, PC: poisonAddr, Kind: mem.Write}
 )
 
 // poison overwrites b up to its capacity with v.
@@ -84,14 +84,14 @@ func replayPoisoned(t *testing.T, systems []*System, st *trace.Store, memo Front
 // poisonSink hands each batch of a workload to its sink in a buffer of
 // its own, one of two in turn, and poisons it when the call returns.
 type poisonSink struct {
-	workload.BatchSink
+	mem.Sink
 	bufs [2][]mem.Access
 	k    int
 }
 
 func (p *poisonSink) AccessBatch(accs []mem.Access) {
 	b := append(p.bufs[p.k][:0], accs...)
-	p.BatchSink.AccessBatch(b)
+	p.Sink.AccessBatch(b)
 	poison(b, poisonAccess)
 	p.bufs[p.k], p.k = b, 1-p.k
 }
@@ -172,7 +172,7 @@ func TestReplayIgnoresPoisonedBuffers(t *testing.T) {
 	}
 
 	rec := trace.NewStore(0)
-	if err := w.Run(&poisonSink{BatchSink: rec}, scale); err != nil {
+	if err := w.Run(&poisonSink{Sink: rec}, scale); err != nil {
 		t.Fatal(err)
 	}
 	a, b := st.Iter(), rec.Iter()
@@ -185,7 +185,7 @@ func TestReplayIgnoresPoisonedBuffers(t *testing.T) {
 	}
 	for i, row := range rows {
 		sys := row.build(t)
-		if err := w.Run(&poisonSink{BatchSink: sys}, scale); err != nil {
+		if err := w.Run(&poisonSink{Sink: sys}, scale); err != nil {
 			t.Fatal(err)
 		}
 		got := sys.Results()

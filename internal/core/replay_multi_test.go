@@ -62,7 +62,7 @@ type soloKey struct {
 }
 
 // recordTrace runs a workload at a small scale straight into a
-// trace.Store (the Store is a workload.Sink), once per (name, scale).
+// trace.Store (the Store is a mem.Sink), once per (name, scale).
 func recordTrace(t testing.TB, name string, scale float64) *trace.Store {
 	t.Helper()
 	key := fmt.Sprintf("%s@%g", name, scale)

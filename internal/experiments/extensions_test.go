@@ -7,6 +7,8 @@ import (
 
 	"streamsim/internal/mem"
 	"streamsim/internal/prefetch"
+	"streamsim/internal/sweeprun"
+	"streamsim/internal/timing"
 )
 
 // cellFloat parses a numeric table cell.
@@ -127,6 +129,39 @@ func TestCPIExperimentShape(t *testing.T) {
 		if full > bare*1.2 {
 			t.Errorf("%s: filtered streams slowed execution %.2f -> %.2f", row[0], bare, full)
 		}
+	}
+}
+
+// TestCPISweepMatchesExtCPI holds a cpi sweep to the extcpi
+// experiment: the sweep's streams=10 point is extcpi's filtered system
+// (stridedStreams(16)), and its CPI must equal (==) the CPI replayTimed
+// charges that system over the same recording with the recording's
+// front memo. appsp's large input is Table 1's appsp row, and one
+// whose CPI depends on where a replay charges the trace's instructions.
+func TestCPISweepMatchesExtCPI(t *testing.T) {
+	ctx := context.Background()
+	const name, scale = "appsp", 0.02
+	spec := sweeprun.Spec{Workload: name, Size: "large", Param: "streams", Values: []int{10}, Metric: "cpi", Scale: scale}
+	if cfg, err := sweeprun.ParamSet[spec.Param].Point(10); err != nil || cfg != stridedStreams(16) {
+		t.Fatalf("the streams=10 sweep point is not extcpi's filtered system (err %v)", err)
+	}
+	_, got, err := sweeprun.Run(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := record(ctx, name, table1Size(name), scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := timing.New(stridedStreams(16), timing.DefaultLatencies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replayTimed(ctx, []*timing.Model{m}, tr, sweeprun.Fronts(name, table1Size(name), scale, tr)); err != nil {
+		t.Fatal(err)
+	}
+	if want := m.Stats().CPI(); got[0] != want {
+		t.Errorf("cpi sweep %.4f, extcpi %.4f", got[0], want)
 	}
 }
 

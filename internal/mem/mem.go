@@ -1,7 +1,8 @@
 // Package mem defines the primitive vocabulary shared by every component
-// of the simulator: byte addresses, memory accesses, and the geometry
-// arithmetic (word/block/set extraction) that caches, stream buffers and
-// filters all agree on.
+// of the simulator: byte addresses, memory accesses, the Sink every
+// reference stream is delivered to, and the geometry arithmetic
+// (word/block/set extraction) that caches, stream buffers and filters
+// all agree on.
 //
 // All components operate on physical byte addresses. The paper's
 // off-chip hardware never sees program counters, so an Access carries
@@ -42,9 +43,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Valid reports whether k is one of the defined access kinds.
-func (k Kind) Valid() bool { return k <= IFetch }
-
 // Access is a single memory reference as produced by a workload
 // generator or decoded from a trace file.
 type Access struct {
@@ -58,9 +56,6 @@ type Access struct {
 	PC Addr
 	// Kind says whether this is a load, store or instruction fetch.
 	Kind Kind
-	// Size is the access width in bytes (informational; the cache
-	// models operate at block granularity). Zero means "word".
-	Size uint8
 }
 
 // String formats the access for debugging.
@@ -68,12 +63,25 @@ func (a Access) String() string {
 	return fmt.Sprintf("%s 0x%x", a.Kind, uint64(a.Addr))
 }
 
+// Sink consumes a reference stream in batches. It is the one way
+// references reach a consumer: a workload run, a trace file replay and
+// a time sampler all deliver to a Sink, and core.System, trace.Store,
+// trace.Writer and trace.TimeSampler are Sinks.
+type Sink interface {
+	// AccessBatch presents references in order. The slice is the
+	// caller's and is reused once the call returns, so a sink keeps
+	// no part of it.
+	AccessBatch(accs []Access)
+	// AddInstructions reports n retired instructions, retired after
+	// every reference delivered before the call.
+	AddInstructions(n uint64)
+}
+
 // Geometry captures the fixed layout parameters of the memory system:
 // how many bytes a machine word and a cache block occupy. Both must be
 // powers of two. The zero Geometry is not valid; use DefaultGeometry or
 // NewGeometry.
 type Geometry struct {
-	wordBytes  uint
 	blockBytes uint
 	wordShift  uint
 	blockShift uint
@@ -101,7 +109,6 @@ var (
 // (see the guards above), so no error path exists.
 func DefaultGeometry() Geometry {
 	return Geometry{
-		wordBytes:  defaultWordBytes,
 		blockBytes: defaultBlockBytes,
 		wordShift:  log2(defaultWordBytes),
 		blockShift: log2(defaultBlockBytes),
@@ -121,7 +128,6 @@ func NewGeometry(wordBytes, blockBytes uint) (Geometry, error) {
 		return Geometry{}, fmt.Errorf("mem: block size %d smaller than word size %d", blockBytes, wordBytes)
 	}
 	return Geometry{
-		wordBytes:  wordBytes,
 		blockBytes: blockBytes,
 		wordShift:  log2(wordBytes),
 		blockShift: log2(blockBytes),
@@ -147,9 +153,6 @@ func (g Geometry) BlockShift() uint { return g.blockShift }
 // WordShift returns log2(word size).
 func (g Geometry) WordShift() uint { return g.wordShift }
 
-// WordsPerBlock returns the number of machine words in a cache block.
-func (g Geometry) WordsPerBlock() uint { return g.blockBytes / g.wordBytes }
-
 // BlockAddr maps a byte address to its cache block number.
 func (g Geometry) BlockAddr(a Addr) Addr { return a >> g.blockShift }
 
@@ -166,8 +169,3 @@ func (g Geometry) WordAddr(a Addr) Addr { return a >> g.wordShift }
 // BlockToByte converts a block number back to the byte address of the
 // block's first byte.
 func (g Geometry) BlockToByte(b Addr) Addr { return b << g.blockShift }
-
-// BlockOfWord maps a word number to its block number.
-func (g Geometry) BlockOfWord(w Addr) Addr {
-	return w >> (g.blockShift - g.wordShift)
-}

@@ -22,17 +22,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestKindValid(t *testing.T) {
-	for _, k := range []Kind{Read, Write, IFetch} {
-		if !k.Valid() {
-			t.Errorf("%v should be valid", k)
-		}
-	}
-	if Kind(3).Valid() {
-		t.Error("Kind(3) should be invalid")
-	}
-}
-
 func TestAccessString(t *testing.T) {
 	a := Access{Addr: 0x1000, Kind: Write}
 	if got, want := a.String(), "W 0x1000"; got != want {
@@ -62,9 +51,6 @@ func TestDefaultGeometry(t *testing.T) {
 	g := DefaultGeometry()
 	if g.BlockBytes() != 64 {
 		t.Errorf("BlockBytes = %d, want 64", g.BlockBytes())
-	}
-	if g.WordsPerBlock() != 16 {
-		t.Errorf("WordsPerBlock = %d, want 16", g.WordsPerBlock())
 	}
 	if g.BlockShift() != 6 {
 		t.Errorf("BlockShift = %d, want 6", g.BlockShift())
@@ -100,17 +86,6 @@ func TestBlockArithmetic(t *testing.T) {
 	}
 }
 
-func TestBlockOfWord(t *testing.T) {
-	g := DefaultGeometry()
-	// Word 16 is byte 64 which is block 1.
-	if got := g.BlockOfWord(16); got != 1 {
-		t.Errorf("BlockOfWord(16) = %d, want 1", got)
-	}
-	if got := g.BlockOfWord(15); got != 0 {
-		t.Errorf("BlockOfWord(15) = %d, want 0", got)
-	}
-}
-
 // Property: block round trips — BlockToByte(BlockAddr(a)) equals
 // BlockBase(a) for every address.
 func TestBlockRoundTrip(t *testing.T) {
@@ -138,18 +113,6 @@ func TestWordRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: BlockOfWord is consistent with going through byte addresses.
-func TestBlockOfWordConsistent(t *testing.T) {
-	g := DefaultGeometry()
-	f := func(w uint32) bool {
-		word := Addr(w)
-		return g.BlockOfWord(word) == g.BlockAddr(word<<g.WordShift())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: geometry arithmetic holds for every legal word/block pair.
 func TestGeometryAllSizes(t *testing.T) {
 	for _, wb := range []uint{1, 2, 4, 8} {
@@ -161,8 +124,8 @@ func TestGeometryAllSizes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewGeometry(%d, %d): %v", wb, bb, err)
 			}
-			if g.WordsPerBlock() != bb/wb {
-				t.Errorf("WordsPerBlock(%d,%d) = %d, want %d", wb, bb, g.WordsPerBlock(), bb/wb)
+			if got := g.BlockShift() - g.WordShift(); 1<<got != bb/wb {
+				t.Errorf("NewGeometry(%d, %d): %d words per block, want %d", wb, bb, 1<<got, bb/wb)
 			}
 			if got := g.BlockAddr(Addr(bb)); got != 1 {
 				t.Errorf("BlockAddr(blockBytes) = %d, want 1", got)

@@ -38,7 +38,7 @@ func ExampleSet_AllocateStrided() {
 	set.AllocateStrided(last, stride)
 	for i := 1; i <= 3; i++ {
 		w := last + mem.Addr(i*stride)
-		fmt.Println(set.ProbeOutcome(geom.BlockOfWord(w)).Hit)
+		fmt.Println(set.ProbeOutcome(geom.BlockAddr(w << geom.WordShift())).Hit)
 	}
 	// Output:
 	// true

@@ -57,7 +57,7 @@ func (r *refSet) pop(b *refBuffer) refSlot {
 // fill issues prefetches into b until it is full or exhausted.
 func (r *refSet) fill(b *refBuffer) (issued uint64) {
 	for b.count < r.depth && !b.exhausted {
-		blk := r.geom.BlockOfWord(b.nextWord)
+		blk := b.nextWord >> (r.geom.BlockShift() - r.geom.WordShift())
 		b.fifo[(b.head+b.count)%r.depth] = refSlot{block: blk, valid: true, issueAt: r.clock}
 		b.count++
 		issued++
@@ -194,6 +194,7 @@ func FuzzStreamSet(f *testing.F) {
 		var prefetched []mem.Addr
 		s.OnPrefetch(func(blk mem.Addr) { prefetched = append(prefetched, blk) })
 		r := newRefSet(geom, cfg)
+		wordsPerBlock := mem.Addr(1) << (geom.BlockShift() - geom.WordShift())
 		for op := data[1:]; len(op) >= 3; op = op[3:] {
 			blk := mem.Addr(op[1] % 48)
 			switch op[0] % 6 {
@@ -202,7 +203,7 @@ func FuzzStreamSet(f *testing.F) {
 					t.Fatalf("ProbeOutcome(%d) = %+v, want %+v", blk, got, want)
 				}
 			case 3:
-				if got, want := s.AllocateUnit(blk), r.allocate((blk+1)*mem.Addr(geom.WordsPerBlock()), int64(geom.WordsPerBlock())); got != want {
+				if got, want := s.AllocateUnit(blk), r.allocate((blk+1)*wordsPerBlock, int64(wordsPerBlock)); got != want {
 					t.Fatalf("AllocateUnit(%d) issued %d, want %d", blk, got, want)
 				}
 			case 4:

@@ -89,11 +89,11 @@ func TestStridedStream(t *testing.T) {
 	// Stride of 100 words = 400 bytes (> one 64B block).
 	const stride = 100
 	base := mem.Addr(1 << 20) // word address
-	hit(s, g.BlockOfWord(base))
+	hit(s, g.BlockAddr(base<<g.WordShift()))
 	s.AllocateStrided(base, stride)
 	for i := int64(1); i <= 20; i++ {
 		w := base + mem.Addr(i*stride)
-		if !hit(s, g.BlockOfWord(w)) {
+		if !hit(s, g.BlockAddr(w<<g.WordShift())) {
 			t.Fatalf("strided probe %d (word %#x) should hit", i, w)
 		}
 	}
@@ -110,7 +110,7 @@ func TestNegativeStride(t *testing.T) {
 	s.AllocateStrided(base, stride)
 	for i := int64(1); i <= 10; i++ {
 		w := mem.Addr(int64(base) + i*stride)
-		if !hit(s, g.BlockOfWord(w)) {
+		if !hit(s, g.BlockAddr(w<<g.WordShift())) {
 			t.Fatalf("negative-stride probe %d should hit", i)
 		}
 	}

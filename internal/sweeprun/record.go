@@ -14,9 +14,9 @@ import (
 )
 
 // Record builds the named workload and returns its recording at the
-// given scale: a compact trace store keeping the full event order
-// (accesses and positioned instruction counts), so a CPI replay
-// charges cycles in exactly the sequence a live run would.
+// given scale: a compact trace store of its references and the total
+// of its retired instructions, which is all any replay reads (a timed
+// replay spreads the total evenly over the references).
 //
 // Record is the process's one recording path. Sweeps, the
 // internal/search optimizer and the experiments all replay one
@@ -149,8 +149,8 @@ func ReplayedRefs() uint64 { return replayedRefs.Load() }
 // again, serves and stores nothing.
 //
 // Only replays from fresh systems over the whole recording use it:
-// Results, and the experiments' timed and observed replays. The
-// optimizer replays live.
+// Results, cpi sweeps, and the experiments' timed and observed
+// replays. The optimizer replays live.
 func Fronts(name string, size workload.Size, scale float64, st *trace.Store) core.FrontMemo {
 	return frontMemo{recordings, traceKey{name, size, scale}, st}
 }

@@ -10,19 +10,24 @@ import (
 	"testing"
 
 	"streamsim/internal/core"
+	"streamsim/internal/mem"
 	"streamsim/internal/trace"
 	"streamsim/internal/workload"
 )
 
-// encoded serializes a store's full event order through the trace
-// file codec, so two recordings compare byte for byte.
+// encoded serializes a store through the trace file codec, its
+// accesses and then its instruction total, so two recordings compare
+// byte for byte.
 func encoded(t *testing.T, st *trace.Store) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	if err := st.ReplayContext(context.Background(), w); err != nil {
-		t.Fatal(err)
+	accs := make([]mem.Access, trace.ReplayBatchLen)
+	it := st.Iter()
+	for n := it.Next(accs); n > 0; n = it.Next(accs) {
+		w.AccessBatch(accs[:n])
 	}
+	w.AddInstructions(st.Instructions())
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"streamsim/internal/core"
-	"streamsim/internal/mem"
 	"streamsim/internal/tab"
 	"streamsim/internal/timing"
 	"streamsim/internal/trace"
@@ -214,11 +213,11 @@ func ParamNames() string {
 // recording comes from Record, so it is generated at most once per
 // process. The hit-rate family reads each point's Results through the
 // recording's results memo, as an experiment row does (see Results).
-// A cpi sweep charges a timing model per point in one replay of the
-// full event order (Store.ReplayContext), so each point charges every
-// instruction count where the trace recorded it, as a direct workload
-// run would. Cancelling ctx aborts recording and the replay within one
-// batch boundary.
+// A cpi sweep charges a fresh timing model per point through
+// timing.Replay with the recording's front memo, the replay the extcpi
+// experiment uses, so a point prints the CPI extcpi prints for the
+// same machine. Cancelling ctx aborts recording and the replay within
+// one batch boundary.
 //
 //simlint:deterministic
 func Run(ctx context.Context, s Spec) (*tab.Table, []float64, error) {
@@ -239,11 +238,12 @@ func Run(ctx context.Context, s Spec) (*tab.Table, []float64, error) {
 		return nil, nil, err
 	}
 	values := make([]float64, len(cfgs))
+	key := keyOf(s.Workload, s.Size, s.Scale)
 	if s.Metric == "cpi" {
-		err = replayCPI(ctx, tr, cfgs, values)
+		err = replayCPI(ctx, key, tr, cfgs, values)
 	} else {
 		var res []core.Results
-		res, err = recordings.results(ctx, keyOf(s.Workload, s.Size, s.Scale), tr, cfgs, replayFresh)
+		res, err = recordings.results(ctx, key, tr, cfgs, replayFresh)
 		for i, r := range res {
 			switch s.Metric {
 			case "hit":
@@ -269,10 +269,11 @@ func Run(ctx context.Context, s Spec) (*tab.Table, []float64, error) {
 }
 
 // replayCPI charges a fresh timing model of each configuration, at the
-// default latencies, from one replay of tr's full event order, and
-// stores each model's CPI into values.
-func replayCPI(ctx context.Context, tr *trace.Store, cfgs []core.Config, values []float64) error {
-	models := make(timedPoints, len(cfgs))
+// default latencies, from one replay of tr, the recording cached under
+// key, through the recording's front memo (timing.Replay), and stores
+// each model's CPI into values.
+func replayCPI(ctx context.Context, key traceKey, tr *trace.Store, cfgs []core.Config, values []float64) error {
+	models := make([]*timing.Model, len(cfgs))
 	for i, cfg := range cfgs {
 		m, err := timing.New(cfg, timing.DefaultLatencies())
 		if err != nil {
@@ -280,7 +281,7 @@ func replayCPI(ctx context.Context, tr *trace.Store, cfgs []core.Config, values 
 		}
 		models[i] = m
 	}
-	if err := tr.ReplayContext(ctx, models); err != nil {
+	if err := timing.Replay(ctx, models, tr, frontMemo{recordings, key, tr}); err != nil {
 		return err
 	}
 	replayedRefs.Add(uint64(tr.Len()) * uint64(len(models)))
@@ -288,29 +289,6 @@ func replayCPI(ctx context.Context, tr *trace.Store, cfgs []core.Config, values 
 		values[i] = m.Stats().CPI()
 	}
 	return nil
-}
-
-// timedPoints is a trace sink that hands every event to each of its
-// models in turn, so each model sees the event sequence a replay into
-// it alone delivers.
-type timedPoints []*timing.Model
-
-func (ms timedPoints) Access(a mem.Access) {
-	for _, m := range ms {
-		m.Access(a)
-	}
-}
-
-func (ms timedPoints) AccessBatch(accs []mem.Access) {
-	for _, m := range ms {
-		m.AccessBatch(accs)
-	}
-}
-
-func (ms timedPoints) AddInstructions(n uint64) {
-	for _, m := range ms {
-		m.AddInstructions(n)
-	}
 }
 
 // BuildWorkload resolves a benchmark name or a custom:<mix> spec.

@@ -93,7 +93,8 @@ func TestRunCustomWorkloadParallel(t *testing.T) {
 // soloValues returns spec's metric for each of its values from solo
 // replays of the recording: a fresh system over core.ReplayStore with
 // the trace's instructions added for the hit-rate family, and a fresh
-// timing model alone over Store.ReplayContext for cpi.
+// timing model replayed alone through timing.Replay with no front memo
+// for cpi.
 func soloValues(t *testing.T, spec Spec) []float64 {
 	t.Helper()
 	ctx := context.Background()
@@ -112,7 +113,7 @@ func soloValues(t *testing.T, spec Spec) []float64 {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tr.ReplayContext(ctx, m); err != nil {
+			if err := timing.Replay(ctx, []*timing.Model{m}, tr, nil); err != nil {
 				t.Fatal(err)
 			}
 			values[i] = m.Stats().CPI()
@@ -146,8 +147,8 @@ func soloValues(t *testing.T, spec Spec) []float64 {
 // point from the results memo and cpi replays again, and after
 // ResetTraceCache. The streams sweep runs first over the same
 // recording, so the assoc sweep meets the paper's stored front, which
-// may serve only its paper point, and the cpi sweep charges every one
-// of its models in one replay.
+// may serve only its paper point, in every metric: a cpi sweep charges
+// its models through timing.Replay with the recording's front memo.
 //
 //simlint:deterministic streamsim/internal/sweeprun.Run
 func TestRunMatchesSoloReplays(t *testing.T) {

@@ -99,8 +99,9 @@ func (s Stats) CPI() float64 {
 	return float64(s.Cycles) / float64(s.Instructions)
 }
 
-// Model drives a core.System and charges cycles. It satisfies
-// workload.Sink, so a benchmark can run against it directly.
+// Model drives a core.System and charges cycles. Replay charges many
+// models from one recorded trace; Access and AddInstructions charge
+// one model a reference or an instruction count at a time.
 type Model struct {
 	sys *core.System
 	l2  *cache.Cache // optional: the conventional-system comparison
@@ -158,15 +159,6 @@ func (m *Model) AddInstructions(n uint64) {
 	m.now += n
 	m.stats.InstructionCycles += n
 	m.stats.Instructions += n
-}
-
-// AccessBatch runs a batch of references through Access in order,
-// completing the workload.BatchSink surface so batched producers
-// (trace replay, the workload generator) amortize interface dispatch.
-func (m *Model) AccessBatch(accs []mem.Access) {
-	for i := range accs {
-		m.Access(accs[i])
-	}
 }
 
 // Access runs one reference through the memory system and charges its

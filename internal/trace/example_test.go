@@ -49,9 +49,11 @@ func ExampleTimeSampler() {
 	if err != nil {
 		panic(err)
 	}
-	for i := 0; i < 20; i++ {
-		s.Access(mem.Access{Addr: mem.Addr(i * 64), Kind: mem.Read})
+	accs := make([]mem.Access, 20)
+	for i := range accs {
+		accs[i] = mem.Access{Addr: mem.Addr(i * 64), Kind: mem.Read}
 	}
+	s.AccessBatch(accs)
 	fmt.Printf("kept %d of %d references\n", s.Passed(), s.Passed()+s.Dropped())
 	// Output:
 	// kept 4 of 20 references

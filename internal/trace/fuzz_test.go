@@ -38,7 +38,7 @@ func FuzzReader(f *testing.F) {
 			if err != nil {
 				return // decode error: fine
 			}
-			if ev.Insts == 0 && !ev.Access.Kind.Valid() {
+			if ev.Insts == 0 && ev.Access.Kind > mem.IFetch {
 				t.Fatalf("decoder produced invalid kind %v", ev.Access.Kind)
 			}
 			if ev.Insts == 0 && ev.Access.Addr > MaxAddr {

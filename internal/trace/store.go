@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -12,13 +11,15 @@ import (
 
 // Store is a compact in-memory reference trace. It holds the same
 // information as a []mem.Access but struct-of-arrays and
-// delta-encoded: one byte stream carries address records, a second
-// carries per-kind PC deltas, and the rare access with a nonzero Size
-// goes to a side list. Workload traces are dominated by interleaved
-// constant-stride streams, so a reference that costs 24 bytes as a
-// mem.Access typically costs about one byte here — the difference
-// between a full-scale trace that thrashes the host's caches during
-// replay and one that streams through them.
+// delta-encoded: one byte stream carries address records and a second
+// carries per-kind PC deltas. Of the retired-instruction counts it
+// keeps only their total, which is all any replay reads of them
+// (timing.Replay spreads it evenly over the references). Workload
+// traces are dominated by interleaved constant-stride streams, so a
+// reference that costs 24 bytes as a mem.Access typically costs about
+// one byte here — the difference between a full-scale trace that
+// thrashes the host's caches during replay and one that streams
+// through them.
 //
 // The address encoding borrows the paper's own insight: a workload is
 // a handful of concurrent reference streams. Each access kind owns
@@ -40,8 +41,6 @@ import (
 type Store struct {
 	addr   []byte // address records, see the layout above
 	pc     []byte // per access: uvarint(zigzag64(pc delta)), per-kind last
-	sizes  []sizeException
-	insts  []instEvent
 	n      int
 	nInsts uint64
 	rings  [ringSlots]ringState // encoder stream predictors, indexed ring<<2|kind
@@ -71,11 +70,10 @@ const WindowRefs = DefaultOnRefs
 // reaches after decoding k accesses — which is what makes an O(1) seek
 // possible in a delta-coded stream.
 type windowMark struct {
-	pos     int // byte offset into Store.addr
-	pcPos   int // byte offset into Store.pc
-	excNext int // entries of Store.sizes consumed
-	rings   [ringSlots]ringState
-	lastPC  [3]uint64
+	pos    int // byte offset into Store.addr
+	pcPos  int // byte offset into Store.pc
+	rings  [ringSlots]ringState
+	lastPC [3]uint64
 }
 
 // ringsPerKind is how many reference streams the encoder tracks per
@@ -110,25 +108,6 @@ type ringState struct {
 // learning a garbage jump. Encoder and decoders must agree on this
 // constant — the predictor state is replicated on both sides.
 const strideResetZZ = 1 << 16
-
-// sizeException records an access whose Size field is nonzero; the
-// synthetic workloads never set one, so these stay off the dense
-// streams.
-type sizeException struct {
-	idx  int
-	size uint8
-}
-
-// instEvent records a retired-instruction count at its exact position
-// in the reference stream: the count arrived after idx accesses had
-// been appended. Keeping the position (rather than only a total) lets
-// ReplayContext reproduce the recorded event order exactly, so a
-// timing model replayed from a Store charges cycles in the same order
-// a live workload run would.
-type instEvent struct {
-	idx int
-	n   uint64
-}
 
 // storeBytesPerRef sizes the address stream preallocation: measured
 // across the fifteen workload traces, the address stream runs 1.5-2.9
@@ -229,17 +208,13 @@ func (s *Store) Append(a mem.Access) {
 	pd := int64(uint64(a.PC) - s.lastPC[k])
 	s.lastPC[k] = uint64(a.PC)
 	s.pc = binary.AppendUvarint(s.pc, uint64(pd<<1)^uint64(pd>>63))
-	if a.Size != 0 {
-		s.sizes = append(s.sizes, sizeException{idx: s.n, size: a.Size})
-	}
 	s.n++
 	if s.n%WindowRefs == 0 {
 		s.marks = append(s.marks, windowMark{
-			pos:     len(s.addr),
-			pcPos:   len(s.pc),
-			excNext: len(s.sizes),
-			rings:   s.rings,
-			lastPC:  s.lastPC,
+			pos:    len(s.addr),
+			pcPos:  len(s.pc),
+			rings:  s.rings,
+			lastPC: s.lastPC,
 		})
 	}
 }
@@ -253,28 +228,14 @@ func (s *Store) AppendBatch(accs []mem.Access) {
 	}
 }
 
-// Access is Append under the name workload.Sink expects, so a Store
-// can record a workload run directly.
-func (s *Store) Access(a mem.Access) { s.Append(a) }
-
-// AccessBatch is AppendBatch under the name workload.BatchSink
-// expects; like AppendBatch, it is done with accs when it returns.
+// AccessBatch is AppendBatch under the name mem.Sink expects, so a
+// Store can record a workload run directly; like AppendBatch, it is
+// done with accs when it returns.
 func (s *Store) AccessBatch(accs []mem.Access) { s.AppendBatch(accs) }
 
-// AddInstructions records n retired instructions at the current
-// position in the reference stream (completing the workload.Sink
-// surface). Consecutive counts with no access in between coalesce.
-func (s *Store) AddInstructions(n uint64) {
-	if n == 0 {
-		return
-	}
-	s.nInsts += n
-	if last := len(s.insts) - 1; last >= 0 && s.insts[last].idx == s.n {
-		s.insts[last].n += n
-		return
-	}
-	s.insts = append(s.insts, instEvent{idx: s.n, n: n})
-}
+// AddInstructions adds n retired instructions to the recorded total
+// (completing the mem.Sink surface).
+func (s *Store) AddInstructions(n uint64) { s.nInsts += n }
 
 // Instructions returns the total retired-instruction count recorded.
 func (s *Store) Instructions() uint64 { return s.nInsts }
@@ -283,19 +244,14 @@ func (s *Store) Instructions() uint64 { return s.nInsts }
 func (s *Store) Len() int { return s.n }
 
 // Bytes returns the resident encoded size, for logging and tests.
-func (s *Store) Bytes() int {
-	return len(s.addr) + len(s.pc) + (len(s.sizes)+len(s.insts))*16
-}
+func (s *Store) Bytes() int { return len(s.addr) + len(s.pc) }
 
 // Footprint returns the bytes the store holds allocated: the capacity
-// of its encoded streams, side lists and window index. A store
-// preallocated by NewStore reaches most of it before its first append,
-// so it is what a cache of stores must budget, not Bytes.
+// of its encoded streams and window index. A store preallocated by
+// NewStore reaches most of it before its first append, so it is what a
+// cache of stores must budget, not Bytes.
 func (s *Store) Footprint() int {
-	return cap(s.addr) + cap(s.pc) +
-		cap(s.sizes)*int(unsafe.Sizeof(sizeException{})) +
-		cap(s.insts)*int(unsafe.Sizeof(instEvent{})) +
-		cap(s.marks)*int(unsafe.Sizeof(windowMark{}))
+	return cap(s.addr) + cap(s.pc) + cap(s.marks)*int(unsafe.Sizeof(windowMark{}))
 }
 
 // Err reports the first deferred append error.
@@ -338,25 +294,23 @@ func (s *Store) IterAtWindow(w int) StoreIter {
 	}
 	m := &s.marks[w-1]
 	return StoreIter{
-		s:       s,
-		i:       w * WindowRefs,
-		pos:     m.pos,
-		pcPos:   m.pcPos,
-		excNext: m.excNext,
-		rings:   m.rings,
-		lastPC:  m.lastPC,
+		s:      s,
+		i:      w * WindowRefs,
+		pos:    m.pos,
+		pcPos:  m.pcPos,
+		rings:  m.rings,
+		lastPC: m.lastPC,
 	}
 }
 
 // StoreIter decodes a Store back into mem.Access values in batches.
 type StoreIter struct {
-	s       *Store
-	i       int // next access index
-	pos     int // byte offset into s.addr
-	pcPos   int // byte offset into s.pc
-	excNext int // next pending entry of s.sizes
-	rings   [ringSlots]ringState
-	lastPC  [3]uint64
+	s      *Store
+	i      int // next access index
+	pos    int // byte offset into s.addr
+	pcPos  int // byte offset into s.pc
+	rings  [ringSlots]ringState
+	lastPC [3]uint64
 }
 
 // Next fills buf with up to len(buf) decoded accesses and returns how
@@ -387,7 +341,6 @@ func (it *StoreIter) Next(buf []mem.Access) int {
 	addrs, pcs := it.s.addr, it.s.pc
 	pos, pcPos := it.pos, it.pcPos
 	rings, lastPC := it.rings, it.lastPC
-	nextExc := it.nextSizeIdx()
 	for j := 0; j < n; j++ {
 		b0 := addrs[pos]
 		pos++
@@ -434,11 +387,6 @@ func (it *StoreIter) Next(buf []mem.Access) int {
 			PC:   mem.Addr(lastPC[tag]),
 			Kind: mem.Kind(tag),
 		}
-		if it.i+j == nextExc {
-			buf[j].Size = it.s.sizes[it.excNext].size
-			it.excNext++
-			nextExc = it.nextSizeIdx()
-		}
 	}
 	it.pos, it.pcPos = pos, pcPos
 	it.rings, it.lastPC = rings, lastPC
@@ -446,24 +394,13 @@ func (it *StoreIter) Next(buf []mem.Access) int {
 	return n
 }
 
-// nextSizeIdx returns the access index of the next pending size
-// exception, or -1 when none remain — hoisting the two-load bounds
-// test out of the decode loops.
-func (it *StoreIter) nextSizeIdx() int {
-	if it.excNext < len(it.s.sizes) {
-		return it.s.sizes[it.excNext].idx
-	}
-	return -1
-}
-
 // NextPacked decodes up to len(buf) references into packed words —
 // uint64(addr)<<2 | uint64(kind) — and returns how many it wrote; zero
 // means the trace is exhausted. This is the memory-system replay
-// decode: a core.System reads neither PC nor Size, so the decode can
-// skip the PC stream and the size-exception list entirely and avoid
-// materializing mem.Access values at all. The layout is lossless —
-// addresses carry at most 62 bits (MaxAddr) — and matches what
-// core.(*System).AccessPacked unpacks.
+// decode: a core.System does not read the PC, so the decode can skip
+// the PC stream entirely and avoid materializing mem.Access values at
+// all. The layout is lossless — addresses carry at most 62 bits
+// (MaxAddr) — and matches what core.(*System).AccessPacked unpacks.
 //
 // NextPacked leaves the PC cursor untouched, so a later Next on the
 // same iterator would decode PC deltas that belong to already-consumed
@@ -530,61 +467,4 @@ func (it *StoreIter) NextPacked(buf []uint64) int {
 	it.pos = pos
 	it.i += n
 	return n
-}
-
-// ReplayContext streams the recorded events — accesses and positioned
-// instruction counts, in exactly the order they were recorded — into
-// sink, polling ctx once per ReplayBatchLen accesses. Batch sinks
-// receive accesses in AccessBatch chunks split at instruction-count
-// boundaries, so every sink observes the same event sequence a live
-// workload run would have produced; a timing model replayed this way
-// therefore charges cycles identically to one driven directly.
-// Accesses are decoded with full PC fidelity (a sink may be a
-// PC-indexed prefetcher). A cancelled replay returns ctx.Err() with
-// the sink having consumed a prefix of the trace.
-//
-//simlint:deterministic
-func (s *Store) ReplayContext(ctx context.Context, sink Sink) error {
-	done := ctx.Done()
-	bs, batching := sink.(BatchSink)
-	buf := make([]mem.Access, ReplayBatchLen)
-	it := s.Iter()
-	insts := s.insts
-	pos := 0 // accesses delivered so far
-	emit := func(chunk []mem.Access) {
-		if batching {
-			bs.AccessBatch(chunk)
-			return
-		}
-		for k := range chunk {
-			sink.Access(chunk[k])
-		}
-	}
-	for n := it.Next(buf); n > 0; n = it.Next(buf) {
-		off := 0
-		for off < n {
-			for len(insts) > 0 && insts[0].idx == pos {
-				sink.AddInstructions(insts[0].n)
-				insts = insts[1:]
-			}
-			end := n
-			if len(insts) > 0 && insts[0].idx < pos+(end-off) {
-				end = off + (insts[0].idx - pos)
-			}
-			emit(buf[off:end])
-			pos += end - off
-			off = end
-		}
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-		}
-	}
-	// Counts recorded after the final access.
-	for len(insts) > 0 && insts[0].idx == pos {
-		sink.AddInstructions(insts[0].n)
-		insts = insts[1:]
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -9,8 +8,9 @@ import (
 )
 
 // randomAccesses builds a deterministic mixed stream: sequential runs,
-// large jumps, all three kinds, occasional nonzero sizes — the shapes
-// the delta encoder must round-trip exactly.
+// large jumps and all three kinds, the shapes the delta encoder must
+// round-trip exactly. Every branch keeps addresses and PCs within
+// MaxAddr.
 func randomAccesses(n int) []mem.Access {
 	rng := rand.New(rand.NewSource(7))
 	accs := make([]mem.Access, n)
@@ -26,31 +26,45 @@ func randomAccesses(n int) []mem.Access {
 			addr[k] &= uint64(MaxAddr)
 		default: // the common case: short forward stride
 			addr[k] += uint64(rng.Intn(256))
-			pc[k] += 4
+			addr[k] &= uint64(MaxAddr)
+			pc[k] = (pc[k] + 4) & uint64(MaxAddr)
 		}
 		accs[i] = mem.Access{Addr: mem.Addr(addr[k]), PC: mem.Addr(pc[k]), Kind: k}
-		if rng.Intn(64) == 0 {
-			accs[i].Size = uint8(1 + rng.Intn(8))
-		}
 	}
 	return accs
 }
 
 // TestStoreRoundTrip drives the deterministic encode side: appends
-// followed by a full decode must reproduce the input byte-for-byte.
+// followed by a full decode must reproduce the input byte-for-byte,
+// and the instruction counts recorded before, between and after them
+// must add up to Instructions.
 //
 //simlint:deterministic (*streamsim/internal/trace.Store).Append
 func TestStoreRoundTrip(t *testing.T) {
 	accs := randomAccesses(10000)
 	s := NewStore(len(accs))
-	for _, a := range accs {
-		s.Append(a)
+	insts := uint64(0)
+	addInsts := func(n uint64) {
+		s.AddInstructions(n)
+		insts += n
 	}
+	addInsts(3)
+	for i, a := range accs {
+		s.Append(a)
+		if i%511 == 0 {
+			addInsts(uint64(i + 1))
+			addInsts(2)
+		}
+	}
+	addInsts(9)
 	if err := s.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Len() != len(accs) {
 		t.Fatalf("Len() = %d, want %d", s.Len(), len(accs))
+	}
+	if got := s.Instructions(); got != insts {
+		t.Fatalf("Instructions() = %d, want %d", got, insts)
 	}
 	// Decode with a deliberately awkward buffer size so batches split
 	// at non-aligned points.
@@ -181,109 +195,5 @@ func TestStoreNextPackedMatchesNext(t *testing.T) {
 	}
 	if i != len(accs) {
 		t.Fatalf("decoded %d accesses, want %d", i, len(accs))
-	}
-}
-
-// storeEvent is one observation made by eventSink: an access or an
-// instruction count, in arrival order.
-type storeEvent struct {
-	acc   mem.Access
-	insts uint64
-}
-
-// eventSink records the exact event sequence it observes;
-// batchEventSink adds AccessBatch, exercising ReplayContext's chunked
-// delivery path.
-type eventSink struct {
-	events []storeEvent
-}
-
-func (e *eventSink) Access(a mem.Access)      { e.events = append(e.events, storeEvent{acc: a}) }
-func (e *eventSink) AddInstructions(n uint64) { e.events = append(e.events, storeEvent{insts: n}) }
-
-type batchEventSink struct{ eventSink }
-
-func (e *batchEventSink) AccessBatch(accs []mem.Access) {
-	for _, a := range accs {
-		e.Access(a)
-	}
-}
-
-// TestStoreReplayContextEventOrder drives the deterministic decode
-// side: a replay must deliver the recorded event order exactly.
-//
-//simlint:deterministic (*streamsim/internal/trace.Store).ReplayContext
-func TestStoreReplayContextEventOrder(t *testing.T) {
-	// Build a store with instruction counts at awkward positions:
-	// before any access, mid-stream at non-batch-aligned points, twice
-	// in a row (coalesced), and after the final access.
-	accs := randomAccesses(3 * ReplayBatchLen)
-	s := NewStore(len(accs))
-	var want []storeEvent
-	addInsts := func(n uint64) {
-		s.AddInstructions(n)
-		if last := len(want) - 1; last >= 0 && want[last].insts > 0 {
-			want[last].insts += n // the store coalesces; so must the oracle
-			return
-		}
-		want = append(want, storeEvent{insts: n})
-	}
-	addInsts(3)
-	for i, a := range accs {
-		s.Append(a)
-		want = append(want, storeEvent{acc: a})
-		switch {
-		case i == 100:
-			addInsts(7)
-			addInsts(2)
-		case i%511 == 0:
-			addInsts(uint64(i + 1))
-		}
-	}
-	addInsts(9)
-	if got, wantTotal := s.Instructions(), uint64(0); true {
-		for _, ev := range want {
-			wantTotal += ev.insts
-		}
-		if got != wantTotal {
-			t.Fatalf("Instructions() = %d, want %d", got, wantTotal)
-		}
-	}
-	for _, batch := range []bool{false, true} {
-		var got *eventSink
-		var sink Sink
-		if batch {
-			bs := &batchEventSink{}
-			got, sink = &bs.eventSink, bs
-		} else {
-			got = &eventSink{}
-			sink = got
-		}
-		if err := s.ReplayContext(context.Background(), sink); err != nil {
-			t.Fatalf("batch=%v: ReplayContext: %v", batch, err)
-		}
-		if len(got.events) != len(want) {
-			t.Fatalf("batch=%v: replayed %d events, want %d", batch, len(got.events), len(want))
-		}
-		for i := range want {
-			if got.events[i] != want[i] {
-				t.Fatalf("batch=%v: event %d = %+v, want %+v", batch, i, got.events[i], want[i])
-			}
-		}
-	}
-}
-
-func TestStoreReplayContextCancel(t *testing.T) {
-	accs := randomAccesses(8 * ReplayBatchLen)
-	s := NewStore(len(accs))
-	s.AppendBatch(accs)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sink := &batchEventSink{}
-	if err := s.ReplayContext(ctx, sink); err != context.Canceled {
-		t.Fatalf("ReplayContext on a cancelled ctx = %v, want context.Canceled", err)
-	}
-	if len(sink.events) > ReplayBatchLen {
-		t.Fatalf("cancelled replay delivered %d events, want <= one batch (%d)", len(sink.events), ReplayBatchLen)
 	}
 }

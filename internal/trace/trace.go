@@ -11,6 +11,10 @@
 // luxury the paper's off-chip hardware never sees, so the format drops
 // them (the RPT baseline in internal/prefetch therefore only works on
 // in-process traces).
+//
+// Writer, Store and TimeSampler consume references as a mem.Sink, in
+// batches, and Reader.Replay delivers a file's records to one the same
+// way.
 package trace
 
 import (
@@ -62,8 +66,8 @@ type Event struct {
 	Insts uint64
 }
 
-// Writer encodes events to an io.Writer. It satisfies workload.Sink,
-// so a workload can be recorded directly:
+// Writer encodes events to an io.Writer. It is a mem.Sink, so a
+// workload can be recorded directly:
 //
 //	tw := trace.NewWriter(f)
 //	w.Run(tw, 1.0)
@@ -122,8 +126,8 @@ func (t *Writer) Access(a mem.Access) {
 	}
 }
 
-// AccessBatch encodes a batch of references in order, satisfying
-// BatchSink so recording a workload skips per-reference dispatch.
+// AccessBatch encodes a batch of references in order (the mem.Sink
+// surface).
 func (t *Writer) AccessBatch(accs []mem.Access) {
 	for i := range accs {
 		t.Access(accs[i])
@@ -217,77 +221,28 @@ func (t *Reader) Next() (Event, error) {
 	return Event{Access: mem.Access{Addr: mem.Addr(t.last[tag]), Kind: mem.Kind(tag)}}, nil
 }
 
-// Sink is the consumer side of Replay; both core.System and Writer
-// satisfy it.
-type Sink interface {
-	Access(mem.Access)
-	AddInstructions(n uint64)
-}
-
-// BatchSink is a Sink that also consumes references in batches.
-// core.System and Writer satisfy it; Replay and the workload
-// generator use the batched entry point when the sink offers one,
-// which amortizes interface dispatch over ReplayBatchLen references.
-type BatchSink interface {
-	Sink
-	AccessBatch(accs []mem.Access)
-}
-
 // ReplayBatchLen is the batch size used by Replay (and by
 // experiments' in-memory replay): big enough to amortize dispatch,
 // small enough that the decode buffer stays resident in the host L1.
 const ReplayBatchLen = 512
 
-// Replay streams every event into sink. If sink implements BatchSink
-// the accesses are delivered in batches, with any instruction-count
-// record flushing the pending batch first so the sink observes events
-// in exactly the recorded order.
-func (t *Reader) Replay(sink Sink) error {
+// Replay streams every event into sink: accesses in batches, with any
+// instruction-count record flushing the pending batch first, so the
+// sink observes events in exactly the recorded order.
+func (t *Reader) Replay(sink mem.Sink) error {
 	return t.ReplayContext(context.Background(), sink)
 }
 
 // ReplayContext is Replay with cancellation: ctx is polled once per
-// ReplayBatchLen events (never per event), and a cancelled replay
+// ReplayBatchLen accesses (never per access), and a cancelled replay
 // returns ctx.Err() with the sink having consumed a prefix of the
 // trace.
-func (t *Reader) ReplayContext(ctx context.Context, sink Sink) error {
+func (t *Reader) ReplayContext(ctx context.Context, sink mem.Sink) error {
 	done := ctx.Done()
-	cancelled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	bs, ok := sink.(BatchSink)
-	if !ok {
-		n := 0
-		for {
-			ev, err := t.Next()
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			if ev.Insts > 0 {
-				sink.AddInstructions(ev.Insts)
-			} else {
-				sink.Access(ev.Access)
-			}
-			if n++; n >= ReplayBatchLen {
-				n = 0
-				if cancelled() {
-					return ctx.Err()
-				}
-			}
-		}
-	}
 	buf := make([]mem.Access, 0, ReplayBatchLen)
 	flush := func() {
 		if len(buf) > 0 {
-			bs.AccessBatch(buf)
+			sink.AccessBatch(buf)
 			buf = buf[:0]
 		}
 	}
@@ -302,14 +257,16 @@ func (t *Reader) ReplayContext(ctx context.Context, sink Sink) error {
 		}
 		if ev.Insts > 0 {
 			flush()
-			bs.AddInstructions(ev.Insts)
+			sink.AddInstructions(ev.Insts)
 			continue
 		}
 		buf = append(buf, ev.Access)
 		if len(buf) == ReplayBatchLen {
 			flush()
-			if cancelled() {
+			select {
+			case <-done:
 				return ctx.Err()
+			default:
 			}
 		}
 	}
@@ -321,7 +278,7 @@ func (t *Reader) ReplayContext(ctx context.Context, sink Sink) error {
 // off phase too, so sampled MPI stays meaningful. The paper samples
 // 10,000 on / 90,000 off.
 type TimeSampler struct {
-	sink    Sink
+	sink    mem.Sink
 	onRefs  uint64
 	offRefs uint64
 	pos     uint64 // position within the on+off cycle
@@ -338,29 +295,36 @@ const (
 
 // NewTimeSampler wraps sink. onRefs must be positive; offRefs may be
 // zero (sampling disabled).
-func NewTimeSampler(sink Sink, onRefs, offRefs uint64) (*TimeSampler, error) {
+func NewTimeSampler(sink mem.Sink, onRefs, offRefs uint64) (*TimeSampler, error) {
 	if onRefs == 0 {
 		return nil, errors.New("trace: time sampler needs onRefs > 0")
 	}
 	return &TimeSampler{sink: sink, onRefs: onRefs, offRefs: offRefs}, nil
 }
 
-// Access forwards or drops one reference according to the cycle.
-func (s *TimeSampler) Access(a mem.Access) {
-	if s.pos == 0 {
-		s.windows++
+// AccessBatch forwards or drops each reference of accs according to
+// the cycle. Each run of accs that falls in an on phase reaches the
+// sink as one sub-slice of accs, in order.
+func (s *TimeSampler) AccessBatch(accs []mem.Access) {
+	period := s.onRefs + s.offRefs
+	for len(accs) > 0 {
+		if s.pos == 0 {
+			s.windows++
+		}
+		var n uint64
+		if s.pos < s.onRefs {
+			n = min(s.onRefs-s.pos, uint64(len(accs)))
+			s.sink.AccessBatch(accs[:n])
+			s.passed += n
+		} else {
+			n = min(period-s.pos, uint64(len(accs)))
+			s.dropped += n
+		}
+		accs = accs[n:]
+		if s.pos += n; s.pos == period {
+			s.pos = 0
+		}
 	}
-	inOn := s.pos < s.onRefs
-	s.pos++
-	if s.pos == s.onRefs+s.offRefs {
-		s.pos = 0
-	}
-	if inOn {
-		s.passed++
-		s.sink.Access(a)
-		return
-	}
-	s.dropped++
 }
 
 // AddInstructions forwards counts only during the on phase.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -109,8 +110,8 @@ type collector struct {
 	insts uint64
 }
 
-func (c *collector) Access(a mem.Access)      { c.accs = append(c.accs, a) }
-func (c *collector) AddInstructions(n uint64) { c.insts += n }
+func (c *collector) AccessBatch(accs []mem.Access) { c.accs = append(c.accs, accs...) }
+func (c *collector) AddInstructions(n uint64)      { c.insts += n }
 
 func TestReplay(t *testing.T) {
 	var buf bytes.Buffer
@@ -208,7 +209,7 @@ func TestTimeSamplerCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		s.Access(mem.Access{Addr: mem.Addr(i), Kind: mem.Read})
+		s.AccessBatch([]mem.Access{{Addr: mem.Addr(i), Kind: mem.Read}})
 	}
 	if len(c.accs) != 100 {
 		t.Errorf("passed %d accesses, want 100 (10%% of 1000)", len(c.accs))
@@ -226,7 +227,7 @@ func TestTimeSamplerInstructionsFollowPhase(t *testing.T) {
 	var c collector
 	s, _ := NewTimeSampler(&c, 10, 90)
 	for i := 0; i < 100; i++ {
-		s.Access(mem.Access{Addr: mem.Addr(i), Kind: mem.Read})
+		s.AccessBatch([]mem.Access{{Addr: mem.Addr(i), Kind: mem.Read}})
 		s.AddInstructions(1)
 	}
 	// Instructions forwarded only in the on phase (first 10 refs).
@@ -240,10 +241,114 @@ func TestTimeSamplerNoOff(t *testing.T) {
 	var c collector
 	s, _ := NewTimeSampler(&c, 5, 0)
 	for i := 0; i < 100; i++ {
-		s.Access(mem.Access{Addr: mem.Addr(i), Kind: mem.Read})
+		s.AccessBatch([]mem.Access{{Addr: mem.Addr(i), Kind: mem.Read}})
 	}
 	if s.Dropped() != 0 {
 		t.Errorf("offRefs=0 dropped %d, want 0", s.Dropped())
+	}
+}
+
+// sampledEvent is one delivery a sampler's sink observed: a reference,
+// or an instruction count (insts > 0).
+type sampledEvent struct {
+	acc   mem.Access
+	insts uint64
+}
+
+// eventLog records the deliveries a sampler makes, in order, and
+// counts its AccessBatch calls.
+type eventLog struct {
+	events  []sampledEvent
+	batches int
+}
+
+func (l *eventLog) AccessBatch(accs []mem.Access) {
+	l.batches++
+	for _, a := range accs {
+		l.events = append(l.events, sampledEvent{acc: a})
+	}
+}
+
+func (l *eventLog) AddInstructions(n uint64) { l.events = append(l.events, sampledEvent{insts: n}) }
+
+// TestTimeSamplerBatchSplits feeds one stream, with instruction counts
+// at fixed positions, through AccessBatch cut every possible way that
+// matters: one reference at a time, in batches of 7 and 512, all at
+// once, and cut one reference before and one after every phase
+// boundary. Every split must forward the same references and counts
+// in the same order and report the same Passed, Dropped and Windows,
+// and the whole-stream feed must hand each on-phase run to the sink in
+// one call.
+func TestTimeSamplerBatchSplits(t *testing.T) {
+	const on, off, n = 10, 25, 400
+	accs := make([]mem.Access, n)
+	for i := range accs {
+		accs[i] = mem.Access{Addr: mem.Addr(64 * i), Kind: mem.Kind(i % 3)}
+	}
+	// instsAt[i] retires after reference i-1: before the first
+	// reference, on both sides of phase boundaries and at the end.
+	instsAt := map[int]uint64{0: 3, 9: 4, 10: 5, 11: 6, 35: 7, 36: 8, 100: 9, n: 10}
+	var boundaryCuts []int
+	for b := 0; b <= n; b += on + off {
+		boundaryCuts = append(boundaryCuts, b-1, b+1, b+on-1, b+on+1)
+	}
+	splits := map[string]func(i int) bool{
+		"1":        func(int) bool { return true },
+		"7":        func(i int) bool { return i%7 == 0 },
+		"512":      func(i int) bool { return i%512 == 0 },
+		"all":      func(int) bool { return false },
+		"boundary": func(i int) bool { return slices.Contains(boundaryCuts, i) },
+	}
+	type outcome struct {
+		events                   []sampledEvent
+		passed, dropped, windows uint64
+	}
+	run := func(cut func(i int) bool) outcome {
+		var log eventLog
+		s, err := NewTimeSampler(&log, on, off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := 0
+		for i := 0; i <= n; i++ {
+			k, counted := instsAt[i]
+			if i == n || counted || cut(i) {
+				if i > start {
+					s.AccessBatch(accs[start:i])
+				}
+				start = i
+			}
+			if counted {
+				s.AddInstructions(k)
+			}
+		}
+		return outcome{log.events, s.Passed(), s.Dropped(), s.Windows()}
+	}
+	want := run(splits["1"])
+	if want.passed+want.dropped != n || want.passed == 0 || want.dropped == 0 {
+		t.Fatalf("one at a time: passed %d, dropped %d of %d", want.passed, want.dropped, n)
+	}
+	for name, cut := range splits {
+		got := run(cut)
+		if got.passed != want.passed || got.dropped != want.dropped || got.windows != want.windows {
+			t.Errorf("split %s: Passed/Dropped/Windows = %d/%d/%d, want %d/%d/%d", name,
+				got.passed, got.dropped, got.windows, want.passed, want.dropped, want.windows)
+		}
+		if !slices.Equal(got.events, want.events) {
+			t.Errorf("split %s forwarded %d events, want the %d of one at a time in order", name, len(got.events), len(want.events))
+		}
+	}
+
+	// One batch of the whole stream reaches the sink as one call per
+	// on-phase window.
+	var log eventLog
+	s, err := NewTimeSampler(&log, on, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.AccessBatch(accs)
+	if uint64(log.batches) != s.Windows() {
+		t.Errorf("whole-stream feed made %d sink calls for %d on-phase windows", log.batches, s.Windows())
 	}
 }
 

@@ -118,9 +118,13 @@ func TestTimeSamplerWindowsMatchStore(t *testing.T) {
 	// Three full on/off cycles plus half an on-phase.
 	cycle := DefaultOnRefs + DefaultOffRefs
 	total := 3*cycle + DefaultOnRefs/2
+	buf := make([]mem.Access, 0, ReplayBatchLen)
 	a := mem.Access{Addr: 4096, Kind: mem.Read}
-	for i := uint64(0); i < uint64(total); i++ {
-		ts.Access(a)
+	for i := 0; i < total; i++ {
+		if buf = append(buf, a); len(buf) == cap(buf) || i == total-1 {
+			ts.AccessBatch(buf)
+			buf = buf[:0]
+		}
 		a.Addr += 64
 	}
 

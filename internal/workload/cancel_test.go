@@ -14,16 +14,8 @@ type tallySink struct {
 	insts uint64
 }
 
-func (s *tallySink) Access(mem.Access)             { s.refs++ }
 func (s *tallySink) AccessBatch(accs []mem.Access) { s.refs += len(accs) }
 func (s *tallySink) AddInstructions(n uint64)      { s.insts += n }
-
-// scalarSink is a Sink without the batch extension, to exercise the
-// scalar cancellation path.
-type scalarSink struct{ refs int }
-
-func (s *scalarSink) Access(mem.Access)        { s.refs++ }
-func (s *scalarSink) AddInstructions(n uint64) {}
 
 func TestRunContextPreCancelled(t *testing.T) {
 	w, err := New("mgrid", SizeSmall)
@@ -74,13 +66,6 @@ type cancelAfterSink struct {
 	cancel    context.CancelFunc
 }
 
-func (s *cancelAfterSink) Access(a mem.Access) {
-	s.tally.Access(a)
-	if s.tally.refs >= s.stopAfter {
-		s.cancel()
-	}
-}
-
 func (s *cancelAfterSink) AccessBatch(accs []mem.Access) {
 	s.tally.AccessBatch(accs)
 	if s.tally.refs >= s.stopAfter {
@@ -89,22 +74,6 @@ func (s *cancelAfterSink) AccessBatch(accs []mem.Access) {
 }
 
 func (s *cancelAfterSink) AddInstructions(n uint64) { s.tally.AddInstructions(n) }
-
-func TestRunContextScalarPathCancels(t *testing.T) {
-	w, err := New("mgrid", SizeSmall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	sink := &scalarSink{}
-	if err := w.RunContext(ctx, sink, 1.0); !errors.Is(err, context.Canceled) {
-		t.Fatalf("scalar RunContext = %v, want context.Canceled", err)
-	}
-	if sink.refs > 4*accBufLen {
-		t.Errorf("cancelled scalar run emitted %d refs, want <= %d", sink.refs, 4*accBufLen)
-	}
-}
 
 func TestRunContextMatchesRun(t *testing.T) {
 	for _, name := range []string{"mgrid", "is"} {

@@ -44,8 +44,9 @@ func ExampleCustom() {
 	// seq 67% / stride 0% / random 33% / resident 0%
 }
 
-// ExampleWorkload_Run shows the Sink contract: anything that accepts
-// accesses and instruction counts can consume a benchmark.
+// ExampleWorkload_Run shows the mem.Sink contract: anything that
+// accepts batches of accesses and instruction counts can consume a
+// benchmark.
 func ExampleWorkload_Run() {
 	w, err := workload.New("is", workload.SizeSmall)
 	if err != nil {
@@ -62,5 +63,5 @@ func ExampleWorkload_Run() {
 
 type countingSink struct{ n int }
 
-func (c *countingSink) Access(mem.Access)      { c.n++ }
-func (c *countingSink) AddInstructions(uint64) {}
+func (c *countingSink) AccessBatch(accs []mem.Access) { c.n += len(accs) }
+func (c *countingSink) AddInstructions(uint64)        {}

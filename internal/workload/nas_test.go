@@ -27,19 +27,21 @@ func newStrideCounter() *strideCounter {
 	return &strideCounter{deltas: map[int64]uint64{}}
 }
 
-func (s *strideCounter) Access(a mem.Access) {
-	if a.Kind == mem.IFetch {
-		return
-	}
-	s.total++
-	if s.have {
-		d := int64(a.Addr) - int64(s.last)
-		s.deltas[d]++
-		if d >= -64 && d <= 64 {
-			s.unitish++
+func (s *strideCounter) AccessBatch(accs []mem.Access) {
+	for _, a := range accs {
+		if a.Kind == mem.IFetch {
+			continue
 		}
+		s.total++
+		if s.have {
+			d := int64(a.Addr) - int64(s.last)
+			s.deltas[d]++
+			if d >= -64 && d <= 64 {
+				s.unitish++
+			}
+		}
+		s.last, s.have = a.Addr, true
 	}
-	s.last, s.have = a.Addr, true
 }
 
 func (s *strideCounter) AddInstructions(n uint64) { s.instTotal += n }
@@ -150,10 +152,15 @@ func TestISWriteShare(t *testing.T) {
 	}
 }
 
-// sinkFunc adapts a function to the Sink interface.
+// sinkFunc adapts a per-reference function to mem.Sink.
 type sinkFunc func(mem.Access)
 
-func (f sinkFunc) Access(a mem.Access)      { f(a) }
+func (f sinkFunc) AccessBatch(accs []mem.Access) {
+	for _, a := range accs {
+		f(a)
+	}
+}
+
 func (f sinkFunc) AddInstructions(n uint64) {}
 
 func TestAppbtShortRuns(t *testing.T) {

@@ -13,6 +13,10 @@
 // irregularity reproduces the paper's stream buffer behaviour. Each
 // benchmark notes, in its doc comment, which Table 1 / Table 3 /
 // Figure 3 characteristics it is calibrated to.
+//
+// A run delivers its references to a mem.Sink in batches, with the
+// retired-instruction counts between batches: a core.System simulates
+// them, and a trace.Store or trace.Writer records them.
 package workload
 
 import (
@@ -24,28 +28,9 @@ import (
 	"streamsim/internal/mem"
 )
 
-// Sink consumes the generated reference stream. core.System satisfies
-// it, as does trace.Writer.
-type Sink interface {
-	// Access presents one memory reference.
-	Access(mem.Access)
-	// AddInstructions reports n retired instructions (for MPI).
-	AddInstructions(n uint64)
-}
-
-// BatchSink is a Sink that also accepts references in batches. When
-// the sink implements it (core.System and trace.Writer do), the
-// kernel machine buffers accBufLen references and delivers them with
-// one call, amortizing interface dispatch across the batch. Relative
-// order of accesses and instruction counts is preserved exactly: the
-// access buffer is always drained before a count is forwarded.
-type BatchSink interface {
-	Sink
-	AccessBatch(accs []mem.Access)
-}
-
-// accBufLen is the machine's access buffer size; 512 references keep
-// the buffer within the host L1 while making dispatch cost negligible.
+// accBufLen is the machine's access buffer size: the machine delivers
+// its references accBufLen at a time, which keeps the buffer within
+// the host L1 while making dispatch cost negligible.
 const accBufLen = 512
 
 // Size selects the benchmark input scale. The paper's Table 4 grows
@@ -92,7 +77,7 @@ type Workload struct {
 
 // Run drives the kernel, sending its references to sink. scale in
 // (0, 1] trades trace length for fidelity; 1 is the experiment default.
-func (w *Workload) Run(sink Sink, scale float64) error {
+func (w *Workload) Run(sink mem.Sink, scale float64) error {
 	return w.RunContext(context.Background(), sink, scale)
 }
 
@@ -101,7 +86,7 @@ func (w *Workload) Run(sink Sink, scale float64) error {
 // cancelled kernel stops within one batch boundary at zero cost to the
 // hot path. On cancellation the sink has received a prefix of the
 // trace and the returned error is ctx.Err().
-func (w *Workload) RunContext(ctx context.Context, sink Sink, scale float64) (err error) {
+func (w *Workload) RunContext(ctx context.Context, sink mem.Sink, scale float64) (err error) {
 	if !(scale > 0 && scale <= 1) {
 		return fmt.Errorf("workload %s: scale %v outside (0, 1]", w.Name, scale)
 	}
@@ -141,14 +126,12 @@ func iters(n int, scale float64) int {
 // counter that also synthesizes the (block-granularity) instruction
 // fetch stream, and load/store emission helpers.
 type Machine struct {
-	sink   Sink
-	batch  BatchSink    // sink, when it supports batching; else nil
-	accBuf []mem.Access // pending references for the batch path
+	sink   mem.Sink
+	accBuf []mem.Access // pending references, delivered when full or flushed
 	rng    *rand.Rand
 
-	ctx        context.Context // nil outside RunContext
-	done       <-chan struct{} // ctx.Done(), captured once; nil = never cancelled
-	scalarRefs int             // scalar-path emits since the last cancel poll
+	ctx  context.Context // nil outside RunContext
+	done <-chan struct{} // ctx.Done(), captured once; nil = never cancelled
 
 	heap   mem.Addr // bump allocator cursor
 	allocs int      // allocation count, drives the de-aliasing skew
@@ -193,42 +176,29 @@ const (
 
 // newMachine seeds the RNG from the workload name so runs are
 // deterministic per benchmark.
-func newMachine(sink Sink, name string) *Machine {
+func newMachine(sink mem.Sink, name string) *Machine {
 	var seed int64
 	for _, c := range name {
 		seed = seed*131 + int64(c)
 	}
-	m := &Machine{
+	return &Machine{
 		sink:      sink,
+		accBuf:    make([]mem.Access, 0, accBufLen),
 		rng:       rand.New(rand.NewSource(seed)),
 		heap:      heapBase,
 		codeBase:  codeSegBase,
 		codeBytes: defaultCodeSize,
 		codePC:    codeSegBase,
 	}
-	if bs, ok := sink.(BatchSink); ok {
-		m.batch = bs
-		m.accBuf = make([]mem.Access, 0, accBufLen)
-	}
-	return m
 }
 
 // emit queues one reference, delivering the pending batch when full
-// (or immediately on the scalar path). Cancellation is polled once per
-// accBufLen references on either path.
+// and then polling for cancellation, so the poll runs once per
+// accBufLen references.
 func (m *Machine) emit(a mem.Access) {
-	if m.batch == nil {
-		m.sink.Access(a)
-		m.scalarRefs++
-		if m.scalarRefs >= accBufLen {
-			m.scalarRefs = 0
-			m.checkCancel()
-		}
-		return
-	}
 	m.accBuf = append(m.accBuf, a)
 	if len(m.accBuf) == accBufLen {
-		m.batch.AccessBatch(m.accBuf)
+		m.sink.AccessBatch(m.accBuf)
 		m.accBuf = m.accBuf[:0]
 		m.checkCancel()
 	}
@@ -289,7 +259,7 @@ func (m *Machine) Inst(n int) {
 // that preceded the counts.
 func (m *Machine) flush() {
 	if len(m.accBuf) > 0 {
-		m.batch.AccessBatch(m.accBuf)
+		m.sink.AccessBatch(m.accBuf)
 		m.accBuf = m.accBuf[:0]
 	}
 	if m.pendInsts > 0 {

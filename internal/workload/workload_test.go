@@ -14,20 +14,22 @@ type countSink struct {
 	minAddr, maxAddr       mem.Addr
 }
 
-func (c *countSink) Access(a mem.Access) {
-	switch a.Kind {
-	case mem.Read:
-		c.reads++
-	case mem.Write:
-		c.writes++
-	case mem.IFetch:
-		c.fetches++
-	}
-	if c.minAddr == 0 || a.Addr < c.minAddr {
-		c.minAddr = a.Addr
-	}
-	if a.Addr > c.maxAddr {
-		c.maxAddr = a.Addr
+func (c *countSink) AccessBatch(accs []mem.Access) {
+	for _, a := range accs {
+		switch a.Kind {
+		case mem.Read:
+			c.reads++
+		case mem.Write:
+			c.writes++
+		case mem.IFetch:
+			c.fetches++
+		}
+		if c.minAddr == 0 || a.Addr < c.minAddr {
+			c.minAddr = a.Addr
+		}
+		if a.Addr > c.maxAddr {
+			c.maxAddr = a.Addr
+		}
 	}
 }
 
@@ -167,10 +169,12 @@ func TestMachineInstEmitsFetches(t *testing.T) {
 	m := newMachine(&c, "test")
 	// 16 instructions of 4 bytes = 64 bytes = one block crossed.
 	m.Inst(16)
+	m.flush()
 	if c.fetches != 1 {
 		t.Errorf("fetches = %d, want 1 per block of code", c.fetches)
 	}
 	m.Inst(16 * 100)
+	m.flush()
 	if c.fetches < 90 {
 		t.Errorf("fetches = %d, want ~101", c.fetches)
 	}
@@ -181,6 +185,7 @@ func TestMachineCodeWraps(t *testing.T) {
 	m := newMachine(&c, "test")
 	m.codeBytes = 256 // 4 blocks of code
 	m.Inst(10000)     // loops many times
+	m.flush()
 	if c.fetches == 0 {
 		t.Fatal("no fetches emitted")
 	}
@@ -206,6 +211,7 @@ func TestToolkitBlockRun(t *testing.T) {
 	var c countSink
 	m := newMachine(&c, "test")
 	m.BlockRun(m.Alloc(4096), 200, 1)
+	m.flush()
 	if c.reads != 25 { // 200 bytes / 8-byte touches
 		t.Errorf("reads = %d, want 25", c.reads)
 	}
